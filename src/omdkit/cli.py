@@ -67,7 +67,7 @@ def _learner_params(args):
         val = getattr(args, key.replace("-", "_"), None)
         if val is not None:
             params[key] = val
-    for key in ("variant", "trigger", "schedule", "loss", "eta_mode"):
+    for key in ("variant", "trigger", "schedule", "loss"):
         val = getattr(args, key, None)
         if val is not None:
             params[key] = val
@@ -101,8 +101,6 @@ def _add_run_flags(sp, need_learner=True):
     sp.add_argument("--trigger", choices=["omd", "arow", "mistake"])
     sp.add_argument("--schedule", choices=["constant", "sqrt", "linear"])
     sp.add_argument("--loss", choices=["hinge", "square", "absolute"])
-    sp.add_argument("--eta-mode", dest="eta_mode",
-                    choices=["conservative", "pa_optimal", "fixed"])
     sp.add_argument("--comparator", action="append", default=None,
                     help="zero | star | batch | grid:R=2,n=41 | vec:v1,v2,...")
 
@@ -144,6 +142,17 @@ def main(argv=None):
         return 2
 
 
+def _report(args, payload, reports):
+    """Write the payload to --summary or stdout; 3 on a strict-audit violation, else 0."""
+    text = write_summary(args.summary, payload)
+    if not args.summary:
+        print(text, end="")
+    bad = report_violations(reports) if args.strict else []
+    for name, slack, tol in bad:
+        print(f"strict-audit violation: {name} slack {slack} not >= -{tol}", file=sys.stderr)
+    return 3 if bad else 0
+
+
 def _dispatch(args):
     if args.command == "gen":
         spec = _parse_gen_spec(args.gen, args.seed)
@@ -157,21 +166,11 @@ def _dispatch(args):
     if args.command == "run":
         config = ExperimentConfig(
             args.learner, _learner_params(args), _data_config(args),
-            args.comparator or ["zero"], audit=args.audit, strict=args.strict)
+            args.comparator or ["zero"], audit=args.audit)
         trace, summary, reports = run_experiment(config)
         if args.trace:
             write_trace(args.trace, config, trace)
-        text = write_summary(args.summary, summary)
-        if not args.summary:
-            print(text, end="")
-        if args.strict:
-            bad = report_violations(reports)
-            if bad:
-                for name, slack, tol in bad:
-                    print(f"strict-audit violation: {name} slack {slack} < -{tol}",
-                          file=sys.stderr)
-                return 3
-        return 0
+        return _report(args, summary, reports)
 
     if args.command == "audit":
         override = None
@@ -179,18 +178,7 @@ def _dispatch(args):
             override = ExperimentConfig(args.learner, _learner_params(args),
                                         _data_config(args), args.comparator or ["zero"])
         reports, _config = audit_stored(args.trace, config_override=override)
-        payload = {"reports": [r.to_dict() for r in reports]}
-        text = write_summary(args.summary, payload)
-        if not args.summary:
-            print(text, end="")
-        if args.strict:
-            bad = report_violations(reports)
-            if bad:
-                for name, slack, tol in bad:
-                    print(f"strict-audit violation: {name} slack {slack} < -{tol}",
-                          file=sys.stderr)
-                return 3
-        return 0
+        return _report(args, {"reports": [r.to_dict() for r in reports]}, reports)
 
     if args.command == "compare":
         if not args.rescale:

@@ -28,15 +28,6 @@ class Dataset:
     def __len__(self):
         return len(self.examples)
 
-    def design_matrix(self):
-        out = np.zeros((len(self.examples), self.dim))
-        for i, ex in enumerate(self.examples):
-            out[i, ex.x.indices] = ex.x.values
-        return out
-
-    def labels(self):
-        return np.array([ex.y for ex in self.examples])
-
 
 def parse_svmlight(path, dim=None):
     """Parse 'label idx:val ...' lines with 1-based strictly increasing indices.

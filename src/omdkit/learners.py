@@ -2,11 +2,20 @@
 
 Every learner follows the same skeleton: theta starts at zero, w_t is the
 mirror map of theta at the round's regularizer state, the observed update
-z_t is added to theta. What differs is the per-round protocol: which state
-advances before the prediction, how z_t is formed, and when gradient
-statistics are folded back in. Each round emits a StepRecord carrying the
-audit quantities (dual norm of z_t, strong convexity, conjugate residue)
-consumed by the bound evaluators.
+z_t is added to theta. Two OnlineLearner helpers hold that skeleton:
+
+  _advance  snapshots f_{t-1}, runs the learner's state hook (a schedule
+            tick, an input observation or a rank-one update), re-derives
+            w_t and returns the conjugate residue and the value drop;
+  _emit     records <z_t, w_t>, folds an optional loss subgradient into
+            f, applies theta += z_t and returns the round's StepRecord.
+
+What differs per learner is the protocol: which hook advances the state
+before the prediction, how z_t is formed, and whether a subgradient is
+folded back in. The StepRecord carries the audit quantities (dual norm of
+z_t, strong convexity, conjugate residue) consumed by the bound
+evaluators. FirstOrderClassifier, whose regularizer never changes, applies
+its update directly.
 """
 
 import hashlib
@@ -87,6 +96,25 @@ class OnlineLearner:
         self.w = self.reg.mirror_map(self.theta)
         return self.w
 
+    def _advance(self, hook, *args, first_round=False):
+        """Move f_{t-1} to f_t through hook(*args) and re-derive w_t.
+
+        Returns (residue, reg_drop): f*_t(theta) - f*_{t-1}(theta) and
+        f_{t-1}(w_t) - f_t(w_t); both are zero for a fixed regularizer.
+        """
+        prev = self.reg.snapshot() if self.reg.time_varying else None
+        hook(*args)
+        self.w = self.reg.mirror_map(self.theta)
+        return _residue_terms(prev, self.reg, self.theta, self.w, first_round)
+
+    def _emit(self, z, grad=None, **fields):
+        """Record <z, w_t>, fold the loss subgradient grad into f, apply theta += z."""
+        zw = float(z @ self.w)
+        if grad is not None:
+            self.reg.observe_gradient(grad)
+        self.apply_update(z)
+        return StepRecord(t=self.t, z=z, zw=zw, **fields)
+
     def params(self):
         return {}
 
@@ -107,25 +135,19 @@ class GradientDescentLearner(OnlineLearner):
     def round(self, x, y):
         self.t += 1
         xd = as_dense(x, self.dim)
-        prev = self.reg.snapshot() if self.reg.time_varying else None
-        self.reg.advance_step()
-        self.w = self.reg.mirror_map(self.theta)
-        residue, drop = _residue_terms(prev, self.reg, self.theta, self.w, self.t == 1)
+        residue, drop = self._advance(self.reg.advance_step, first_round=self.t == 1)
         pred = float(self.w @ xd)
         ev = self.loss_fn(pred, y)
         lvec = ev.subgrad_scalar * xd
         z = -self.eta * lvec
-        dsq = float(self.reg.dual_norm(z)) ** 2
-        beta = float(self.reg.strong_convexity())
-        zw = float(z @ self.w)
         extras = {"lgrad_norm": float(np.linalg.norm(lvec))}
         if hasattr(self.reg, "penalty_value"):
             extras["penalty_w"] = float(self.reg.penalty_value(self.w))
-        self.apply_update(z)
-        return StepRecord(
-            t=self.t, prediction=pred, label=float(y), loss=ev.value, eta=self.eta,
-            z=z, dual_norm_sq=dsq, beta=beta, residue=residue, reg_drop=drop,
-            zw=zw, extras=extras,
+        return self._emit(
+            z, prediction=pred, label=float(y), loss=ev.value, eta=self.eta,
+            dual_norm_sq=float(self.reg.dual_norm(z)) ** 2,
+            beta=float(self.reg.strong_convexity()), residue=residue, reg_drop=drop,
+            extras=extras,
         )
 
     def params(self):
@@ -228,7 +250,6 @@ class SecondOrderClassifier(OnlineLearner):
         self.r = float(r)
         self.variant = variant
         self.trigger = trigger
-        self.col_sq = np.zeros(dim)  # sum of x_i^2 over update rounds
 
     def _tentative_margin(self, xd, m, chi):
         if self.variant == "full":
@@ -253,35 +274,24 @@ class SecondOrderClassifier(OnlineLearner):
             update = y * m <= 0.0
         mistake = y * m <= 0.0
         extras = {"m": m, "chi": chi, "updated": update}
-        if update:
-            prev = self.reg.snapshot()
-            self.reg.update(xd)
-            self.w = self.reg.mirror_map(self.theta)
-            margin_w = float(self.w @ xd)
-            ev = losses.hinge(y * margin_w)
-            residue, drop = _residue_terms(prev, self.reg, self.theta, self.w)
-            z = y * xd
-            zw = float(z @ self.w)
-            post_quad = tracker.quad_form(xd)
-            dsq = post_quad
-            eta = 1.0
-            self.col_sq += xd * xd
-            self.apply_update(z)
-            extras.update({"margin_w": margin_w, "post_quad": post_quad})
-        else:
+        if not update:
             ev = losses.hinge(y * m)
-            residue = drop = 0.0
-            z = np.zeros(self.dim)
-            zw = 0.0
-            dsq = 0.0
-            eta = 0.0
-            extras["margin_w"] = m
-        extras["logdet"] = tracker.logdet
-        margin_error = ev.active and not mistake
-        return StepRecord(
-            t=self.t, prediction=m, label=y, loss=ev.value, eta=eta, z=z,
-            mistake=mistake, margin_error=margin_error, dual_norm_sq=dsq,
-            beta=1.0, residue=residue, reg_drop=drop, zw=zw, extras=extras,
+            extras.update({"margin_w": m, "logdet": tracker.logdet})
+            return StepRecord(
+                t=self.t, prediction=m, label=y, loss=ev.value, eta=0.0,
+                z=np.zeros(self.dim), mistake=mistake,
+                margin_error=ev.active and not mistake, extras=extras,
+            )
+        residue, drop = self._advance(self.reg.update, xd)
+        margin_w = float(self.w @ xd)
+        ev = losses.hinge(y * margin_w)
+        post_quad = tracker.quad_form(xd)
+        extras.update({"margin_w": margin_w, "post_quad": post_quad,
+                       "logdet": tracker.logdet})
+        return self._emit(
+            y * xd, prediction=m, label=y, loss=ev.value, eta=1.0, mistake=mistake,
+            margin_error=ev.active and not mistake, dual_norm_sq=post_quad,
+            residue=residue, reg_drop=drop, extras=extras,
         )
 
     def params(self):
@@ -310,10 +320,7 @@ class VAWRegressor(OnlineLearner):
             raise RuntimeError("label() must be called before the next observe()")
         self.t += 1
         xd = as_dense(x, self.dim)
-        prev = self.reg.snapshot()
-        self.reg.update(xd)
-        self.w = self.reg.mirror_map(self.theta)
-        residue, drop = _residue_terms(prev, self.reg, self.theta, self.w)
+        residue, drop = self._advance(self.reg.update, xd)
         pred = float(self.w @ xd)
         self._pending = (xd, pred, residue, drop)
         return pred
@@ -324,15 +331,10 @@ class VAWRegressor(OnlineLearner):
         xd, pred, residue, drop = self._pending
         self._pending = None
         y = float(y)
-        ev = losses.square(pred, y)
-        z = y * xd
-        zw = float(z @ self.w)
         post_quad = self.reg.tracker.quad_form(xd)
-        dsq = y * y * post_quad
-        self.apply_update(z)
-        return StepRecord(
-            t=self.t, prediction=pred, label=y, loss=ev.value, eta=1.0, z=z,
-            dual_norm_sq=dsq, beta=1.0, residue=residue, reg_drop=drop, zw=zw,
+        return self._emit(
+            y * xd, prediction=pred, label=y, loss=losses.square(pred, y).value,
+            eta=1.0, dual_norm_sq=y * y * post_quad, residue=residue, reg_drop=drop,
             extras={"post_quad": post_quad},
         )
 
@@ -361,21 +363,15 @@ class AdaptiveFilter(OnlineLearner):
         self.t += 1
         xd = as_dense(x, self.dim)
         y = float(y)
-        prev = self.reg.snapshot()
-        self.reg.observe_input(xd)
-        self.w = self.reg.mirror_map(self.theta)
-        residue, drop = _residue_terms(prev, self.reg, self.theta, self.w)
+        residue, drop = self._advance(self.reg.observe_input, xd)
         pred = float(self.w @ xd)
         resid = y - pred
         z = resid * xd
-        zw = float(z @ self.w)
-        dsq = float(z @ z)
-        beta = float(self.reg.strong_convexity())
-        self.apply_update(z)
-        return StepRecord(
-            t=self.t, prediction=pred, label=y, loss=0.5 * resid * resid, eta=1.0,
-            z=z, dual_norm_sq=dsq, beta=beta, residue=residue, reg_drop=drop,
-            zw=zw, extras={"x_max": self.reg.x_max, "residual": resid},
+        return self._emit(
+            z, prediction=pred, label=y, loss=0.5 * resid * resid, eta=1.0,
+            dual_norm_sq=float(z @ z), beta=float(self.reg.strong_convexity()),
+            residue=residue, reg_drop=drop,
+            extras={"x_max": self.reg.x_max, "residual": resid},
         )
 
     def params(self):
@@ -388,9 +384,9 @@ class ScaleInvariantRegressor(OnlineLearner):
     kind 'pnorm' uses the weighted q_t-norm regularizer (logarithmic
     dependence on the support size), kind 'diag' the per-coordinate
     quadratic (sqrt(d) dependence, one rate per feature). Protocol per
-    round: feature maxima advance first, then predict, then update, and
-    only afterwards fold the round's subgradient into the statistics, so
-    the regularizer at round t depends on subgradients from rounds < t.
+    round: feature maxima advance first, then predict, and only after the
+    prediction fold the round's subgradient into the statistics, so the
+    regularizer at round t depends on subgradients from rounds < t.
     """
 
     name = "scale_invariant"
@@ -414,32 +410,22 @@ class ScaleInvariantRegressor(OnlineLearner):
     def round(self, x, y):
         self.t += 1
         xd = as_dense(x, self.dim)
-        prev = self.reg.snapshot()
-        self.reg.observe_input(xd)
-        self.w = self.reg.mirror_map(self.theta)
-        residue, drop = _residue_terms(prev, self.reg, self.theta, self.w)
+        residue, drop = self._advance(self.reg.observe_input, xd)
         pred = float(self.w @ xd)
         ev = self.loss_fn(pred, y)
         if abs(ev.subgrad_scalar) > self.lipschitz + 1e-12:
             raise ValueError("loss subgradient exceeds the declared Lipschitz constant")
         lvec = ev.subgrad_scalar * xd
         z = -self.eta * lvec
-        dsq = float(self.reg.dual_norm(z)) ** 2
-        beta = float(self.reg.strong_convexity())
-        zw = float(z @ self.w)
         extras = {"m_t": getattr(self.reg, "m", None),
                   "b_hash": hashlib.sha256(self.reg.b.tobytes()).hexdigest()[:12]}
         if self.kind == "pnorm":
             extras["p_t"] = self.reg.p
-        self.apply_update(z)
-        self.reg.observe_gradient(lvec)
-        # keep w re-derivable from the current state; the next round's
-        # observe_input recomputes it again before predicting
-        self.w = self.reg.mirror_map(self.theta)
-        return StepRecord(
-            t=self.t, prediction=pred, label=float(y), loss=ev.value, eta=self.eta,
-            z=z, dual_norm_sq=dsq, beta=beta, residue=residue, reg_drop=drop,
-            zw=zw, extras=extras,
+        return self._emit(
+            z, grad=lvec, prediction=pred, label=float(y), loss=ev.value, eta=self.eta,
+            dual_norm_sq=float(self.reg.dual_norm(z)) ** 2,
+            beta=float(self.reg.strong_convexity()), residue=residue, reg_drop=drop,
+            extras=extras,
         )
 
     def params(self):

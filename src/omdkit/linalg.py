@@ -128,14 +128,6 @@ class RankOneInverse:
         self.logdet += math.log1p(chi / self.r)
         return chi
 
-    def copy(self):
-        other = RankOneInverse.__new__(RankOneInverse)
-        other.dim = self.dim
-        other.r = self.r
-        other.inv = self.inv.copy()
-        other.logdet = self.logdet
-        return other
-
 
 class DiagInverse:
     """Diagonal counterpart: tracks diag(A_t) under d_i <- d_i + x_i^2 / r."""
@@ -163,10 +155,3 @@ class DiagInverse:
     @property
     def logdet(self):
         return float(np.sum(np.log(self.diag)))
-
-    def copy(self):
-        other = DiagInverse.__new__(DiagInverse)
-        other.dim = self.dim
-        other.r = self.r
-        other.diag = self.diag.copy()
-        return other

@@ -14,8 +14,8 @@ oracle test suite:
 State-advancing hooks are split by protocol position: advance_step is a
 schedule tick, observe_input must run before the round's prediction
 (feature maxima, support sizes, the growing quadratic in feature-driven
-mode), observe_gradient runs after the update so f_t only ever depends on
-subgradients from earlier rounds.
+mode), observe_gradient runs after the prediction so f_t only ever depends
+on subgradients from earlier rounds.
 
 `value` and `norm` accept batched inputs of shape (N, d) for the grid
 comparators; `conjugate`, `mirror_map`, `gradient`, `dual_norm` take a
@@ -439,20 +439,16 @@ class LinearScheduled(_Scheduled):
         return float(self.t)
 
 
-class MaxScaled(Regularizer):
+class MaxScaled(_Scheduled):
     """f_t = X_t^2 * base with X_t the running max of base-dual norms of the inputs.
 
     Used by the adaptive filter: the schedule adapts to the largest input
-    norm seen so far instead of requiring it up front.
+    norm seen so far instead of requiring it up front. Before the first
+    nonzero input f_t is 0, whose conjugate is the indicator of {0}.
     """
 
-    time_varying = True
-
     def __init__(self, base):
-        if base.time_varying:
-            raise ValueError("MaxScaled needs a time-invariant base")
-        self.base = base
-        self.dim = base.dim
+        super().__init__(base)
         self.x_max = 0.0
 
     def observe_input(self, x):
@@ -461,40 +457,15 @@ class MaxScaled(Regularizer):
     def _factor(self):
         return self.x_max * self.x_max
 
-    def value(self, w):
-        f = self._factor()
-        if f == 0.0:
-            w = _batch(w)
-            return np.zeros(w.shape[:-1]) if w.ndim > 1 else 0.0
-        return f * self.base.value(w)
-
     def conjugate(self, theta):
-        theta = as_dense(theta, self.dim)
-        f = self._factor()
-        if f == 0.0:
-            if np.any(theta != 0.0):
-                return math.inf
-            return 0.0
-        return f * self.base.conjugate(theta / f)
+        if self._factor() == 0.0:
+            return math.inf if np.any(as_dense(theta, self.dim) != 0.0) else 0.0
+        return super().conjugate(theta)
 
     def mirror_map(self, theta):
-        theta = as_dense(theta, self.dim)
-        f = self._factor()
-        if f == 0.0:
+        if self._factor() == 0.0:
             return np.zeros(self.dim)
-        return self.base.mirror_map(theta / f)
-
-    def gradient(self, w):
-        return self._factor() * self.base.gradient(w)
-
-    def strong_convexity(self):
-        return self._factor() * self.base.strong_convexity()
-
-    def norm(self, v):
-        return self.base.norm(v)
-
-    def dual_norm(self, z):
-        return self.base.dual_norm(z)
+        return super().mirror_map(theta)
 
 
 class ScaleInvPNorm(Regularizer):

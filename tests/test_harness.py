@@ -285,6 +285,47 @@ def test_report_violations_flags_bad_slack():
     residue_bad = BoundReport("engine", measured=0.0, bound=1.0,
                               terms={"max_residue_gap": 1e-6})
     assert len(report_violations([residue_bad])) == 1
+    # NaN compares false both ways, so it must fail rather than slip through
+    nan_slack = BoundReport("engine", measured=float("nan"), bound=1.0)
+    assert len(report_violations([nan_slack])) == 1
+    nan_loose = BoundReport("scale_invariant_diag", measured=1.0, bound=float("nan"))
+    assert len(report_violations([nan_loose])) == 1
+    nan_gap = BoundReport("engine", measured=0.0, bound=1.0,
+                          terms={"max_residue_gap": float("nan")})
+    assert len(report_violations([nan_gap])) == 1
+    # a vacuous +inf bound still passes
+    vacuous = BoundReport("diag_refinement", measured=1.0, bound=float("inf"))
+    assert report_violations([vacuous]) == []
+
+
+def test_cli_composite_constant_schedule_strict_audit(tmp_path):
+    # the constant schedule is audited by the general display alone
+    out = _cli("run", "--learner", "composite", "--schedule", "constant",
+               "--eta", "0.7", "--lam", "0.1",
+               "--gen", "noisy_linear:sigma=0.2,d=4,T=60", "--seed", "2",
+               "--comparator", "zero", "--comparator", "star", "--strict-audit")
+    assert out.returncode == 0, out.stderr
+    names = [r["name"] for r in json.loads(out.stdout)["reports"]]
+    assert names == ["engine", "composite_general"]
+
+
+def test_cli_eta_mode_flag_is_gone(tmp_path):
+    out = _cli("run", "--learner", "pa", "--eta-mode", "fixed",
+               "--gen", "separable_margin:gamma=0.4,d=4,T=30")
+    assert out.returncode == 1
+    assert "--eta-mode" in out.stderr
+
+
+def test_audit_accepts_stored_eta_mode_param(tmp_path):
+    # traces written while the CLI still stored eta_mode carry it in their config
+    cfg = gen_config("pa", {"eta_mode": "fixed"}, separable(2, d=4, T=30))
+    trace, _, reports = run_experiment(cfg)
+    tp = tmp_path / "t.jsonl"
+    write_trace(tp, cfg, trace)
+    assert '"eta_mode":"fixed"' in tp.read_text().splitlines()[0]
+    reports2, _ = audit_stored(tp)
+    assert canonical_json([r.to_dict() for r in reports]) == \
+        canonical_json([r.to_dict() for r in reports2])
 
 
 def test_cli_perceptron_margin_bound(tmp_path):
