@@ -34,8 +34,12 @@ def _parse_gen_spec(text, seed):
         for kv in rest.split(","):
             if not kv:
                 continue
-            k, v = kv.split("=")
-            params[k] = float(v)
+            try:
+                k, v = kv.split("=")
+                params[k] = float(v)
+            except ValueError:
+                raise ValueError(f"generator spec {text!r}: expected key=number, "
+                                 f"got {kv!r}") from None
     else:
         kind, params = text, {}
     return GeneratorSpec(kind=kind, seed=seed, params=params)

@@ -47,6 +47,8 @@ def parse_svmlight(path, dim=None):
                 y = float(parts[0])
             except ValueError:
                 raise ValueError(f"{path}: line {lineno}: bad label {parts[0]!r}") from None
+            if not math.isfinite(y):
+                raise ValueError(f"{path}: line {lineno}: non-finite label {parts[0]!r}")
             entries = []
             last = 0
             for tok in parts[1:]:
@@ -58,6 +60,8 @@ def parse_svmlight(path, dim=None):
                     val = float(bits[1])
                 except ValueError:
                     raise ValueError(f"{path}: line {lineno}: bad feature token {tok!r}") from None
+                if not math.isfinite(val):
+                    raise ValueError(f"{path}: line {lineno}: non-finite feature token {tok!r}")
                 if idx <= last:
                     raise ValueError(
                         f"{path}: line {lineno}: indices must be strictly increasing and 1-based"
@@ -103,6 +107,9 @@ def parse_csv(path, label_column="label", remap01=False, dim=None):
                 vals = [float(row[i]) for i in feat_cols]
             except ValueError:
                 raise ValueError(f"{path}: line {lineno}: non-numeric value") from None
+            if not (math.isfinite(y) and all(map(math.isfinite, vals))):
+                tok = next(t for t in row if not math.isfinite(float(t)))
+                raise ValueError(f"{path}: line {lineno}: non-finite value {tok!r}")
             if remap01:
                 if y not in (0.0, 1.0):
                     raise ValueError(f"{path}: line {lineno}: label {y} not in {{0,1}}")
@@ -236,8 +243,8 @@ def rescale_dataset(dataset, factors):
     factors = np.asarray(factors, dtype=np.float64)
     if factors.shape[0] != dataset.dim:
         raise ValueError("factor length must equal dataset dim")
-    if np.any(factors == 0.0):
-        raise ValueError("rescaling factors must be nonzero")
+    if np.any(factors == 0.0) or not np.isfinite(factors).all():
+        raise ValueError("rescaling factors must be finite and nonzero")
     examples = [Example(ex.x.scaled(factors), ex.y) for ex in dataset.examples]
     meta = dict(dataset.meta)
     if "u_star" in meta:
@@ -246,11 +253,12 @@ def rescale_dataset(dataset, factors):
     return Dataset(examples, dataset.dim, meta)
 
 
+# kind -> (generator, required scalar parameters, optional parameters)
 _KINDS = {
-    "separable_margin": (_gen_separable, ("gamma", "d", "T")),
-    "noisy_linear": (_gen_noisy_linear, ("sigma", "d", "T")),
-    "sparse_target": (_gen_sparse_target, ("k", "d", "T")),
-    "heavy_tail_features": (_gen_heavy_tail, ("zipf", "d", "T")),
+    "separable_margin": (_gen_separable, ("gamma", "d", "T"), ()),
+    "noisy_linear": (_gen_noisy_linear, ("sigma", "d", "T"), ("u_star",)),
+    "sparse_target": (_gen_sparse_target, ("k", "d", "T"), ()),
+    "heavy_tail_features": (_gen_heavy_tail, ("zipf", "d", "T"), ()),
 }
 
 
@@ -262,13 +270,27 @@ def generate(spec):
         return rescale_dataset(generate(spec.base), spec.factors)
     if spec.kind not in _KINDS:
         raise ValueError(f"unknown generator kind {spec.kind!r}")
-    fn, required = _KINDS[spec.kind]
+    fn, required, optional = _KINDS[spec.kind]
     missing = [k for k in required if k not in spec.params]
     if missing:
         raise ValueError(f"generator {spec.kind!r} missing parameters {missing}")
-    rng = Xorshift64Star(spec.seed)
+    unknown = sorted(set(spec.params) - set(required) - set(optional))
+    if unknown:
+        raise ValueError(f"generator {spec.kind!r} got unknown parameters {unknown}; "
+                         f"allowed: {list(required + optional)}")
     kwargs = dict(spec.params)
+    for key in required:
+        if not math.isfinite(float(kwargs[key])):
+            raise ValueError(f"generator {spec.kind!r}: parameter {key}={kwargs[key]} "
+                             "is not finite")
     for key in ("d", "T", "k"):
         if key in kwargs:
+            if kwargs[key] != int(kwargs[key]):
+                raise ValueError(f"generator {spec.kind!r}: parameter {key}={kwargs[key]} "
+                                 "is not an integer")
             kwargs[key] = int(kwargs[key])
+    if kwargs["d"] < 1 or kwargs["T"] < 0:
+        raise ValueError(f"generator {spec.kind!r} needs d >= 1 and T >= 0 "
+                         f"(got d={kwargs['d']}, T={kwargs['T']})")
+    rng = Xorshift64Star(spec.seed)
     return fn(rng, **kwargs)

@@ -259,9 +259,10 @@ def audit_reports(trace, config, dataset):
     elif name in ("scaleinv_pnorm", "scaleinv_diag"):
         reports.append(bounds_mod.scale_invariant_bound(trace, U))
     elif name == "composite":
-        # the constant schedule has no display of its own; the general one covers it
+        # the constant schedule has no display of its own, and the linear one
+        # holds only for eta == 1; the general display covers every run
         sched = trace.params.get("schedule", "sqrt")
-        if sched in ("sqrt", "linear"):
+        if sched == "sqrt" or (sched == "linear" and float(trace.params["eta"]) == 1.0):
             reports.append(bounds_mod.composite_bound(trace, U, sched))
         reports.append(bounds_mod.composite_bound(trace, U, "general"))
     elif name == "ogd":

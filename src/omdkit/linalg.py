@@ -30,6 +30,9 @@ class SparseVec:
         self.indices = np.asarray(idx, dtype=np.int64)
         self.values = np.asarray(vals, dtype=np.float64)
         self.dim = dim
+        if not np.isfinite(self.values).all():
+            bad = int(np.argmin(np.isfinite(self.values)))
+            raise ValueError(f"non-finite value {vals[bad]} at index {idx[bad]}")
 
     @classmethod
     def from_dense(cls, x):

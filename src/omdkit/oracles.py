@@ -2,7 +2,8 @@
 
 Deliberately plain (grids plus local pattern search plus random search) so
 they cannot share bugs with the analytic formulas they check. Functions
-passed in must accept batched (N, d) inputs and return (N,) values.
+passed in must accept batched (N, d) inputs and return (N,) values; the
+pattern search scores the six offsets of one coordinate in one such call.
 """
 
 from dataclasses import dataclass
@@ -42,21 +43,29 @@ class GridSpec:
 
 
 def _refine_max_batch(objective, starts, width, iters):
-    """Coordinate pattern search maximizing objective (batched) around starts."""
+    """Coordinate pattern search maximizing objective (batched) around starts.
+
+    The six offsets of one coordinate are scored in one objective call on
+    the stacked (6n, dim) candidates, offset-major. Each row then moves to
+    its best candidate if that beats its current value; a NaN candidate
+    never wins. One refine makes 1 + iters * dim objective calls.
+    """
     best = starts.copy()
     best_val = objective(best)
     w = width
     n, dim = best.shape
+    k = len(_OFFSETS)
+    rows = np.arange(n)
     for _ in range(iters):
         for j in range(dim):
-            for off in _OFFSETS:
-                cand = best.copy()
-                cand[:, j] += off * w
-                vals = objective(cand)
-                better = vals > best_val
-                if np.any(better):
-                    best[better] = cand[better]
-                    best_val[better] = vals[better]
+            cand = np.repeat(best[None], k, axis=0)
+            cand[:, :, j] += (_OFFSETS * w)[:, None]
+            vals = np.asarray(objective(cand.reshape(k * n, dim))).reshape(k, n)
+            pick = np.argmax(np.where(np.isnan(vals), -np.inf, vals), axis=0)
+            top = vals[pick, rows]
+            better = top > best_val
+            best[better] = cand[pick, rows][better]
+            best_val[better] = top[better]
         w *= 0.7
     return best, best_val
 
@@ -70,9 +79,11 @@ def numeric_argmax_batch(f, thetas, grid, refine_iters=60):
         raise ValueError("function not finite anywhere on the grid")
     scores = thetas @ pts.T - fvals[None, :]
     seed = pts[np.argmax(scores, axis=1)]
+    stacked = np.tile(thetas, (len(_OFFSETS), 1))
 
     def objective(v):
-        return np.einsum("ij,ij->i", thetas, v) - np.asarray(f(v))
+        t = thetas if v.shape[0] == thetas.shape[0] else stacked
+        return np.einsum("ij,ij->i", t, v) - np.asarray(f(v))
 
     return _refine_max_batch(objective, seed, grid.spacing, refine_iters)
 

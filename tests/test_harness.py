@@ -51,6 +51,18 @@ def test_parse_svmlight_malformed(tmp_path):
         parse_svmlight(p)
 
 
+def test_parse_svmlight_rejects_non_finite(tmp_path):
+    p = tmp_path / "nan.svm"
+    for text, lineno, tok in (("1 1:0.5\n-1 1:0.2 2:nan\n", 2, "2:nan"),
+                              ("1 1:inf\n", 1, "1:inf"),
+                              ("1 1:1e999\n", 1, "1:1e999"),
+                              ("# c\nnan 1:1\n", 2, "nan")):
+        p.write_text(text)
+        with pytest.raises(ValueError, match=f"line {lineno}: non-finite .*{tok!r}") as err:
+            parse_svmlight(p)
+        assert str(p) in str(err.value)
+
+
 def test_parse_csv(tmp_path):
     p = tmp_path / "d.csv"
     p.write_text("f1,label,f2\n0.5,1,2\n0,0,1\n")
@@ -61,6 +73,16 @@ def test_parse_csv(tmp_path):
     assert ds.examples[1].y == -1.0
     with pytest.raises(ValueError, match="column"):
         parse_csv(p, label_column="missing")
+
+
+def test_parse_csv_rejects_non_finite(tmp_path):
+    p = tmp_path / "nan.csv"
+    for text, lineno, tok in (("f1,label\n0.5,1\n-inf,0\n", 3, "-inf"),
+                              ("f1,label\n0.5,NaN\n", 2, "NaN")):
+        p.write_text(text)
+        with pytest.raises(ValueError, match=f"line {lineno}: non-finite value {tok!r}") as err:
+            parse_csv(p)
+        assert str(p) in str(err.value)
 
 
 def test_generator_determinism_and_margin():
@@ -83,6 +105,28 @@ def test_generator_infeasible_margin():
     with pytest.raises(ValueError, match="infeasible"):
         generate(GeneratorSpec("separable_margin", seed=0,
                                params={"gamma": 1.5, "d": 3, "T": 5}))
+
+
+def test_generator_spec_validation():
+    def spec(kind, **params):
+        return GeneratorSpec(kind, seed=0, params=params)
+
+    with pytest.raises(ValueError, match="unknown parameters \\['extra'\\]"):
+        generate(spec("separable_margin", gamma=0.5, d=3, T=5, extra=1.0))
+    with pytest.raises(ValueError, match="d >= 1"):
+        generate(spec("separable_margin", gamma=0.5, d=0, T=5))
+    with pytest.raises(ValueError, match="T >= 0"):
+        generate(spec("noisy_linear", sigma=0.1, d=2, T=-1))
+    with pytest.raises(ValueError, match="not finite"):
+        generate(spec("noisy_linear", sigma=float("nan"), d=2, T=5))
+    with pytest.raises(ValueError, match="not finite"):
+        generate(spec("sparse_target", k=1, d=float("inf"), T=5))
+    with pytest.raises(ValueError, match="d=2.5 is not an integer"):
+        generate(spec("sparse_target", k=1, d=2.5, T=5))
+    base = spec("noisy_linear", sigma=0.1, d=2, T=5)
+    with pytest.raises(ValueError, match="finite and nonzero"):
+        generate(GeneratorSpec("rescaled", seed=0, base=base, factors=[1.0, float("inf")]))
+    assert len(generate(spec("noisy_linear", sigma=0.1, d=2, T=0))) == 0
 
 
 def test_rescaled_generator_exact_factors():
@@ -271,6 +315,26 @@ def test_cli_infeasible_generator_is_data_error(tmp_path):
     assert "infeasible" in out.stderr
 
 
+def test_cli_bad_generator_spec_is_data_error():
+    # d=0 used to redraw a zero-length unit vector forever; extra=1 raised TypeError
+    for spec, msg in (("separable_margin:gamma=0.5,d=0,T=5", "d >= 1"),
+                      ("separable_margin:gamma=0.5,d=3,T=5,extra=1", "unknown parameters"),
+                      ("separable_margin:gamma,d=3,T=5", "expected key=number, got 'gamma'")):
+        out = subprocess.run([sys.executable, "-m", "omdkit.cli", "run", "--learner", "pa",
+                              "--gen", spec], capture_output=True, text=True, timeout=60)
+        assert out.returncode == 2, out.stderr
+        assert msg in out.stderr
+        assert "Traceback" not in out.stderr
+
+
+def test_cli_non_finite_svmlight_is_data_error(tmp_path):
+    bad = tmp_path / "nan.svm"
+    bad.write_text("1 1:0.5\n-1 1:nan\n")
+    out = _cli("run", "--learner", "pa", "--data", str(bad))
+    assert out.returncode == 2
+    assert f"{bad}: line 2: non-finite feature token '1:nan'" in out.stderr
+
+
 def test_report_violations_flags_bad_slack():
     from omdkit.bounds import BoundReport
     from omdkit.harness import report_violations
@@ -303,6 +367,17 @@ def test_cli_composite_constant_schedule_strict_audit(tmp_path):
     out = _cli("run", "--learner", "composite", "--schedule", "constant",
                "--eta", "0.7", "--lam", "0.1",
                "--gen", "noisy_linear:sigma=0.2,d=4,T=60", "--seed", "2",
+               "--comparator", "zero", "--comparator", "star", "--strict-audit")
+    assert out.returncode == 0, out.stderr
+    names = [r["name"] for r in json.loads(out.stdout)["reports"]]
+    assert names == ["engine", "composite_general"]
+
+
+def test_cli_composite_linear_schedule_eta_below_one_strict_audit(tmp_path):
+    # the linear display needs eta == 1; with eta 0.7 the general display alone audits
+    out = _cli("run", "--learner", "composite", "--schedule", "linear",
+               "--ridge", "0.5", "--eta", "0.7",
+               "--gen", "noisy_linear:sigma=0.2,d=6,T=80", "--seed", "1",
                "--comparator", "zero", "--comparator", "star", "--strict-audit")
     assert out.returncode == 0, out.stderr
     names = [r["name"] for r in json.loads(out.stdout)["reports"]]

@@ -28,6 +28,12 @@ def test_sparse_vec_rejects_bad_indices():
         SparseVec([(3, 1.0)], dim=3)
 
 
+def test_sparse_vec_rejects_non_finite():
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="non-finite value .* at index 1"):
+            SparseVec([(0, 1.0), (1, bad)], dim=3)
+
+
 def test_quad_form_identity_cases():
     inv = RankOneInverse(2)
     assert inv.quad_form([1.0, 0.0]) == 1.0

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from omdkit.oracles import (
+    _OFFSETS,
     GridSpec,
+    _refine_max_batch,
     fd_gradient,
     implicit_scan,
     numeric_argmax,
@@ -126,3 +128,76 @@ def test_fd_gradient_of_conjugate_matches_mirror_map():
 
     g = fd_gradient(conj, theta, h=1e-4)
     assert np.max(np.abs(g - reg.mirror_map(theta))) < 1e-5
+
+
+def _refine_max_reference(objective, starts, width, iters):
+    """The sequential first-improvement search: one objective call per offset."""
+    best = starts.copy()
+    best_val = objective(best)
+    w = width
+    for _ in range(iters):
+        for j in range(best.shape[1]):
+            for off in _OFFSETS:
+                cand = best.copy()
+                cand[:, j] += off * w
+                vals = objective(cand)
+                better = vals > best_val
+                best[better] = cand[better]
+                best_val[better] = vals[better]
+        w *= 0.7
+    return best, best_val
+
+
+def _pnorm_half_sq(V, p=1.5):
+    return 0.5 * np.sum(np.abs(V) ** p, axis=1) ** (2.0 / p)
+
+
+REFINE_OBJECTIVES = {
+    "quadratic": lambda V: V @ np.array([0.7, -1.1]) - _half_sq(V),
+    "pnorm": lambda V: V @ np.array([0.9, 0.4]) - _pnorm_half_sq(V),
+    "l1_plus_quadratic": lambda V: (V @ np.array([1.3, -0.2]) - _half_sq(V)
+                                    - 0.3 * np.sum(np.abs(V), axis=1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFINE_OBJECTIVES))
+def test_batched_refine_matches_sequential_reference(name):
+    # seeded as the oracles seed it: at the best grid point, and one grid
+    # step off it diagonally either way
+    objective = REFINE_OBJECTIVES[name]
+    pts = GRID2.points()
+    seed = pts[np.argmax(objective(pts))]
+    starts = seed + GRID2.spacing * np.array([[0.0, 0.0], [1.0, -1.0], [-1.0, 1.0]])
+    _, ref_val = _refine_max_reference(objective, starts, GRID2.spacing, 60)
+    _, val = _refine_max_batch(objective, starts, GRID2.spacing, 60)
+    assert np.max(np.abs(val - ref_val)) <= 1e-9
+
+
+@pytest.mark.parametrize("dim, iters", [(1, 7), (2, 25), (3, 10)])
+def test_batched_refine_call_count(dim, iters):
+    calls = []
+
+    def objective(V):
+        calls.append(V.shape[0])
+        return -np.sum(V * V, axis=1)
+
+    _refine_max_batch(objective, np.ones((4, dim)), 0.5, iters)
+    assert len(calls) == 1 + iters * dim
+    assert calls == [4] + [4 * len(_OFFSETS)] * (iters * dim)
+
+
+def test_batched_refine_nan_candidate_never_wins():
+    # NaN left of x = -0.58, where the unconstrained maximum (-1, 0) lies
+    def objective(V):
+        vals = -np.sum((V - [-1.0, 0.0]) ** 2, axis=1)
+        return np.where(V[:, 0] < -0.58, np.nan, vals)
+
+    starts = np.array([[-0.3, 0.3], [-0.45, 0.0]])
+    # first step from -0.45: -0.6 is NaN and comes first, -0.55 is the best finite
+    best, val = _refine_max_batch(objective, starts, 0.15, 1)
+    assert best[1, 0] == pytest.approx(-0.55)
+    best, val = _refine_max_batch(objective, starts, 0.15, 40)
+    assert np.isfinite(val).all()
+    assert (best[:, 0] >= -0.58).all()
+    assert np.allclose(best, [[-0.58, 0.0], [-0.58, 0.0]], atol=1e-6)
+    np.testing.assert_array_equal(val, objective(best))
