@@ -90,6 +90,11 @@ def _cumulative_losses(U, X, y, kind):
     raise ValueError(f"unknown loss kind {kind!r}")
 
 
+def _max(values):
+    """Largest value, 0.0 for none; NaN if any is NaN, where Python's max keeps its first item."""
+    return float(np.max(values)) if len(values) else 0.0
+
+
 def _finish(name, measured, bound, terms, U):
     measured = np.broadcast_to(np.asarray(measured, float), bound.shape)
     slack = bound - measured
@@ -148,34 +153,16 @@ def engine_audit(trace, u):
     f*_t(theta_t) - f*_{t-1}(theta_t) <= f_{t-1}(w_t) - f_t(w_t).
     """
     recs = trace.records
-    dim = trace.dim
-    U = _as_batch(u, dim)
-    if recs:
-        Z = np.sum([r.z for r in recs], axis=0)
-        zw_sum = float(sum(r.zw for r in recs))
-        quad_sum = float(
-            sum(r.dual_norm_sq / (2.0 * r.beta) for r in recs if r.dual_norm_sq > 0)
-        )
-        residue_sum = float(sum(r.residue for r in recs))
-        residue_gap = max(r.residue - r.reg_drop for r in recs)
-    else:
-        Z = np.zeros(dim)
-        zw_sum = quad_sum = residue_sum = 0.0
-        residue_gap = 0.0
+    U = _as_batch(u, trace.dim)
+    Z = np.sum([r.z for r in recs], axis=0) if recs else np.zeros(trace.dim)
+    zw_sum = float(sum(r.zw for r in recs))
+    # a zero dual norm may come with beta = 0; != keeps a NaN one in the sum, > would drop it
+    quad_sum = float(sum(r.dual_norm_sq / (2.0 * r.beta) for r in recs if r.dual_norm_sq != 0))
+    residue_sum = float(sum(r.residue for r in recs))
+    residue_gap = _max([r.residue - r.reg_drop for r in recs])
     f_T = np.atleast_1d(np.asarray(trace.final_reg.value(U), float))
-    measured = U @ Z - zw_sum
-    bound = f_T + quad_sum + residue_sum
-    return _finish(
-        "engine",
-        measured,
-        bound,
-        {
-            "quad_sum": quad_sum,
-            "residue_sum": residue_sum,
-            "max_residue_gap": float(residue_gap),
-        },
-        U,
-    )
+    terms = {"quad_sum": quad_sum, "residue_sum": residue_sum, "max_residue_gap": residue_gap}
+    return _finish("engine", U @ Z - zw_sum, f_T + quad_sum + residue_sum, terms, U)
 
 
 def composite_bound(trace, u, schedule):
@@ -188,10 +175,8 @@ def composite_bound(trace, u, schedule):
     if schedule not in ("general", "sqrt", "linear"):
         raise ValueError("schedule must be general, sqrt, or linear")
     reg = trace.final_reg
-    run_sched = getattr(reg, "schedule", {"SqrtScheduled": "sqrt", "LinearScheduled": "linear"}.get(type(reg).__name__, "constant"))
-    if schedule == "sqrt" and run_sched != "sqrt":
-        raise ValueError(f"schedule mismatch: run used {run_sched!r}")
-    if schedule == "linear" and run_sched != "linear":
+    run_sched = getattr(reg, "schedule", "constant")
+    if schedule != "general" and run_sched != schedule:
         raise ValueError(f"schedule mismatch: run used {run_sched!r}")
     eta = float(trace.params["eta"])
     recs = trace.records
@@ -206,7 +191,8 @@ def composite_bound(trace, u, schedule):
     terms = {"eta": eta, "T": T, "run_loss_plus_penalty": measured_run}
     if schedule == "general":
         g_T = np.atleast_1d(np.asarray(reg.scheduled_quad_value(U), float))
-        quad = float(sum(r.dual_norm_sq / (2.0 * eta * r.beta) for r in recs if r.dual_norm_sq > 0))
+        quad = float(sum(r.dual_norm_sq / (2.0 * eta * r.beta) for r in recs
+                         if r.dual_norm_sq != 0))
         bound = g_T / eta + quad
         terms["quad_sum"] = quad
     elif schedule == "sqrt":
@@ -214,28 +200,26 @@ def composite_bound(trace, u, schedule):
         g_u = np.atleast_1d(np.asarray(reg.base_quad_value(U), float))
         # ||l'_t||_* in the schedule's own (time-invariant) dual norm,
         # recovered from ||z_t||_*^2 = eta^2 ||l'_t||_*^2
-        max_g2 = max((r.dual_norm_sq for r in recs), default=0.0) / (eta * eta)
+        max_g2 = _max([r.dual_norm_sq for r in recs]) / (eta * eta)
         bound = math.sqrt(T) * (g_u / eta + (eta / beta) * max_g2) if T else g_u * 0.0
         terms.update({"beta": beta, "max_lgrad_dual_sq": max_g2})
     else:
         if abs(eta - 1.0) > 1e-12:
             raise ValueError("schedule mismatch: the linear-schedule display requires eta == 1")
         beta = float(getattr(reg, "ridge", 0.0)) or float(reg.base.strong_convexity())
-        max_g2 = max((r.dual_norm_sq for r in recs), default=0.0) / (eta * eta)
+        max_g2 = _max([r.dual_norm_sq for r in recs]) / (eta * eta)
         val = max_g2 * (1.0 + math.log(T)) / (2.0 * beta) if T else 0.0
         bound = np.full(U.shape[0], val)
         terms.update({"beta": beta, "max_lgrad_dual_sq": max_g2})
     return _finish(f"composite_{schedule}", measured, bound, terms, U)
 
 
-def vaw_bound(trace, u, a=None, y_max=None):
-    """Square-loss regret against (a/2)||u||^2 + (Y^2/2) sum_t x_t^T A_t^{-1} x_t."""
+def vaw_bound(trace, u):
+    """Square-loss regret against (a/2)||u||^2 + (Y^2/2) sum_t x_t^T A_t^{-1} x_t, Y = max|y_t|."""
     X, y = trace.design()
     U = _as_batch(u, trace.dim)
-    a = float(trace.params["a"] if a is None else a)
-    if y_max is None:
-        y_max = float(np.max(np.abs(y))) if y.size else 0.0
-    Y = float(y_max)
+    a = float(trace.params["a"])
+    Y = float(np.max(np.abs(y))) if y.size else 0.0
     run_loss = float(sum(r.loss for r in trace.records))
     measured = run_loss - _cumulative_losses(U, X, y, "square")
     quad_sum = float(sum(r.extras["post_quad"] for r in trace.records))
@@ -258,7 +242,7 @@ def adaptive_filter_bound(trace, u):
     return _finish("adaptive_filter", measured, bound, {"x_max": x_max}, U)
 
 
-def scale_invariant_bound(trace, u, kind=None):
+def scale_invariant_bound(trace, u):
     """Scale-invariant regret displays.
 
     pnorm  L sqrt(e (T+1) (p_T - 1)) ((sum_i |u_i| b_{T,i})^2 / (2 eta) + eta)
@@ -267,9 +251,7 @@ def scale_invariant_bound(trace, u, kind=None):
     p_T is the clamped exponent max(2 ln m_T, 2), which keeps the display
     meaningful for tiny supports and matches the regularizer actually run.
     """
-    kind = kind or trace.params["kind"]
-    if kind != trace.params["kind"]:
-        raise ValueError(f"kind mismatch: trace holds {trace.params['kind']!r}")
+    kind = trace.params["kind"]
     reg = trace.final_reg
     X, y = trace.design()
     U = _as_batch(u, trace.dim)
@@ -294,7 +276,7 @@ def scale_invariant_bound(trace, u, kind=None):
     return _finish(f"scale_invariant_{kind}", measured, bound, terms, U)
 
 
-def first_order_mistake_bound(trace, u, f=None, beta=None):
+def first_order_mistake_bound(trace, u):
     """First-order mistake bound with the aggressive correction, plus the baseline bound.
 
     bound      L(u) + D_eff + (2/beta) f(u) X_T^2 + X_T sqrt((2/beta) f(u) L(u))
@@ -311,8 +293,7 @@ def first_order_mistake_bound(trace, u, f=None, beta=None):
     two forms agree.
     """
     reg = trace.final_reg
-    beta = float(reg.strong_convexity() if beta is None else beta)
-    f_eval = f if f is not None else (lambda U: reg.value(U))
+    beta = float(reg.strong_convexity())
     recs = trace.records
     X, y = trace.design()
     U = _as_batch(u, trace.dim)
@@ -328,9 +309,9 @@ def first_order_mistake_bound(trace, u, f=None, beta=None):
                 - 2.0
             )
     d_eff = max(D, -eta_u)
-    x_T = max((r.extras["x_max"] for r in recs), default=0.0)
+    x_T = _max([r.extras["x_max"] for r in recs])
     L_u = _cumulative_losses(U, X, y, "hinge")
-    f_u = np.atleast_1d(np.asarray(f_eval(U), float))
+    f_u = np.atleast_1d(np.asarray(reg.value(U), float))
     core = (2.0 / beta) * f_u * x_T ** 2 + x_T * np.sqrt((2.0 / beta) * f_u * L_u)
     bound = L_u + d_eff + core
     u_norms = np.linalg.norm(U, axis=1)
@@ -352,7 +333,7 @@ def first_order_mistake_bound(trace, u, f=None, beta=None):
     return _finish("first_order_mistake", float(M), bound, terms, U)
 
 
-def second_order_bound(trace, u, variant=None, r=None):
+def second_order_bound(trace, u):
     """Second-order mistake bounds over the update rounds.
 
     full      L(u) + sqrt(r||u||^2 + sum (u.x_t)^2) * sqrt(ln|A_T| + sum m_t(2 r y_t - m_t)/(r(r+chi_t)))
@@ -363,10 +344,8 @@ def second_order_bound(trace, u, variant=None, r=None):
     the number of update rounds, which is M + U for the aggressive
     triggers and M for the conservative one.
     """
-    variant = variant or trace.params["variant"]
-    if variant != trace.params["variant"]:
-        raise ValueError(f"variant mismatch: trace holds {trace.params['variant']!r}")
-    r = float(trace.params["r"] if r is None else r)
+    variant = trace.params["variant"]
+    r = float(trace.params["r"])
     recs = trace.records
     X, y = trace.design()
     U = _as_batch(u, trace.dim)

@@ -9,14 +9,18 @@ import sys
 
 from .data import GeneratorSpec, generate, rescale_dataset, write_svmlight
 from .harness import (
+    LEARNERS,
     ExperimentConfig,
     audit_stored,
     report_violations,
     run_compare,
     run_experiment,
+    with_first_nonfinite,
     write_summary,
     write_trace,
 )
+from .learners import SecondOrderClassifier
+from .regularizers import CompositeQuadL1
 
 
 class _Parser(argparse.ArgumentParser):
@@ -46,14 +50,14 @@ def _parse_gen_spec(text, seed):
 
 
 def _data_config(args):
-    if getattr(args, "gen", None):
+    if args.gen:
         spec = _parse_gen_spec(args.gen, args.seed).to_dict()
-        if getattr(args, "rescale", None):
+        if args.rescale:
             factors = [float(c) for c in args.rescale.split(",")]
             spec = {"kind": "rescaled", "seed": args.seed, "params": {},
                     "base": spec, "factors": factors}
         return {"kind": "generator", "spec": spec}
-    if getattr(args, "data", None):
+    if args.data:
         cfg = {"kind": "file", "path": args.data, "format": args.format}
         if args.dim is not None:
             cfg["dim"] = args.dim
@@ -64,49 +68,51 @@ def _data_config(args):
     raise ValueError("either --gen or --data is required")
 
 
+# every param some learner reads; the string-valued ones take a fixed set of choices
+_LEARNER_FLAGS = sorted({k for _factory, defaults in LEARNERS.values() for k in defaults})
+_CHOICES = {"variant": SecondOrderClassifier.VARIANTS, "trigger": SecondOrderClassifier.TRIGGERS,
+            "schedule": CompositeQuadL1.SCHEDULES, "loss": ("hinge", "square", "absolute")}
+# data-source flags and their defaults; on `audit` they only feed the --learner override
+_DATA_FLAGS = {"gen": None, "data": None, "format": "svmlight", "label_column": "label",
+               "remap01": False, "dim": None, "seed": 0, "rescale": None}
+
+
+def _flags(keys):
+    return ", ".join("--" + k.replace("_", "-") for k in keys)
+
+
 def _learner_params(args):
-    params = {}
-    for key in ("eta", "r", "a", "p", "lam", "ridge", "quad", "lipschitz",
-                "fixed_eta", "rare_s"):
-        val = getattr(args, key.replace("-", "_"), None)
-        if val is not None:
-            params[key] = val
-    for key in ("variant", "trigger", "schedule", "loss"):
-        val = getattr(args, key, None)
-        if val is not None:
-            params[key] = val
-    return params
+    return {k: getattr(args, k) for k in _LEARNER_FLAGS if getattr(args, k) is not None}
 
 
 def _add_run_flags(sp, need_learner=True):
-    sp.add_argument("--learner", required=need_learner,
-                    choices=["ogd", "composite", "pnorm_perceptron", "pa",
-                             "fixed_margin", "second_order", "vaw",
-                             "adaptive_filter", "scaleinv_pnorm", "scaleinv_diag"])
+    sp.add_argument("--learner", required=need_learner, choices=sorted(LEARNERS))
     sp.add_argument("--gen", help="generator spec, e.g. separable_margin:gamma=0.5,d=10,T=200")
     sp.add_argument("--data", help="dataset file path")
-    sp.add_argument("--format", default="svmlight", choices=["svmlight", "csv"])
-    sp.add_argument("--label-column", default="label", dest="label_column")
-    sp.add_argument("--remap01", action="store_true")
+    sp.add_argument("--format", choices=["svmlight", "csv"])
+    sp.add_argument("--label-column", dest="label_column")
+    sp.add_argument("--remap01", action="store_true", default=None)
     sp.add_argument("--dim", type=int)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=int)
     sp.add_argument("--rescale", help="comma-separated per-coordinate factors")
-    sp.add_argument("--eta", type=float)
-    sp.add_argument("--r", type=float)
-    sp.add_argument("--a", type=float)
-    sp.add_argument("--p", type=float)
-    sp.add_argument("--lam", type=float)
-    sp.add_argument("--ridge", type=float)
-    sp.add_argument("--quad", type=float)
-    sp.add_argument("--lipschitz", type=float)
-    sp.add_argument("--fixed-eta", type=float, dest="fixed_eta")
-    sp.add_argument("--rare-s", type=float, dest="rare_s")
-    sp.add_argument("--variant", choices=["full", "diagonal"])
-    sp.add_argument("--trigger", choices=["omd", "arow", "mistake"])
-    sp.add_argument("--schedule", choices=["constant", "sqrt", "linear"])
-    sp.add_argument("--loss", choices=["hinge", "square", "absolute"])
-    sp.add_argument("--comparator", action="append", default=None,
-                    help="zero | star | batch | grid:R=2,n=41 | vec:v1,v2,...")
+    for key in _LEARNER_FLAGS:
+        sp.add_argument(_flags([key]), dest=key, choices=_CHOICES.get(key),
+                        type=None if key in _CHOICES else float)
+
+
+def _check_flags(parser, args):
+    """Usage errors for flags that nothing would read; then fill in the data defaults."""
+    given = sorted(k for k in (*_LEARNER_FLAGS, *_DATA_FLAGS) if getattr(args, k) is not None)
+    if args.learner is None and given:
+        parser.error(f"audit reads {_flags(given)} only with --learner")
+    unread = [k for k in given if k in _LEARNER_FLAGS and k not in LEARNERS[args.learner][1]]
+    if unread:
+        parser.error(f"learner {args.learner} does not read {_flags(unread)}")
+    if args.command == "compare" and (args.tol is not None) != args.strict:
+        parser.error("compare takes --tol and --strict-audit only together")
+    for key, default in _DATA_FLAGS.items():
+        if getattr(args, key) is None:
+            setattr(args, key, default)
 
 
 def main(argv=None):
@@ -121,9 +127,10 @@ def main(argv=None):
 
     sp = sub.add_parser("run", help="run a learner, write trace/summary, audit bounds")
     _add_run_flags(sp)
+    sp.add_argument("--comparator", action="append", default=None,
+                    help="zero | star | batch | grid:R=2,n=41 | vec:v1,v2,...")
     sp.add_argument("--trace")
     sp.add_argument("--summary")
-    sp.add_argument("--audit", action="store_true", default=True)
     sp.add_argument("--no-audit", action="store_false", dest="audit")
     sp.add_argument("--strict-audit", action="store_true", dest="strict")
 
@@ -135,26 +142,38 @@ def main(argv=None):
 
     sp = sub.add_parser("compare", help="prediction-invariance replay under rescaling")
     _add_run_flags(sp)
-    sp.add_argument("--tol", type=float, default=None)
+    sp.add_argument("--tol", type=float)
     sp.add_argument("--strict-audit", action="store_true", dest="strict")
 
     args = parser.parse_args(argv)
+    if args.command != "gen":
+        _check_flags(parser, args)
     try:
         return _dispatch(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ArithmeticError as exc:
+        # extreme but finite settings (--r 1e-300, --lipschitz 1e300) overflow Python floats
+        print(f"error: numeric failure: {exc}", file=sys.stderr)
+        return 2
 
 
 def _report(args, payload, reports):
-    """Write the payload to --summary or stdout; 3 on a strict-audit violation, else 0."""
+    """Write the payload to --summary or stdout; 3 on a strict-audit violation, else 0.
+
+    A non-finite record value is named on stderr, and it is a strict-audit violation.
+    """
     text = write_summary(args.summary, payload)
     if not args.summary:
         print(text, end="")
     bad = report_violations(reports) if args.strict else []
     for name, slack, tol in bad:
         print(f"strict-audit violation: {name} slack {slack} not >= -{tol}", file=sys.stderr)
-    return 3 if bad else 0
+    nonfinite = payload.get("first_nonfinite")
+    if nonfinite:
+        print(f"non-finite {nonfinite['field']} at round {nonfinite['t']}", file=sys.stderr)
+    return 3 if args.strict and (bad or nonfinite) else 0
 
 
 def _dispatch(args):
@@ -180,9 +199,11 @@ def _dispatch(args):
         override = None
         if args.learner:
             override = ExperimentConfig(args.learner, _learner_params(args),
-                                        _data_config(args), args.comparator or ["zero"])
-        reports, _config = audit_stored(args.trace, config_override=override)
-        return _report(args, {"reports": [r.to_dict() for r in reports]}, reports)
+                                        _data_config(args))
+        reports, trace = audit_stored(args.trace, config_override=override)
+        payload = with_first_nonfinite({"reports": [r.to_dict() for r in reports]},
+                                       trace.records)
+        return _report(args, payload, reports)
 
     if args.command == "compare":
         if not args.rescale:
@@ -190,12 +211,10 @@ def _dispatch(args):
         config = ExperimentConfig(args.learner, _learner_params(args),
                                   {"kind": "generator",
                                    "spec": _parse_gen_spec(args.gen, args.seed).to_dict()}
-                                  if args.gen else _data_config(args),
-                                  args.comparator or ["zero"], audit=False)
+                                  if args.gen else _data_config(args), audit=False)
         result = run_compare(config, [float(c) for c in args.rescale.split(",")])
         print(write_summary(None, result), end="")
-        if args.tol is not None and args.strict and \
-                result["max_relative_deviation"] > args.tol:
+        if args.strict and result["max_relative_deviation"] > args.tol:
             print(f"strict-audit violation: deviation {result['max_relative_deviation']} "
                   f"> {args.tol}", file=sys.stderr)
             return 3

@@ -7,8 +7,11 @@ of the same config therefore reproduces the file byte for byte (wall time
 lives only in the summary and is excluded from determinism claims).
 """
 
+import dataclasses
 import hashlib
+import json
 import math
+import sys
 import time
 
 import numpy as np
@@ -22,11 +25,13 @@ from .learners import (
     GradientDescentLearner,
     ScaleInvariantRegressor,
     SecondOrderClassifier,
+    StepRecord,
     VAWRegressor,
 )
 from .regularizers import CompositeQuadL1, FixedQuadratic, PNorm
 
-TRACE_VERSION = 1
+# 2: the lgrad_norm and b_hash extras are gone
+TRACE_VERSION = 2
 
 # slack below -tolerance fails a strict audit; the scale-invariant displays cancel harder
 DEFAULT_TOL = 1e-9
@@ -79,21 +84,15 @@ class ExperimentConfig:
         self.audit = bool(audit)
 
     def to_dict(self):
-        return {
-            "learner": self.learner,
-            "params": self.params,
-            "data": self.data,
-            "comparators": self.comparators,
-        }
+        return {"learner": self.learner, "params": self.params, "data": self.data,
+                "comparators": self.comparators}
 
     @classmethod
-    def from_dict(cls, d, audit=True):
-        return cls(d["learner"], d.get("params"), d.get("data"),
-                   d.get("comparators"), audit=audit)
+    def from_dict(cls, d):
+        return cls(d["learner"], d.get("params"), d.get("data"), d.get("comparators"))
 
     def fingerprint(self):
-        return fingerprint({"learner": self.learner, "params": self.params,
-                            "data": self.data})
+        return fingerprint({"learner": self.learner, "params": self.params, "data": self.data})
 
 
 def load_dataset(config):
@@ -109,59 +108,49 @@ def load_dataset(config):
         raise ValueError(f"unknown data format {fmt!r}")
     if kind == "generator":
         return generate(GeneratorSpec.from_dict(data["spec"]))
-    if kind == "inline":
-        return data["dataset"]
-    raise ValueError("config.data must have kind 'file', 'generator', or 'inline'")
+    raise ValueError("config.data must have kind 'file' or 'generator'")
 
 
-_CLASSIFIERS = {"pnorm_perceptron", "pa", "fixed_margin", "second_order"}
+_SCALE_INVARIANT = {"lipschitz": 1.0, "eta": 1.0, "loss": "absolute"}
+# name -> (factory(dim, params), {param: default}); the CLI accepts exactly these params
+LEARNERS = {
+    "ogd": (lambda d, p: GradientDescentLearner(FixedQuadratic(d), p["loss"], p["eta"]),
+            {"eta": 1.0, "loss": "hinge"}),
+    "composite": (lambda d, p: GradientDescentLearner(
+        CompositeQuadL1(d, p["eta"], p["lam"], p["ridge"], p["quad"], p["schedule"]),
+        p["loss"], p["eta"]),
+        {"eta": 1.0, "lam": 0.0, "ridge": 0.0, "quad": 1.0, "schedule": "sqrt",
+         "loss": "absolute"}),
+    "pnorm_perceptron": (lambda d, p: FirstOrderClassifier(PNorm(d, p["p"]), "conservative"),
+                         {"p": 1.5}),
+    "pa": (lambda d, p: FirstOrderClassifier(FixedQuadratic(d), "pa_optimal"), {}),
+    "fixed_margin": (lambda d, p: FirstOrderClassifier(FixedQuadratic(d), "fixed",
+                                                       p["fixed_eta"]), {"fixed_eta": 0.5}),
+    # rare_s feeds the diagonal variant's rare-feature refinement in audit_reports
+    "second_order": (lambda d, p: SecondOrderClassifier(d, p["r"], p["variant"], p["trigger"]),
+                     {"r": 1.0, "variant": "full", "trigger": "omd", "rare_s": None}),
+    "vaw": (lambda d, p: VAWRegressor(d, p["a"]), {"a": 1.0}),
+    "adaptive_filter": (lambda d, p: AdaptiveFilter(d), {}),
+    "scaleinv_pnorm": (lambda d, p: ScaleInvariantRegressor(
+        d, "pnorm", p["lipschitz"], p["eta"], p["loss"]), _SCALE_INVARIANT),
+    "scaleinv_diag": (lambda d, p: ScaleInvariantRegressor(
+        d, "diag", p["lipschitz"], p["eta"], p["loss"]), _SCALE_INVARIANT),
+}
 
 
 def build_learner(config, dim):
-    name = config.learner
-    p = config.params
-    if name == "ogd":
-        return GradientDescentLearner(FixedQuadratic(dim), loss=p.get("loss", "hinge"),
-                                      eta=p.get("eta", 1.0))
-    if name == "composite":
-        reg = CompositeQuadL1(dim, eta=p.get("eta", 1.0), lam=p.get("lam", 0.0),
-                              ridge=p.get("ridge", 0.0), quad=p.get("quad", 1.0),
-                              schedule=p.get("schedule", "sqrt"))
-        return GradientDescentLearner(reg, loss=p.get("loss", "absolute"),
-                                      eta=p.get("eta", 1.0))
-    if name == "pnorm_perceptron":
-        return FirstOrderClassifier(PNorm(dim, p.get("p", 1.5)), eta_mode="conservative")
-    if name == "pa":
-        return FirstOrderClassifier(FixedQuadratic(dim), eta_mode="pa_optimal")
-    if name == "fixed_margin":
-        return FirstOrderClassifier(FixedQuadratic(dim), eta_mode="fixed",
-                                    fixed_eta=p.get("fixed_eta", 0.5))
-    if name == "second_order":
-        return SecondOrderClassifier(dim, r=p.get("r", 1.0),
-                                     variant=p.get("variant", "full"),
-                                     trigger=p.get("trigger", "omd"))
-    if name == "vaw":
-        return VAWRegressor(dim, a=p.get("a", 1.0))
-    if name == "adaptive_filter":
-        return AdaptiveFilter(dim)
-    if name in ("scaleinv_pnorm", "scaleinv_diag"):
-        return ScaleInvariantRegressor(
-            dim, kind=("pnorm" if name.endswith("pnorm") else "diag"),
-            lipschitz=p.get("lipschitz", 1.0), eta=p.get("eta", 1.0),
-            loss=p.get("loss", "absolute"))
-    raise ValueError(f"unknown learner {name!r}")
+    """Build config's learner; params no learner reads (eta_mode in old traces) are ignored."""
+    if config.learner not in LEARNERS:
+        raise ValueError(f"unknown learner {config.learner!r}")
+    factory, defaults = LEARNERS[config.learner]
+    return factory(dim, {**defaults, **config.params})
 
 
-def _validate_labels(config, dataset):
-    if config.learner in _CLASSIFIERS or (
-        config.learner in ("ogd", "composite") and config.params.get("loss") == "hinge"
-    ):
-        for i, ex in enumerate(dataset):
-            if ex.y not in (-1.0, 1.0):
-                raise ValueError(
-                    f"classification learner needs labels in {{-1,+1}}; "
-                    f"example {i} has y={ex.y}"
-                )
+def _validate_labels(learner, dataset):
+    for i, ex in enumerate(dataset if learner.binary_labels else ()):
+        if ex.y not in (-1.0, 1.0):
+            raise ValueError(f"classification learner needs labels in {{-1,+1}}; "
+                             f"example {i} has y={ex.y}")
 
 
 def drive(learner, dataset):
@@ -172,19 +161,13 @@ def drive(learner, dataset):
 def _replay(config):
     """Load, validate, build and drive config; returns (trace, dataset, drive seconds)."""
     dataset = load_dataset(config)
-    _validate_labels(config, dataset)
     learner = build_learner(config, dataset.dim)
+    _validate_labels(learner, dataset)
     t0 = time.perf_counter()
     records = drive(learner, dataset)
     wall = time.perf_counter() - t0
-    trace = RunTrace(
-        learner_name=config.learner,
-        params={**learner.params(), **{k: v for k, v in config.params.items()
-                                       if k not in learner.params()}},
-        examples=dataset.examples,
-        records=records,
-        learner=learner,
-    )
+    trace = RunTrace(config.learner, {**config.params, **learner.params()}, dataset.examples,
+                     records, learner)
     return trace, dataset, wall
 
 
@@ -202,7 +185,28 @@ def run_experiment(config):
         "wall_time_s": wall,
         "reports": [r.to_dict() for r in reports],
     }
-    return trace, summary, reports
+    return trace, with_first_nonfinite(summary, records), reports
+
+
+def _spec_numbers(spec, texts):
+    try:
+        return [float(v) for v in texts]
+    except ValueError:
+        raise ValueError(f"comparator {spec!r}: entries must be numbers") from None
+
+
+def _grid_spec(spec, dim):
+    """'grid:R=<radius>,n=<points>' into (radius, points), checked before any allocation."""
+    items = [item.partition("=")[::2] for item in spec[5:].split(",")]
+    opts = dict(items)
+    if len(opts) < len(items) or not set(opts) <= {"R", "n"}:
+        raise ValueError(f"comparator {spec!r}: expected R=<radius>,n=<points>")
+    radius, points = _spec_numbers(spec, [opts.get("R", 2), opts.get("n", 41)])
+    if not (math.isfinite(radius) and radius > 0 and points >= 2 and points.is_integer()):
+        raise ValueError(f"comparator {spec!r}: needs a finite R > 0 and an integer n >= 2")
+    if dim > 3 or int(points) ** dim > 10**6:
+        raise ValueError(f"comparator {spec!r}: needs dim <= 3 and n^dim <= 10^6 (dim {dim})")
+    return radius, int(points)
 
 
 def comparator_matrix(specs, trace, dataset):
@@ -221,17 +225,16 @@ def comparator_matrix(specs, trace, dataset):
             X, y = trace.design()
             kind = trace.params.get("loss")
             if kind not in ("hinge", "square", "absolute"):
-                kind = "square" if trace.learner_name in ("vaw", "adaptive_filter") else "hinge"
+                kind = "hinge" if trace.learner.binary_labels else "square"
             rows.append(batch_comparator(X, y, kind=kind)[None, :])
         elif spec.startswith("grid:"):
-            opts = dict(kv.split("=") for kv in spec[5:].split(","))
-            rows.append(grid_comparators(dim, radius=float(opts.get("R", 2.0)),
-                                         points=int(opts.get("n", 41))))
+            radius, points = _grid_spec(spec, dim)
+            rows.append(grid_comparators(dim, radius=radius, points=points))
         elif spec.startswith("vec:"):
-            vals = [float(v) for v in spec[4:].split(",")]
-            if len(vals) != dim:
-                raise ValueError(f"comparator vec has {len(vals)} entries, need {dim}")
-            rows.append(np.asarray(vals)[None, :])
+            vals = np.array(_spec_numbers(spec, spec[4:].split(",")))
+            if vals.size != dim or not np.isfinite(vals).all():
+                raise ValueError(f"comparator {spec!r}: needs {dim} finite entries")
+            rows.append(vals[None, :])
         else:
             raise ValueError(f"unknown comparator spec {spec!r}")
     return np.vstack(rows)
@@ -240,33 +243,30 @@ def comparator_matrix(specs, trace, dataset):
 def audit_reports(trace, config, dataset):
     """Every bound evaluator applicable to the trace's learner."""
     U = comparator_matrix(config.comparators, trace, dataset)
-    name = config.learner
+    learner = trace.learner
     reports = [bounds_mod.engine_audit(trace, U)]
-    if name in ("pnorm_perceptron", "pa", "fixed_margin"):
+    if isinstance(learner, FirstOrderClassifier):
         reports.append(bounds_mod.first_order_mistake_bound(trace, U))
-    elif name == "second_order":
+    elif isinstance(learner, SecondOrderClassifier):
         reports.append(bounds_mod.second_order_bound(trace, U))
-        s = config.params.get("rare_s")
-        if s is not None and trace.params["variant"] == "diagonal":
-            star = dataset.meta.get("u_star")
-            if star is not None:
-                rep, _ok = bounds_mod.diag_rare_feature_refinement(trace, np.asarray(star), s)
-                reports.append(rep)
-    elif name == "vaw":
+        s = trace.params.get("rare_s")
+        star = dataset.meta.get("u_star")
+        if s is not None and learner.variant == "diagonal" and star is not None:
+            rep, _ok = bounds_mod.diag_rare_feature_refinement(trace, np.asarray(star), s)
+            reports.append(rep)
+    elif isinstance(learner, VAWRegressor):
         reports.append(bounds_mod.vaw_bound(trace, U))
-    elif name == "adaptive_filter":
+    elif isinstance(learner, AdaptiveFilter):
         reports.append(bounds_mod.adaptive_filter_bound(trace, U))
-    elif name in ("scaleinv_pnorm", "scaleinv_diag"):
+    elif isinstance(learner, ScaleInvariantRegressor):
         reports.append(bounds_mod.scale_invariant_bound(trace, U))
-    elif name == "composite":
+    elif isinstance(learner.reg, CompositeQuadL1):
         # the constant schedule has no display of its own, and the linear one
         # holds only for eta == 1; the general display covers every run
-        sched = trace.params.get("schedule", "sqrt")
-        if sched == "sqrt" or (sched == "linear" and float(trace.params["eta"]) == 1.0):
+        sched = learner.reg.schedule
+        if sched == "sqrt" or (sched == "linear" and learner.eta == 1.0):
             reports.append(bounds_mod.composite_bound(trace, U, sched))
         reports.append(bounds_mod.composite_bound(trace, U, "general"))
-    elif name == "ogd":
-        pass
     return reports
 
 
@@ -283,38 +283,35 @@ def report_violations(reports):
     return out
 
 
+_RECORD_FIELDS = [f.name for f in dataclasses.fields(StepRecord) if f.name != "z"]
+
+
 def _record_payload(rec):
-    extras = {}
-    for k, v in rec.extras.items():
-        if isinstance(v, (np.floating, float)):
-            extras[k] = float(v)
-        elif isinstance(v, (np.integer, int, bool)) or v is None:
-            extras[k] = v
-        else:
-            extras[k] = str(v)
-    return {
-        "t": rec.t,
-        "prediction": rec.prediction,
-        "label": rec.label,
-        "loss": rec.loss,
-        "eta": rec.eta,
-        "mistake": bool(rec.mistake),
-        "margin_error": bool(rec.margin_error),
-        "dual_norm_sq": rec.dual_norm_sq,
-        "beta": rec.beta,
-        "residue": rec.residue,
-        "reg_drop": rec.reg_drop,
-        "zw": rec.zw,
-        "extras": extras,
-    }
+    return {name: getattr(rec, name) for name in _RECORD_FIELDS}
+
+
+def _flat(payload):
+    """A record payload with its extras inlined as 'extras.<key>'."""
+    extras = payload.get("extras")
+    if not isinstance(extras, dict):
+        return payload
+    return {**{k: v for k, v in payload.items() if k != "extras"},
+            **{"extras." + k: v for k, v in extras.items()}}
+
+
+def with_first_nonfinite(payload, records):
+    """payload plus the {t, field} of the first NaN or infinite record value, if any."""
+    for rec in records:
+        for prefix, fields in (("", vars(rec)), ("extras.", rec.extras)):
+            for key, val in fields.items():
+                if isinstance(val, float) and not math.isfinite(val):
+                    return {**payload, "first_nonfinite": {"t": rec.t, "field": prefix + key}}
+    return payload
 
 
 def write_trace(path, config, trace):
-    header = {
-        "version": TRACE_VERSION,
-        "fingerprint": config.fingerprint(),
-        "config": config.to_dict(),
-    }
+    header = {"version": TRACE_VERSION, "fingerprint": config.fingerprint(),
+              "config": config.to_dict()}
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(canonical_json(header) + "\n")
         for rec in trace.records:
@@ -334,8 +331,6 @@ def write_summary(path, summary, drop_wall_time=False):
 
 
 def read_trace_lines(path):
-    import json
-
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
     if not lines:
@@ -349,13 +344,39 @@ def read_trace_lines(path):
     return header, lines[1:]
 
 
+def _ulps(a, b):
+    """Distance between two finite floats in units in the last place."""
+    ka, kb = (int(np.float64(x).view(np.int64)) for x in (a, b))
+    return abs((ka if ka >= 0 else -(ka & 2**63 - 1)) - (kb if kb >= 0 else -(kb & 2**63 - 1)))
+
+
+def _record_mismatch(line, payload):
+    """Name the first key (extras included) where a stored record differs from the replay."""
+    try:
+        stored = json.loads(line)
+    except json.JSONDecodeError:
+        return "not valid JSON"
+    got, expect = _flat(stored) if isinstance(stored, dict) else {}, _flat(payload)
+    for key in {**expect, **got}:
+        old, new = (canonical_json(d[key]) if key in d else "(missing)" for d in (got, expect))
+        if old != new:
+            text = f"field {key!r}: stored {old}, replayed {new}"
+            a, b = got.get(key), expect.get(key)
+            # a float with an integral value is written, and read back, as an int
+            if (isinstance(b, float) and type(a) in (int, float) and math.isfinite(b)
+                    and abs(a) <= sys.float_info.max):
+                text += f" ({_ulps(a, b)} ulps apart)"
+            return text
+    return "same values, different encoding"
+
+
 def audit_stored(path, config_override=None):
     """Re-audit a stored trace: replay the embedded config, verify every record, re-run bounds.
 
     The trace only stores per-round scalars, so the data source named in
     the embedded config is re-materialized to rebuild regularizer state;
     record-by-record equality against the stored file is enforced before
-    any report is produced.
+    any report is produced. Returns (reports, replayed trace).
     """
     header, stored = read_trace_lines(path)
     config = ExperimentConfig.from_dict(header["config"])
@@ -370,18 +391,16 @@ def audit_stored(path, config_override=None):
     trace, dataset, _ = _replay(config)
     records = trace.records
     if len(stored) < len(records):
-        raise ValueError(
-            f"{path}: trace truncated at record {len(stored)} (expected {len(records)})"
-        )
+        raise ValueError(f"{path}: trace truncated at record {len(stored)} "
+                         f"(expected {len(records)})")
     if len(stored) > len(records):
-        raise ValueError(
-            f"{path}: trace has {len(stored)} records, expected {len(records)}"
-        )
+        raise ValueError(f"{path}: trace has {len(stored)} records, expected {len(records)}")
     for i, rec in enumerate(records):
-        expect = canonical_json(_record_payload(rec))
-        if stored[i] != expect:
-            raise ValueError(f"{path}: record {i + 1} does not match the replayed run")
-    return audit_reports(trace, config, dataset), config
+        payload = _record_payload(rec)
+        if stored[i] != canonical_json(payload):
+            raise ValueError(f"{path}: record {i + 1} does not match the replayed run: "
+                             f"{_record_mismatch(stored[i], payload)}")
+    return audit_reports(trace, config, dataset), trace
 
 
 def prediction_deviation(trace_a, trace_b):
@@ -399,19 +418,11 @@ def run_compare(config, factors):
     """Run config and its per-coordinate rescaled twin; report prediction deviation."""
     if config.data.get("kind") != "generator":
         raise ValueError("compare needs a generator data source")
-    base_trace, _, _ = run_experiment(
-        ExperimentConfig(config.learner, config.params, config.data,
-                         config.comparators, audit=False))
     spec = config.data["spec"]
-    rescaled = {
-        "kind": "generator",
-        "spec": {"kind": "rescaled", "seed": spec.get("seed", 0), "params": {},
-                 "base": spec, "factors": [float(c) for c in factors]},
-    }
-    scaled_trace, _, _ = run_experiment(
-        ExperimentConfig(config.learner, config.params, rescaled,
-                         config.comparators, audit=False))
-    return {
-        "max_relative_deviation": prediction_deviation(base_trace, scaled_trace),
-        "T": len(base_trace.records),
-    }
+    rescaled = {"kind": "generator",
+                "spec": {"kind": "rescaled", "seed": spec.get("seed", 0), "params": {},
+                         "base": spec, "factors": [float(c) for c in factors]}}
+    base, scaled = (run_experiment(ExperimentConfig(config.learner, config.params, data,
+                                                    audit=False))[0]
+                    for data in (config.data, rescaled))
+    return {"max_relative_deviation": prediction_deviation(base, scaled), "T": len(base.records)}

@@ -18,7 +18,6 @@ evaluators. FirstOrderClassifier, whose regularizer never changes, applies
 its update directly.
 """
 
-import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,7 +79,7 @@ def _check_binary(y):
 class OnlineLearner:
     """Dual-averaging state: theta accumulates updates, w rides the mirror map."""
 
-    name = "omd"
+    binary_labels = False  # whether the harness must see labels in {-1, +1}
 
     def __init__(self, reg):
         self.reg = reg
@@ -122,8 +121,6 @@ class OnlineLearner:
 class GradientDescentLearner(OnlineLearner):
     """OMD driven by z_t = -eta * l'_t; covers OGD and the composite schedules."""
 
-    name = "gd"
-
     def __init__(self, reg, loss="hinge", eta=1.0):
         super().__init__(reg)
         if eta <= 0:
@@ -131,6 +128,7 @@ class GradientDescentLearner(OnlineLearner):
         self.eta = float(eta)
         self.loss_name = loss
         self.loss_fn = losses.by_name(loss)
+        self.binary_labels = loss == "hinge"
 
     def round(self, x, y):
         self.t += 1
@@ -138,9 +136,8 @@ class GradientDescentLearner(OnlineLearner):
         residue, drop = self._advance(self.reg.advance_step, first_round=self.t == 1)
         pred = float(self.w @ xd)
         ev = self.loss_fn(pred, y)
-        lvec = ev.subgrad_scalar * xd
-        z = -self.eta * lvec
-        extras = {"lgrad_norm": float(np.linalg.norm(lvec))}
+        z = -self.eta * (ev.subgrad_scalar * xd)
+        extras = {}
         if hasattr(self.reg, "penalty_value"):
             extras["penalty_w"] = float(self.reg.penalty_value(self.w))
         return self._emit(
@@ -163,7 +160,7 @@ class FirstOrderClassifier(OnlineLearner):
     be time-invariant and satisfy f(c*u) <= c^2 f(u).
     """
 
-    name = "first_order"
+    binary_labels = True
     ETA_MODES = ("conservative", "pa_optimal", "fixed")
 
     def __init__(self, reg, eta_mode="conservative", fixed_eta=1.0):
@@ -216,10 +213,6 @@ class FirstOrderClassifier(OnlineLearner):
                     "ymargin": y * margin},
         )
 
-    def params(self):
-        return {"eta_mode": self.eta_mode, "fixed_eta": self.fixed_eta}
-
-
 class SecondOrderClassifier(OnlineLearner):
     """Classifier preconditioned by the inverse feature correlation matrix.
 
@@ -235,7 +228,7 @@ class SecondOrderClassifier(OnlineLearner):
     the pre-update margin m_t, whose sign agrees with the post-update one.
     """
 
-    name = "second_order"
+    binary_labels = True
     TRIGGERS = ("omd", "arow", "mistake")
     VARIANTS = ("full", "diagonal")
 
@@ -306,8 +299,6 @@ class VAWRegressor(OnlineLearner):
     the negative gradient of the square loss.
     """
 
-    name = "vaw"
-
     def __init__(self, dim, a=1.0):
         if a <= 0:
             raise ValueError("a must be positive")
@@ -354,8 +345,6 @@ class AdaptiveFilter(OnlineLearner):
     largest input norm in advance.
     """
 
-    name = "adaptive_filter"
-
     def __init__(self, dim):
         super().__init__(MaxScaled(FixedQuadratic(dim)))
 
@@ -374,9 +363,6 @@ class AdaptiveFilter(OnlineLearner):
             extras={"x_max": self.reg.x_max, "residual": resid},
         )
 
-    def params(self):
-        return {}
-
 
 class ScaleInvariantRegressor(OnlineLearner):
     """Regression with feature-rescaling-invariant predictions.
@@ -389,7 +375,6 @@ class ScaleInvariantRegressor(OnlineLearner):
     regularizer at round t depends on subgradients from rounds < t.
     """
 
-    name = "scale_invariant"
     KINDS = ("pnorm", "diag")
 
     def __init__(self, dim, kind="pnorm", lipschitz=1.0, eta=1.0, loss="absolute"):
@@ -417,8 +402,7 @@ class ScaleInvariantRegressor(OnlineLearner):
             raise ValueError("loss subgradient exceeds the declared Lipschitz constant")
         lvec = ev.subgrad_scalar * xd
         z = -self.eta * lvec
-        extras = {"m_t": getattr(self.reg, "m", None),
-                  "b_hash": hashlib.sha256(self.reg.b.tobytes()).hexdigest()[:12]}
+        extras = {"m_t": getattr(self.reg, "m", None)}
         if self.kind == "pnorm":
             extras["p_t"] = self.reg.p
         return self._emit(

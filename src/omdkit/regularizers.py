@@ -318,8 +318,8 @@ class CompositeQuadL1(Regularizer):
     def advance_step(self):
         self.t += 1
 
-    def _coeffs(self):
-        if self.t < 1:
+    def _coeffs(self, allow_step_zero=False):
+        if self.t < 1 and not allow_step_zero:
             raise RuntimeError("regularizer queried before the first advance")
         s = {"constant": 1.0, "sqrt": math.sqrt(self.t), "linear": 0.0}[self.schedule]
         curvature = s * self.quad + self.eta * self.t * self.ridge
@@ -328,7 +328,8 @@ class CompositeQuadL1(Regularizer):
 
     def value(self, w):
         w = _batch(w)
-        c, thr = self._coeffs()
+        # f_0 has a value, which the audit of an empty run reads
+        c, thr = self._coeffs(allow_step_zero=True)
         return 0.5 * c * np.sum(w * w, axis=-1) + thr * np.sum(np.abs(w), axis=-1)
 
     def conjugate(self, theta):
@@ -426,6 +427,8 @@ class _Scheduled(Regularizer):
 
 
 class SqrtScheduled(_Scheduled):
+    schedule = "sqrt"
+
     def _factor(self):
         if self.t < 1:
             raise RuntimeError("regularizer queried before the first advance")
@@ -433,6 +436,8 @@ class SqrtScheduled(_Scheduled):
 
 
 class LinearScheduled(_Scheduled):
+    schedule = "linear"
+
     def _factor(self):
         if self.t < 1:
             raise RuntimeError("regularizer queried before the first advance")

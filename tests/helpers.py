@@ -3,6 +3,21 @@
 from omdkit.harness import ExperimentConfig, run_experiment
 
 
+# the learner flags each CLI learner reads; every other (learner, flag) pair is a usage error
+READS = {
+    "ogd": {"eta", "loss"},
+    "composite": {"eta", "lam", "ridge", "quad", "schedule", "loss"},
+    "pnorm_perceptron": {"p"},
+    "pa": set(),
+    "fixed_margin": {"fixed_eta"},
+    "second_order": {"r", "variant", "trigger", "rare_s"},
+    "vaw": {"a"},
+    "adaptive_filter": set(),
+    "scaleinv_pnorm": {"lipschitz", "eta", "loss"},
+    "scaleinv_diag": {"lipschitz", "eta", "loss"},
+}
+
+
 def gen_config(learner, params, spec, comparators=("zero",), audit=True):
     return ExperimentConfig(
         learner, params, {"kind": "generator", "spec": spec},

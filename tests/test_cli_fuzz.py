@@ -1,0 +1,141 @@
+"""Property test: whatever the CLI is given, it ends in exit 0, 1, 2 or 3.
+
+cli.main runs in-process on malformed svmlight and CSV text, generator
+specs, comparator specs and random learner-flag sets. Any exception other
+than argparse's SystemExit (which counts as its code) fails the test.
+Sizes stay small: d, T <= 20 and grid n <= 30.
+"""
+
+import contextlib
+import io
+import os
+import tempfile
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import READS
+from omdkit import cli
+
+EXAMPLES = 100
+FUZZ = settings(derandomize=True, max_examples=EXAMPLES, deadline=None, database=None)
+
+# values each learner flag accepts; BAD values exercise the checks
+GOOD = {
+    "eta": ["0.5", "1"], "r": ["0.5", "1"], "a": ["0.5", "1"], "p": ["1.5", "2"],
+    "lam": ["0", "0.1"], "ridge": ["0", "0.5"], "quad": ["0.5", "1"], "lipschitz": ["1", "2"],
+    "fixed_eta": ["0.5", "1"], "rare_s": ["1", "3"], "variant": ["full", "diagonal"],
+    "trigger": ["omd", "arow", "mistake"], "schedule": ["constant", "sqrt", "linear"],
+    "loss": ["hinge", "square", "absolute"],
+}
+BAD = ["0", "-1", "1e-300", "1e300", "nan", "inf", "abc", "", "bogus"]
+NUMBERS = ["0", "1", "-1", "0.5", "2", "1e300", "nan", "inf", "abc", ""]
+GEN_KINDS = ["separable_margin", "noisy_linear", "sparse_target", "heavy_tail_features", "bogus"]
+GEN_KEYS = ["gamma", "sigma", "k", "zipf", "d", "T", "extra", ""]
+GEN_VALUES = ["0", "1", "2", "3", "5", "20", "0.3", "-1", "2.5", "nan", "inf", "x", ""]
+GRID_VALUES = ["2", "0", "-1", "1", "30", "2.5", "nan", "inf", "abc", ""]
+
+
+@st.composite
+def learner_flags(draw):
+    """A learner and a mostly valid set of the flags it reads, now and then one it does not."""
+    learner = draw(st.sampled_from(sorted(READS)))
+    reads = sorted(READS[learner])
+    keys = draw(st.lists(st.sampled_from(reads), unique=True)) if reads else []
+    if draw(st.integers(0, 9)) == 0:
+        keys.append(draw(st.sampled_from(sorted(GOOD))))
+    flags = []
+    for key in keys:
+        value = draw(st.sampled_from(GOOD[key] if draw(st.integers(0, 4)) else BAD))
+        flags += ["--" + key.replace("_", "-"), value]
+    return learner, flags
+
+
+def _items(keys, values):
+    item = st.builds(lambda k, v, eq: k + ("=" if eq else "") + v, st.sampled_from(keys),
+                     st.sampled_from(values), st.booleans())
+    return st.lists(item, max_size=4).map(",".join)
+
+
+gen_spec = st.one_of(
+    # well-formed specs at d <= 3, so that runs finish and the comparators get exercised
+    st.builds(lambda kind, d, T: f"{kind},d={d},T={T}",
+              st.sampled_from(["separable_margin:gamma=0.2", "noisy_linear:sigma=0.2",
+                               "sparse_target:k=1", "heavy_tail_features:zipf=1.5"]),
+              st.integers(1, 3), st.integers(0, 20)),
+    st.builds(lambda kind, items: f"{kind}:{items}", st.sampled_from(GEN_KINDS),
+              _items(GEN_KEYS, GEN_VALUES)),
+)
+
+comparator = st.one_of(
+    st.sampled_from(["zero", "star", "batch", "grid:R=2,n=5", "grid:n=30", "vec:1,0"]),
+    st.sampled_from(["nope", "grid:", "vec:", "grid:R"]),
+    _items(["R", "n", "x"], GRID_VALUES).map("grid:".__add__),
+    st.lists(st.sampled_from(NUMBERS), max_size=4).map(lambda v: "vec:" + ",".join(v)),
+)
+comparators = st.lists(comparator, max_size=2).map(
+    lambda cs: [x for c in cs for x in ("--comparator", c)])
+
+svm_line = st.one_of(
+    st.builds(lambda y, feats: " ".join([y, *(f"{i}:{v}" for i, v in sorted(feats.items()))]),
+              st.sampled_from(["1", "-1"]),
+              st.dictionaries(st.integers(1, 20), st.sampled_from(["0.5", "-1", "2"]),
+                              max_size=4)),
+    st.lists(st.one_of(
+        st.builds(lambda i, v: f"{i}:{v}", st.integers(-1, 20), st.sampled_from(NUMBERS)),
+        st.sampled_from(["1", "-1", "+1", "0", "2.5", "nan", ":", "1:", ":1", "#c", "qid:1"]),
+    ), max_size=5).map(" ".join),
+)
+svm_text = st.lists(svm_line, max_size=20).map("\n".join)
+
+csv_cell = st.sampled_from(["0", "1", "-1", "0.5", "2", "nan", "inf", "", "x", "1e400"])
+csv_text = st.builds(
+    lambda header, rows: "\n".join([header, *(",".join(r) for r in rows)]),
+    st.sampled_from(["label,a,b", "a,b,label", "a,b", "label", "", "label,label,a"]),
+    st.lists(st.one_of(st.lists(st.sampled_from(["1", "-1", "0.5"]), min_size=3, max_size=3),
+                       st.lists(csv_cell, max_size=4)), max_size=20),
+)
+
+
+def _code(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out), \
+            np.errstate(all="ignore"):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2, 3), (argv, code, out.getvalue()[-500:])
+    return code
+
+
+@FUZZ
+@given(learner_flags(), gen_spec, st.integers(0, 3), comparators, st.booleans())
+def test_generator_runs_end_in_known_exit_codes(lf, spec, seed, comps, strict):
+    learner, flags = lf
+    _code(["run", "--learner", learner, *flags, "--gen", spec, "--seed", str(seed), *comps,
+           *(["--strict-audit"] if strict else [])])
+
+
+@FUZZ
+@given(learner_flags(), svm_text, comparators)
+def test_svmlight_runs_end_in_known_exit_codes(lf, text, comps):
+    learner, flags = lf
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "d.svm")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        _code(["run", "--learner", learner, *flags, "--data", path, *comps])
+
+
+@FUZZ
+@given(learner_flags(), csv_text, st.booleans())
+def test_csv_runs_end_in_known_exit_codes(lf, text, remap):
+    learner, flags = lf
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "d.csv")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        _code(["run", "--learner", learner, *flags, "--data", path, "--format", "csv",
+               *(["--remap01"] if remap else [])])

@@ -33,19 +33,20 @@ CONFIGS = {
     "scaleinv_diag": (["--learner", "scaleinv_diag"], LINEAR),
 }
 
-# sha256 of (trace bytes, summary without wall_time_s, audit payload), first 16 hex digits
+# sha256 of (trace bytes, summary without wall_time_s, audit payload), first 16 hex digits;
+# the trace digests are those of TRACE_VERSION 2 (no lgrad_norm or b_hash extras)
 GOLDEN = {
-    "adaptive_filter": ("912c70b977aaec97", "1c475088b6399f83", "1e92408a87aa9c96"),
-    "composite": ("3c80686ff2460502", "b9c03da2377a9fbc", "b3d478462f924da9"),
-    "fixed_margin": ("7a518dc806db57e2", "763e025990699dbd", "8a3e5ee08d7a4009"),
-    "ogd": ("3ee1502bb2d58ceb", "ae8a4221e880d3ba", "a6aadc5326f22282"),
-    "pa": ("afce5cd2d2206a2f", "b694fcea6e4e4ff7", "6eabb7c1b8a34fb2"),
-    "pnorm_perceptron": ("ac8f65b89639f028", "39967ac99cab6485", "86fcd66ef85f1634"),
-    "scaleinv_diag": ("2c3692f73d28e44f", "dd2445957d32509f", "48f95867a410523d"),
-    "scaleinv_pnorm": ("ee40eeea7248cd50", "aa6103786ac90aa2", "b20f39dfecdd825a"),
-    "second_order_diagonal": ("deb88950bd7b9d02", "ba25bc28f399fd5e", "0f05a4d5e2cbe048"),
-    "second_order_full": ("3407e6751ebe9c74", "54cefb098e0af672", "3fb6aeca8379c725"),
-    "vaw": ("99020d0923d74b98", "7395d09f867c32a5", "c887ff6ec93eb11a"),
+    "adaptive_filter": ("e68bbeebebd520e9", "1c475088b6399f83", "1e92408a87aa9c96"),
+    "composite": ("d273308810a68243", "b9c03da2377a9fbc", "b3d478462f924da9"),
+    "fixed_margin": ("1339d0d6e1abf613", "763e025990699dbd", "8a3e5ee08d7a4009"),
+    "ogd": ("9cff4108638dad51", "ae8a4221e880d3ba", "a6aadc5326f22282"),
+    "pa": ("b2125c091290fce1", "b694fcea6e4e4ff7", "6eabb7c1b8a34fb2"),
+    "pnorm_perceptron": ("04cae69dcf53695e", "39967ac99cab6485", "86fcd66ef85f1634"),
+    "scaleinv_diag": ("49c3647a4eb3ac2e", "dd2445957d32509f", "48f95867a410523d"),
+    "scaleinv_pnorm": ("8a4d310dfd999d4e", "aa6103786ac90aa2", "b20f39dfecdd825a"),
+    "second_order_diagonal": ("98a2982b4731510e", "ba25bc28f399fd5e", "0f05a4d5e2cbe048"),
+    "second_order_full": ("6fba09b84fbf4fb8", "54cefb098e0af672", "3fb6aeca8379c725"),
+    "vaw": ("e7bbf61891866ecb", "7395d09f867c32a5", "c887ff6ec93eb11a"),
 }
 
 

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -5,7 +7,8 @@ import sys
 import numpy as np
 import pytest
 
-from helpers import gen_config, noisy_linear, separable
+from helpers import READS, gen_config, noisy_linear, separable
+from omdkit import cli
 from omdkit.data import (
     GeneratorSpec,
     generate,
@@ -414,3 +417,184 @@ def test_cli_perceptron_margin_bound(tmp_path):
     # X_T <= 1 by construction and L(u*) = 0, so M <= ||u*||^2 = 1/gamma^2
     assert summary["mistakes"] <= 1.0 / 0.5 ** 2 + 1e-9
     assert fom["slack"] >= -1e-9
+
+
+FLAG_VALUES = {"eta": "0.5", "r": "0.5", "a": "0.5", "p": "1.8", "lam": "0.1",
+               "ridge": "0.5", "quad": "0.5", "lipschitz": "1", "fixed_eta": "0.5",
+               "rare_s": "2", "variant": "diagonal", "trigger": "arow",
+               "schedule": "constant", "loss": "absolute"}
+TINY = {"separable": "separable_margin:gamma=0.3,d=2,T=5",
+        "linear": "noisy_linear:sigma=0.2,d=2,T=5"}
+
+
+def _main_code(argv):
+    """cli.main's exit code and stderr, counting an argparse SystemExit as its code."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            return cli.main(argv), err.getvalue()
+        except SystemExit as exc:
+            return exc.code, err.getvalue()
+
+
+def _learner_argv(learner, key):
+    gen = TINY["separable" if learner in ("ogd", "pnorm_perceptron", "pa", "fixed_margin",
+                                          "second_order") else "linear"]
+    flag = "--" + key.replace("_", "-")
+    return ["run", "--learner", learner, flag, FLAG_VALUES[key], "--gen", gen]
+
+
+def test_learner_table_matches_reads():
+    from omdkit.harness import LEARNERS
+
+    assert {name: set(defaults) for name, (_f, defaults) in LEARNERS.items()} == READS
+    # 10 learners x 14 learner flags, of which 21 pairs are read
+    assert sum(len(FLAG_VALUES) - len(r) for r in READS.values()) == 119
+
+
+@pytest.mark.parametrize("learner", sorted(READS))
+def test_cli_rejects_flags_the_learner_does_not_read(learner):
+    unread = sorted(set(FLAG_VALUES) - READS[learner])
+    for key in unread:
+        code, err = _main_code(_learner_argv(learner, key))
+        assert code == 1, (learner, key)
+        assert f"learner {learner} does not read --{key.replace('_', '-')}" in err
+    for key in sorted(READS[learner]):
+        assert _main_code(_learner_argv(learner, key))[0] == 0, (learner, key)
+
+
+def test_cli_removed_and_unpaired_options_are_usage_errors(tmp_path):
+    trace = tmp_path / "t.jsonl"
+    gen = TINY["separable"]
+    assert _main_code(["run", "--learner", "pa", "--gen", gen, "--trace", str(trace)])[0] == 0
+    bad = [
+        ["run", "--learner", "pa", "--gen", gen, "--audit"],
+        ["audit", "--trace", str(trace), "--comparator", "zero"],
+        ["compare", "--learner", "scaleinv_diag", "--gen", TINY["linear"],
+         "--rescale", "2,1", "--comparator", "zero"],
+        ["compare", "--learner", "scaleinv_diag", "--gen", TINY["linear"],
+         "--rescale", "2,1", "--tol", "1e-6"],
+        ["compare", "--learner", "scaleinv_diag", "--gen", TINY["linear"],
+         "--rescale", "2,1", "--strict-audit"],
+        ["audit", "--trace", str(trace), "--eta", "5", "--r", "7"],
+        ["audit", "--trace", str(trace), "--seed", "3"],
+        ["audit", "--trace", str(trace), "--gen", gen],
+    ]
+    for argv in bad:
+        assert _main_code(argv)[0] == 1, argv
+    code, err = _main_code(["audit", "--trace", str(trace), "--eta", "5", "--r", "7"])
+    assert "--eta, --r only with --learner" in err
+    # --no-audit stays, and an override config still reaches the fingerprint check
+    assert _main_code(["run", "--learner", "pa", "--gen", gen, "--no-audit"])[0] == 0
+    assert _main_code(["audit", "--trace", str(trace), "--learner", "pa",
+                       "--gen", gen])[0] == 0
+
+
+def test_cli_names_first_nonfinite_round(tmp_path):
+    argv = ["run", "--learner", "vaw", "--gen", "noisy_linear:sigma=1e200,d=2,T=20",
+            "--seed", "1"]
+    trace, summ, audit = (tmp_path / n for n in ("t.jsonl", "s.json", "a.json"))
+    with np.errstate(all="ignore"):
+        code, err = _main_code([*argv, "--trace", str(trace), "--summary", str(summ)])
+        assert code == 0
+        assert "non-finite loss at round 1" in err
+        assert json.loads(summ.read_text())["first_nonfinite"] == {"t": 1, "field": "loss"}
+        code, err = _main_code(["audit", "--trace", str(trace), "--summary", str(audit)])
+        assert code == 0 and "non-finite loss at round 1" in err
+        assert json.loads(audit.read_text())["first_nonfinite"] == {"t": 1, "field": "loss"}
+        assert _main_code([*argv, "--strict-audit"])[0] == 3
+        assert _main_code(["audit", "--trace", str(trace), "--strict-audit"])[0] == 3
+    # a finite run carries no such entry
+    assert _main_code(["run", "--learner", "vaw", "--gen", TINY["linear"],
+                       "--summary", str(summ)])[0] == 0
+    assert "first_nonfinite" not in json.loads(summ.read_text())
+
+
+@pytest.mark.parametrize("spec, msg", [
+    ("grid:R=2,n=3,x=1", "expected R=<radius>,n=<points>"),
+    ("grid:R", "entries must be numbers"),
+    ("grid:R=2,R=3", "expected R=<radius>,n=<points>"),
+    ("grid:R=abc", "entries must be numbers"),
+    ("grid:n=0", "an integer n >= 2"),
+    ("grid:n=2.5", "an integer n >= 2"),
+    ("grid:R=0", "a finite R > 0"),
+    ("grid:R=inf", "a finite R > 0"),
+    ("grid:R=nan", "a finite R > 0"),
+    ("grid:n=1001", "n^dim <= 10^6"),
+    ("grid:n=1e300", "n^dim <= 10^6"),
+    ("vec:1,abc", "entries must be numbers"),
+    ("vec:1", "needs 2 finite entries"),
+    ("vec:1,nan", "needs 2 finite entries"),
+])
+def test_cli_bad_comparator_spec_is_data_error(spec, msg):
+    code, err = _main_code(["run", "--learner", "pa", "--gen", TINY["separable"],
+                            "--comparator", spec])
+    assert code == 2
+    assert f"comparator {spec!r}" in err and msg in err
+
+
+def test_comparator_grid_limits():
+    from omdkit.harness import _grid_spec
+
+    assert _grid_spec("grid:R=2,n=41", 3) == (2.0, 41)
+    assert _grid_spec("grid:n=100", 3) == (2.0, 100)
+    with pytest.raises(ValueError, match="n\\^dim <= 10\\^6"):
+        _grid_spec("grid:n=101", 3)
+    with pytest.raises(ValueError, match="dim <= 3"):
+        _grid_spec("grid:n=2", 4)
+
+
+def test_audit_names_the_differing_field(tmp_path):
+    cfg = gen_config("vaw", {"a": 1.0}, noisy_linear(3, d=3, T=10))
+    trace, _, _ = run_experiment(cfg)
+    tp = tmp_path / "t.jsonl"
+    write_trace(tp, cfg, trace)
+    lines = tp.read_text().splitlines()
+    rec = json.loads(lines[4])
+    old = rec["extras"]["post_quad"]
+    rec["extras"]["post_quad"] = float(np.nextafter(np.nextafter(old, 1.0), 1.0))
+    lines[4] = canonical_json(rec)
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as exc:
+        audit_stored(bad)
+    msg = str(exc.value)
+    assert "record 4 does not match the replayed run: field 'extras.post_quad'" in msg
+    assert f"stored {canonical_json(rec['extras']['post_quad'])}" in msg
+    assert f"replayed {canonical_json(old)}" in msg
+    assert msg.endswith("(2 ulps apart)")
+    rec["extras"]["extra_key"] = 1.0
+    rec["extras"]["post_quad"] = old
+    lines[4] = canonical_json(rec)
+    bad.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="field 'extras.extra_key': stored 1, replayed "
+                                         "\\(missing\\)$"):
+        audit_stored(bad)
+
+
+def test_cli_float_overflow_is_data_error():
+    for argv in (["--learner", "second_order", "--r", "1e-300",
+                  "--gen", "separable_margin:gamma=0.2,d=1,T=2"],
+                 ["--learner", "scaleinv_diag", "--lipschitz", "1e300",
+                  "--gen", "noisy_linear:sigma=0.2,d=1,T=2"]):
+        with np.errstate(all="ignore"):
+            code, err = _main_code(["run", *argv])
+        assert code == 2, argv
+        assert "error: numeric failure:" in err
+
+
+def test_composite_empty_run_audits_cleanly():
+    # f_0 of the composite schedules has a value, so an empty run's audit no longer raises
+    for schedule in ("constant", "sqrt", "linear"):
+        code, _ = _main_code(["run", "--learner", "composite", "--schedule", schedule,
+                              "--ridge", "1", "--gen", "noisy_linear:sigma=0.2,d=2,T=0",
+                              "--comparator", "zero", "--comparator", "batch",
+                              "--strict-audit"])
+        assert code == 0, schedule
+
+
+def test_ogd_default_hinge_loss_needs_binary_labels():
+    # ogd's default loss is the hinge, so its labels are checked without --loss too
+    with pytest.raises(ValueError, match="labels"):
+        run_experiment(gen_config("ogd", {}, noisy_linear(0, d=3, T=10)))
+    run_experiment(gen_config("ogd", {"loss": "square"}, noisy_linear(0, d=3, T=10)))
