@@ -75,6 +75,9 @@ _CHOICES = {"variant": SecondOrderClassifier.VARIANTS, "trigger": SecondOrderCla
 # data-source flags and their defaults; on `audit` they only feed the --learner override
 _DATA_FLAGS = {"gen": None, "data": None, "format": "svmlight", "label_column": "label",
                "remap01": False, "dim": None, "seed": 0, "rescale": None}
+# the data-source flags each source reads; `compare` reads --rescale itself, for either source
+_SOURCE_READS = {"gen": {"gen", "seed", "rescale"},
+                 "data": {"data", "format", "label_column", "remap01", "dim"}}
 
 
 def _flags(keys):
@@ -108,6 +111,15 @@ def _check_flags(parser, args):
     unread = [k for k in given if k in _LEARNER_FLAGS and k not in LEARNERS[args.learner][1]]
     if unread:
         parser.error(f"learner {args.learner} does not read {_flags(unread)}")
+    source = "gen" if args.gen is not None else "data" if args.data is not None else None
+    if source:
+        reads = _SOURCE_READS[source] | ({"rescale"} if args.command == "compare" else set())
+        unread = [k for k in given if k in _DATA_FLAGS and k not in reads]
+        if unread:
+            parser.error(f"--{source} does not read {_flags(unread)}")
+    csv_only = [k for k in ("label_column", "remap01") if getattr(args, k) is not None]
+    if csv_only and args.format != "csv":
+        parser.error(f"{_flags(csv_only)} only with --format csv")
     if args.command == "compare" and (args.tol is not None) != args.strict:
         parser.error("compare takes --tol and --strict-audit only together")
     for key, default in _DATA_FLAGS.items():

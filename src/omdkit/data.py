@@ -159,7 +159,7 @@ class GeneratorSpec:
 
 def _unit_vector(rng, d):
     while True:
-        v = np.array(rng.normals(d))
+        v = rng.normals(d)
         n = float(np.linalg.norm(v))
         if n > 1e-12:
             return v / n
@@ -178,7 +178,7 @@ def _gen_separable(rng, gamma, d, T):
     for _ in range(int(T)):
         y = rng.sign()
         m = gamma + (1.0 - gamma) * rng.uniform()
-        v = np.array(rng.normals(d))
+        v = rng.normals(d)
         orth = v - (v @ u) * u
         northo = float(np.linalg.norm(orth))
         x = y * m * u

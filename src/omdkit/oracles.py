@@ -138,7 +138,7 @@ def numeric_dual_norm(primal_norm, z, samples=100_000, seed=7, refine_rounds=40)
     dim = z.shape[0]
     rng = Xorshift64Star(seed)
     for _ in range(10):
-        v = np.array(rng.normals(dim))
+        v = rng.normals(dim)
         c = 0.5 + 2.0 * rng.uniform()
         nv = float(np.asarray(primal_norm(v[None, :]))[0])
         ncv = float(np.asarray(primal_norm((c * v)[None, :]))[0])
@@ -155,13 +155,15 @@ def numeric_dual_norm(primal_norm, z, samples=100_000, seed=7, refine_rounds=40)
         i = int(np.argmax(vals))
         return u[i], float(vals[i])
 
-    flat = np.array(rng.normals(samples * dim)).reshape(samples, dim)
+    # the random directions, then one block of 200 perturbations per refine round
+    draws = rng.normals((samples + 200 * refine_rounds) * dim).reshape(-1, dim)
+    flat, blocks = draws[:samples], draws[samples:].reshape(refine_rounds, 200, dim)
     # include z itself and the coordinate directions as candidates
     extra = np.vstack([z[None, :], np.eye(dim), -np.eye(dim)])
     best_u, best_val = best_of(np.vstack([flat, extra]))
     sigma = 0.5
-    for _ in range(refine_rounds):
-        cand = best_u[None, :] + sigma * np.array(rng.normals(200 * dim)).reshape(200, dim)
+    for block in blocks:
+        cand = best_u[None, :] + sigma * block
         u, val = best_of(np.vstack([cand, best_u[None, :]]))
         if val > best_val:
             best_u, best_val = u, val

@@ -4,13 +4,72 @@ xorshift64*: state updates x ^= x >> 12; x ^= x << 25; x ^= x >> 27 (all
 mod 2^64), output is state * 0x2545F4914F6CDD1D mod 2^64. Doubles take
 the top 53 bits of the output. Pure integer arithmetic, so identical
 seeds give identical streams on every platform.
+
+Large `normals(n)` draws compute the same stream as arrays. The state
+update is linear over GF(2), so k steps are one 64x64 bit matrix, applied
+to a uint64 array through eight byte-indexed lookup tables. The polar
+method then runs on the arrays with the scalar path's IEEE operations;
+its log goes through `math.log`, because `np.log` is not always correctly
+rounded and would change the last bit of some normals.
 """
 
+import functools
 import math
+
+import numpy as np
 
 _MASK = (1 << 64) - 1
 _MULT = 0x2545F4914F6CDD1D
 _DEFAULT_STATE = 0x9E3779B97F4A7C15
+# normals(n) takes the array path from this n on; below it the scalar loop is faster
+# (median crossover between n = 80 and n = 100 on a 2-core x86-64 box, numpy 2.4)
+_BULK_NORMALS = 96
+
+
+@functools.cache
+def _jump_table(j):
+    """(8, 256) uint64 table of the 64 * 2**j step map, cached per process.
+
+    Entry [i, b] is the image of the state whose byte i is b and whose other
+    bytes are zero; the map is linear, so a state's image is the XOR of its
+    eight bytes' entries. Built from the images of the 64 unit vectors: 64
+    single steps for j = 0, else the 64 * 2**(j-1) step map applied twice.
+    """
+    if j == 0:
+        cols = np.array([_states(1 << b, 64)[-1] for b in range(64)], dtype=np.uint64)
+    else:
+        cols = _jump(j - 1, _jump(j - 1, np.uint64(1) << np.arange(64, dtype=np.uint64)))
+    cols = cols.reshape(8, 8)
+    table = np.zeros((8, 1), dtype=np.uint64)
+    for bit in range(8):
+        table = np.concatenate([table, table ^ cols[:, bit:bit + 1]], axis=1)
+    return table
+
+
+def _jump(j, states):
+    """Advance each uint64 state by 64 * 2**j steps."""
+    table = _jump_table(j)
+    octets = np.ascontiguousarray(states, dtype="<u8").view(np.uint8).reshape(-1, 8)
+    out = table[0].take(octets[:, 0])
+    for i in range(1, 8):
+        out ^= table[i].take(octets[:, i])
+    return out
+
+
+def _states(x, n):
+    """uint64 array of the n states that follow state x."""
+    out = np.empty(n, dtype=np.uint64)
+    for i in range(min(n, 64)):
+        x ^= x >> 12
+        x ^= (x << 25) & _MASK
+        x ^= x >> 27
+        out[i] = x
+    k, j = 64, 0
+    while k < n:
+        m = min(k, n - k)
+        out[k:k + m] = _jump(j, out[:m])
+        k, j = 2 * k, j + 1
+    return out
 
 
 class Xorshift64Star:
@@ -50,7 +109,37 @@ class Xorshift64Star:
                 return u * factor
 
     def normals(self, n):
-        return [self.normal() for _ in range(n)]
+        """float64 array of the next n normal() values, leaving the same state and spare."""
+        if n < _BULK_NORMALS:
+            return np.array([self.normal() for _ in range(n)], dtype=np.float64)
+        out = np.empty(n, dtype=np.float64)
+        i = 0
+        if n and self._spare_normal is not None:
+            out[0], self._spare_normal, i = self._spare_normal, None, 1
+        while i < n:
+            # a pair is accepted with probability pi/4; a short draw takes another round
+            want = (n - i + 1) // 2
+            pairs = int(want / 0.785) + math.isqrt(want) + 1
+            st = _states(self.state, 2 * pairs)
+            uv = 2.0 * (((st * np.uint64(_MULT)) >> np.uint64(11)).astype(np.float64)
+                        * (1.0 / (1 << 53))) - 1.0
+            u, v = uv[0::2], uv[1::2]
+            s = u * u + v * v
+            ok = np.flatnonzero((0.0 < s) & (s < 1.0))[:want]
+            s = s[ok]
+            logs = np.fromiter(map(math.log, s.tolist()), dtype=np.float64, count=len(s))
+            factor = np.sqrt(-2.0 * logs / s)
+            vals = np.column_stack([u[ok] * factor, v[ok] * factor]).ravel()
+            m = min(len(vals), n - i)
+            out[i:i + m] = vals[:m]
+            i += m
+            if i < n:
+                self.state = int(st[-1])
+            else:
+                self.state = int(st[2 * ok[-1] + 1])
+                if m < len(vals):
+                    self._spare_normal = float(vals[-1])
+        return out
 
     def randint(self, n):
         """Uniform integer in [0, n)."""

@@ -1,6 +1,13 @@
-"""Shared run builders for the bound and acceptance tests."""
+"""Shared run builders and the CLI runner for the tests."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from omdkit.harness import ExperimentConfig, run_experiment
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 # the learner flags each CLI learner reads; every other (learner, flag) pair is a usage error
@@ -16,6 +23,14 @@ READS = {
     "scaleinv_pnorm": {"lipschitz", "eta", "loss"},
     "scaleinv_diag": {"lipschitz", "eta", "loss"},
 }
+
+
+def run_cli(*args, timeout=None):
+    """Run `python -m omdkit.cli` in a child process that imports omdkit from this checkout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "omdkit.cli", *args],
+                          capture_output=True, text=True, env=env, timeout=timeout)
 
 
 def gen_config(learner, params, spec, comparators=("zero",), audit=True):

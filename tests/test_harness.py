@@ -1,13 +1,11 @@
 import contextlib
 import io
 import json
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
-from helpers import READS, gen_config, noisy_linear, separable
+from helpers import READS, gen_config, noisy_linear, run_cli, separable
 from omdkit import cli
 from omdkit.data import (
     GeneratorSpec,
@@ -158,10 +156,16 @@ def test_svmlight_round_trip(tmp_path):
 
 
 def test_prng_reference_stream():
+    # pinned stream values: a drifted xorshift64* step, uniform or polar method fails them
     rng = Xorshift64Star(42)
-    first = [rng.next_u64() for _ in range(3)]
-    rng2 = Xorshift64Star(42)
-    assert first == [rng2.next_u64() for _ in range(3)]
+    assert [rng.next_u64() for _ in range(3)] == [
+        6255019084209693600, 14430073426741505498, 14575455857230217846]
+    assert repr(rng.uniform()) == "0.9440426349851643"
+    assert [repr(x) for x in rng.normals(5).tolist()] == [
+        "0.4903062665503979", "0.6226145725103451", "-1.3923164342805345",
+        "-0.28332282266980224", "-1.206830942782783"]
+    assert repr(rng._spare_normal) == "1.060402709690046"
+    assert rng.state == 3468368166034017918
     assert all(0.0 <= Xorshift64Star(7).uniform() < 1.0 for _ in range(100))
 
 
@@ -242,27 +246,22 @@ def test_compare_rescaling_invariance():
     assert res["max_relative_deviation"] <= 1e-6
 
 
-def _cli(*args):
-    return subprocess.run([sys.executable, "-m", "omdkit.cli", *args],
-                          capture_output=True, text=True)
-
-
 def test_cli_gen_run_audit_cycle(tmp_path):
     data = tmp_path / "d.svm"
-    out = _cli("gen", "--gen", "separable_margin:gamma=0.4,d=4,T=50",
-               "--seed", "3", "--out", str(data))
+    out = run_cli("gen", "--gen", "separable_margin:gamma=0.4,d=4,T=50",
+                  "--seed", "3", "--out", str(data))
     assert out.returncode == 0
     trace = tmp_path / "t.jsonl"
     summ = tmp_path / "s.json"
-    out = _cli("run", "--learner", "pa",
-               "--gen", "separable_margin:gamma=0.4,d=4,T=50", "--seed", "3",
-               "--comparator", "zero", "--comparator", "star",
-               "--trace", str(trace), "--summary", str(summ), "--strict-audit")
+    out = run_cli("run", "--learner", "pa",
+                  "--gen", "separable_margin:gamma=0.4,d=4,T=50", "--seed", "3",
+                  "--comparator", "zero", "--comparator", "star",
+                  "--trace", str(trace), "--summary", str(summ), "--strict-audit")
     assert out.returncode == 0, out.stderr
     summary = json.loads(summ.read_text())
     assert summary["T"] == 50
     assert summary["reports"]
-    out = _cli("audit", "--trace", str(trace), "--strict-audit")
+    out = run_cli("audit", "--trace", str(trace), "--strict-audit")
     assert out.returncode == 0, out.stderr
     audit_payload = json.loads(out.stdout)
     assert audit_payload["reports"] == summary["reports"]
@@ -275,7 +274,7 @@ def test_cli_byte_determinism_across_processes(tmp_path):
     blobs = []
     for tag in ("a", "b"):
         tp, sp = tmp_path / f"t{tag}.jsonl", tmp_path / f"s{tag}.json"
-        out = _cli(*args, "--trace", str(tp), "--summary", str(sp))
+        out = run_cli(*args, "--trace", str(tp), "--summary", str(sp))
         assert out.returncode == 0, out.stderr
         payload = json.loads(sp.read_text())
         payload.pop("wall_time_s", None)
@@ -285,35 +284,35 @@ def test_cli_byte_determinism_across_processes(tmp_path):
 
 def test_cli_audit_fingerprint_mismatch(tmp_path):
     trace = tmp_path / "t.jsonl"
-    out = _cli("run", "--learner", "pa",
-               "--gen", "separable_margin:gamma=0.4,d=4,T=30", "--seed", "3",
-               "--trace", str(trace), "--summary", str(tmp_path / "s.json"))
+    out = run_cli("run", "--learner", "pa",
+                  "--gen", "separable_margin:gamma=0.4,d=4,T=30", "--seed", "3",
+                  "--trace", str(trace), "--summary", str(tmp_path / "s.json"))
     assert out.returncode == 0, out.stderr
-    out = _cli("audit", "--trace", str(trace), "--learner", "pnorm_perceptron",
-               "--p", "1.5", "--gen", "separable_margin:gamma=0.4,d=4,T=30",
-               "--seed", "3")
+    out = run_cli("audit", "--trace", str(trace), "--learner", "pnorm_perceptron",
+                  "--p", "1.5", "--gen", "separable_margin:gamma=0.4,d=4,T=30",
+                  "--seed", "3")
     assert out.returncode == 2
     assert "fingerprint mismatch" in out.stderr
 
 
 def test_cli_exit_codes(tmp_path):
-    assert _cli("run").returncode == 1  # usage: missing --learner
-    assert _cli("nope").returncode == 1
-    out = _cli("run", "--learner", "pa", "--data", str(tmp_path / "missing.svm"))
+    assert run_cli("run").returncode == 1  # usage: missing --learner
+    assert run_cli("nope").returncode == 1
+    out = run_cli("run", "--learner", "pa", "--data", str(tmp_path / "missing.svm"))
     assert out.returncode == 2
     bad = tmp_path / "bad.svm"
     bad.write_text("1 2:a\n")
-    out = _cli("run", "--learner", "pa", "--data", str(bad))
+    out = run_cli("run", "--learner", "pa", "--data", str(bad))
     assert out.returncode == 2
-    out = _cli("compare", "--learner", "scaleinv_diag",
-               "--gen", "noisy_linear:sigma=0.1,d=3,T=40", "--seed", "1",
-               "--rescale", "100,1,0.1", "--tol", "1e-6", "--strict-audit")
+    out = run_cli("compare", "--learner", "scaleinv_diag",
+                  "--gen", "noisy_linear:sigma=0.1,d=3,T=40", "--seed", "1",
+                  "--rescale", "100,1,0.1", "--tol", "1e-6", "--strict-audit")
     assert out.returncode == 0, out.stderr
 
 
 def test_cli_infeasible_generator_is_data_error(tmp_path):
-    out = _cli("gen", "--gen", "separable_margin:gamma=1.5,d=3,T=5",
-               "--out", str(tmp_path / "x.svm"))
+    out = run_cli("gen", "--gen", "separable_margin:gamma=1.5,d=3,T=5",
+                  "--out", str(tmp_path / "x.svm"))
     assert out.returncode == 2
     assert "infeasible" in out.stderr
 
@@ -323,8 +322,7 @@ def test_cli_bad_generator_spec_is_data_error():
     for spec, msg in (("separable_margin:gamma=0.5,d=0,T=5", "d >= 1"),
                       ("separable_margin:gamma=0.5,d=3,T=5,extra=1", "unknown parameters"),
                       ("separable_margin:gamma,d=3,T=5", "expected key=number, got 'gamma'")):
-        out = subprocess.run([sys.executable, "-m", "omdkit.cli", "run", "--learner", "pa",
-                              "--gen", spec], capture_output=True, text=True, timeout=60)
+        out = run_cli("run", "--learner", "pa", "--gen", spec, timeout=60)
         assert out.returncode == 2, out.stderr
         assert msg in out.stderr
         assert "Traceback" not in out.stderr
@@ -333,7 +331,7 @@ def test_cli_bad_generator_spec_is_data_error():
 def test_cli_non_finite_svmlight_is_data_error(tmp_path):
     bad = tmp_path / "nan.svm"
     bad.write_text("1 1:0.5\n-1 1:nan\n")
-    out = _cli("run", "--learner", "pa", "--data", str(bad))
+    out = run_cli("run", "--learner", "pa", "--data", str(bad))
     assert out.returncode == 2
     assert f"{bad}: line 2: non-finite feature token '1:nan'" in out.stderr
 
@@ -367,10 +365,10 @@ def test_report_violations_flags_bad_slack():
 
 def test_cli_composite_constant_schedule_strict_audit(tmp_path):
     # the constant schedule is audited by the general display alone
-    out = _cli("run", "--learner", "composite", "--schedule", "constant",
-               "--eta", "0.7", "--lam", "0.1",
-               "--gen", "noisy_linear:sigma=0.2,d=4,T=60", "--seed", "2",
-               "--comparator", "zero", "--comparator", "star", "--strict-audit")
+    out = run_cli("run", "--learner", "composite", "--schedule", "constant",
+                  "--eta", "0.7", "--lam", "0.1",
+                  "--gen", "noisy_linear:sigma=0.2,d=4,T=60", "--seed", "2",
+                  "--comparator", "zero", "--comparator", "star", "--strict-audit")
     assert out.returncode == 0, out.stderr
     names = [r["name"] for r in json.loads(out.stdout)["reports"]]
     assert names == ["engine", "composite_general"]
@@ -378,18 +376,18 @@ def test_cli_composite_constant_schedule_strict_audit(tmp_path):
 
 def test_cli_composite_linear_schedule_eta_below_one_strict_audit(tmp_path):
     # the linear display needs eta == 1; with eta 0.7 the general display alone audits
-    out = _cli("run", "--learner", "composite", "--schedule", "linear",
-               "--ridge", "0.5", "--eta", "0.7",
-               "--gen", "noisy_linear:sigma=0.2,d=6,T=80", "--seed", "1",
-               "--comparator", "zero", "--comparator", "star", "--strict-audit")
+    out = run_cli("run", "--learner", "composite", "--schedule", "linear",
+                  "--ridge", "0.5", "--eta", "0.7",
+                  "--gen", "noisy_linear:sigma=0.2,d=6,T=80", "--seed", "1",
+                  "--comparator", "zero", "--comparator", "star", "--strict-audit")
     assert out.returncode == 0, out.stderr
     names = [r["name"] for r in json.loads(out.stdout)["reports"]]
     assert names == ["engine", "composite_general"]
 
 
 def test_cli_eta_mode_flag_is_gone(tmp_path):
-    out = _cli("run", "--learner", "pa", "--eta-mode", "fixed",
-               "--gen", "separable_margin:gamma=0.4,d=4,T=30")
+    out = run_cli("run", "--learner", "pa", "--eta-mode", "fixed",
+                  "--gen", "separable_margin:gamma=0.4,d=4,T=30")
     assert out.returncode == 1
     assert "--eta-mode" in out.stderr
 
@@ -408,9 +406,9 @@ def test_audit_accepts_stored_eta_mode_param(tmp_path):
 
 def test_cli_perceptron_margin_bound(tmp_path):
     # classical bound instance: conservative perceptron on separable data
-    out = _cli("run", "--learner", "pnorm_perceptron", "--p", "2.0",
-               "--gen", "separable_margin:gamma=0.5,d=5,T=300", "--seed", "7",
-               "--comparator", "star", "--strict-audit")
+    out = run_cli("run", "--learner", "pnorm_perceptron", "--p", "2.0",
+                  "--gen", "separable_margin:gamma=0.5,d=5,T=300", "--seed", "7",
+                  "--comparator", "star", "--strict-audit")
     assert out.returncode == 0, out.stderr
     summary = json.loads(out.stdout)
     fom = [r for r in summary["reports"] if r["name"] == "first_order_mistake"][0]
@@ -488,6 +486,67 @@ def test_cli_removed_and_unpaired_options_are_usage_errors(tmp_path):
     assert _main_code(["run", "--learner", "pa", "--gen", gen, "--no-audit"])[0] == 0
     assert _main_code(["audit", "--trace", str(trace), "--learner", "pa",
                        "--gen", gen])[0] == 0
+
+
+def _data_files(tmp_path):
+    svm, csv = tmp_path / "d.svm", tmp_path / "d.csv"
+    svm.write_text("1 1:0.5 2:0.2\n-1 1:0.1 2:0.3\n")
+    csv.write_text("y,a,b\n1,0.5,0.2\n0,0.1,0.3\n")
+    return str(svm), str(csv)
+
+
+def test_cli_rejects_data_flags_the_gen_source_does_not_read(tmp_path):
+    svm, _ = _data_files(tmp_path)
+    gen = TINY["separable"]
+    for extra, flag in ((["--data", svm], "--data"), (["--format", "csv"], "--format"),
+                        (["--format", "svmlight"], "--format"),
+                        (["--label-column", "y"], "--label-column"),
+                        (["--remap01"], "--remap01"), (["--dim", "7"], "--dim")):
+        for command in ("run", "compare"):
+            argv = [command, "--learner", "scaleinv_diag", "--gen", gen, *extra]
+            code, err = _main_code([*argv, "--rescale", "2,1"] if command == "compare"
+                                   else argv)
+            assert code == 1, argv
+            assert f"--gen does not read {flag}" in err, err
+    trace = tmp_path / "t.jsonl"
+    assert _main_code(["run", "--learner", "pa", "--gen", gen, "--seed", "2",
+                       "--rescale", "2,1", "--trace", str(trace)])[0] == 0
+    code, err = _main_code(["audit", "--trace", str(trace), "--learner", "pa", "--gen", gen,
+                            "--dim", "7"])
+    assert code == 1 and "--gen does not read --dim" in err
+
+
+def test_cli_rejects_seed_and_rescale_the_data_source_does_not_read(tmp_path):
+    svm, _ = _data_files(tmp_path)
+    trace = tmp_path / "t.jsonl"
+    assert _main_code(["run", "--learner", "pa", "--data", svm, "--dim", "3",
+                       "--trace", str(trace)])[0] == 0
+    for argv, flags in (
+            (["run", "--learner", "pa", "--data", svm, "--seed", "3"], "--seed"),
+            (["run", "--learner", "pa", "--data", svm, "--rescale", "2,1"], "--rescale"),
+            (["audit", "--trace", str(trace), "--learner", "pa", "--data", svm,
+              "--seed", "3", "--rescale", "2,1"], "--rescale, --seed"),
+            (["compare", "--learner", "scaleinv_diag", "--data", svm, "--seed", "3",
+              "--rescale", "2,1"], "--seed")):
+        code, err = _main_code(argv)
+        assert code == 1, argv
+        assert f"--data does not read {flags}" in err, err
+    # compare reads --rescale whatever the source, and then refuses a file source itself
+    code, err = _main_code(["compare", "--learner", "scaleinv_diag", "--data", svm,
+                            "--rescale", "2,1"])
+    assert code == 2 and "compare needs a generator data source" in err
+
+
+def test_cli_rejects_csv_flags_without_csv_format(tmp_path):
+    svm, csv = _data_files(tmp_path)
+    for extra, flags in ((["--label-column", "y"], "--label-column"), (["--remap01"], "--remap01"),
+                         (["--format", "svmlight", "--label-column", "y", "--remap01"],
+                          "--label-column, --remap01")):
+        code, err = _main_code(["run", "--learner", "pa", "--data", svm, *extra])
+        assert code == 1, extra
+        assert f"{flags} only with --format csv" in err, err
+    assert _main_code(["run", "--learner", "pa", "--data", csv, "--format", "csv",
+                       "--label-column", "y", "--remap01", "--dim", "3"])[0] == 0
 
 
 def test_cli_names_first_nonfinite_round(tmp_path):
