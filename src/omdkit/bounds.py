@@ -1,10 +1,11 @@
 """Bound evaluators over finished run traces, plus closed-form implicit-inequality solvers.
 
-Evaluators consume immutable RunTrace objects and never touch learner
-state. Each accepts a single comparator (d,) or a batch (N, d); the
-returned BoundReport carries the numbers at the comparator with the
-smallest slack, so "slack >= -tol" on the report certifies the bound for
-every comparator supplied.
+Evaluators consume immutable RunTrace objects, read the run's parameters
+off its final learner and never change learner state. Each accepts a
+single comparator (d,) or a batch (N, d); the returned BoundReport
+carries the numbers at the comparator with the smallest slack, so
+"slack >= -tol" on the report certifies the bound for every comparator
+supplied.
 """
 
 import math
@@ -40,11 +41,13 @@ class BoundReport:
 
 @dataclass
 class RunTrace:
-    """Finished run: per-step records plus the inputs and final learner that produced them."""
+    """Finished run: its dataset, per-round records and final learner.
 
-    learner_name: str
-    params: dict
-    examples: list
+    The learner's (theta, f_T) and attributes (eta, loss_name, a, kind,
+    lipschitz, variant, r) describe the run; design() caches X and y.
+    """
+
+    dataset: object
     records: list
     learner: object
 
@@ -52,20 +55,16 @@ class RunTrace:
     _labels: np.ndarray = None
 
     @property
-    def final_reg(self):
-        return self.learner.reg
-
-    @property
     def dim(self):
         return self.learner.dim
 
     def design(self):
         if self._design is None:
-            X = np.zeros((len(self.examples), self.dim))
-            for i, ex in enumerate(self.examples):
+            X = np.zeros((len(self.dataset), self.dim))
+            for i, ex in enumerate(self.dataset):
                 X[i, ex.x.indices] = ex.x.values
             self._design = X
-            self._labels = np.array([ex.y for ex in self.examples])
+            self._labels = np.array([ex.y for ex in self.dataset])
         return self._design, self._labels
 
 
@@ -160,7 +159,7 @@ def engine_audit(trace, u):
     quad_sum = float(sum(r.dual_norm_sq / (2.0 * r.beta) for r in recs if r.dual_norm_sq != 0))
     residue_sum = float(sum(r.residue for r in recs))
     residue_gap = _max([r.residue - r.reg_drop for r in recs])
-    f_T = np.atleast_1d(np.asarray(trace.final_reg.value(U), float))
+    f_T = np.atleast_1d(np.asarray(trace.learner.reg.value(U), float))
     terms = {"quad_sum": quad_sum, "residue_sum": residue_sum, "max_residue_gap": residue_gap}
     return _finish("engine", U @ Z - zw_sum, f_T + quad_sum + residue_sum, terms, U)
 
@@ -174,16 +173,16 @@ def composite_bound(trace, u, schedule):
     """
     if schedule not in ("general", "sqrt", "linear"):
         raise ValueError("schedule must be general, sqrt, or linear")
-    reg = trace.final_reg
+    reg = trace.learner.reg
     run_sched = getattr(reg, "schedule", "constant")
     if schedule != "general" and run_sched != schedule:
         raise ValueError(f"schedule mismatch: run used {run_sched!r}")
-    eta = float(trace.params["eta"])
+    eta = trace.learner.eta
     recs = trace.records
     T = len(recs)
     X, y = trace.design()
     U = _as_batch(u, trace.dim)
-    loss_kind = trace.params["loss"]
+    loss_kind = trace.learner.loss_name
     penalty_u = np.atleast_1d(np.asarray(reg.penalty_value(U), float))
     loss_u = _cumulative_losses(U, X, y, loss_kind)
     measured_run = float(sum(r.loss + r.extras.get("penalty_w", 0.0) for r in recs))
@@ -218,7 +217,7 @@ def vaw_bound(trace, u):
     """Square-loss regret against (a/2)||u||^2 + (Y^2/2) sum_t x_t^T A_t^{-1} x_t, Y = max|y_t|."""
     X, y = trace.design()
     U = _as_batch(u, trace.dim)
-    a = float(trace.params["a"])
+    a = trace.learner.a
     Y = float(np.max(np.abs(y))) if y.size else 0.0
     run_loss = float(sum(r.loss for r in trace.records))
     measured = run_loss - _cumulative_losses(U, X, y, "square")
@@ -235,8 +234,8 @@ def adaptive_filter_bound(trace, u):
     preds = np.array([r.prediction for r in trace.records])
     P = U @ X.T
     measured = ((preds[None, :] - P) ** 2).sum(axis=1)
-    x_max = float(trace.final_reg.x_max)
-    f_u = np.atleast_1d(np.asarray(trace.final_reg.base.value(U), float))
+    x_max = float(trace.learner.reg.x_max)
+    f_u = np.atleast_1d(np.asarray(trace.learner.reg.base.value(U), float))
     noise = ((y[None, :] - P) ** 2).sum(axis=1)
     bound = 2.0 * x_max * x_max * f_u + noise
     return _finish("adaptive_filter", measured, bound, {"x_max": x_max}, U)
@@ -251,14 +250,14 @@ def scale_invariant_bound(trace, u):
     p_T is the clamped exponent max(2 ln m_T, 2), which keeps the display
     meaningful for tiny supports and matches the regularizer actually run.
     """
-    kind = trace.params["kind"]
-    reg = trace.final_reg
+    kind = trace.learner.kind
+    reg = trace.learner.reg
     X, y = trace.design()
     U = _as_batch(u, trace.dim)
-    eta = float(trace.params["eta"])
-    L = float(trace.params["lipschitz"])
+    eta = trace.learner.eta
+    L = trace.learner.lipschitz
     T = len(trace.records)
-    loss_kind = trace.params["loss"]
+    loss_kind = trace.learner.loss_name
     run_loss = float(sum(r.loss for r in trace.records))
     measured = run_loss - _cumulative_losses(U, X, y, loss_kind)
     b = reg.b
@@ -292,7 +291,7 @@ def first_order_mistake_bound(trace, u):
     unclamped display value for reference). Whenever D >= -sum eta_t the
     two forms agree.
     """
-    reg = trace.final_reg
+    reg = trace.learner.reg
     beta = float(reg.strong_convexity())
     recs = trace.records
     X, y = trace.design()
@@ -344,8 +343,8 @@ def second_order_bound(trace, u):
     the number of update rounds, which is M + U for the aggressive
     triggers and M for the conservative one.
     """
-    variant = trace.params["variant"]
-    r = float(trace.params["r"])
+    variant = trace.learner.variant
+    r = trace.learner.r
     recs = trace.records
     X, y = trace.design()
     U = _as_batch(u, trace.dim)
@@ -362,7 +361,7 @@ def second_order_bound(trace, u):
         "r": r,
     }
     if variant == "full":
-        logdet = float(trace.final_reg.tracker.logdet)
+        logdet = float(trace.learner.reg.tracker.logdet)
         s_term = 0.0
         mistake_chain_ok = True
         for i in upd:
@@ -408,7 +407,7 @@ def diag_rare_feature_refinement(trace, u, s):
     u = np.asarray(u, dtype=np.float64)
     if u.ndim != 1:
         raise ValueError("refinement takes a single comparator")
-    r = float(trace.params["r"])
+    r = trace.learner.r
     recs = trace.records
     X, y = trace.design()
     upd = [i for i, rec in enumerate(recs) if rec.extras.get("updated")]

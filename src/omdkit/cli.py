@@ -5,6 +5,7 @@ violation. Flags are long-form only.
 """
 
 import argparse
+import math
 import sys
 
 from .data import GeneratorSpec, generate, rescale_dataset, write_svmlight
@@ -28,6 +29,17 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)
         raise SystemExit(1)
+
+
+def _finite(text):
+    """argparse type for the float flags: nan, inf, -inf and non-numbers are usage errors."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
 
 
 def _parse_gen_spec(text, seed):
@@ -75,7 +87,7 @@ _CHOICES = {"variant": SecondOrderClassifier.VARIANTS, "trigger": SecondOrderCla
 # data-source flags and their defaults; on `audit` they only feed the --learner override
 _DATA_FLAGS = {"gen": None, "data": None, "format": "svmlight", "label_column": "label",
                "remap01": False, "dim": None, "seed": 0, "rescale": None}
-# the data-source flags each source reads; `compare` reads --rescale itself, for either source
+# the data-source flags each source reads; `compare` reads only --gen
 _SOURCE_READS = {"gen": {"gen", "seed", "rescale"},
                  "data": {"data", "format", "label_column", "remap01", "dim"}}
 
@@ -100,7 +112,7 @@ def _add_run_flags(sp, need_learner=True):
     sp.add_argument("--rescale", help="comma-separated per-coordinate factors")
     for key in _LEARNER_FLAGS:
         sp.add_argument(_flags([key]), dest=key, choices=_CHOICES.get(key),
-                        type=None if key in _CHOICES else float)
+                        type=None if key in _CHOICES else _finite)
 
 
 def _check_flags(parser, args):
@@ -111,10 +123,15 @@ def _check_flags(parser, args):
     unread = [k for k in given if k in _LEARNER_FLAGS and k not in LEARNERS[args.learner][1]]
     if unread:
         parser.error(f"learner {args.learner} does not read {_flags(unread)}")
+    # the refinement needs the generator's u_star, and compare audits nothing
+    if args.rare_s is not None and (args.command == "compare" or args.variant != "diagonal"
+                                    or args.gen is None):
+        parser.error("--rare-s is read only by run and audit with --variant diagonal and --gen")
+    if args.command == "compare" and args.gen is None:
+        parser.error("compare needs --gen; it does not read --data")
     source = "gen" if args.gen is not None else "data" if args.data is not None else None
     if source:
-        reads = _SOURCE_READS[source] | ({"rescale"} if args.command == "compare" else set())
-        unread = [k for k in given if k in _DATA_FLAGS and k not in reads]
+        unread = [k for k in given if k in _DATA_FLAGS and k not in _SOURCE_READS[source]]
         if unread:
             parser.error(f"--{source} does not read {_flags(unread)}")
     csv_only = [k for k in ("label_column", "remap01") if getattr(args, k) is not None]
@@ -154,7 +171,7 @@ def main(argv=None):
 
     sp = sub.add_parser("compare", help="prediction-invariance replay under rescaling")
     _add_run_flags(sp)
-    sp.add_argument("--tol", type=float)
+    sp.add_argument("--tol", type=_finite)
     sp.add_argument("--strict-audit", action="store_true", dest="strict")
 
     args = parser.parse_args(argv)
@@ -220,10 +237,9 @@ def _dispatch(args):
     if args.command == "compare":
         if not args.rescale:
             raise ValueError("compare requires --rescale")
+        spec = _parse_gen_spec(args.gen, args.seed).to_dict()
         config = ExperimentConfig(args.learner, _learner_params(args),
-                                  {"kind": "generator",
-                                   "spec": _parse_gen_spec(args.gen, args.seed).to_dict()}
-                                  if args.gen else _data_config(args), audit=False)
+                                  {"kind": "generator", "spec": spec}, audit=False)
         result = run_compare(config, [float(c) for c in args.rescale.split(",")])
         print(write_summary(None, result), end="")
         if args.strict and result["max_relative_deviation"] > args.tol:

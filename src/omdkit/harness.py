@@ -159,23 +159,21 @@ def drive(learner, dataset):
 
 
 def _replay(config):
-    """Load, validate, build and drive config; returns (trace, dataset, drive seconds)."""
+    """Load, validate, build and drive config; returns (trace, drive seconds)."""
     dataset = load_dataset(config)
     learner = build_learner(config, dataset.dim)
     _validate_labels(learner, dataset)
     t0 = time.perf_counter()
     records = drive(learner, dataset)
     wall = time.perf_counter() - t0
-    trace = RunTrace(config.learner, {**config.params, **learner.params()}, dataset.examples,
-                     records, learner)
-    return trace, dataset, wall
+    return RunTrace(dataset, records, learner), wall
 
 
 def run_experiment(config):
     """Returns (trace, summary, reports). Bound reports only when audit is on."""
-    trace, dataset, wall = _replay(config)
+    trace, wall = _replay(config)
     records = trace.records
-    reports = audit_reports(trace, config, dataset) if config.audit else []
+    reports = audit_reports(trace, config) if config.audit else []
     summary = {
         "T": len(records),
         "cumulative_loss": float(sum(r.loss for r in records)),
@@ -209,7 +207,7 @@ def _grid_spec(spec, dim):
     return radius, int(points)
 
 
-def comparator_matrix(specs, trace, dataset):
+def comparator_matrix(specs, trace):
     """Resolve comparator specs into one (N, d) matrix."""
     dim = trace.dim
     rows = []
@@ -217,13 +215,13 @@ def comparator_matrix(specs, trace, dataset):
         if spec == "zero":
             rows.append(np.zeros((1, dim)))
         elif spec == "star":
-            u = dataset.meta.get("u_star")
+            u = trace.dataset.meta.get("u_star")
             if u is None:
                 raise ValueError("comparator 'star' needs a generator with an embedded target")
             rows.append(np.asarray(u, float)[None, :])
         elif spec == "batch":
             X, y = trace.design()
-            kind = trace.params.get("loss")
+            kind = getattr(trace.learner, "loss_name", None)
             if kind not in ("hinge", "square", "absolute"):
                 kind = "hinge" if trace.learner.binary_labels else "square"
             rows.append(batch_comparator(X, y, kind=kind)[None, :])
@@ -240,17 +238,17 @@ def comparator_matrix(specs, trace, dataset):
     return np.vstack(rows)
 
 
-def audit_reports(trace, config, dataset):
+def audit_reports(trace, config):
     """Every bound evaluator applicable to the trace's learner."""
-    U = comparator_matrix(config.comparators, trace, dataset)
+    U = comparator_matrix(config.comparators, trace)
     learner = trace.learner
     reports = [bounds_mod.engine_audit(trace, U)]
     if isinstance(learner, FirstOrderClassifier):
         reports.append(bounds_mod.first_order_mistake_bound(trace, U))
     elif isinstance(learner, SecondOrderClassifier):
         reports.append(bounds_mod.second_order_bound(trace, U))
-        s = trace.params.get("rare_s")
-        star = dataset.meta.get("u_star")
+        s = config.params.get("rare_s")
+        star = trace.dataset.meta.get("u_star")
         if s is not None and learner.variant == "diagonal" and star is not None:
             rep, _ok = bounds_mod.diag_rare_feature_refinement(trace, np.asarray(star), s)
             reports.append(rep)
@@ -388,7 +386,7 @@ def audit_stored(path, config_override=None):
             )
     if config.fingerprint() != header["fingerprint"]:
         raise ValueError("trace header fingerprint does not match its own config")
-    trace, dataset, _ = _replay(config)
+    trace, _ = _replay(config)
     records = trace.records
     if len(stored) < len(records):
         raise ValueError(f"{path}: trace truncated at record {len(stored)} "
@@ -400,7 +398,7 @@ def audit_stored(path, config_override=None):
         if stored[i] != canonical_json(payload):
             raise ValueError(f"{path}: record {i + 1} does not match the replayed run: "
                              f"{_record_mismatch(stored[i], payload)}")
-    return audit_reports(trace, config, dataset), trace
+    return audit_reports(trace, config), trace
 
 
 def prediction_deviation(trace_a, trace_b):

@@ -14,8 +14,8 @@ What differs per learner is the protocol: which hook advances the state
 before the prediction, how z_t is formed, and whether a subgradient is
 folded back in. The StepRecord carries the audit quantities (dual norm of
 z_t, strong convexity, conjugate residue) consumed by the bound
-evaluators. FirstOrderClassifier, whose regularizer never changes, applies
-its update directly.
+evaluators. A learner's attributes (eta, loss_name, a, kind, lipschitz,
+variant, r) are the run's parameters as the evaluators read them.
 """
 
 from dataclasses import dataclass, field
@@ -107,15 +107,17 @@ class OnlineLearner:
         return _residue_terms(prev, self.reg, self.theta, self.w, first_round)
 
     def _emit(self, z, grad=None, **fields):
-        """Record <z, w_t>, fold the loss subgradient grad into f, apply theta += z."""
+        """Record <z, w_t>, fold the loss subgradient grad into f, apply theta += z.
+
+        A zero z with no grad leaves theta and f as they are, so the step is
+        skipped and w keeps its bits.
+        """
         zw = float(z @ self.w)
         if grad is not None:
             self.reg.observe_gradient(grad)
-        self.apply_update(z)
+        if grad is not None or z.any():
+            self.apply_update(z)
         return StepRecord(t=self.t, z=z, zw=zw, **fields)
-
-    def params(self):
-        return {}
 
 
 class GradientDescentLearner(OnlineLearner):
@@ -146,9 +148,6 @@ class GradientDescentLearner(OnlineLearner):
             beta=float(self.reg.strong_convexity()), residue=residue, reg_drop=drop,
             extras=extras,
         )
-
-    def params(self):
-        return {"eta": self.eta, "loss": self.loss_name}
 
 
 class FirstOrderClassifier(OnlineLearner):
@@ -197,21 +196,15 @@ class FirstOrderClassifier(OnlineLearner):
         else:
             eta = (self.x_max ** 2 - beta * y * margin) / (x_dual * x_dual)
             eta = min(max(eta, 0.0), 1.0)
-        if ev.active and eta > 0.0:
-            z = eta * y * xd
-        else:
-            z = np.zeros(self.dim)
-        zw = float(z @ self.w)
-        dsq = (eta * x_dual) ** 2 if ev.active else 0.0
-        if z.any():
-            self.apply_update(z)
-        return StepRecord(
-            t=self.t, prediction=margin, label=y, loss=ev.value, eta=eta, z=z,
-            mistake=mistake, margin_error=margin_error, dual_norm_sq=dsq,
-            beta=beta, zw=zw,
+        z = eta * y * xd if ev.active and eta > 0.0 else np.zeros(self.dim)
+        return self._emit(
+            z, prediction=margin, label=y, loss=ev.value, eta=eta, mistake=mistake,
+            margin_error=margin_error, dual_norm_sq=(eta * x_dual) ** 2 if ev.active else 0.0,
+            beta=beta,
             extras={"x_dual_sq": x_dual * x_dual, "x_max": self.x_max,
                     "ymargin": y * margin},
         )
+
 
 class SecondOrderClassifier(OnlineLearner):
     """Classifier preconditioned by the inverse feature correlation matrix.
@@ -287,9 +280,6 @@ class SecondOrderClassifier(OnlineLearner):
             residue=residue, reg_drop=drop, extras=extras,
         )
 
-    def params(self):
-        return {"r": self.r, "variant": self.variant, "trigger": self.trigger}
-
 
 class VAWRegressor(OnlineLearner):
     """Ridge-style online regression where x_t enters the regularizer before the label.
@@ -332,9 +322,6 @@ class VAWRegressor(OnlineLearner):
     def round(self, x, y):
         self.observe(x)
         return self.label(y)
-
-    def params(self):
-        return {"a": self.a}
 
 
 class AdaptiveFilter(OnlineLearner):
@@ -411,7 +398,3 @@ class ScaleInvariantRegressor(OnlineLearner):
             beta=float(self.reg.strong_convexity()), residue=residue, reg_drop=drop,
             extras=extras,
         )
-
-    def params(self):
-        return {"kind": self.kind, "lipschitz": self.lipschitz, "eta": self.eta,
-                "loss": self.loss_name}

@@ -127,7 +127,6 @@ class RankOneInverse:
         u = self.inv @ xd
         chi = float(xd @ u)
         self.inv -= np.outer(u, u) / (self.r + chi)
-        self.inv = 0.5 * (self.inv + self.inv.T)
         self.logdet += math.log1p(chi / self.r)
         return chi
 

@@ -34,7 +34,7 @@ from omdkit.bounds import (
     second_order_bound,
     sqrt_sum_inequality_check,
 )
-from omdkit.data import Example, GeneratorSpec, generate
+from omdkit.data import Dataset, Example, GeneratorSpec, generate
 from omdkit.harness import (
     audit_stored,
     canonical_json,
@@ -158,7 +158,7 @@ def test_criterion_4_aggressive_vs_baseline():
         x = np.array([a, 0.0])
         recs.append(lrn.round(x, 1.0))
         examples.append(Example(SparseVec.from_dense(x), 1.0))
-    trace = RunTrace("pa", {}, examples, recs, lrn)
+    trace = RunTrace(Dataset(examples, lrn.dim), recs, lrn)
     rep = first_order_mistake_bound(trace, np.array([[4.0, 0.0], [6.0, 0.0]]))
     d_negative = rep.terms["D"] < 0.0
     strictly_better = rep.bound < rep.terms["perceptron_bound"]
@@ -170,7 +170,7 @@ def test_criterion_4_aggressive_vs_baseline():
         spec = separable(seed, gamma=0.5, d=5, T=300)
         trace, summary, _ = run("pnorm_perceptron", {"p": 2.0}, spec, audit=False)
         star = generate(GeneratorSpec.from_dict(spec)).meta["u_star"]
-        reg = trace.final_reg
+        reg = trace.learner.reg
         beta = reg.strong_convexity()
         x_T = max(r.extras["x_max"] for r in trace.records)
         cap = (2.0 / beta) * float(reg.value(star)) * x_T ** 2

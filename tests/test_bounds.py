@@ -24,13 +24,14 @@ from omdkit.bounds import (
     sqrt_sum_inequality_check,
     vaw_bound,
 )
+from omdkit.data import Dataset
 from omdkit.learners import FirstOrderClassifier, StepRecord, VAWRegressor
 from omdkit.oracles import implicit_scan
 from omdkit.regularizers import FixedQuadratic
 
 
 def _manual_trace(records, learner):
-    return RunTrace("manual", {}, [], records, learner)
+    return RunTrace(Dataset([], learner.dim), records, learner)
 
 
 def test_engine_audit_single_step_hand_example():
@@ -75,13 +76,13 @@ def test_first_order_and_composite_maxima_keep_nan():
     examples = [Example(SparseVec.from_dense(x), 1.0)] * 2
     recs = [lrn.round(x, 1.0) for _ in range(2)]
     recs[1].extras["x_max"] = math.nan
-    rep = first_order_mistake_bound(RunTrace("pa", {}, examples, recs, lrn), np.zeros(2))
+    rep = first_order_mistake_bound(RunTrace(Dataset(examples, lrn.dim), recs, lrn), np.zeros(2))
     assert math.isnan(rep.terms["X_T"])
 
     lrn = GradientDescentLearner(SqrtScheduled(FixedQuadratic(2)), loss="absolute", eta=1.0)
     recs = [lrn.round(x, 1.0) for _ in range(2)]
     recs[1].dual_norm_sq = math.nan
-    trace = RunTrace("composite", {"eta": 1.0, "loss": "absolute"}, examples, recs, lrn)
+    trace = RunTrace(Dataset(examples, lrn.dim), recs, lrn)
     rep = composite_bound(trace, np.zeros(2), "sqrt")
     assert math.isnan(rep.terms["max_lgrad_dual_sq"])
 
@@ -106,7 +107,7 @@ def test_vaw_hand_example():
     from omdkit.linalg import SparseVec
 
     examples = [Example(SparseVec([(0, 1.0)], 1), 1.0)] * 2
-    trace = RunTrace("vaw", {"a": 1.0}, examples, recs, lrn)
+    trace = RunTrace(Dataset(examples, lrn.dim), recs, lrn)
     grid = np.linspace(-2, 2, 81)[:, None]
     rep = vaw_bound(trace, grid)
     # bound at u: u^2/2 + (1/2)(1/2 + 1/3)
@@ -131,7 +132,7 @@ def test_first_order_mistake_negative_d_on_margin_error_heavy_stream():
         recs.append(lrn.round(x, 1.0))
         examples.append(Example(SparseVec.from_dense(x), 1.0))
     assert sum(r.margin_error for r in recs) == 60
-    trace = RunTrace("pa", {}, examples, recs, lrn)
+    trace = RunTrace(Dataset(examples, lrn.dim), recs, lrn)
     u = np.array([[4.0, 0.0]])
     rep = first_order_mistake_bound(trace, u)
     assert rep.terms["D"] < 0.0
@@ -162,7 +163,7 @@ def test_first_order_mistake_bound_clamps_oversubtraction():
         feed([0.5 / max(lrn.w[0], 1e-9), 0.0], 1.0)
         # tiny mistakes against the current direction keep M growing
         feed([0.01, 0.0], -1.0)
-    trace = RunTrace("pa", {}, examples, recs, lrn)
+    trace = RunTrace(Dataset(examples, lrn.dim), recs, lrn)
     rep = first_order_mistake_bound(trace, np.zeros((1, 2)))
     assert rep.terms["D"] < -rep.terms["eta_margin_sum"] - 1e-9
     assert rep.terms["D_effective"] == pytest.approx(-rep.terms["eta_margin_sum"])
@@ -203,8 +204,7 @@ def test_second_order_hand_example():
     lrn = SecondOrderClassifier(2, r=1.0, variant="full")
     rec = lrn.round([1.0, 0.0], 1.0)
     examples = [Example(SparseVec.from_dense(np.array([1.0, 0.0])), 1.0)]
-    trace = RunTrace("second_order", {"r": 1.0, "variant": "full", "trigger": "omd"},
-                     examples, [rec], lrn)
+    trace = RunTrace(Dataset(examples, lrn.dim), [rec], lrn)
     u = np.array([2.0, 0.3])
     rep = second_order_bound(trace, u)
     assert rep.measured == 1.0
@@ -312,8 +312,7 @@ def test_composite_sqrt_display_with_pnorm_base():
         y = float(u_true @ x) + 0.3 * rng.normal()
         recs.append(lrn.round(x, y))
         examples.append(Example(SparseVec.from_dense(x), y))
-    trace = RunTrace("composite", {"eta": 0.6, "loss": "absolute", "schedule": "sqrt"},
-                     examples, recs, lrn)
+    trace = RunTrace(Dataset(examples, lrn.dim), recs, lrn)
     U = np.vstack([np.zeros(d), u_true, 0.5 * u_true])
     for sched in ("sqrt", "general"):
         rep = composite_bound(trace, U, sched)
@@ -353,7 +352,7 @@ def test_filter_and_scale_invariant_reports_through_harness():
         x = np.array([1.0])
         recs.append(lrn.round(x, 0.5))
         examples.append(Example(SparseVec.from_dense(x), 0.5))
-    trace = RunTrace("scaleinv_diag", lrn.params(), examples, recs, lrn)
+    trace = RunTrace(Dataset(examples, lrn.dim), recs, lrn)
     from omdkit.bounds import scale_invariant_bound
 
     rep = scale_invariant_bound(trace, np.array([[2.0]]))

@@ -1,9 +1,11 @@
 """Golden digests: traces, summaries and audit payloads pinned byte for byte.
 
 One run per CLI learner config at d=5, T=60 with comparators zero and
-star. A refactor of the engine, harness or CLI must keep every digest;
-changing one on purpose means a TRACE_VERSION bump or a documented
-behaviour change, and new digests here.
+star, plus the batch comparator for four learners and two diagonal
+second-order runs with the rare-feature refinement. A refactor of the
+engine, harness or CLI must keep every digest; changing one on purpose
+means a TRACE_VERSION bump or a documented behaviour change, and new
+digests here.
 """
 
 import hashlib
@@ -33,6 +35,21 @@ CONFIGS = {
     "scaleinv_diag": (["--learner", "scaleinv_diag"], LINEAR),
 }
 
+# runs that reach the batch comparator or the rare-feature refinement: (flags, gen, comparators)
+EXTRA_CONFIGS = {
+    "ogd_square_batch": (["--learner", "ogd", "--eta", "0.1", "--loss", "square"], LINEAR,
+                         ["batch"]),
+    "composite_batch": (CONFIGS["composite"][0], LINEAR, ["batch"]),
+    "pa_batch": (["--learner", "pa"], SEPARABLE, ["zero", "batch"]),
+    "vaw_batch": (["--learner", "vaw", "--a", "1"], LINEAR, ["batch"]),
+    "second_order_diagonal_rare_s": (["--learner", "second_order", "--variant", "diagonal",
+                                      "--rare-s", "3"], SEPARABLE, ["zero", "star"]),
+    # the conservative trigger meets the rare-feature hypothesis, so the bound is finite
+    "second_order_diagonal_mistake_rare_s": (["--learner", "second_order", "--variant",
+                                              "diagonal", "--trigger", "mistake", "--rare-s",
+                                              "3"], SEPARABLE, ["zero"]),
+}
+
 # sha256 of (trace bytes, summary without wall_time_s, audit payload), first 16 hex digits;
 # the trace digests are those of TRACE_VERSION 2 (no lgrad_norm or b_hash extras)
 GOLDEN = {
@@ -49,15 +66,27 @@ GOLDEN = {
     "vaw": ("e7bbf61891866ecb", "7395d09f867c32a5", "c887ff6ec93eb11a"),
 }
 
+# same digests as GOLDEN, for the configs that read the loss, the target and rare_s off the run
+EXTRA_GOLDEN = {
+    "composite_batch": ("ce45e7472ecb5ee1", "205a260e8e27f01c", "911f18e3b830009c"),
+    "ogd_square_batch": ("f42a3ab135a32a46", "22b9bec8f3520330", "e2015a338838ed7c"),
+    "pa_batch": ("4fe404a48dda3d61", "b853eb39b4172898", "1f04b61f63a3ddb8"),
+    "second_order_diagonal_mistake_rare_s": ("f29259ac44abf8cd", "dc7ca9aaa4016fdd",
+                                             "fd723a154c3d6c94"),
+    "second_order_diagonal_rare_s": ("a7c78bf7847157ef", "46916e1893302266",
+                                     "bc83c5850a8e566a"),
+    "vaw_batch": ("8142597a79cefe1b", "e84fc5cb31e8fe6b", "629813e89983e07e"),
+}
+
 
 def _sha(data):
     return hashlib.sha256(data).hexdigest()[:16]
 
 
-def _digests(tmp_path, flags, gen):
+def _digests(tmp_path, flags, gen, comparators=("zero", "star")):
     trace, summ, audit = (tmp_path / n for n in ("t.jsonl", "s.json", "a.json"))
-    assert cli.main(["run", *flags, "--gen", gen, "--seed", "1",
-                     "--comparator", "zero", "--comparator", "star",
+    picks = [arg for spec in comparators for arg in ("--comparator", spec)]
+    assert cli.main(["run", *flags, "--gen", gen, "--seed", "1", *picks,
                      "--trace", str(trace), "--summary", str(summ)]) == 0
     assert cli.main(["audit", "--trace", str(trace), "--summary", str(audit)]) == 0
     summary = json.loads(summ.read_text())
@@ -70,3 +99,18 @@ def _digests(tmp_path, flags, gen):
 def test_golden_digests(tmp_path, key):
     flags, gen = CONFIGS[key]
     assert _digests(tmp_path, flags, gen) == GOLDEN[key]
+
+
+@pytest.mark.parametrize("key", sorted(EXTRA_CONFIGS))
+def test_golden_digests_batch_and_rare_s(tmp_path, key):
+    flags, gen, comparators = EXTRA_CONFIGS[key]
+    assert _digests(tmp_path, flags, gen, comparators) == EXTRA_GOLDEN[key]
+
+
+def test_rare_s_golden_run_reports_the_refinement(tmp_path):
+    summ = tmp_path / "s.json"
+    flags, gen, comparators = EXTRA_CONFIGS["second_order_diagonal_rare_s"]
+    assert cli.main(["run", *flags, "--gen", gen, "--seed", "1",
+                     "--summary", str(summ)]) == 0
+    names = [r["name"] for r in json.loads(summ.read_text())["reports"]]
+    assert names == ["engine", "second_order_diagonal", "diag_refinement"]

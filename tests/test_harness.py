@@ -15,6 +15,7 @@ from omdkit.data import (
     write_svmlight,
 )
 from omdkit.harness import (
+    ExperimentConfig,
     audit_stored,
     canonical_json,
     run_compare,
@@ -439,7 +440,9 @@ def _learner_argv(learner, key):
     gen = TINY["separable" if learner in ("ogd", "pnorm_perceptron", "pa", "fixed_margin",
                                           "second_order") else "linear"]
     flag = "--" + key.replace("_", "-")
-    return ["run", "--learner", learner, flag, FLAG_VALUES[key], "--gen", gen]
+    # --rare-s is read only with --variant diagonal
+    variant = ["--variant", "diagonal"] if (learner, key) == ("second_order", "rare_s") else []
+    return ["run", "--learner", learner, flag, FLAG_VALUES[key], *variant, "--gen", gen]
 
 
 def test_learner_table_matches_reads():
@@ -525,16 +528,67 @@ def test_cli_rejects_seed_and_rescale_the_data_source_does_not_read(tmp_path):
             (["run", "--learner", "pa", "--data", svm, "--seed", "3"], "--seed"),
             (["run", "--learner", "pa", "--data", svm, "--rescale", "2,1"], "--rescale"),
             (["audit", "--trace", str(trace), "--learner", "pa", "--data", svm,
-              "--seed", "3", "--rescale", "2,1"], "--rescale, --seed"),
-            (["compare", "--learner", "scaleinv_diag", "--data", svm, "--seed", "3",
-              "--rescale", "2,1"], "--seed")):
+              "--seed", "3", "--rescale", "2,1"], "--rescale, --seed")):
         code, err = _main_code(argv)
         assert code == 1, argv
         assert f"--data does not read {flags}" in err, err
-    # compare reads --rescale whatever the source, and then refuses a file source itself
-    code, err = _main_code(["compare", "--learner", "scaleinv_diag", "--data", svm,
-                            "--rescale", "2,1"])
-    assert code == 2 and "compare needs a generator data source" in err
+
+
+def test_cli_compare_reads_only_a_generator(tmp_path):
+    svm, _ = _data_files(tmp_path)
+    for source in (["--data", svm], ["--data", svm, "--seed", "3"], []):
+        code, err = _main_code(["compare", "--learner", "scaleinv_diag", *source,
+                                "--rescale", "2,1"])
+        assert code == 1, source
+        assert "compare needs --gen; it does not read --data" in err, err
+    # library callers still get the data error from run_compare itself
+    cfg = ExperimentConfig("scaleinv_diag", {}, {"kind": "file", "path": svm}, audit=False)
+    with pytest.raises(ValueError, match="compare needs a generator data source"):
+        run_compare(cfg, [2.0, 1.0])
+
+
+FLOAT_FLAGS = sorted(k for k in FLAG_VALUES if k not in ("variant", "trigger", "schedule", "loss"))
+
+
+@pytest.mark.parametrize("key", FLOAT_FLAGS)
+def test_cli_non_finite_float_flags_are_usage_errors(key):
+    learner = min(name for name, reads in READS.items() if key in reads)
+    flag = "--" + key.replace("_", "-")
+    for value in ("nan", "inf", "-inf", "1e400"):
+        argv = _learner_argv(learner, key)
+        i = argv.index(flag)
+        # --flag=-inf, since argparse reads a bare -inf as an option
+        argv[i:i + 2] = [f"{flag}={value}"]
+        code, err = _main_code(argv)
+        assert code == 1, argv
+        assert f"argument {flag}: '{value}' is not a finite number" in err, err
+
+
+def test_cli_non_finite_tol_is_a_usage_error():
+    # --tol nan used to pass every strict compare, since deviation > nan is false
+    argv = ["compare", "--learner", "ogd", "--loss", "square", "--gen", TINY["linear"],
+            "--rescale", "2,1", "--strict-audit"]
+    for value in ("nan", "inf", "-inf"):
+        code, err = _main_code([*argv, f"--tol={value}"])
+        assert code == 1, value
+        assert f"argument --tol: '{value}' is not a finite number" in err, err
+    assert _main_code([*argv, "--tol=1e-6"])[0] == 3
+
+
+def test_cli_rare_s_needs_diagonal_variant_and_generator(tmp_path):
+    svm, _ = _data_files(tmp_path)
+    base = ["--learner", "second_order", "--rare-s", "3"]
+    gen = ["--gen", TINY["separable"]]
+    for argv in (["run", *base, *gen], ["run", *base, "--variant", "full", *gen],
+                 ["run", *base, "--variant", "diagonal", "--data", svm],
+                 ["compare", *base, "--variant", "diagonal", *gen, "--rescale", "2,1"]):
+        code, err = _main_code(argv)
+        assert code == 1, argv
+        assert "--rare-s is read only by run and audit with --variant diagonal and --gen" in err
+    trace = tmp_path / "t.jsonl"
+    good = [*base, "--variant", "diagonal", *gen]
+    assert _main_code(["run", *good, "--trace", str(trace)])[0] == 0
+    assert _main_code(["audit", "--trace", str(trace), *good])[0] == 0
 
 
 def test_cli_rejects_csv_flags_without_csv_format(tmp_path):
