@@ -127,8 +127,13 @@ def _check_flags(parser, args):
     if args.rare_s is not None and (args.command == "compare" or args.variant != "diagonal"
                                     or args.gen is None):
         parser.error("--rare-s is read only by run and audit with --variant diagonal and --gen")
+    # a negative s makes the refinement's hypothesis unsatisfiable, and its bound vacuous
+    if args.rare_s is not None and args.rare_s < 0:
+        parser.error(f"argument --rare-s: {args.rare_s!r} is negative; need s >= 0")
     if args.command == "compare" and args.gen is None:
         parser.error("compare needs --gen; it does not read --data")
+    if args.command == "compare" and not args.rescale:
+        parser.error("compare needs --rescale")
     source = "gen" if args.gen is not None else "data" if args.data is not None else None
     if source:
         unread = [k for k in given if k in _DATA_FLAGS and k not in _SOURCE_READS[source]]
@@ -235,8 +240,6 @@ def _dispatch(args):
         return _report(args, payload, reports)
 
     if args.command == "compare":
-        if not args.rescale:
-            raise ValueError("compare requires --rescale")
         spec = _parse_gen_spec(args.gen, args.seed).to_dict()
         config = ExperimentConfig(args.learner, _learner_params(args),
                                   {"kind": "generator", "spec": spec}, audit=False)

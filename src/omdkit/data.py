@@ -29,11 +29,58 @@ class Dataset:
         return len(self.examples)
 
 
+def _features(rest):
+    """1-based indices and values of a line's feature list; None if any token is bad.
+
+    The fields go through int() and float(), so the accepted syntax and the
+    value bits are theirs. A line that fails here is rescanned by
+    _bad_token for its message.
+    """
+    fields = rest.replace(":", " ").split()
+    n = len(fields) // 2
+    if 2 * n != len(fields):
+        return None
+    # rebuilt as 'i:v i:v ...', the fields give back the line's tokens exactly
+    # when every token is idx:val with both sides non-empty
+    rebuilt = " ".join(["%s:%s"] * n) % tuple(fields)
+    if rebuilt != rest and rebuilt != " ".join(rest.split()):
+        return None
+    try:
+        idx = np.array(list(map(int, fields[0::2])), dtype=np.int64)
+        vals = np.array(list(map(float, fields[1::2])), dtype=np.float64)
+    except ValueError:
+        return None
+    if n and (idx[0] < 1 or not (np.isfinite(vals).all() and (idx[1:] > idx[:-1]).all())):
+        return None
+    return idx, vals
+
+
+def _bad_token(tokens):
+    """What is wrong with the first bad token of a feature list, in line order."""
+    last = 0
+    for tok in tokens:
+        bits = tok.split(":")
+        try:
+            if len(bits) != 2:
+                raise ValueError(tok)
+            idx, val = int(bits[0]), float(bits[1])
+        except ValueError:
+            return f"bad feature token {tok!r}"
+        if not math.isfinite(val):
+            return f"non-finite feature token {tok!r}"
+        if idx <= last:
+            return "indices must be strictly increasing and 1-based"
+        last = idx
+    raise AssertionError(f"no bad token in {tokens!r}")
+
+
 def parse_svmlight(path, dim=None):
     """Parse 'label idx:val ...' lines with 1-based strictly increasing indices.
 
     Lines starting with '#' are comments. Raises ValueError naming the
-    offending line on malformed input; an empty file is an error.
+    offending line on malformed input; an empty file is an error. The file
+    is read one line at a time and each row is held as two arrays, so no
+    Python object per token outlives its line.
     """
     rows = []
     max_index = -1
@@ -42,41 +89,29 @@ def parse_svmlight(path, dim=None):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            parts = line.split()
+            label, *rest = line.split(None, 1)
             try:
-                y = float(parts[0])
+                y = float(label)
             except ValueError:
-                raise ValueError(f"{path}: line {lineno}: bad label {parts[0]!r}") from None
+                raise ValueError(f"{path}: line {lineno}: bad label {label!r}") from None
             if not math.isfinite(y):
-                raise ValueError(f"{path}: line {lineno}: non-finite label {parts[0]!r}")
-            entries = []
-            last = 0
-            for tok in parts[1:]:
-                bits = tok.split(":")
-                if len(bits) != 2:
-                    raise ValueError(f"{path}: line {lineno}: bad feature token {tok!r}")
-                try:
-                    idx = int(bits[0])
-                    val = float(bits[1])
-                except ValueError:
-                    raise ValueError(f"{path}: line {lineno}: bad feature token {tok!r}") from None
-                if not math.isfinite(val):
-                    raise ValueError(f"{path}: line {lineno}: non-finite feature token {tok!r}")
-                if idx <= last:
-                    raise ValueError(
-                        f"{path}: line {lineno}: indices must be strictly increasing and 1-based"
-                    )
-                last = idx
-                entries.append((idx - 1, val))
-                max_index = max(max_index, idx - 1)
-            rows.append((y, entries))
+                raise ValueError(f"{path}: line {lineno}: non-finite label {label!r}")
+            rest = rest[0] if rest else ""
+            row = _features(rest)
+            if row is None:
+                raise ValueError(f"{path}: line {lineno}: {_bad_token(rest.split())}")
+            idx, vals = row
+            if idx.size:
+                max_index = max(max_index, int(idx[-1]) - 1)
+            keep = vals != 0.0
+            rows.append((y, idx[keep] - 1, vals[keep]))
     if not rows:
         raise ValueError(f"{path}: empty dataset")
     if dim is None:
         dim = max_index + 1
     elif max_index >= dim:
         raise ValueError(f"{path}: feature index {max_index + 1} exceeds declared dim {dim}")
-    examples = [Example(SparseVec(entries, dim), y) for y, entries in rows]
+    examples = [Example(SparseVec.from_arrays(idx, vals, dim), y) for y, idx, vals in rows]
     return Dataset(examples, dim)
 
 
@@ -114,8 +149,9 @@ def parse_csv(path, label_column="label", remap01=False, dim=None):
                 if y not in (0.0, 1.0):
                     raise ValueError(f"{path}: line {lineno}: label {y} not in {{0,1}}")
                 y = 2.0 * y - 1.0
-            entries = [(j, v) for j, v in enumerate(vals) if v != 0.0]
-            examples.append(Example(SparseVec(entries, dim), y))
+            vals = np.array(vals)
+            nz = np.flatnonzero(vals)
+            examples.append(Example(SparseVec.from_arrays(nz, vals[nz], dim), y))
     if not examples:
         raise ValueError(f"{path}: empty dataset")
     return Dataset(examples, dim)

@@ -2,11 +2,13 @@
 
 Every learner follows the same skeleton: theta starts at zero, w_t is the
 mirror map of theta at the round's regularizer state, the observed update
-z_t is added to theta. Two OnlineLearner helpers hold that skeleton:
+z_t is added to theta. w is derived on its first read after theta or f
+moved, so no mirror map is spent on a w that nothing reads. Two
+OnlineLearner helpers hold that skeleton:
 
   _advance  snapshots f_{t-1}, runs the learner's state hook (a schedule
-            tick, an input observation or a rank-one update), re-derives
-            w_t and returns the conjugate residue and the value drop;
+            tick, an input observation or a rank-one update) and returns
+            the conjugate residue and the value drop at w_t;
   _emit     records <z_t, w_t>, folds an optional loss subgradient into
             f, applies theta += z_t and returns the round's StepRecord.
 
@@ -53,22 +55,6 @@ class StepRecord:
     extras: dict = field(default_factory=dict)
 
 
-def _residue_terms(prev_reg, reg, theta, w, first_round=False):
-    """Conjugate residue f*_t(theta) - f*_{t-1}(theta) and the matching value drop.
-
-    first_round skips the previous-state evaluation for families with no
-    step-0 state; theta is zero there so the residue is zero anyway.
-    """
-    if prev_reg is None:
-        return 0.0, 0.0
-    if first_round:
-        return float(reg.conjugate(theta)), 0.0
-    prev_conj = prev_reg.conjugate(theta)
-    residue = reg.conjugate(theta) - prev_conj
-    drop = prev_reg.value(w) - reg.value(w)
-    return float(residue), float(drop)
-
-
 def _check_binary(y):
     y = float(y)
     if y not in (-1.0, 1.0):
@@ -85,26 +71,45 @@ class OnlineLearner:
         self.reg = reg
         self.dim = reg.dim
         self.theta = np.zeros(self.dim)
-        self.w = np.zeros(self.dim)
+        self._w = np.zeros(self.dim)  # None once theta or f has moved past it
         self.t = 0
 
+    @property
+    def w(self):
+        """mirror_map(theta) at the current f, derived on the first read after a move."""
+        if self._w is None:
+            self._w = self.reg.mirror_map(self.theta)
+        return self._w
+
+    @w.setter
+    def w(self, value):
+        self._w = value
+
     def apply_update(self, z):
-        """Engine step: theta += z and w is re-derived through the mirror map."""
-        z = as_dense(z, self.dim)
-        self.theta = self.theta + z
-        self.w = self.reg.mirror_map(self.theta)
-        return self.w
+        """Engine step: theta += z; w is re-derived on its next read."""
+        self.theta = self.theta + as_dense(z, self.dim)
+        self._w = None
 
     def _advance(self, hook, *args, first_round=False):
-        """Move f_{t-1} to f_t through hook(*args) and re-derive w_t.
+        """Move f_{t-1} to f_t through hook(*args).
 
         Returns (residue, reg_drop): f*_t(theta) - f*_{t-1}(theta) and
-        f_{t-1}(w_t) - f_t(w_t); both are zero for a fixed regularizer.
+        f_{t-1}(w_t) - f_t(w_t); both are zero for a fixed regularizer,
+        whose hook leaves f, and with it w, as it was. first_round skips
+        f_{t-1} for families with no step-0 state; theta is zero there, so
+        the residue is zero anyway.
         """
-        prev = self.reg.snapshot() if self.reg.time_varying else None
+        if not self.reg.time_varying:
+            hook(*args)
+            return 0.0, 0.0
+        prev = self.reg.snapshot()
         hook(*args)
-        self.w = self.reg.mirror_map(self.theta)
-        return _residue_terms(prev, self.reg, self.theta, self.w, first_round)
+        self._w = None
+        reg, theta, w = self.reg, self.theta, self.w
+        if first_round:
+            return float(reg.conjugate(theta)), 0.0
+        residue = reg.conjugate(theta) - prev.conjugate(theta)
+        return float(residue), float(prev.value(w) - reg.value(w))
 
     def _emit(self, z, grad=None, **fields):
         """Record <z, w_t>, fold the loss subgradient grad into f, apply theta += z.

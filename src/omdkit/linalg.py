@@ -35,14 +35,23 @@ class SparseVec:
             raise ValueError(f"non-finite value {vals[bad]} at index {idx[bad]}")
 
     @classmethod
+    def from_arrays(cls, indices, values, dim):
+        """Wrap int64 indices and float64 values as they are, neither checked nor copied.
+
+        For callers that have already checked what __init__ would: indices
+        strictly increasing in [0, dim), values finite and nonzero.
+        """
+        vec = cls.__new__(cls)
+        vec.indices = indices
+        vec.values = values
+        vec.dim = int(dim)
+        return vec
+
+    @classmethod
     def from_dense(cls, x):
         x = np.asarray(x, dtype=np.float64)
-        vec = cls.__new__(cls)
-        nz = np.nonzero(x)[0]
-        vec.indices = nz.astype(np.int64)
-        vec.values = x[nz].copy()
-        vec.dim = int(x.shape[0])
-        return vec
+        nz = np.flatnonzero(x)
+        return cls.from_arrays(nz.astype(np.int64), x[nz], x.shape[0])
 
     def to_dense(self):
         out = np.zeros(self.dim)
@@ -96,7 +105,8 @@ class RankOneInverse:
 
     The inverse is never recomputed from scratch; each update applies the
     Sherman-Morrison formula at O(d^2) cost and bumps the log-determinant
-    by ln(1 + chi/r) where chi = x^T A^{-1} x.
+    by ln(1 + chi/r) where chi = x^T A^{-1} x. An update binds a new inverse
+    and never writes into the old one, so a shallow copy keeps its state.
     """
 
     def __init__(self, dim, r=1.0, scale=1.0):
@@ -108,6 +118,7 @@ class RankOneInverse:
         self.r = float(r)
         self.inv = np.eye(self.dim) / scale
         self.logdet = self.dim * math.log(scale)
+        self._outer = np.empty((self.dim, self.dim))  # scratch for the rank-one term
 
     def _dense(self, x):
         return as_dense(x, self.dim)
@@ -126,13 +137,15 @@ class RankOneInverse:
         xd = self._dense(x)
         u = self.inv @ xd
         chi = float(xd @ u)
-        self.inv -= np.outer(u, u) / (self.r + chi)
+        outer = np.outer(u, u, out=self._outer)
+        outer /= self.r + chi
+        self.inv = self.inv - outer
         self.logdet += math.log1p(chi / self.r)
         return chi
 
 
 class DiagInverse:
-    """Diagonal counterpart: tracks diag(A_t) under d_i <- d_i + x_i^2 / r."""
+    """Diagonal counterpart: tracks diag(A_t) under d_i <- d_i + x_i^2 / r, rebinding diag."""
 
     def __init__(self, dim, r=1.0, scale=1.0):
         if r <= 0:
@@ -152,7 +165,7 @@ class DiagInverse:
 
     def update(self, x):
         xd = as_dense(x, self.dim)
-        self.diag += xd * xd / self.r
+        self.diag = self.diag + xd * xd / self.r
 
     @property
     def logdet(self):

@@ -15,7 +15,9 @@ State-advancing hooks are split by protocol position: advance_step is a
 schedule tick, observe_input must run before the round's prediction
 (feature maxima, support sizes, the growing quadratic in feature-driven
 mode), observe_gradient runs after the prediction so f_t only ever depends
-on subgradients from earlier rounds.
+on subgradients from earlier rounds. Every hook binds new state arrays and
+never writes into the old ones, so `snapshot` is a shallow copy that keeps
+f_t while the hooks move the regularizer on to f_{t+1}.
 
 `value` and `norm` accept batched inputs of shape (N, d) for the grid
 comparators; `conjugate`, `mirror_map`, `gradient`, `dual_norm` take a
@@ -69,7 +71,8 @@ class Regularizer:
         pass
 
     def snapshot(self):
-        return copy.deepcopy(self)
+        """f_t as it stands: shares the state arrays, which the hooks only rebind."""
+        return copy.copy(self)
 
 
 def _batch(w):
@@ -247,12 +250,20 @@ class GrowingQuadratic(Regularizer):
         else:
             self.tracker = RankOneInverse(dim, r=r, scale=scale)
             self.mat = scale * np.eye(self.dim)
+            self._outer = np.empty((self.dim, self.dim))  # scratch for the rank-one term
 
     def update(self, x):
         xd = as_dense(x, self.dim)
         self.tracker.update(xd)
         if not self.diagonal:
-            self.mat += np.outer(xd, xd) / self.r
+            outer = np.outer(xd, xd, out=self._outer)
+            outer /= self.r
+            self.mat = self.mat + outer
+
+    def snapshot(self):
+        snap = super().snapshot()
+        snap.tracker = copy.copy(self.tracker)
+        return snap
 
     def value(self, w):
         w = _batch(w)
@@ -505,7 +516,7 @@ class ScaleInvPNorm(Regularizer):
     def observe_input(self, x):
         xd = as_dense(x, self.dim)
         self.t += 1
-        np.maximum(self.b, np.abs(xd), out=self.b)
+        self.b = np.maximum(self.b, np.abs(xd))
         self.m = max(self.m, int(np.count_nonzero(xd)))
 
     @property
@@ -619,14 +630,16 @@ class ScaleInvDiag(Regularizer):
     def observe_input(self, x):
         xd = as_dense(x, self.dim)
         self.t += 1
-        np.maximum(self.b, np.abs(xd), out=self.b)
+        self.b = np.maximum(self.b, np.abs(xd))
 
     def observe_gradient(self, g):
         gd = as_dense(g, self.dim)
         live = self.b > 0.0
         if np.any(gd[~live] != 0.0):
             raise ValueError("gradient has mass on a coordinate never observed")
-        self.gs[live] += (gd[live] / self.b[live]) ** 2
+        gs = self.gs.copy()
+        gs[live] += (gd[live] / self.b[live]) ** 2
+        self.gs = gs
 
     def weight_diag(self):
         h = np.sqrt(self.lipschitz ** 2 + self.gs)

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -589,6 +590,30 @@ def test_cli_rare_s_needs_diagonal_variant_and_generator(tmp_path):
     good = [*base, "--variant", "diagonal", *gen]
     assert _main_code(["run", *good, "--trace", str(trace)])[0] == 0
     assert _main_code(["audit", "--trace", str(trace), *good])[0] == 0
+
+
+def test_cli_negative_rare_s_is_a_usage_error(tmp_path):
+    # s < 0 made the refinement vacuous (bound inf) and the run exit 0
+    base = ["--learner", "second_order", "--variant", "diagonal", "--trigger", "mistake",
+            "--gen", "separable_margin:gamma=0.3,d=5,T=60", "--seed", "1", "--strict-audit"]
+    for value in ("-3", "-1e-9"):
+        code, err = _main_code(["run", *base, f"--rare-s={value}"])
+        assert code == 1, value
+        assert f"argument --rare-s: {float(value)!r} is negative; need s >= 0" in err, err
+    assert _main_code(["run", *base, "--rare-s=0"])[0] == 0
+    summary = tmp_path / "s.json"
+    assert _main_code(["run", *base, "--rare-s=3", "--summary", str(summary)])[0] == 0
+    reports = {r["name"]: r for r in json.loads(summary.read_text())["reports"]}
+    assert math.isfinite(reports["diag_refinement"]["bound"])
+
+
+def test_cli_compare_without_rescale_is_a_usage_error():
+    gen = ["--learner", "scaleinv_diag", "--gen", TINY["linear"]]
+    for extra in ([], ["--rescale="]):
+        code, err = _main_code(["compare", *gen, *extra])
+        assert code == 1, extra
+        assert "compare needs --rescale" in err, err
+    assert _main_code(["compare", *gen, "--rescale", "2,1"])[0] == 0
 
 
 def test_cli_rejects_csv_flags_without_csv_format(tmp_path):

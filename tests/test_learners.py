@@ -246,3 +246,52 @@ def test_gradient_descent_sparse_inputs():
 def test_scale_invariant_rejects_square_loss():
     with pytest.raises(ValueError):
         ScaleInvariantRegressor(2, kind="pnorm", loss="square")
+
+
+def _reference_engine(monkeypatch):
+    """The engine step before copy-free snapshots: deepcopy f_{t-1}, derive w eagerly."""
+    import copy
+
+    def apply_update(self, z):
+        self.theta = self.theta + np.asarray(z, dtype=np.float64)
+        self.w = self.reg.mirror_map(self.theta)
+
+    def _advance(self, hook, *args, first_round=False):
+        prev = copy.deepcopy(self.reg) if self.reg.time_varying else None
+        hook(*args)
+        self.w = self.reg.mirror_map(self.theta)
+        if prev is None:
+            return 0.0, 0.0
+        if first_round:
+            return float(self.reg.conjugate(self.theta)), 0.0
+        prev_conj = prev.conjugate(self.theta)
+        residue = self.reg.conjugate(self.theta) - prev_conj
+        return float(residue), float(prev.value(self.w) - self.reg.value(self.w))
+
+    monkeypatch.setattr(OnlineLearner, "apply_update", apply_update)
+    monkeypatch.setattr(OnlineLearner, "_advance", _advance)
+
+
+def test_engine_matches_the_deepcopy_reference_bit_for_bit(monkeypatch):
+    from omdkit.harness import canonical_json
+
+    suite = audited_learner_suite(d=6, T=80, seed=4)
+    suite += [("composite", {"eta": 0.7, "lam": 0.1, "schedule": schedule}, suite[-1][2])
+              for schedule in ("sqrt", "constant")]
+
+    def outcomes():
+        out = []
+        for name, params, spec in suite:
+            trace, _, _ = run(name, params, spec, audit=False)
+            lrn = trace.learner
+            if lrn.reg.time_varying:
+                assert any(r.residue != 0.0 for r in trace.records), name
+            out.append([canonical_json({**vars(r), "z": list(r.z)}) for r in trace.records]
+                       + [lrn.theta.tobytes(), np.asarray(lrn.w).tobytes()])
+        return out
+
+    shallow = outcomes()
+    _reference_engine(monkeypatch)
+    deep = outcomes()
+    for (name, _params, _spec), got, expect in zip(suite, shallow, deep):
+        assert got == expect, name

@@ -227,3 +227,58 @@ def test_scaleinv_gradient_stats_bound_lipschitz():
         p = reg.p
         assert inc <= E * (p - 1.0) + 1e-9
         prev = reg.grad_stats
+
+
+def _state(obj):
+    """Every attribute of a regularizer and of the objects it holds, arrays as exact bytes.
+
+    The rank-one scratch buffers (`_outer`) hold no state between updates and are skipped.
+    """
+    out = {}
+    for key, val in vars(obj).items():
+        if key == "_outer":
+            continue
+        if isinstance(val, np.ndarray):
+            out[key] = (val.dtype.str, val.shape, val.tobytes())
+        elif hasattr(val, "__dict__"):
+            out[key] = _state(val)
+        else:
+            out[key] = val
+    return out
+
+
+def _hooks(reg, rng, dim, scale):
+    """The state hooks a learner would run on reg, with random inputs of about that scale."""
+    x = scale * rng.normal(size=dim) * (rng.random(dim) < 0.7)
+    if isinstance(reg, GrowingQuadratic):
+        return [lambda: reg.update(x)]
+    if isinstance(reg, (ScaleInvPNorm, ScaleInvDiag)):
+        # a gradient only on coordinates already observed, as the learners produce
+        g = rng.normal(size=dim) * (np.maximum(reg.b, np.abs(x)) > 0.0)
+        return [lambda: reg.observe_input(x), lambda: reg.observe_gradient(g)]
+    if isinstance(reg, MaxScaled):
+        return [lambda: reg.observe_input(x)]
+    return [reg.advance_step]
+
+
+def test_snapshot_keeps_the_previous_state_bit_for_bit():
+    import copy
+
+    dim = 4
+    rng = np.random.default_rng(5)
+    fams = {name: reg for name, reg in regularizer_families(dim).items() if reg.time_varying}
+    assert len(fams) == 9
+    for name, reg in fams.items():
+        for step in range(6):
+            # growing inputs, so that the running maxima move too
+            for hook in _hooks(reg, rng, dim, 10.0 * 2.0 ** step):
+                before = _state(reg)
+                snap, ref = reg.snapshot(), copy.deepcopy(reg)
+                hook()
+                assert _state(reg) != before, name
+                # the hook moved reg on and left f_{t-1} in the snapshot untouched
+                assert _state(snap) == _state(ref) == before, name
+                theta = rng.normal(size=dim) * (reg.b > 0.0 if hasattr(reg, "b") else 1.0)
+                w = reg.mirror_map(theta)
+                assert repr(snap.conjugate(theta)) == repr(ref.conjugate(theta)), name
+                assert repr(float(snap.value(w))) == repr(float(ref.value(w))), name
