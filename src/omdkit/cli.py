@@ -42,6 +42,11 @@ def _finite(text):
     return value
 
 
+def _factors(text):
+    """argparse type for --rescale: comma-separated finite numbers, each one checked by _finite."""
+    return [_finite(c) for c in text.split(",")]
+
+
 def _parse_gen_spec(text, seed):
     """'kind:key=val,key=val' into a GeneratorSpec dict."""
     if ":" in text:
@@ -64,10 +69,9 @@ def _parse_gen_spec(text, seed):
 def _data_config(args):
     if args.gen:
         spec = _parse_gen_spec(args.gen, args.seed).to_dict()
-        if args.rescale:
-            factors = [float(c) for c in args.rescale.split(",")]
+        if args.rescale is not None:
             spec = {"kind": "rescaled", "seed": args.seed, "params": {},
-                    "base": spec, "factors": factors}
+                    "base": spec, "factors": args.rescale}
         return {"kind": "generator", "spec": spec}
     if args.data:
         cfg = {"kind": "file", "path": args.data, "format": args.format}
@@ -109,7 +113,7 @@ def _add_run_flags(sp, need_learner=True):
     sp.add_argument("--remap01", action="store_true", default=None)
     sp.add_argument("--dim", type=int)
     sp.add_argument("--seed", type=int)
-    sp.add_argument("--rescale", help="comma-separated per-coordinate factors")
+    sp.add_argument("--rescale", type=_factors, help="comma-separated per-coordinate factors")
     for key in _LEARNER_FLAGS:
         sp.add_argument(_flags([key]), dest=key, choices=_CHOICES.get(key),
                         type=None if key in _CHOICES else _finite)
@@ -132,7 +136,7 @@ def _check_flags(parser, args):
         parser.error(f"argument --rare-s: {args.rare_s!r} is negative; need s >= 0")
     if args.command == "compare" and args.gen is None:
         parser.error("compare needs --gen; it does not read --data")
-    if args.command == "compare" and not args.rescale:
+    if args.command == "compare" and args.rescale is None:
         parser.error("compare needs --rescale")
     source = "gen" if args.gen is not None else "data" if args.data is not None else None
     if source:
@@ -156,7 +160,7 @@ def main(argv=None):
     sp = sub.add_parser("gen", help="materialize a generator to svmlight")
     sp.add_argument("--gen", required=True)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--rescale")
+    sp.add_argument("--rescale", type=_factors)
     sp.add_argument("--out", required=True)
 
     sp = sub.add_parser("run", help="run a learner, write trace/summary, audit bounds")
@@ -214,8 +218,8 @@ def _dispatch(args):
     if args.command == "gen":
         spec = _parse_gen_spec(args.gen, args.seed)
         ds = generate(spec)
-        if args.rescale:
-            ds = rescale_dataset(ds, [float(c) for c in args.rescale.split(",")])
+        if args.rescale is not None:
+            ds = rescale_dataset(ds, args.rescale)
         write_svmlight(ds, args.out)
         print(f"wrote {len(ds)} examples (dim {ds.dim}) to {args.out}")
         return 0
@@ -243,7 +247,7 @@ def _dispatch(args):
         spec = _parse_gen_spec(args.gen, args.seed).to_dict()
         config = ExperimentConfig(args.learner, _learner_params(args),
                                   {"kind": "generator", "spec": spec}, audit=False)
-        result = run_compare(config, [float(c) for c in args.rescale.split(",")])
+        result = run_compare(config, args.rescale)
         print(write_summary(None, result), end="")
         if args.strict and result["max_relative_deviation"] > args.tol:
             print(f"strict-audit violation: deviation {result['max_relative_deviation']} "

@@ -48,7 +48,7 @@ def _features(rest):
     try:
         idx = np.array(list(map(int, fields[0::2])), dtype=np.int64)
         vals = np.array(list(map(float, fields[1::2])), dtype=np.float64)
-    except ValueError:
+    except (ValueError, OverflowError):  # OverflowError: an index beyond int64
         return None
     if n and (idx[0] < 1 or not (np.isfinite(vals).all() and (idx[1:] > idx[:-1]).all())):
         return None
@@ -70,6 +70,8 @@ def _bad_token(tokens):
             return f"non-finite feature token {tok!r}"
         if idx <= last:
             return "indices must be strictly increasing and 1-based"
+        if idx > np.iinfo(np.int64).max:
+            return f"feature index too large in token {tok!r}"
         last = idx
     raise AssertionError(f"no bad token in {tokens!r}")
 

@@ -90,14 +90,13 @@ class OnlineLearner:
         self.theta = self.theta + as_dense(z, self.dim)
         self._w = None
 
-    def _advance(self, hook, *args, first_round=False):
+    def _advance(self, hook, *args):
         """Move f_{t-1} to f_t through hook(*args).
 
         Returns (residue, reg_drop): f*_t(theta) - f*_{t-1}(theta) and
         f_{t-1}(w_t) - f_t(w_t); both are zero for a fixed regularizer,
-        whose hook leaves f, and with it w, as it was. first_round skips
-        f_{t-1} for families with no step-0 state; theta is zero there, so
-        the residue is zero anyway.
+        whose hook leaves f, and with it w, as it was. In round 1 f_{t-1}
+        is f_0, which every time-varying family defines.
         """
         if not self.reg.time_varying:
             hook(*args)
@@ -106,8 +105,6 @@ class OnlineLearner:
         hook(*args)
         self._w = None
         reg, theta, w = self.reg, self.theta, self.w
-        if first_round:
-            return float(reg.conjugate(theta)), 0.0
         residue = reg.conjugate(theta) - prev.conjugate(theta)
         return float(residue), float(prev.value(w) - reg.value(w))
 
@@ -140,7 +137,7 @@ class GradientDescentLearner(OnlineLearner):
     def round(self, x, y):
         self.t += 1
         xd = as_dense(x, self.dim)
-        residue, drop = self._advance(self.reg.advance_step, first_round=self.t == 1)
+        residue, drop = self._advance(self.reg.advance_step)
         pred = float(self.w @ xd)
         ev = self.loss_fn(pred, y)
         z = -self.eta * (ev.subgrad_scalar * xd)

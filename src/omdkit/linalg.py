@@ -145,7 +145,7 @@ class RankOneInverse:
 
 
 class DiagInverse:
-    """Diagonal counterpart: tracks diag(A_t) under d_i <- d_i + x_i^2 / r, rebinding diag."""
+    """Diagonal counterpart: diag(A_t) under d_i <- d_i + x_i^2 / r and ln|A_t|, both rebound."""
 
     def __init__(self, dim, r=1.0, scale=1.0):
         if r <= 0:
@@ -155,6 +155,7 @@ class DiagInverse:
         self.dim = int(dim)
         self.r = float(r)
         self.diag = np.full(self.dim, float(scale))
+        self.logdet = float(np.sum(np.log(self.diag)))
 
     def apply(self, v):
         return as_dense(v, self.dim) / self.diag
@@ -166,7 +167,4 @@ class DiagInverse:
     def update(self, x):
         xd = as_dense(x, self.dim)
         self.diag = self.diag + xd * xd / self.r
-
-    @property
-    def logdet(self):
-        return float(np.sum(np.log(self.diag)))
+        self.logdet = float(np.sum(np.log(self.diag)))

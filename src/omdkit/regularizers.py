@@ -17,7 +17,11 @@ schedule tick, observe_input must run before the round's prediction
 mode), observe_gradient runs after the prediction so f_t only ever depends
 on subgradients from earlier rounds. Every hook binds new state arrays and
 never writes into the old ones, so `snapshot` is a shallow copy that keeps
-f_t while the hooks move the regularizer on to f_{t+1}.
+f_t while the hooks move the regularizer on to f_{t+1}. The hooks also
+re-derive f_t's constants into plain attributes that the methods only read.
+f_0, the state before any hook, is defined: where a schedule factor or
+curvature is 0, f_t is the zero function, with conjugate the indicator of
+{0} and mirror map 0.
 
 `value` and `norm` accept batched inputs of shape (N, d) for the grid
 comparators; `conjugate`, `mirror_map`, `gradient`, `dual_norm` take a
@@ -325,43 +329,41 @@ class CompositeQuadL1(Regularizer):
         self.quad = float(quad)
         self.schedule = schedule
         self.t = 0
+        self._derive()
 
     def advance_step(self):
         self.t += 1
+        self._derive()
 
-    def _coeffs(self, allow_step_zero=False):
-        if self.t < 1 and not allow_step_zero:
-            raise RuntimeError("regularizer queried before the first advance")
+    def _derive(self):
         s = {"constant": 1.0, "sqrt": math.sqrt(self.t), "linear": 0.0}[self.schedule]
-        curvature = s * self.quad + self.eta * self.t * self.ridge
-        threshold = self.eta * self.t * self.lam
-        return curvature, threshold
+        self.curvature = s * self.quad + self.eta * self.t * self.ridge
+        self.threshold = self.eta * self.t * self.lam
 
     def value(self, w):
         w = _batch(w)
-        # f_0 has a value, which the audit of an empty run reads
-        c, thr = self._coeffs(allow_step_zero=True)
-        return 0.5 * c * np.sum(w * w, axis=-1) + thr * np.sum(np.abs(w), axis=-1)
+        return (0.5 * self.curvature * np.sum(w * w, axis=-1)
+                + self.threshold * np.sum(np.abs(w), axis=-1))
 
     def conjugate(self, theta):
         theta = as_dense(theta, self.dim)
-        c, thr = self._coeffs()
-        shr = np.maximum(np.abs(theta) - thr, 0.0)
-        return float(np.sum(shr * shr)) / (2.0 * c)
+        if self.curvature == 0.0:
+            return math.inf if np.any(theta != 0.0) else 0.0
+        shr = np.maximum(np.abs(theta) - self.threshold, 0.0)
+        return float(np.sum(shr * shr)) / (2.0 * self.curvature)
 
     def mirror_map(self, theta):
         theta = as_dense(theta, self.dim)
-        c, thr = self._coeffs()
-        return np.sign(theta) * np.maximum(np.abs(theta) - thr, 0.0) / c
+        if self.curvature == 0.0:
+            return np.zeros(self.dim)
+        return np.sign(theta) * np.maximum(np.abs(theta) - self.threshold, 0.0) / self.curvature
 
     def gradient(self, w):
         w = as_dense(w, self.dim)
-        c, thr = self._coeffs()
-        return c * w + thr * np.sign(w)
+        return self.curvature * w + self.threshold * np.sign(w)
 
     def strong_convexity(self):
-        c, _ = self._coeffs()
-        return c
+        return self.curvature
 
     def norm(self, v):
         return np.linalg.norm(_batch(v), axis=-1)
@@ -387,7 +389,7 @@ class CompositeQuadL1(Regularizer):
 
 
 class _Scheduled(Regularizer):
-    """f_t = factor(t) * base for a time-invariant base regularizer."""
+    """f_t = factor * base for a time-invariant base regularizer; f_0 has factor 0."""
 
     time_varying = True
 
@@ -397,28 +399,27 @@ class _Scheduled(Regularizer):
         self.base = base
         self.dim = base.dim
         self.t = 0
-
-    def _factor(self):
-        raise NotImplementedError
-
-    def advance_step(self):
-        self.t += 1
+        self.factor = 0.0
 
     def value(self, w):
-        return self._factor() * self.base.value(w)
+        return self.factor * self.base.value(w)
 
     def conjugate(self, theta):
-        f = self._factor()
-        return f * self.base.conjugate(as_dense(theta, self.dim) / f)
+        theta = as_dense(theta, self.dim)
+        if self.factor == 0.0:
+            return math.inf if np.any(theta != 0.0) else 0.0
+        return self.factor * self.base.conjugate(theta / self.factor)
 
     def mirror_map(self, theta):
-        return self.base.mirror_map(as_dense(theta, self.dim) / self._factor())
+        if self.factor == 0.0:
+            return np.zeros(self.dim)
+        return self.base.mirror_map(as_dense(theta, self.dim) / self.factor)
 
     def gradient(self, w):
-        return self._factor() * self.base.gradient(w)
+        return self.factor * self.base.gradient(w)
 
     def strong_convexity(self):
-        return self._factor() * self.base.strong_convexity()
+        return self.factor * self.base.strong_convexity()
 
     def norm(self, v):
         return self.base.norm(v)
@@ -440,19 +441,17 @@ class _Scheduled(Regularizer):
 class SqrtScheduled(_Scheduled):
     schedule = "sqrt"
 
-    def _factor(self):
-        if self.t < 1:
-            raise RuntimeError("regularizer queried before the first advance")
-        return math.sqrt(self.t)
+    def advance_step(self):
+        self.t += 1
+        self.factor = math.sqrt(self.t)
 
 
 class LinearScheduled(_Scheduled):
     schedule = "linear"
 
-    def _factor(self):
-        if self.t < 1:
-            raise RuntimeError("regularizer queried before the first advance")
-        return float(self.t)
+    def advance_step(self):
+        self.t += 1
+        self.factor = float(self.t)
 
 
 class MaxScaled(_Scheduled):
@@ -460,7 +459,7 @@ class MaxScaled(_Scheduled):
 
     Used by the adaptive filter: the schedule adapts to the largest input
     norm seen so far instead of requiring it up front. Before the first
-    nonzero input f_t is 0, whose conjugate is the indicator of {0}.
+    nonzero input f_t is 0.
     """
 
     def __init__(self, base):
@@ -469,19 +468,7 @@ class MaxScaled(_Scheduled):
 
     def observe_input(self, x):
         self.x_max = max(self.x_max, float(self.base.dual_norm(as_dense(x, self.dim))))
-
-    def _factor(self):
-        return self.x_max * self.x_max
-
-    def conjugate(self, theta):
-        if self._factor() == 0.0:
-            return math.inf if np.any(as_dense(theta, self.dim) != 0.0) else 0.0
-        return super().conjugate(theta)
-
-    def mirror_map(self, theta):
-        if self._factor() == 0.0:
-            return np.zeros(self.dim)
-        return super().mirror_map(theta)
+        self.factor = self.x_max * self.x_max
 
 
 class ScaleInvPNorm(Regularizer):
@@ -512,84 +499,82 @@ class ScaleInvPNorm(Regularizer):
         self.m = 0
         self.grad_stats = 0.0
         self.t = 0
+        self._derive()
 
     def observe_input(self, x):
         xd = as_dense(x, self.dim)
         self.t += 1
         self.b = np.maximum(self.b, np.abs(xd))
         self.m = max(self.m, int(np.count_nonzero(xd)))
-
-    @property
-    def p(self):
-        if self.m >= 1:
-            return max(2.0 * math.log(self.m), 2.0)
-        return 2.0
-
-    @property
-    def q(self):
-        p = self.p
-        return p / (p - 1.0)
-
-    def strong_convexity(self):
-        p = self.p
-        return math.sqrt(_E * self.lipschitz ** 2 * (p - 1.0) + self.grad_stats)
+        self._derive()
 
     def observe_gradient(self, g):
-        p = self.p
-        s = self._dual_core(as_dense(g, self.dim), p)
-        self.grad_stats += (p - 1.0) * s * s
+        s = self._dual_core(as_dense(g, self.dim))
+        self.grad_stats += (self.p - 1.0) * s * s
+        self._derive()
 
-    def _dual_core(self, z, p):
+    def _derive(self):
+        """p, q and beta from m and grad_stats; the observed coordinates and their b."""
+        self.p = max(2.0 * math.log(self.m), 2.0) if self.m >= 1 else 2.0
+        self.q = self.p / (self.p - 1.0)
+        self.beta = math.sqrt(_E * self.lipschitz ** 2 * (self.p - 1.0) + self.grad_stats)
+        self.live = self.b > 0.0
+        self.b_live = self.b[self.live]
+
+    def strong_convexity(self):
+        return self.beta
+
+    def _ratios(self, z):
+        """|z_i|/b_i on the observed coordinates and their max; None if z lives on an unseen one."""
+        if np.any(z[~self.live] != 0.0):
+            return None
+        u = np.abs(z[self.live]) / self.b_live
+        return u, u.max(initial=0.0)
+
+    def _dual_core(self, z):
         """(sum_{b_i>0} (|z_i|/b_i)^p)^{1/p}; inf if z lives on an unseen coordinate."""
-        live = self.b > 0.0
-        if np.any(z[~live] != 0.0):
+        ratios = self._ratios(z)
+        if ratios is None:
             return math.inf
-        u = np.abs(z[live]) / self.b[live]
-        top = u.max(initial=0.0)
+        u, top = ratios
         if top == 0.0:
             return 0.0
-        return top * np.sum((u / top) ** p) ** (1.0 / p)
+        return top * np.sum((u / top) ** self.p) ** (1.0 / self.p)
 
     def value(self, w):
         w = _batch(w)
-        q = self.q
-        beta = self.strong_convexity()
-        inner = np.sum((np.abs(w) * self.b) ** q, axis=-1)
-        return 0.5 * beta * inner ** (2.0 / q)
+        inner = np.sum((np.abs(w) * self.b) ** self.q, axis=-1)
+        return 0.5 * self.beta * inner ** (2.0 / self.q)
 
     def conjugate(self, theta):
-        theta = as_dense(theta, self.dim)
-        s = self._dual_core(theta, self.p)
+        s = self._dual_core(as_dense(theta, self.dim))
         if s == 0.0:
             return 0.0
-        return s * s / (2.0 * self.strong_convexity())
+        return s * s / (2.0 * self.beta)
 
     def mirror_map(self, theta):
         theta = as_dense(theta, self.dim)
-        p = self.p
-        beta = self.strong_convexity()
-        live = self.b > 0.0
-        out = np.zeros(self.dim)
-        if np.any(theta[~live] != 0.0):
+        ratios = self._ratios(theta)
+        if ratios is None:
             raise ValueError("dual point has mass on a coordinate never observed")
-        u = np.abs(theta[live]) / self.b[live]
-        top = u.max(initial=0.0)
+        u, top = ratios
+        out = np.zeros(self.dim)
         if top == 0.0:
             return out
+        p = self.p
         core = np.sum((u / top) ** p)
-        out[live] = (
-            np.sign(theta[live])
+        out[self.live] = (
+            np.sign(theta[self.live])
             * top
             * core ** ((2.0 - p) / p)
             * (u / top) ** (p - 1.0)
-            / (beta * self.b[live])
+            / (self.beta * self.b_live)
         )
         return out
 
     def gradient(self, w):
         w = as_dense(w, self.dim)
-        q = self.q
-        beta = self.strong_convexity()
+        q, beta = self.q, self.beta
         v = np.abs(w) * self.b
         top = v.max(initial=0.0)
         if top == 0.0:
@@ -599,13 +584,11 @@ class ScaleInvPNorm(Regularizer):
 
     def norm(self, v):
         v = _batch(v)
-        q = self.q
-        inner = np.sum((np.abs(v) * self.b) ** q, axis=-1)
-        return math.sqrt(q - 1.0) * inner ** (1.0 / q)
+        inner = np.sum((np.abs(v) * self.b) ** self.q, axis=-1)
+        return math.sqrt(self.q - 1.0) * inner ** (1.0 / self.q)
 
     def dual_norm(self, z):
-        p = self.p
-        return math.sqrt(p - 1.0) * self._dual_core(as_dense(z, self.dim), p)
+        return math.sqrt(self.p - 1.0) * self._dual_core(as_dense(z, self.dim))
 
 
 class ScaleInvDiag(Regularizer):
@@ -626,61 +609,61 @@ class ScaleInvDiag(Regularizer):
         self.b = np.zeros(self.dim)
         self.gs = np.zeros(self.dim)
         self.t = 0
+        self._derive()
 
     def observe_input(self, x):
         xd = as_dense(x, self.dim)
         self.t += 1
         self.b = np.maximum(self.b, np.abs(xd))
+        self._derive()
 
     def observe_gradient(self, g):
         gd = as_dense(g, self.dim)
-        live = self.b > 0.0
-        if np.any(gd[~live] != 0.0):
+        # b_i > 0 can still give a zero weight when b_i^2 underflows
+        seen = self.b > 0.0
+        if np.any(gd[~seen] != 0.0):
             raise ValueError("gradient has mass on a coordinate never observed")
         gs = self.gs.copy()
-        gs[live] += (gd[live] / self.b[live]) ** 2
+        gs[seen] += (gd[seen] / self.b[seen]) ** 2
         self.gs = gs
+        self._derive()
 
-    def weight_diag(self):
+    def _derive(self):
+        """The weight diagonal of the current b and gs, and where it is positive."""
         h = np.sqrt(self.lipschitz ** 2 + self.gs)
-        return math.sqrt(self.dim) * self.b * self.b * h
+        self.weights = math.sqrt(self.dim) * self.b * self.b * h
+        self.live = self.weights > 0.0
 
     def value(self, w):
         w = _batch(w)
-        return 0.5 * np.sum(w * w * self.weight_diag(), axis=-1)
+        return 0.5 * np.sum(w * w * self.weights, axis=-1)
 
     def conjugate(self, theta):
         theta = as_dense(theta, self.dim)
-        hd = self.weight_diag()
-        live = hd > 0.0
-        if np.any(theta[~live] != 0.0):
+        if np.any(theta[~self.live] != 0.0):
             return math.inf
-        return 0.5 * float(np.sum(theta[live] ** 2 / hd[live]))
+        return 0.5 * float(np.sum(theta[self.live] ** 2 / self.weights[self.live]))
 
     def mirror_map(self, theta):
         theta = as_dense(theta, self.dim)
-        hd = self.weight_diag()
-        out = np.zeros(self.dim)
-        live = hd > 0.0
-        if np.any(theta[~live] != 0.0):
+        if np.any(theta[~self.live] != 0.0):
             raise ValueError("dual point has mass on a coordinate never observed")
-        out[live] = theta[live] / hd[live]
+        out = np.zeros(self.dim)
+        out[self.live] = theta[self.live] / self.weights[self.live]
         return out
 
     def gradient(self, w):
-        return self.weight_diag() * as_dense(w, self.dim)
+        return self.weights * as_dense(w, self.dim)
 
     def strong_convexity(self):
         return 1.0
 
     def norm(self, v):
         v = _batch(v)
-        return np.sqrt(np.sum(v * v * self.weight_diag(), axis=-1))
+        return np.sqrt(np.sum(v * v * self.weights, axis=-1))
 
     def dual_norm(self, z):
         z = as_dense(z, self.dim)
-        hd = self.weight_diag()
-        live = hd > 0.0
-        if np.any(z[~live] != 0.0):
+        if np.any(z[~self.live] != 0.0):
             return math.inf
-        return math.sqrt(float(np.sum(z[live] ** 2 / hd[live])))
+        return math.sqrt(float(np.sum(z[self.live] ** 2 / self.weights[self.live])))

@@ -609,11 +609,46 @@ def test_cli_negative_rare_s_is_a_usage_error(tmp_path):
 
 def test_cli_compare_without_rescale_is_a_usage_error():
     gen = ["--learner", "scaleinv_diag", "--gen", TINY["linear"]]
-    for extra in ([], ["--rescale="]):
-        code, err = _main_code(["compare", *gen, *extra])
-        assert code == 1, extra
-        assert "compare needs --rescale" in err, err
+    code, err = _main_code(["compare", *gen])
+    assert code == 1
+    assert "compare needs --rescale" in err, err
+    # an empty list of factors is a malformed --rescale, on compare as everywhere
+    code, err = _main_code(["compare", *gen, "--rescale="])
+    assert code == 1
+    assert "argument --rescale: '' is not a finite number" in err, err
     assert _main_code(["compare", *gen, "--rescale", "2,1"])[0] == 0
+
+
+def test_cli_rescale_takes_finite_factors_on_every_command(tmp_path):
+    trace = tmp_path / "t.jsonl"
+    gen = ["--gen", TINY["separable"]]
+    assert _main_code(["run", "--learner", "pa", *gen, "--rescale=2,-0.5",
+                       "--trace", str(trace)])[0] == 0
+    commands = {
+        "gen": ["gen", *gen, "--out", str(tmp_path / "g.svm")],
+        "run": ["run", "--learner", "pa", *gen],
+        "audit": ["audit", "--trace", str(trace), "--learner", "pa", *gen],
+        "compare": ["compare", "--learner", "scaleinv_diag", *gen],
+    }
+    for command, argv in commands.items():
+        # empty, non-numeric and non-finite lists used to exit 0 (empty) or 2 (the rest);
+        # the message names the first bad item
+        for value, bad in (("", ""), (",", ""), ("1,,1", ""), ("1,x", "x"), ("x", "x"),
+                           ("1,nan,y", "nan"), ("inf,1", "inf"), ("1,-inf", "-inf"),
+                           ("1e400,1", "1e400")):
+            code, err = _main_code([*argv, f"--rescale={value}"])
+            assert code == 1, (command, value)
+            assert f"argument --rescale: {bad!r} is not a finite number" in err, err
+        # the factor count depends on d, so a wrong count or a zero stays a data error;
+        # audit refuses other factors earlier, as a config that did not write the trace
+        for value, message in (("1,0", "rescaling factors must be finite and nonzero"),
+                               ("2,1,3", "factor length must equal dataset dim")):
+            if command == "audit":
+                message = "learner fingerprint mismatch"
+            code, err = _main_code([*argv, f"--rescale={value}"])
+            assert code == 2, (command, value)
+            assert message in err, err
+        assert _main_code([*argv, "--rescale=2,-0.5"])[0] == 0, command
 
 
 def test_cli_rejects_csv_flags_without_csv_format(tmp_path):

@@ -249,20 +249,24 @@ def test_scale_invariant_rejects_square_loss():
 
 
 def _reference_engine(monkeypatch):
-    """The engine step before copy-free snapshots: deepcopy f_{t-1}, derive w eagerly."""
+    """The engine step before copy-free snapshots: deepcopy f_{t-1}, derive w eagerly.
+
+    It also keeps the step from before f_0 was defined, which skipped f_{t-1}
+    in the first round of a GradientDescentLearner.
+    """
     import copy
 
     def apply_update(self, z):
         self.theta = self.theta + np.asarray(z, dtype=np.float64)
         self.w = self.reg.mirror_map(self.theta)
 
-    def _advance(self, hook, *args, first_round=False):
+    def _advance(self, hook, *args):
         prev = copy.deepcopy(self.reg) if self.reg.time_varying else None
         hook(*args)
         self.w = self.reg.mirror_map(self.theta)
         if prev is None:
             return 0.0, 0.0
-        if first_round:
+        if isinstance(self, GradientDescentLearner) and self.t == 1:
             return float(self.reg.conjugate(self.theta)), 0.0
         prev_conj = prev.conjugate(self.theta)
         residue = self.reg.conjugate(self.theta) - prev_conj
@@ -278,6 +282,8 @@ def test_engine_matches_the_deepcopy_reference_bit_for_bit(monkeypatch):
     suite = audited_learner_suite(d=6, T=80, seed=4)
     suite += [("composite", {"eta": 0.7, "lam": 0.1, "schedule": schedule}, suite[-1][2])
               for schedule in ("sqrt", "constant")]
+    suite.append(("composite", {"eta": 0.7, "lam": 0.1, "ridge": 0.5, "schedule": "linear"},
+                  suite[-1][2]))
 
     def outcomes():
         out = []

@@ -49,6 +49,10 @@ def reference_parse_svmlight(path, dim=None):
                     raise ValueError(
                         f"{path}: line {lineno}: indices must be strictly increasing and 1-based"
                     )
+                # SparseVec would raise OverflowError on it, naming neither file nor line
+                if idx > np.iinfo(np.int64).max:
+                    raise ValueError(f"{path}: line {lineno}: feature index too large in token "
+                                     f"{tok!r}")
                 last = idx
                 entries.append((idx - 1, val))
                 max_index = max(max_index, idx - 1)
@@ -165,6 +169,12 @@ MALFORMED = [
     ("1 2:3:4 1:nan\n", "bad feature token '2:3:4'"),
     ("1 5:1 2:3:4\n", "bad feature token '2:3:4'"),
     ("1 5:1 2 3:4\n", "bad feature token '2'"),
+    # an index beyond int64 is named with its token, after the faults before it
+    ("-1 99999999999999999999:1\n", "feature index too large in token '99999999999999999999:1'"),
+    ("1 9223372036854775808:1\n", "feature index too large in token '9223372036854775808:1'"),
+    ("1 2:1 1:1 99999999999999999999:1\n", "indices must be strictly increasing and 1-based"),
+    ("1 99999999999999999999:1 2:x\n", "feature index too large in token '99999999999999999999:1'"),
+    ("1 -99999999999999999999:1\n", "indices must be strictly increasing and 1-based"),
 ]
 
 

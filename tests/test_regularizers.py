@@ -282,3 +282,90 @@ def test_snapshot_keeps_the_previous_state_bit_for_bit():
                 w = reg.mirror_map(theta)
                 assert repr(snap.conjugate(theta)) == repr(ref.conjugate(theta)), name
                 assert repr(float(snap.value(w))) == repr(float(ref.value(w))), name
+
+
+def _fresh_time_varying(dim):
+    """Each time-varying family right after construction, where it stands at f_0."""
+    return {
+        "growing_quadratic": GrowingQuadratic(dim, r=1.0),
+        "growing_quadratic_diag": GrowingQuadratic(dim, r=2.0, diagonal=True),
+        "composite_sqrt": CompositeQuadL1(dim, eta=0.5, lam=0.3, schedule="sqrt"),
+        "composite_linear": CompositeQuadL1(dim, eta=1.0, lam=0.2, ridge=1.0, schedule="linear"),
+        "composite_constant": CompositeQuadL1(dim, eta=0.5, lam=0.3, schedule="constant"),
+        "sqrt_scheduled": SqrtScheduled(PNorm(dim, p=1.8)),
+        "linear_scheduled": LinearScheduled(FixedQuadratic(dim, scale=0.7)),
+        "max_scaled": MaxScaled(FixedQuadratic(dim)),
+        "scaleinv_pnorm": ScaleInvPNorm(dim, lipschitz=1.0),
+        "scaleinv_diag": ScaleInvDiag(dim, lipschitz=1.0),
+    }
+
+
+# the families whose f_0 is the zero function: a zero schedule factor, curvature or weight
+ZERO_F0 = {"composite_sqrt", "composite_linear", "sqrt_scheduled", "linear_scheduled",
+           "max_scaled", "scaleinv_pnorm", "scaleinv_diag"}
+
+
+def _derived_oracle(reg):
+    """The constants reg derives from its state, by the formulas that once ran on every call."""
+    if isinstance(reg, ScaleInvPNorm):
+        p = max(2.0 * math.log(reg.m), 2.0) if reg.m >= 1 else 2.0
+        live = reg.b > 0.0
+        return {"p": p, "q": p / (p - 1.0),
+                "beta": math.sqrt(E * reg.lipschitz ** 2 * (p - 1.0) + reg.grad_stats),
+                "live": live, "b_live": reg.b[live]}
+    if isinstance(reg, ScaleInvDiag):
+        h = np.sqrt(reg.lipschitz ** 2 + reg.gs)
+        weights = math.sqrt(reg.dim) * reg.b * reg.b * h
+        return {"weights": weights, "live": weights > 0.0}
+    if isinstance(reg, CompositeQuadL1):
+        s = {"constant": 1.0, "sqrt": math.sqrt(reg.t), "linear": 0.0}[reg.schedule]
+        return {"curvature": s * reg.quad + reg.eta * reg.t * reg.ridge,
+                "threshold": reg.eta * reg.t * reg.lam}
+    if isinstance(reg, MaxScaled):
+        return {"factor": reg.x_max * reg.x_max}
+    if isinstance(reg, SqrtScheduled):
+        return {"factor": math.sqrt(reg.t)}
+    if isinstance(reg, LinearScheduled):
+        return {"factor": float(reg.t)}
+    if reg.diagonal:
+        return {"logdet": float(np.sum(np.log(reg.tracker.diag)))}
+    return {}  # RankOneInverse.logdet is a running sum, with no closed form to compare
+
+
+def _bits(val):
+    if isinstance(val, np.ndarray):
+        return (val.dtype.str, val.shape, val.tobytes())
+    return (type(val), repr(val))
+
+
+def test_derived_state_matches_the_on_demand_formulas_after_every_hook():
+    dim = 4
+    rng = np.random.default_rng(17)
+    fams = {name: reg for name, reg in regularizer_families(dim).items() if reg.time_varying}
+    fams.update({f"{name}_f0": reg for name, reg in _fresh_time_varying(dim).items()})
+    for name, reg in fams.items():
+        holder = reg.tracker if isinstance(reg, GrowingQuadratic) else reg
+        if name not in ("growing_quadratic", "growing_quadratic_f0"):
+            assert _derived_oracle(reg), name
+        for step in range(6):
+            for hook in [None, *_hooks(reg, rng, dim, 10.0 * 2.0 ** step)]:
+                if hook is not None:
+                    hook()
+                for key, expect in _derived_oracle(reg).items():
+                    assert _bits(getattr(holder, key)) == _bits(expect), (name, step, key)
+
+
+def test_f0_is_defined_for_every_time_varying_family():
+    dim = 3
+    zero, e1 = np.zeros(dim), np.eye(dim)[0]
+    w = np.array([0.5, -2.0, 1.5])
+    for name, reg in _fresh_time_varying(dim).items():
+        assert reg.time_varying, name
+        assert reg.conjugate(zero) == 0.0, name
+        assert not reg.mirror_map(zero).any(), name
+        assert float(reg.value(zero)) == 0.0, name
+        if name in ZERO_F0:
+            assert reg.conjugate(e1) == math.inf, name
+            assert float(reg.value(w)) == 0.0, name
+        else:
+            assert 0.0 < reg.conjugate(e1) < math.inf, name
