@@ -60,11 +60,7 @@ class RunTrace:
 
     def design(self):
         if self._design is None:
-            X = np.zeros((len(self.dataset), self.dim))
-            for i, ex in enumerate(self.dataset):
-                X[i, ex.x.indices] = ex.x.values
-            self._design = X
-            self._labels = np.array([ex.y for ex in self.dataset])
+            self._design, self._labels = self.dataset.design()
         return self._design, self._labels
 
 
@@ -153,7 +149,7 @@ def engine_audit(trace, u):
     """
     recs = trace.records
     U = _as_batch(u, trace.dim)
-    Z = np.sum([r.z for r in recs], axis=0) if recs else np.zeros(trace.dim)
+    Z = trace.learner.theta  # sum_t z_t, accumulated in round order
     zw_sum = float(sum(r.zw for r in recs))
     # a zero dual norm may come with beta = 0; != keeps a NaN one in the sum, > would drop it
     quad_sum = float(sum(r.dual_norm_sq / (2.0 * r.beta) for r in recs if r.dual_norm_sq != 0))

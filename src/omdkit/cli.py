@@ -5,6 +5,7 @@ violation. Flags are long-form only.
 """
 
 import argparse
+import functools
 import math
 import sys
 
@@ -153,7 +154,9 @@ def _check_flags(parser, args):
             setattr(args, key, default)
 
 
-def main(argv=None):
+@functools.cache
+def _parser():
+    """The omdkit argument parser, built once per process; parse_args leaves it as it was."""
     parser = _Parser(prog="omdkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -182,7 +185,11 @@ def main(argv=None):
     _add_run_flags(sp)
     sp.add_argument("--tol", type=_finite)
     sp.add_argument("--strict-audit", action="store_true", dest="strict")
+    return parser
 
+
+def main(argv=None):
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.command != "gen":
         _check_flags(parser, args)

@@ -3,30 +3,65 @@
 import csv as _csv
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .linalg import SparseVec
-from .prng import Xorshift64Star
+from .prng import StateCursor, Xorshift64Star
 
 
-@dataclass
-class Example:
-    x: SparseVec
+class Example(NamedTuple):
+    """One row: x is a SparseVec (parsed or rescaled data) or a read-only dense row."""
+
+    x: object
     y: float
 
 
 @dataclass
 class Dataset:
+    """Rows (x_t, y_t) in order, their dimension and the generator's metadata.
+
+    Parsed and rescaled data keep a list of Examples with SparseVec rows.
+    Generated data is one read-only (T, d) float64 matrix X and a label
+    vector y, and its rows are views of X. Either way, iterating yields Example rows and
+    design() gives the matrix and the labels.
+    """
+
     examples: list
     dim: int
     meta: dict = field(default_factory=dict)
+    X: np.ndarray = None
+    y: np.ndarray = None
+
+    @classmethod
+    def from_matrix(cls, X, y, meta):
+        """Generated rows; -0.0 reads as +0.0, as it would from a SparseVec row."""
+        X = X + 0.0
+        X.flags.writeable = False
+        return cls(None, X.shape[1], meta, X, np.asarray(y, dtype=np.float64))
 
     def __iter__(self):
-        return iter(self.examples)
+        if self.X is None:
+            return iter(self.examples)
+        return map(Example._make, zip(self.X, self.y.tolist()))
 
     def __len__(self):
-        return len(self.examples)
+        return len(self.examples) if self.X is None else self.X.shape[0]
+
+    def design(self):
+        """(X, y): the (T, d) design matrix and the label vector."""
+        if self.X is not None:
+            return self.X, self.y
+        X = np.zeros((len(self.examples), self.dim))
+        for i, (x, _) in enumerate(self.examples):
+            X[i, x.indices] = x.values
+        return X, np.array([y for _, y in self.examples])
+
+
+def _sparse(x):
+    """A row as a SparseVec."""
+    return x if isinstance(x, SparseVec) else SparseVec.from_dense(x)
 
 
 def _features(rest):
@@ -165,9 +200,10 @@ def write_svmlight(dataset, path):
         if "u_star" in dataset.meta:
             ustr = " ".join(repr(float(v)) for v in dataset.meta["u_star"])
             fh.write(f"# u_star {ustr}\n")
-        for ex in dataset.examples:
-            toks = [repr(float(ex.y))]
-            toks += [f"{i + 1}:{repr(float(v))}" for i, v in zip(ex.x.indices, ex.x.values)]
+        for x, y in dataset:
+            x = _sparse(x)
+            toks = [repr(float(y))]
+            toks += [f"{i + 1}:{repr(float(v))}" for i, v in zip(x.indices, x.values)]
             fh.write(" ".join(toks) + "\n")
 
 
@@ -206,26 +242,52 @@ def _unit_vector(rng, d):
 def _gen_separable(rng, gamma, d, T):
     """Unit-norm target u with y <u,x> >= gamma and ||x|| <= 1 by construction.
 
+    Row t draws a sign y, a margin m = gamma + (1 - gamma) U, a normal vector
+    v, and, when v has a part orthogonal to u, a radius rho = U; then
+    x = y m u + rho sqrt(1 - m^2) orth/||orth||. Whether rho is drawn moves
+    every later draw, so the layout assumes it is (it is not at d = 1, where
+    orth is 0) and is redone from the first row where that was wrong.
+
     meta carries u_unit (the unit-norm target), gamma, and u_star = u/gamma,
     the comparator with zero hinge loss.
     """
     if not 0.0 < gamma <= 1.0:
         raise ValueError(f"infeasible margin gamma={gamma}; need 0 < gamma <= 1")
     u = _unit_vector(rng, d)
-    examples = []
-    for _ in range(int(T)):
-        y = rng.sign()
-        m = gamma + (1.0 - gamma) * rng.uniform()
-        v = rng.normals(d)
-        orth = v - (v @ u) * u
-        northo = float(np.linalg.norm(orth))
-        x = y * m * u
-        if northo > 1e-12:
-            rho = rng.uniform()
-            x = x + (orth / northo) * rho * math.sqrt(max(1.0 - m * m, 0.0))
-        examples.append(Example(SparseVec.from_dense(x), y))
-    return Dataset(examples, d,
-                   meta={"u_star": u / gamma, "u_unit": u, "gamma": gamma})
+    # per row: a sign, a margin, a radius, and (d + 1) // 2 polar pairs accepted w.p. pi/4
+    states = T * (3 + 2 * ((d + 1) // 2) * 4 // 3) + 64
+    rho_drawn = np.full(T, d > 1)
+    while True:
+        cur = StateCursor(rng, states)
+        first, rho_at = [], []
+        spare = cur.spare is not None
+        for drawn in rho_drawn.tolist():
+            first.append(cur.take(2))  # the sign, then the margin
+            p = (d - spare + 1) // 2
+            cur.pairs(p)
+            spare = 2 * p - (d - spare)
+            if drawn:
+                rho_at.append(cur.take(1))
+        orth = cur.normals(T * d).reshape(T, d)
+        orth -= np.vecdot(orth, u)[:, None] * u
+        northo = np.sqrt(np.vecdot(orth, orth))
+        wrong = np.flatnonzero((northo > 1e-12) != rho_drawn)
+        if not wrong.size:
+            break
+        rho_drawn[wrong[0]] = not rho_drawn[wrong[0]]
+        rho_drawn[wrong[0] + 1:] = d > 1
+    cur.finish()
+    first = np.asarray(first, dtype=np.intp)
+    y = np.where(cur.states[first] & np.uint64(1), 1.0, -1.0)
+    m = gamma + (1.0 - gamma) * cur.uniforms[first + 1]
+    X = (y * m)[:, None] * u
+    k = rho_drawn
+    step = orth[k]
+    step /= northo[k, None]
+    step *= cur.uniforms[np.asarray(rho_at, dtype=np.intp)][:, None]
+    step *= np.sqrt(np.maximum(1.0 - m[k] * m[k], 0.0))[:, None]
+    X[k] += step
+    return Dataset.from_matrix(X, y, {"u_star": u / gamma, "u_unit": u, "gamma": gamma})
 
 
 def _gen_noisy_linear(rng, sigma, d, T, u_star=None):
@@ -234,12 +296,19 @@ def _gen_noisy_linear(rng, sigma, d, T, u_star=None):
     u = np.asarray(u_star, float) if u_star is not None else _unit_vector(rng, d)
     if u.shape[0] != d:
         raise ValueError("u_star length must equal d")
-    examples = []
-    for _ in range(int(T)):
-        x = np.array([rng.uniform_in(-1.0, 1.0) for _ in range(d)])
-        y = float(u @ x) + sigma * rng.normal()
-        examples.append(Example(SparseVec.from_dense(x), y))
-    return Dataset(examples, d, meta={"u_star": u})
+    # row t: d uniforms in [-1, 1), then one normal for the noise
+    cur = StateCursor(rng, T * (d + 2))
+    x_at = np.empty(T, dtype=np.intp)
+    spare = cur.spare is not None
+    for t in range(T):
+        x_at[t] = cur.take(d)
+        if not spare:
+            cur.pairs(1)
+        spare = not spare
+    noise = cur.normals(T)
+    cur.finish()
+    X = -1.0 + 2.0 * cur.uniforms[x_at[:, None] + np.arange(d)]
+    return Dataset.from_matrix(X, np.vecdot(X, u) + sigma * noise, {"u_star": u})
 
 
 def _gen_sparse_target(rng, k, d, T):
@@ -249,11 +318,8 @@ def _gen_sparse_target(rng, k, d, T):
     u = np.zeros(d)
     for i in support:
         u[i] = rng.sign() / math.sqrt(k)
-    examples = []
-    for _ in range(int(T)):
-        x = np.array([rng.uniform_in(-1.0, 1.0) for _ in range(d)])
-        examples.append(Example(SparseVec.from_dense(x), float(u @ x)))
-    return Dataset(examples, d, meta={"u_star": u})
+    X = -1.0 + 2.0 * rng.uniforms(T * d).reshape(T, d)
+    return Dataset.from_matrix(X, np.vecdot(X, u), {"u_star": u})
 
 
 def _gen_heavy_tail(rng, zipf, d, T):
@@ -266,15 +332,10 @@ def _gen_heavy_tail(rng, zipf, d, T):
     for i in rare:
         u[i] = rng.sign() / math.sqrt(k)
     u[0] = 0.1 * rng.sign()
-    examples = []
-    for _ in range(int(T)):
-        x = np.array([1.0 if rng.uniform() < probs[i] else 0.0 for i in range(d)])
-        if not x.any():
-            x[0] = 1.0
-        s = float(u @ x)
-        y = 1.0 if s >= 0 else -1.0
-        examples.append(Example(SparseVec.from_dense(x), y))
-    return Dataset(examples, d, meta={"u_star": u})
+    X = np.where(rng.uniforms(T * d).reshape(T, d) < probs, 1.0, 0.0)
+    X[~X.any(axis=1), 0] = 1.0
+    y = np.where(np.vecdot(X, u) >= 0, 1.0, -1.0)
+    return Dataset.from_matrix(X, y, {"u_star": u})
 
 
 def rescale_dataset(dataset, factors):
@@ -283,7 +344,8 @@ def rescale_dataset(dataset, factors):
         raise ValueError("factor length must equal dataset dim")
     if np.any(factors == 0.0) or not np.isfinite(factors).all():
         raise ValueError("rescaling factors must be finite and nonzero")
-    examples = [Example(ex.x.scaled(factors), ex.y) for ex in dataset.examples]
+    # a SparseVec row keeps an underflowed product as an explicit (signed) zero
+    examples = [Example(_sparse(x).scaled(factors), y) for x, y in dataset]
     meta = dict(dataset.meta)
     if "u_star" in meta:
         meta["u_star"] = np.asarray(meta["u_star"], float) / factors

@@ -8,9 +8,11 @@ lives only in the summary and is excluded from determinism claims).
 """
 
 import dataclasses
+import functools
 import hashlib
 import json
 import math
+import operator
 import sys
 import time
 
@@ -147,15 +149,15 @@ def build_learner(config, dim):
 
 
 def _validate_labels(learner, dataset):
-    for i, ex in enumerate(dataset if learner.binary_labels else ()):
-        if ex.y not in (-1.0, 1.0):
+    for i, (_, y) in enumerate(dataset if learner.binary_labels else ()):
+        if y not in (-1.0, 1.0):
             raise ValueError(f"classification learner needs labels in {{-1,+1}}; "
-                             f"example {i} has y={ex.y}")
+                             f"example {i} has y={y}")
 
 
 def drive(learner, dataset):
     """Run the online protocol over the dataset, one learner round per example."""
-    return [learner.round(ex.x, ex.y) for ex in dataset]
+    return [learner.round(x, y) for x, y in dataset]
 
 
 def _replay(config):
@@ -288,6 +290,68 @@ def _record_payload(rec):
     return {name: getattr(rec, name) for name in _RECORD_FIELDS}
 
 
+# A record's JSON line has a fixed shape: the sorted fields, with the sorted extras nested
+# where "extras" sorts. So records that share their extras keys and value types share one
+# %-template, and encode_record fills it; canonical_json stays the specification.
+_NAMES = sorted(_RECORD_FIELDS)
+_HEAD = _NAMES[:_NAMES.index("extras")]
+_TAIL = _NAMES[_NAMES.index("extras") + 1:]
+_HEAD_VALUES, _TAIL_VALUES = operator.attrgetter(*_HEAD), operator.attrgetter(*_TAIL)
+# %.17g formats a float as format(x, ".17g") does; None is a literal null, not an argument
+_SLOTS = {float: "%.17g", int: "%d", bool: "%s", type(None): "null"}
+_JSON_BOOL = {False: "false", True: "true"}
+
+
+@functools.cache
+def _record_encoder(keys, types):
+    """(template, argument getter, bool argument positions) for one record shape.
+
+    keys are the extras keys in insertion order, types the value types in
+    the order encode_record lists them. None when a type has no fixed
+    format, or when the template's text could hide an "inf" or "nan".
+    """
+    if not all(t in _SLOTS for t in types):
+        return None
+    names = [*_HEAD, *("extras." + k for k in keys), *_TAIL]
+    kind = dict(zip(names, types))
+    position = {name: i for i, name in enumerate(names)}
+
+    def fields(group):
+        return ",".join(_fmt(name.removeprefix("extras.")).replace("%", "%%") + ":"
+                        + _SLOTS[kind[name]] for name in group)
+
+    extras = ["extras." + k for k in sorted(keys)]
+    text = "{%s,\"extras\":{%s},%s}" % (fields(_HEAD), fields(extras), fields(_TAIL))
+    if "inf" in text or "nan" in text:
+        return None
+    args = [name for name in (*_HEAD, *extras, *_TAIL) if kind[name] is not type(None)]
+    bools = [i for i, name in enumerate(args) if kind[name] is bool]
+    return text, operator.itemgetter(*(position[name] for name in args)), bools
+
+
+def encode_record(rec):
+    """canonical_json(_record_payload(rec)), through the template of the record's shape.
+
+    A non-finite float formats as inf or nan, which no template's own text
+    contains; such a record, and one with a value of any other type than
+    float, int, bool or None, goes through canonical_json.
+    """
+    extras = rec.extras
+    vals = (*_HEAD_VALUES(rec), *extras.values(), *_TAIL_VALUES(rec))
+    # (*map(...),) sizes the tuple once; tuple(map(...)) would resize it, and CPython
+    # parks each resized tuple on a free list of another size, growing memory per record
+    enc = _record_encoder(tuple(extras), (*map(type, vals),))
+    if enc is not None:
+        template, getter, bools = enc
+        args = list(getter(vals))
+        for i in bools:
+            args[i] = _JSON_BOOL[args[i]]
+        line = template % tuple(args)
+        if "inf" not in line and "nan" not in line:
+            return line
+    return canonical_json(_record_payload(rec))
+
+
 def _flat(payload):
     """A record payload with its extras inlined as 'extras.<key>'."""
     extras = payload.get("extras")
@@ -313,7 +377,7 @@ def write_trace(path, config, trace):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(canonical_json(header) + "\n")
         for rec in trace.records:
-            fh.write(canonical_json(_record_payload(rec)) + "\n")
+            fh.write(encode_record(rec) + "\n")
 
 
 def write_summary(path, summary, drop_wall_time=False):
@@ -394,10 +458,9 @@ def audit_stored(path, config_override=None):
     if len(stored) > len(records):
         raise ValueError(f"{path}: trace has {len(stored)} records, expected {len(records)}")
     for i, rec in enumerate(records):
-        payload = _record_payload(rec)
-        if stored[i] != canonical_json(payload):
+        if stored[i] != encode_record(rec):
             raise ValueError(f"{path}: record {i + 1} does not match the replayed run: "
-                             f"{_record_mismatch(stored[i], payload)}")
+                             f"{_record_mismatch(stored[i], _record_payload(rec))}")
     return audit_reports(trace, config), trace
 
 

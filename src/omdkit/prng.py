@@ -11,8 +11,14 @@ to a uint64 array through eight byte-indexed lookup tables. The polar
 method then runs on the arrays with the scalar path's IEEE operations;
 its log goes through `math.log`, because `np.log` is not always correctly
 rounded and would change the last bit of some normals.
+
+Every draw but the polar normal takes exactly one state, so the data
+generators lay their draws out as indices into a block of states read
+through a `StateCursor`, and evaluate the draws as arrays afterwards.
 """
 
+import array
+import bisect
 import functools
 import math
 
@@ -72,6 +78,90 @@ def _states(x, n):
     return out
 
 
+def _uniforms(states):
+    """uniform() of each state, as the scalar path computes it."""
+    return ((states * np.uint64(_MULT)) >> np.uint64(11)).astype(np.float64) * (1.0 / (1 << 53))
+
+
+def _polar(u, v, s):
+    """Interleaved normal pairs of accepted polar candidates (u, v) with s = u*u + v*v."""
+    logs = np.fromiter(map(math.log, s.tolist()), dtype=np.float64, count=len(s))
+    factor = np.sqrt(-2.0 * logs / s)
+    return np.column_stack([u * factor, v * factor]).ravel()
+
+
+class StateCursor:
+    """A generator's stream as a block of states, handed out by index through a cursor.
+
+    take(k) hands out k single-state draws (uniform, sign); pairs(p) takes
+    the next p accepted polar pairs, scanning two states at a time as
+    normal() does, and normals(n) evaluates the stream they form. The block
+    doubles whenever a draw runs past its end; it always starts at the
+    generator's state, so indices stay valid. finish() leaves the
+    generator's state and spare normal where the scalar draws would have
+    left them.
+    """
+
+    def __init__(self, rng, n):
+        self.rng = rng
+        self.pos = 0
+        self.spare = rng._spare_normal  # the stream's first normal, if any
+        # index lists are int64 arrays; a Python list would hold an int object per entry
+        self._pairs = array.array("q")  # start indices of the pairs taken, in order
+        self._fill(max(int(n), 1))
+
+    def _fill(self, n):
+        self.states = _states(self.rng.state, n)
+        self.uniforms = _uniforms(self.states)
+        self._accepted = {}  # parity -> start indices of accepted pairs, derived on first use
+
+    def take(self, k):
+        """Index of the first of the next k single-state draws."""
+        i = self.pos
+        while i + k > len(self.states):
+            self._fill(2 * len(self.states))
+        self.pos = i + k
+        return i
+
+    def pairs(self, p):
+        """Take the next p accepted polar pairs."""
+        while p:
+            parity = self.pos % 2
+            if parity not in self._accepted:
+                u = 2.0 * self.uniforms[parity:-1:2] - 1.0
+                v = 2.0 * self.uniforms[parity + 1::2] - 1.0
+                s = u * u + v * v
+                ok = np.flatnonzero((0.0 < s) & (s < 1.0))
+                starts = (parity + 2 * ok).astype(np.int64)
+                self._accepted[parity] = array.array("q", starts.tobytes())
+            starts = self._accepted[parity]
+            j = bisect.bisect_left(starts, self.pos)
+            if j + p <= len(starts):
+                self._pairs += starts[j:j + p]
+                self.pos = starts[j + p - 1] + 2
+                return
+            self._fill(2 * len(self.states))
+
+    def normals(self, n):
+        """The first n normals of the stream: the spare, then the pairs taken.
+
+        A value left over becomes the spare that finish() hands back.
+        """
+        a = np.frombuffer(self._pairs, dtype=np.int64)
+        u, v = 2.0 * self.uniforms[a] - 1.0, 2.0 * self.uniforms[a + 1] - 1.0
+        vals = _polar(u, v, u * u + v * v)
+        if self.spare is not None:
+            vals = np.concatenate([[self.spare], vals])
+        self.spare = float(vals[n]) if len(vals) > n else None
+        return vals[:n]
+
+    def finish(self):
+        """Move the generator to the state of the last draw taken, with the stream's spare."""
+        if self.pos:
+            self.rng.state = int(self.states[self.pos - 1])
+        self.rng._spare_normal = self.spare
+
+
 class Xorshift64Star:
     def __init__(self, seed):
         seed = int(seed) & _MASK
@@ -89,6 +179,13 @@ class Xorshift64Star:
     def uniform(self):
         """Uniform double in [0, 1)."""
         return (self.next_u64() >> 11) * (1.0 / (1 << 53))
+
+    def uniforms(self, n):
+        """float64 array of the next n uniform() values."""
+        states = _states(self.state, n)
+        if n:
+            self.state = int(states[-1])
+        return _uniforms(states)
 
     def uniform_in(self, lo, hi):
         return lo + (hi - lo) * self.uniform()
@@ -121,15 +218,11 @@ class Xorshift64Star:
             want = (n - i + 1) // 2
             pairs = int(want / 0.785) + math.isqrt(want) + 1
             st = _states(self.state, 2 * pairs)
-            uv = 2.0 * (((st * np.uint64(_MULT)) >> np.uint64(11)).astype(np.float64)
-                        * (1.0 / (1 << 53))) - 1.0
+            uv = 2.0 * _uniforms(st) - 1.0
             u, v = uv[0::2], uv[1::2]
             s = u * u + v * v
             ok = np.flatnonzero((0.0 < s) & (s < 1.0))[:want]
-            s = s[ok]
-            logs = np.fromiter(map(math.log, s.tolist()), dtype=np.float64, count=len(s))
-            factor = np.sqrt(-2.0 * logs / s)
-            vals = np.column_stack([u[ok] * factor, v[ok] * factor]).ravel()
+            vals = _polar(u[ok], v[ok], s[ok])
             m = min(len(vals), n - i)
             out[i:i + m] = vals[:m]
             i += m

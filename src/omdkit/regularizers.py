@@ -336,8 +336,8 @@ class CompositeQuadL1(Regularizer):
         self._derive()
 
     def _derive(self):
-        s = {"constant": 1.0, "sqrt": math.sqrt(self.t), "linear": 0.0}[self.schedule]
-        self.curvature = s * self.quad + self.eta * self.t * self.ridge
+        self.factor = {"constant": 1.0, "sqrt": math.sqrt(self.t), "linear": 0.0}[self.schedule]
+        self.curvature = self.factor * self.quad + self.eta * self.t * self.ridge
         self.threshold = self.eta * self.t * self.lam
 
     def value(self, w):
@@ -383,9 +383,8 @@ class CompositeQuadL1(Regularizer):
         return 0.5 * self.quad * np.sum(w * w, axis=-1)
 
     def scheduled_quad_value(self, w):
-        """g_t(w) at the current step."""
-        s = {"constant": 1.0, "sqrt": math.sqrt(max(self.t, 1)), "linear": 0.0}[self.schedule]
-        return s * self.base_quad_value(w)
+        """g_t(w) at the current step; g_0 = 0 under the sqrt schedule."""
+        return self.factor * self.base_quad_value(w)
 
 
 class _Scheduled(Regularizer):

@@ -1,11 +1,16 @@
 """Shared run builders and the CLI runner for the tests."""
 
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from omdkit.harness import ExperimentConfig, run_experiment
+from omdkit.linalg import SparseVec
+from omdkit.prng import Xorshift64Star
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -149,3 +154,96 @@ def audited_learner_suite(d, T, seed):
         ("scaleinv_pnorm", {"lipschitz": 1.0, "eta": 1.0, "loss": "absolute"}, lin),
         ("scaleinv_diag", {"lipschitz": 1.0, "eta": 1.0, "loss": "absolute"}, lin),
     ]
+
+
+# ---- the scalar generators: one PRNG call per draw and a SparseVec per row ----------------
+# They are the oracle for omdkit.data's generators, which draw whole datasets at once and
+# must give the same rows, labels, metadata, final PRNG state and spare normal.
+
+def _scalar_unit_vector(rng, d):
+    while True:
+        v = rng.normals(d)
+        n = float(np.linalg.norm(v))
+        if n > 1e-12:
+            return v / n
+
+
+def _scalar_separable(rng, gamma, d, T):
+    u = _scalar_unit_vector(rng, d)
+    rows = []
+    for _ in range(int(T)):
+        y = rng.sign()
+        m = gamma + (1.0 - gamma) * rng.uniform()
+        v = rng.normals(d)
+        orth = v - (v @ u) * u
+        northo = float(np.linalg.norm(orth))
+        x = y * m * u
+        if northo > 1e-12:
+            rho = rng.uniform()
+            x = x + (orth / northo) * rho * math.sqrt(max(1.0 - m * m, 0.0))
+        rows.append((SparseVec.from_dense(x), y))
+    return rows, {"u_star": u / gamma, "u_unit": u, "gamma": gamma}
+
+
+def _scalar_noisy_linear(rng, sigma, d, T, u_star=None):
+    u = np.asarray(u_star, float) if u_star is not None else _scalar_unit_vector(rng, d)
+    rows = []
+    for _ in range(int(T)):
+        x = np.array([rng.uniform_in(-1.0, 1.0) for _ in range(d)])
+        y = float(u @ x) + sigma * rng.normal()
+        rows.append((SparseVec.from_dense(x), y))
+    return rows, {"u_star": u}
+
+
+def _scalar_sparse_target(rng, k, d, T):
+    support = rng.permutation(d)[:k]
+    u = np.zeros(d)
+    for i in support:
+        u[i] = rng.sign() / math.sqrt(k)
+    rows = []
+    for _ in range(int(T)):
+        x = np.array([rng.uniform_in(-1.0, 1.0) for _ in range(d)])
+        rows.append((SparseVec.from_dense(x), float(u @ x)))
+    return rows, {"u_star": u}
+
+
+def _scalar_heavy_tail(rng, zipf, d, T):
+    probs = np.array([(i + 1.0) ** (-zipf) for i in range(d)])
+    k = max(d // 4, 1)
+    u = np.zeros(d)
+    for i in range(d - k, d):
+        u[i] = rng.sign() / math.sqrt(k)
+    u[0] = 0.1 * rng.sign()
+    rows = []
+    for _ in range(int(T)):
+        x = np.array([1.0 if rng.uniform() < probs[i] else 0.0 for i in range(d)])
+        if not x.any():
+            x[0] = 1.0
+        s = float(u @ x)
+        rows.append((SparseVec.from_dense(x), 1.0 if s >= 0 else -1.0))
+    return rows, {"u_star": u}
+
+
+SCALAR_GENERATORS = {
+    "separable_margin": _scalar_separable,
+    "noisy_linear": _scalar_noisy_linear,
+    "sparse_target": _scalar_sparse_target,
+    "heavy_tail_features": _scalar_heavy_tail,
+}
+
+
+def scalar_generate(kind, seed, params, rescales=()):
+    """(X, y, meta, rng) of the scalar generator, after each factor list in rescales.
+
+    X is the rows' dense reading, SparseVec.to_dense of each row.
+    """
+    rng = Xorshift64Star(seed)
+    rows, meta = SCALAR_GENERATORS[kind](rng, **params)
+    for factors in rescales:
+        factors = np.asarray(factors, dtype=np.float64)
+        rows = [(x.scaled(factors), y) for x, y in rows]
+        meta = {**meta, "u_star": np.asarray(meta["u_star"], float) / factors,
+                "rescaled_by": factors}
+    d = params["d"]
+    X = np.array([x.to_dense() for x, _ in rows]).reshape(len(rows), d)
+    return X, np.array([y for _, y in rows]), meta, rng

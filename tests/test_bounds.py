@@ -39,6 +39,7 @@ def test_engine_audit_single_step_hand_example():
     lrn = FirstOrderClassifier(FixedQuadratic(2))
     rec = StepRecord(t=1, prediction=0.0, label=1.0, loss=1.0, eta=1.0,
                      z=np.array([1.0, 0.0]), dual_norm_sq=1.0, beta=1.0, zw=0.0)
+    lrn.apply_update(rec.z)  # the audit reads sum_t z_t off the learner's theta
     rep = engine_audit(_manual_trace([rec], lrn), np.array([1.0, 0.0]))
     assert rep.measured == pytest.approx(1.0)
     assert rep.bound == pytest.approx(1.0)
@@ -394,3 +395,28 @@ def test_batch_comparator_deterministic():
     # it should achieve small hinge loss on separable data
     margins = y * (X @ u1)
     assert np.mean(margins > 0) > 0.9
+
+
+def test_engine_audit_reads_theta_with_the_bits_of_the_summed_updates():
+    import copy
+
+    from helpers import gen_config
+    from omdkit.harness import canonical_json, comparator_matrix, run_experiment
+
+    for d in (2, 10, 300):
+        suite = audited_learner_suite(d=d, T=60, seed=d)
+        suite += [("composite", {"eta": 0.7, "lam": 0.1, "schedule": schedule},
+                   noisy_linear(d, d=d, T=60)) for schedule in ("sqrt", "constant")]
+        suite.append(("composite", {"eta": 0.7, "lam": 0.1, "ridge": 0.5,
+                                    "schedule": "linear"}, noisy_linear(d, d=d, T=60)))
+        for name, params, spec in suite:
+            cfg = gen_config(name, params, spec, ("zero", "star"), audit=False)
+            trace, _, _ = run_experiment(cfg)
+            U = comparator_matrix(cfg.comparators, trace)
+            # the oracle: the same audit over Z = sum_t z_t, summed as a stacked array
+            summed = copy.copy(trace.learner)
+            summed.theta = np.sum([r.z for r in trace.records], axis=0)
+            got, expect = (canonical_json(engine_audit(RunTrace(trace.dataset, trace.records,
+                                                                lrn), U).to_dict())
+                           for lrn in (trace.learner, summed))
+            assert got == expect, (name, params, d)

@@ -1,0 +1,100 @@
+"""The generators draw whole datasets with the bits of the scalar generators in helpers.py.
+
+Each case compares the dataset's matrix and labels byte for byte (zero
+signs included), its metadata, and the PRNG's final state and spare
+normal against the scalar oracle, which draws one value per PRNG call
+and holds each row as a SparseVec.
+"""
+
+import numpy as np
+import pytest
+
+from helpers import scalar_generate
+from omdkit.data import _KINDS, Dataset, GeneratorSpec, generate, rescale_dataset
+from omdkit.prng import Xorshift64Star
+
+SEEDS = (1, 2, 3, 4, 5)
+DIMS = (1, 2, 5, 10, 97, 300)
+LENGTHS = (0, 1, 200)
+
+
+def _params(kind, d, T):
+    first = {"separable_margin": ("gamma", 0.3), "noisy_linear": ("sigma", 0.2),
+             "sparse_target": ("k", min(3, d)), "heavy_tail_features": ("zipf", 1.5)}[kind]
+    return dict([first, ("d", d), ("T", T)])
+
+
+def _same_meta(got, expect):
+    assert sorted(got) == sorted(expect)
+    for key, val in expect.items():
+        assert type(got[key]) is type(val), key
+        assert np.asarray(got[key]).tobytes() == np.asarray(val).tobytes(), key
+
+
+def _check(kind, seed, params):
+    rng = Xorshift64Star(seed)
+    ds = _KINDS[kind][0](rng, **params)
+    X, y, meta, ref_rng = scalar_generate(kind, seed, params)
+    got_X, got_y = ds.design()
+    assert got_X.shape == X.shape and got_X.tobytes() == X.tobytes()
+    assert got_y.tobytes() == y.tobytes()
+    assert not got_X.flags.writeable
+    _same_meta(ds.meta, meta)
+    assert rng.state == ref_rng.state
+    spare, ref_spare = rng._spare_normal, ref_rng._spare_normal
+    assert (spare is None) == (ref_spare is None)
+    if spare is not None:
+        assert np.float64(spare).tobytes() == np.float64(ref_spare).tobytes()
+
+
+@pytest.mark.parametrize("kind", sorted(_KINDS))
+def test_generators_match_the_scalar_oracle(kind):
+    for seed in SEEDS:
+        for d in DIMS:
+            for T in LENGTHS:
+                _check(kind, seed, _params(kind, d, T))
+
+
+def test_generator_edge_parameters_match_the_scalar_oracle():
+    for seed in SEEDS:
+        for d in (1, 2, 10, 97):
+            _check("separable_margin", seed, {"gamma": 1, "d": d, "T": 200})
+            _check("separable_margin", seed, {"gamma": 1.0, "d": d, "T": 50})
+            _check("noisy_linear", seed, {"sigma": 0, "d": d, "T": 200})
+            _check("noisy_linear", seed, {"sigma": 0.0, "d": d, "T": 51,
+                                          "u_star": [(-1.0) ** i for i in range(d)]})
+            _check("sparse_target", seed, {"k": d, "d": d, "T": 20})
+
+
+def test_rescaled_generators_match_the_scalar_oracle():
+    # 1e-300 twice underflows every product to a signed zero, which a row keeps
+    negative = [-2.0, 0.5, -1e-300, 3.0, -1.0]
+    tiny = [1e-300, -1e-300, 5e-324, -5e-324, 1.0]
+    for kind in sorted(_KINDS):
+        for seed in SEEDS:
+            params = _params(kind, 5, 60)
+            base = GeneratorSpec(kind, seed, params)
+            for rescales in ([negative], [tiny], [tiny, tiny], [negative, tiny, negative]):
+                spec = base
+                for factors in rescales:
+                    spec = GeneratorSpec("rescaled", seed, base=spec, factors=factors)
+                with np.errstate(over="ignore"):
+                    ds = generate(spec)
+                    X, y, meta, _ = scalar_generate(kind, seed, params, rescales)
+                got_X, got_y = ds.design()
+                assert got_X.tobytes() == X.tobytes()
+                assert got_y.tobytes() == y.tobytes()
+                _same_meta(ds.meta, meta)
+
+
+def test_generated_rows_are_read_only_views_and_signed_zeros_read_as_zero():
+    X = np.array([[-0.0, 1.0], [2.0, -0.0]])
+    ds = Dataset.from_matrix(X, [1.0, -1.0], {})
+    assert np.signbit(ds.X).sum() == 0 and X[0, 0].tobytes() == np.float64(-0.0).tobytes()
+    rows = list(ds)
+    assert [y for _, y in rows] == [1.0, -1.0] and type(rows[0].y) is float
+    with pytest.raises(ValueError):
+        rows[0].x[0] = 5.0
+    # a negative factor keeps the zeros at +0.0, as SparseVec.scaled does
+    scaled = rescale_dataset(ds, [-1.0, -1.0])
+    assert scaled.design()[0].tobytes() == np.array([[0.0, -1.0], [-2.0, 0.0]]).tobytes()

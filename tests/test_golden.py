@@ -114,3 +114,74 @@ def test_rare_s_golden_run_reports_the_refinement(tmp_path):
                      "--summary", str(summ)]) == 0
     names = [r["name"] for r in json.loads(summ.read_text())["reports"]]
     assert names == ["engine", "second_order_diagonal", "diag_refinement"]
+
+
+# `omdkit gen` output files: (generator spec, --rescale value or None) -> sha256 prefix.
+# The 5e-324 factor underflows some products to signed zeros, which are written as such.
+GEN_CONFIGS = {
+    "separable_margin": ("separable_margin:gamma=0.3,d=5,T=60", None),
+    "noisy_linear": ("noisy_linear:sigma=0.2,d=5,T=60", None),
+    "sparse_target": ("sparse_target:k=2,d=5,T=60", None),
+    "heavy_tail_features": ("heavy_tail_features:zipf=1.5,d=8,T=60", None),
+    "heavy_tail_negative_rescale": ("heavy_tail_features:zipf=1.5,d=4,T=60", "-2,0.5,-3,1"),
+    "noisy_linear_underflow_rescale": ("noisy_linear:sigma=0.2,d=3,T=60", "5e-324,-1,1e-300"),
+}
+
+GEN_GOLDEN = {
+    "heavy_tail_features": "ce07829ffe5bfc7a",
+    "heavy_tail_negative_rescale": "d8765e55e200f0e0",
+    "noisy_linear": "91b982792025293b",
+    "noisy_linear_underflow_rescale": "7271158e030bf60d",
+    "separable_margin": "dd443e97acbc88f3",
+    "sparse_target": "ae0d349a56602f5c",
+}
+
+# runs at the edges of the generators: d=1 (no rho draw in separable_margin), d=100 (the
+# bulk normals path) and T=0; digests as in GOLDEN
+EDGE_CONFIGS = {
+    "d1_pa": (["--learner", "pa"], "separable_margin:gamma=0.3,d=1,T=40"),
+    "d1_scaleinv_diag": (["--learner", "scaleinv_diag"], "noisy_linear:sigma=0.2,d=1,T=40"),
+    "d100_pa": (["--learner", "pa"], "separable_margin:gamma=0.3,d=100,T=30"),
+    "d100_second_order_diagonal": (["--learner", "second_order", "--variant", "diagonal"],
+                                   "separable_margin:gamma=0.3,d=100,T=30"),
+    "T0_vaw": (["--learner", "vaw"], "noisy_linear:sigma=0.2,d=3,T=0"),
+    "T0_pa": (["--learner", "pa"], "separable_margin:gamma=0.3,d=3,T=0"),
+}
+
+EDGE_GOLDEN = {
+    "T0_pa": ("aaae7be825859ae7", "aadbb20bb6cbc471", "5ec7afa20f9745ce"),
+    "T0_vaw": ("08832cb9fea7e00b", "3650bee2b0760a90", "be0bfe52ceb27660"),
+    "d100_pa": ("500d3767ce6c685f", "03b4433420f0b781", "3305c2c4d5d52a39"),
+    "d100_second_order_diagonal": ("987839f54927f1dd", "c728ec328a129d9d", "e3cf6f13bc1762b5"),
+    # at d=1 the engine report reads sum_t z_t as theta, summed in round order; the parent
+    # summed the stacked z_t with np.sum, which runs pairwise over a (T, 1) stack, so the
+    # engine's measured value moved by 2 ulps (summary 809496973d69fa60 and 854415c4f2fa0d36,
+    # audit 6bb038380a1cb305 and e8457a6248820e52 before); the traces are unchanged
+    "d1_pa": ("f27833bdb452956f", "0f26cd4eaaa0fd55", "7d68fe997c712b2f"),
+    "d1_scaleinv_diag": ("f58a5bd5ca398fb0", "052e84e8070d53d1", "760149bd59bd1bf4"),
+}
+
+# `omdkit compare` output under a rescaling with a negative factor
+COMPARE_ARGS = ["compare", "--learner", "scaleinv_diag", "--gen",
+                "noisy_linear:sigma=0.2,d=3,T=60", "--seed", "2", "--rescale=-2,0.5,3"]
+COMPARE_GOLDEN = "63017a039f16c9db"
+
+
+@pytest.mark.parametrize("key", sorted(GEN_CONFIGS))
+def test_golden_gen_output(tmp_path, key):
+    gen, rescale = GEN_CONFIGS[key]
+    out = tmp_path / "out.svm"
+    extra = [f"--rescale={rescale}"] if rescale is not None else []
+    assert cli.main(["gen", "--gen", gen, "--seed", "1", "--out", str(out), *extra]) == 0
+    assert _sha(out.read_bytes()) == GEN_GOLDEN[key]
+
+
+@pytest.mark.parametrize("key", sorted(EDGE_CONFIGS))
+def test_golden_digests_generator_edges(tmp_path, key):
+    flags, gen = EDGE_CONFIGS[key]
+    assert _digests(tmp_path, flags, gen) == EDGE_GOLDEN[key]
+
+
+def test_golden_compare_negative_rescale(capsys):
+    assert cli.main(COMPARE_ARGS) == 0
+    assert _sha(capsys.readouterr().out.encode()) == COMPARE_GOLDEN

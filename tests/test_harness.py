@@ -24,6 +24,7 @@ from omdkit.harness import (
     write_summary,
     write_trace,
 )
+from omdkit.linalg import as_dense
 from omdkit.prng import Xorshift64Star
 
 
@@ -95,13 +96,13 @@ def test_generator_determinism_and_margin():
     b = generate(spec)
     for ea, eb in zip(a, b):
         assert ea.y == eb.y
-        assert np.array_equal(ea.x.to_dense(), eb.x.to_dense())
+        assert np.array_equal(as_dense(ea.x), as_dense(eb.x))
     u = a.meta["u_unit"]
     assert np.linalg.norm(u) == pytest.approx(1.0)
     for ex in a:
-        assert ex.y * float(u @ ex.x.to_dense()) >= 0.4 - 1e-12
-        assert ex.y * float(a.meta["u_star"] @ ex.x.to_dense()) >= 1.0 - 1e-12
-        assert np.linalg.norm(ex.x.to_dense()) <= 1.0 + 1e-12
+        assert ex.y * float(u @ as_dense(ex.x)) >= 0.4 - 1e-12
+        assert ex.y * float(a.meta["u_star"] @ as_dense(ex.x)) >= 1.0 - 1e-12
+        assert np.linalg.norm(as_dense(ex.x)) <= 1.0 + 1e-12
 
 
 def test_generator_infeasible_margin():
@@ -138,7 +139,7 @@ def test_rescaled_generator_exact_factors():
     factors = [1000.0, 1.0, 0.5]
     scaled = generate(GeneratorSpec("rescaled", seed=2, base=base, factors=factors))
     for ea, eb in zip(ds, scaled):
-        assert np.array_equal(ea.x.to_dense() * factors, eb.x.to_dense())
+        assert np.array_equal(as_dense(ea.x) * factors, as_dense(eb.x))
 
 
 def test_svmlight_round_trip(tmp_path):
@@ -154,7 +155,7 @@ def test_svmlight_round_trip(tmp_path):
         assert len(back) == len(ds)
         for ea, eb in zip(ds, back):
             assert ea.y == eb.y
-            assert np.array_equal(ea.x.to_dense(), eb.x.to_dense())
+            assert np.array_equal(as_dense(ea.x), as_dense(eb.x))
 
 
 def test_prng_reference_stream():
@@ -764,6 +765,21 @@ def test_composite_empty_run_audits_cleanly():
                               "--comparator", "zero", "--comparator", "batch",
                               "--strict-audit"])
         assert code == 0, schedule
+
+
+def test_composite_empty_run_general_bound_reads_g_0(tmp_path):
+    # an empty run stands at f_0: g_0 = 0 under the sqrt and linear schedules, and
+    # g_0(u) = ||u||^2 / 2 = 1 under the constant one (eta = 1)
+    for schedule, extra in (("sqrt", []), ("constant", []), ("linear", ["--ridge", "1"])):
+        summ = tmp_path / f"{schedule}.json"
+        code, _ = _main_code(["run", "--learner", "composite", "--schedule", schedule, *extra,
+                              "--gen", "noisy_linear:sigma=0.2,d=2,T=0",
+                              "--comparator", "vec:1,1", "--summary", str(summ)])
+        assert code == 0, schedule
+        general = [r for r in json.loads(summ.read_text())["reports"]
+                   if r["name"] == "composite_general"]
+        expect = 1.0 if schedule == "constant" else 0.0
+        assert [r["bound"] for r in general] == [expect], schedule
 
 
 def test_ogd_default_hinge_loss_needs_binary_labels():

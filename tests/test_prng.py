@@ -70,8 +70,11 @@ def test_random_interleavings_match_scalar_draws():
             if op < 0.5:
                 n = pick.choice([0, 1, 2, prng._BULK_NORMALS, pick.randrange(3000)])
                 assert _bits(bulk.normals(n)) == _bits(ref.normal() for _ in range(n))
-            elif op < 0.75:
+            elif op < 0.65:
                 assert bulk.normal() == ref.normal()
+            elif op < 0.8:
+                n = pick.choice([0, 1, 63, 64, 65, pick.randrange(3000)])
+                assert _bits(bulk.uniforms(n)) == _bits(ref.uniform() for _ in range(n))
             else:
                 assert bulk.uniform() == ref.uniform()
             _assert_same_generator(bulk, ref)
