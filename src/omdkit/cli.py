@@ -68,21 +68,19 @@ def _parse_gen_spec(text, seed):
 
 
 def _data_config(args):
-    if args.gen:
+    if args.gen is not None:
         spec = _parse_gen_spec(args.gen, args.seed).to_dict()
         if args.rescale is not None:
             spec = {"kind": "rescaled", "seed": args.seed, "params": {},
                     "base": spec, "factors": args.rescale}
         return {"kind": "generator", "spec": spec}
-    if args.data:
-        cfg = {"kind": "file", "path": args.data, "format": args.format}
-        if args.dim is not None:
-            cfg["dim"] = args.dim
-        if args.format == "csv":
-            cfg["label_column"] = args.label_column
-            cfg["remap01"] = args.remap01
-        return cfg
-    raise ValueError("either --gen or --data is required")
+    cfg = {"kind": "file", "path": args.data, "format": args.format}
+    if args.dim is not None:
+        cfg["dim"] = args.dim
+    if args.format == "csv":
+        cfg["label_column"] = args.label_column
+        cfg["remap01"] = args.remap01
+    return cfg
 
 
 # every param some learner reads; the string-valued ones take a fixed set of choices
@@ -140,10 +138,14 @@ def _check_flags(parser, args):
     if args.command == "compare" and args.rescale is None:
         parser.error("compare needs --rescale")
     source = "gen" if args.gen is not None else "data" if args.data is not None else None
+    if source is None and args.learner is not None:
+        parser.error(f"{args.command} --learner needs a data source: --gen or --data")
     if source:
         unread = [k for k in given if k in _DATA_FLAGS and k not in _SOURCE_READS[source]]
         if unread:
             parser.error(f"--{source} does not read {_flags(unread)}")
+    if args.dim is not None and args.dim < 0:
+        parser.error(f"argument --dim: {args.dim} is negative; need --dim >= 0")
     csv_only = [k for k in ("label_column", "remap01") if getattr(args, k) is not None]
     if csv_only and args.format != "csv":
         parser.error(f"{_flags(csv_only)} only with --format csv")

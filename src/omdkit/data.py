@@ -260,15 +260,12 @@ def _gen_separable(rng, gamma, d, T):
     while True:
         cur = StateCursor(rng, states)
         first, rho_at = [], []
-        spare = cur.spare is not None
         for drawn in rho_drawn.tolist():
             first.append(cur.take(2))  # the sign, then the margin
-            p = (d - spare + 1) // 2
-            cur.pairs(p)
-            spare = 2 * p - (d - spare)
+            cur.take_normals(d)
             if drawn:
                 rho_at.append(cur.take(1))
-        orth = cur.normals(T * d).reshape(T, d)
+        orth = cur.normals().reshape(T, d)
         orth -= np.vecdot(orth, u)[:, None] * u
         northo = np.sqrt(np.vecdot(orth, orth))
         wrong = np.flatnonzero((northo > 1e-12) != rho_drawn)
@@ -299,13 +296,10 @@ def _gen_noisy_linear(rng, sigma, d, T, u_star=None):
     # row t: d uniforms in [-1, 1), then one normal for the noise
     cur = StateCursor(rng, T * (d + 2))
     x_at = np.empty(T, dtype=np.intp)
-    spare = cur.spare is not None
     for t in range(T):
         x_at[t] = cur.take(d)
-        if not spare:
-            cur.pairs(1)
-        spare = not spare
-    noise = cur.normals(T)
+        cur.take_normals(1)
+    noise = cur.normals()
     cur.finish()
     X = -1.0 + 2.0 * cur.uniforms[x_at[:, None] + np.arange(d)]
     return Dataset.from_matrix(X, np.vecdot(X, u) + sigma * noise, {"u_star": u})
@@ -344,12 +338,20 @@ def rescale_dataset(dataset, factors):
         raise ValueError("factor length must equal dataset dim")
     if np.any(factors == 0.0) or not np.isfinite(factors).all():
         raise ValueError("rescaling factors must be finite and nonzero")
-    # a SparseVec row keeps an underflowed product as an explicit (signed) zero
-    examples = [Example(_sparse(x).scaled(factors), y) for x, y in dataset]
     meta = dict(dataset.meta)
     if "u_star" in meta:
-        meta["u_star"] = np.asarray(meta["u_star"], float) / factors
+        u = np.asarray(meta["u_star"], float)
+        with np.errstate(over="ignore"):
+            meta["u_star"] = u / factors
+        bad = np.flatnonzero(~np.isfinite(meta["u_star"]))
+        if bad.size:
+            i = int(bad[0])
+            c = float(factors[i])
+            raise ValueError(f"rescaling factor {c!r} overflows the target at coordinate {i}: "
+                             f"u_star[{i}] = {float(u[i])!r} / {c!r} is not finite")
     meta["rescaled_by"] = factors
+    # a SparseVec row keeps an underflowed product as an explicit (signed) zero
+    examples = [Example(_sparse(x).scaled(factors), y) for x, y in dataset]
     return Dataset(examples, dataset.dim, meta)
 
 

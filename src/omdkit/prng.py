@@ -5,16 +5,15 @@ mod 2^64), output is state * 0x2545F4914F6CDD1D mod 2^64. Doubles take
 the top 53 bits of the output. Pure integer arithmetic, so identical
 seeds give identical streams on every platform.
 
-Large `normals(n)` draws compute the same stream as arrays. The state
-update is linear over GF(2), so k steps are one 64x64 bit matrix, applied
-to a uint64 array through eight byte-indexed lookup tables. The polar
-method then runs on the arrays with the scalar path's IEEE operations;
-its log goes through `math.log`, because `np.log` is not always correctly
-rounded and would change the last bit of some normals.
-
-Every draw but the polar normal takes exactly one state, so the data
-generators lay their draws out as indices into a block of states read
-through a `StateCursor`, and evaluate the draws as arrays afterwards.
+Array draws compute the same stream through a `StateCursor`: `uniforms(n)`,
+`normals(n)` from `_BULK_NORMALS` on, and the data generators, which lay
+their draws out as indices into its block of states and evaluate them as
+arrays afterwards. The state update is linear over GF(2), so k steps are
+one 64x64 bit matrix, applied to a uint64 array through eight byte-indexed
+lookup tables. The polar method then runs on the arrays with the scalar
+path's IEEE operations; its log goes through `math.log`, because `np.log`
+is not always correctly rounded and would change the last bit of some
+normals.
 """
 
 import array
@@ -91,21 +90,23 @@ def _polar(u, v, s):
 
 
 class StateCursor:
-    """A generator's stream as a block of states, handed out by index through a cursor.
+    """A stream of draws as a block of states, handed out by index through a cursor.
 
-    take(k) hands out k single-state draws (uniform, sign); pairs(p) takes
-    the next p accepted polar pairs, scanning two states at a time as
-    normal() does, and normals(n) evaluates the stream they form. The block
-    doubles whenever a draw runs past its end; it always starts at the
-    generator's state, so indices stay valid. finish() leaves the
-    generator's state and spare normal where the scalar draws would have
-    left them.
+    take(k) hands out k single-state draws (uniform, sign); take_normals(k)
+    takes the next k normals: a banked one first, then accepted polar pairs,
+    found two states at a time as normal() scans them, banking the second
+    value of a pair it does not use. normals() evaluates the normals taken;
+    it comes before finish() whenever any were taken. The block doubles
+    whenever a draw runs past its end; it always starts at the generator's
+    state, so indices stay valid. finish() leaves the generator's state and
+    spare normal where the scalar draws would have left them.
     """
 
     def __init__(self, rng, n):
         self.rng = rng
         self.pos = 0
         self.spare = rng._spare_normal  # the stream's first normal, if any
+        self._banked = int(self.spare is not None)  # normals drawn but not taken: 0 or 1
         # index lists are int64 arrays; a Python list would hold an int object per entry
         self._pairs = array.array("q")  # start indices of the pairs taken, in order
         self._fill(max(int(n), 1))
@@ -123,8 +124,10 @@ class StateCursor:
         self.pos = i + k
         return i
 
-    def pairs(self, p):
-        """Take the next p accepted polar pairs."""
+    def take_normals(self, k):
+        """Take the next k normals."""
+        p = (k - self._banked + 1) // 2  # pairs to draw
+        self._banked += 2 * p - k
         while p:
             parity = self.pos % 2
             if parity not in self._accepted:
@@ -142,18 +145,15 @@ class StateCursor:
                 return
             self._fill(2 * len(self.states))
 
-    def normals(self, n):
-        """The first n normals of the stream: the spare, then the pairs taken.
-
-        A value left over becomes the spare that finish() hands back.
-        """
+    def normals(self):
+        """float64 array of the normals taken, in order; the banked one becomes the spare."""
         a = np.frombuffer(self._pairs, dtype=np.int64)
         u, v = 2.0 * self.uniforms[a] - 1.0, 2.0 * self.uniforms[a + 1] - 1.0
         vals = _polar(u, v, u * u + v * v)
         if self.spare is not None:
             vals = np.concatenate([[self.spare], vals])
-        self.spare = float(vals[n]) if len(vals) > n else None
-        return vals[:n]
+        self.spare = float(vals[-1]) if self._banked else None
+        return vals[:len(vals) - self._banked]
 
     def finish(self):
         """Move the generator to the state of the last draw taken, with the stream's spare."""
@@ -182,10 +182,10 @@ class Xorshift64Star:
 
     def uniforms(self, n):
         """float64 array of the next n uniform() values."""
-        states = _states(self.state, n)
-        if n:
-            self.state = int(states[-1])
-        return _uniforms(states)
+        cur = StateCursor(self, n)
+        cur.take(n)
+        cur.finish()
+        return cur.uniforms[:n]
 
     def uniform_in(self, lo, hi):
         return lo + (hi - lo) * self.uniform()
@@ -209,29 +209,12 @@ class Xorshift64Star:
         """float64 array of the next n normal() values, leaving the same state and spare."""
         if n < _BULK_NORMALS:
             return np.array([self.normal() for _ in range(n)], dtype=np.float64)
-        out = np.empty(n, dtype=np.float64)
-        i = 0
-        if n and self._spare_normal is not None:
-            out[0], self._spare_normal, i = self._spare_normal, None, 1
-        while i < n:
-            # a pair is accepted with probability pi/4; a short draw takes another round
-            want = (n - i + 1) // 2
-            pairs = int(want / 0.785) + math.isqrt(want) + 1
-            st = _states(self.state, 2 * pairs)
-            uv = 2.0 * _uniforms(st) - 1.0
-            u, v = uv[0::2], uv[1::2]
-            s = u * u + v * v
-            ok = np.flatnonzero((0.0 < s) & (s < 1.0))[:want]
-            vals = _polar(u[ok], v[ok], s[ok])
-            m = min(len(vals), n - i)
-            out[i:i + m] = vals[:m]
-            i += m
-            if i < n:
-                self.state = int(st[-1])
-            else:
-                self.state = int(st[2 * ok[-1] + 1])
-                if m < len(vals):
-                    self._spare_normal = float(vals[-1])
+        # a pair is accepted with probability pi/4; a short block doubles
+        want = (n + 1) // 2
+        cur = StateCursor(self, 2 * (int(want / 0.785) + math.isqrt(want) + 1))
+        cur.take_normals(n)
+        out = cur.normals()
+        cur.finish()
         return out
 
     def randint(self, n):

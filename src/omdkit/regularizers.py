@@ -497,12 +497,10 @@ class ScaleInvPNorm(Regularizer):
         self.b = np.zeros(self.dim)
         self.m = 0
         self.grad_stats = 0.0
-        self.t = 0
         self._derive()
 
     def observe_input(self, x):
         xd = as_dense(x, self.dim)
-        self.t += 1
         self.b = np.maximum(self.b, np.abs(xd))
         self.m = max(self.m, int(np.count_nonzero(xd)))
         self._derive()

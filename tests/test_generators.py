@@ -67,24 +67,37 @@ def test_generator_edge_parameters_match_the_scalar_oracle():
 
 
 def test_rescaled_generators_match_the_scalar_oracle():
-    # 1e-300 twice underflows every product to a signed zero, which a row keeps
+    # 1e-300 twice underflows every product to a signed zero, which a row keeps; a target
+    # coordinate divided by such factors overflows, and that rescaling is an error.
+    # heavy_tail_features at d=5 has its target on coordinates 0 and 4 only, so
+    # [off_support, flipped] underflows rows to -0.0 and keeps the target finite
     negative = [-2.0, 0.5, -1e-300, 3.0, -1.0]
     tiny = [1e-300, -1e-300, 5e-324, -5e-324, 1.0]
+    off_support = [1.0, 1e-300, -1e-300, -1e-300, 1.0]
+    flipped = [1.0, -1e-300, 1e-300, 1e-300, 1.0]
+    nested_rows = 0
     for kind in sorted(_KINDS):
         for seed in SEEDS:
             params = _params(kind, 5, 60)
             base = GeneratorSpec(kind, seed, params)
-            for rescales in ([negative], [tiny], [tiny, tiny], [negative, tiny, negative]):
+            for rescales in ([negative], [tiny], [tiny, tiny], [negative, tiny, negative],
+                             [off_support, flipped]):
                 spec = base
                 for factors in rescales:
                     spec = GeneratorSpec("rescaled", seed, base=spec, factors=factors)
                 with np.errstate(over="ignore"):
-                    ds = generate(spec)
                     X, y, meta, _ = scalar_generate(kind, seed, params, rescales)
+                if not np.isfinite(meta["u_star"]).all():
+                    with pytest.raises(ValueError, match="overflows the target at coordinate"):
+                        generate(spec)
+                    continue
+                ds = generate(spec)
                 got_X, got_y = ds.design()
                 assert got_X.tobytes() == X.tobytes()
                 assert got_y.tobytes() == y.tobytes()
                 _same_meta(ds.meta, meta)
+                nested_rows += len(rescales) > 1 and bool(np.signbit(X[X == 0.0]).any())
+    assert nested_rows > 0
 
 
 def test_generated_rows_are_read_only_views_and_signed_zeros_read_as_zero():

@@ -117,24 +117,29 @@ def test_rare_s_golden_run_reports_the_refinement(tmp_path):
 
 
 # `omdkit gen` output files: (generator spec, --rescale value or None) -> sha256 prefix.
-# The 5e-324 factor underflows some products to signed zeros, which are written as such.
+# The 5e-324 factor underflows some products to signed zeros, which are written as such;
+# it falls on a coordinate outside the target's support, so u_star stays finite.
 GEN_CONFIGS = {
     "separable_margin": ("separable_margin:gamma=0.3,d=5,T=60", None),
     "noisy_linear": ("noisy_linear:sigma=0.2,d=5,T=60", None),
     "sparse_target": ("sparse_target:k=2,d=5,T=60", None),
     "heavy_tail_features": ("heavy_tail_features:zipf=1.5,d=8,T=60", None),
     "heavy_tail_negative_rescale": ("heavy_tail_features:zipf=1.5,d=4,T=60", "-2,0.5,-3,1"),
-    "noisy_linear_underflow_rescale": ("noisy_linear:sigma=0.2,d=3,T=60", "5e-324,-1,1e-300"),
+    "sparse_target_underflow_rescale": ("sparse_target:k=1,d=3,T=60", "-1,5e-324,1e-300"),
 }
 
 GEN_GOLDEN = {
     "heavy_tail_features": "ce07829ffe5bfc7a",
     "heavy_tail_negative_rescale": "d8765e55e200f0e0",
     "noisy_linear": "91b982792025293b",
-    "noisy_linear_underflow_rescale": "7271158e030bf60d",
     "separable_margin": "dd443e97acbc88f3",
     "sparse_target": "ae0d349a56602f5c",
+    "sparse_target_underflow_rescale": "74adc6b50253a517",
 }
+
+# a rescaling whose target u_star overflows is a data error; this spec's 5e-324 factor falls
+# on a coordinate of noisy_linear's dense target (once pinned at 7271158e030bf60d, u_star -inf)
+OVERFLOW_GEN = ("noisy_linear:sigma=0.2,d=3,T=60", "5e-324,-1,1e-300")
 
 # runs at the edges of the generators: d=1 (no rho draw in separable_margin), d=100 (the
 # bulk normals path) and T=0; digests as in GOLDEN
@@ -174,6 +179,16 @@ def test_golden_gen_output(tmp_path, key):
     extra = [f"--rescale={rescale}"] if rescale is not None else []
     assert cli.main(["gen", "--gen", gen, "--seed", "1", "--out", str(out), *extra]) == 0
     assert _sha(out.read_bytes()) == GEN_GOLDEN[key]
+
+
+def test_gen_overflowing_target_rescale_is_a_data_error(tmp_path, capsys):
+    gen, rescale = OVERFLOW_GEN
+    out = tmp_path / "out.svm"
+    assert cli.main(["gen", "--gen", gen, "--seed", "1", "--out", str(out),
+                     f"--rescale={rescale}"]) == 2
+    assert "rescaling factor 5e-324 overflows the target at coordinate 0" in \
+        capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("key", sorted(EDGE_CONFIGS))

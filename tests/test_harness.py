@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import types
 
 import numpy as np
 import pytest
@@ -311,6 +312,35 @@ def test_cli_exit_codes(tmp_path):
                   "--gen", "noisy_linear:sigma=0.1,d=3,T=40", "--seed", "1",
                   "--rescale", "100,1,0.1", "--tol", "1e-6", "--strict-audit")
     assert out.returncode == 0, out.stderr
+    # usage: a learner with no data source, and a negative --dim
+    for cmd in (["run"], ["audit", "--trace", str(tmp_path / "t.jsonl")]):
+        out = run_cli(*cmd, "--learner", "pa")
+        assert out.returncode == 1
+        assert f"{cmd[0]} --learner needs a data source: --gen or --data" in out.stderr
+    good = tmp_path / "good.svm"
+    good.write_text("1 1:0.5\n-1 2:1\n")
+    out = run_cli("run", "--learner", "pa", "--data", str(good), "--dim", "-3")
+    assert out.returncode == 1
+    assert "argument --dim: -3 is negative; need --dim >= 0" in out.stderr
+
+
+def test_cli_overflowing_rescaled_target_is_data_error(tmp_path, capsys):
+    # 5e-324 on a coordinate of the dense target: u_star[0] / 5e-324 overflows
+    gen = ["--gen", "noisy_linear:sigma=0.2,d=3,T=60", "--seed", "1",
+           "--rescale=5e-324,-1,1e-300"]
+    msg = "rescaling factor 5e-324 overflows the target at coordinate 0: u_star[0] = "
+    # a stored trace of that config, as a version that let the target overflow wrote it
+    trace = tmp_path / "t.jsonl"
+    base = GeneratorSpec("noisy_linear", 1, {"sigma": 0.2, "d": 3, "T": 60})
+    spec = GeneratorSpec("rescaled", 1, base=base, factors=[5e-324, -1.0, 1e-300])
+    config = ExperimentConfig("pa", {}, {"kind": "generator", "spec": spec.to_dict()})
+    write_trace(trace, config, types.SimpleNamespace(records=[]))
+    for argv in (["gen", *gen, "--out", str(tmp_path / "x.svm")],
+                 ["run", "--learner", "pa", *gen],
+                 ["audit", "--trace", str(trace)],
+                 ["compare", "--learner", "scaleinv_diag", *gen]):
+        assert cli.main(argv) == 2, argv
+        assert msg in capsys.readouterr().err, argv
 
 
 def test_cli_infeasible_generator_is_data_error(tmp_path):

@@ -1,4 +1,4 @@
-"""The array path of Xorshift64Star.normals against the scalar normal() loop, bit for bit."""
+"""The array paths of Xorshift64Star and StateCursor against the scalar draws, bit for bit."""
 
 import random
 
@@ -103,3 +103,37 @@ def test_jump_tables_match_single_steps():
     for j in range(4):
         assert int(prng._jump(j, np.array([x], dtype=np.uint64))[0]) == steps[64 * 2**j - 1]
     assert prng._states(x, len(steps)).tolist() == steps
+
+
+def test_cursor_draws_match_scalar_draws():
+    # random runs of take(k) and take_normals(k) on a cursor over a small first block, so
+    # most runs refill it; take(k) stands for k uniform() calls, take_normals(k) for k normal()
+    pick = random.Random(7)
+    for seed in SEEDS:
+        for spare in (False, True):
+            for _ in range(15):
+                rng, ref = Xorshift64Star(seed), Xorshift64Star(seed)
+                if spare:
+                    assert rng.normal() == ref.normal()  # leaves a spare normal pending
+                block = pick.choice([1, 5, 64])
+                cur = prng.StateCursor(rng, block)
+                taken, expect = [], []
+                for _ in range(pick.randrange(1, 10)):
+                    k = pick.choice([0, 1, 2, pick.randrange(3, 41, 2),
+                                     block + pick.randrange(1, 300)])
+                    if pick.random() < 0.5:
+                        taken.append((cur.take(k), [ref.uniform() for _ in range(k)]))
+                    else:
+                        cur.take_normals(k)
+                        expect += [ref.normal() for _ in range(k)]
+                got = cur.normals()
+                cur.finish()
+                for i, uniforms in taken:
+                    assert _bits(cur.uniforms[i:i + len(uniforms)]) == _bits(uniforms)
+                assert got.dtype == np.float64 and _bits(got) == _bits(expect)
+                _assert_same_generator(rng, ref)
+                # the stream goes on from where the cursor left it, on both normals paths
+                n = pick.choice([0, 1, 2, prng._BULK_NORMALS - 1, prng._BULK_NORMALS, 300])
+                assert _bits(rng.normals(n)) == _bits(ref.normal() for _ in range(n))
+                assert rng.uniform() == ref.uniform()
+                _assert_same_generator(rng, ref)
