@@ -328,6 +328,19 @@ def first_order_mistake_bound(trace, u):
     return _finish("first_order_mistake", float(M), bound, terms, U)
 
 
+def _update_rounds(trace, X):
+    """(upd, U_used, X[upd], column sums of X[upd]**2) over the update rounds upd.
+
+    U_used counts the update rounds whose margin was positive.
+    """
+    recs = trace.records
+    upd = [i for i, rec in enumerate(recs) if rec.extras.get("updated")]
+    u_used = sum(1 for i in upd if recs[i].extras["margin_w"] * recs[i].label > 0.0)
+    Xu = X[upd]
+    csum = (Xu ** 2).sum(axis=0) if upd else np.zeros(trace.dim)
+    return upd, u_used, Xu, csum
+
+
 def second_order_bound(trace, u):
     """Second-order mistake bounds over the update rounds.
 
@@ -344,11 +357,9 @@ def second_order_bound(trace, u):
     recs = trace.records
     X, y = trace.design()
     U = _as_batch(u, trace.dim)
-    upd = [i for i, rec in enumerate(recs) if rec.extras.get("updated")]
+    upd, u_used, Xu, csum = _update_rounds(trace, X)
     measured = float(len(upd))
     L_u = _cumulative_losses(U, X, y, "hinge")
-    u_used = sum(1 for i in upd if recs[i].extras["margin_w"] * recs[i].label > 0.0)
-    Xu = X[upd]
     terms = {
         "n_updates": len(upd),
         "M": sum(1 for rec in recs if rec.mistake),
@@ -382,8 +393,6 @@ def second_order_bound(trace, u):
             }
         )
     else:
-        col_sq = Xu ** 2
-        csum = col_sq.sum(axis=0) if upd else np.zeros(trace.dim)
         diag_T = 1.0 + csum / r
         S1 = (U * U) @ diag_T
         S2 = r * float(np.sum(np.log(csum / r + 1.0))) + 2.0 * u_used
@@ -404,12 +413,8 @@ def diag_rare_feature_refinement(trace, u, s):
     if u.ndim != 1:
         raise ValueError("refinement takes a single comparator")
     r = trace.learner.r
-    recs = trace.records
     X, y = trace.design()
-    upd = [i for i, rec in enumerate(recs) if rec.extras.get("updated")]
-    u_used = sum(1 for i in upd if recs[i].extras["margin_w"] * recs[i].label > 0.0)
-    Xu = X[upd]
-    csum = (Xu ** 2).sum(axis=0) if upd else np.zeros(trace.dim)
+    upd, u_used, _, csum = _update_rounds(trace, X)
     lhs = float(np.sum(u * u * csum))
     unorm2 = float(u @ u)
     hypothesis_ok = lhs <= s * unorm2 + 1e-12 and u_used == 0

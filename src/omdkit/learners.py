@@ -7,8 +7,9 @@ moved, so no mirror map is spent on a w that nothing reads. Two
 OnlineLearner helpers hold that skeleton:
 
   _advance  snapshots f_{t-1}, runs the learner's state hook (a schedule
-            tick, an input observation or a rank-one update) and returns
-            the conjugate residue and the value drop at w_t;
+            tick, an input observation or a rank-one update), takes
+            f*_t(theta) and w_t from one `dual` call on f_t and returns the
+            conjugate residue and the value drop at w_t;
   _emit     records <z_t, w_t>, folds an optional loss subgradient into
             f, applies theta += z_t and returns the round's StepRecord.
 
@@ -96,17 +97,19 @@ class OnlineLearner:
         Returns (residue, reg_drop): f*_t(theta) - f*_{t-1}(theta) and
         f_{t-1}(w_t) - f_t(w_t); both are zero for a fixed regularizer,
         whose hook leaves f, and with it w, as it was. In round 1 f_{t-1}
-        is f_0, which every time-varying family defines.
+        is f_0, which every time-varying family defines. One `dual` call
+        on f_t gives f*_t(theta) and w_t; where it gives no gradient, the
+        read of w raises through mirror_map.
         """
         if not self.reg.time_varying:
             hook(*args)
             return 0.0, 0.0
         prev = self.reg.snapshot()
         hook(*args)
-        self._w = None
-        reg, theta, w = self.reg, self.theta, self.w
-        residue = reg.conjugate(theta) - prev.conjugate(theta)
-        return float(residue), float(prev.value(w) - reg.value(w))
+        conj, self._w = self.reg.dual(self.theta)
+        w = self.w
+        residue = conj - prev.dual(self.theta)[0]
+        return float(residue), float(prev.value(w) - self.reg.value(w))
 
     def _emit(self, z, grad=None, **fields):
         """Record <z, w_t>, fold the loss subgradient grad into f, apply theta += z.

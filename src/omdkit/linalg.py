@@ -120,21 +120,18 @@ class RankOneInverse:
         self.logdet = self.dim * math.log(scale)
         self._outer = np.empty((self.dim, self.dim))  # scratch for the rank-one term
 
-    def _dense(self, x):
-        return as_dense(x, self.dim)
-
     def apply(self, v):
         """A^{-1} v."""
-        return self.inv @ self._dense(v)
+        return self.inv @ as_dense(v, self.dim)
 
     def quad_form(self, x):
         """x^T A^{-1} x; nonnegative while A stays positive definite."""
-        xd = self._dense(x)
+        xd = as_dense(x, self.dim)
         return float(xd @ self.inv @ xd)
 
     def update(self, x):
         """Advance A by (1/r) x x^T; returns the pre-update quad form chi."""
-        xd = self._dense(x)
+        xd = as_dense(x, self.dim)
         u = self.inv @ xd
         chi = float(xd @ u)
         outer = np.outer(u, u, out=self._outer)

@@ -3,8 +3,11 @@
 Every family exposes the triple used by the regret analysis: f_t itself,
 its conjugate, and the gradient of the conjugate (the mirror map), plus
 the norm with respect to which f_t is strongly convex and that norm's
-dual. The contract tying them together is checked numerically by the
-oracle test suite:
+dual. A family computes the conjugate and its gradient together, in one
+`dual(theta)` method that shares their intermediates; `conjugate` and
+`mirror_map` are defined once, on `Regularizer`, and each converts its
+input and returns one side of `dual`. The contract tying them together is
+checked numerically by the oracle test suite:
 
   * mirror_map(theta) == argmax_v (<v,theta> - f(v))
   * f(mirror_map(u)) + f*(u) == <mirror_map(u), u>
@@ -25,7 +28,7 @@ curvature is 0, f_t is the zero function, with conjugate the indicator of
 
 `value` and `norm` accept batched inputs of shape (N, d) for the grid
 comparators; `conjugate`, `mirror_map`, `gradient`, `dual_norm` take a
-single vector.
+single vector, and `dual` a dense float64 one.
 """
 
 import copy
@@ -47,11 +50,23 @@ class Regularizer:
     def value(self, w):
         raise NotImplementedError
 
-    def conjugate(self, theta):
+    def dual(self, theta):
+        """(f*(theta), grad f*(theta)) at a dense float64 theta of length dim.
+
+        The gradient is None where f*(theta) is +inf and has none: in the
+        scale-invariant families, when theta has mass on a coordinate never
+        observed.
+        """
         raise NotImplementedError
 
+    def conjugate(self, theta):
+        return self.dual(as_dense(theta, self.dim))[0]
+
     def mirror_map(self, theta):
-        raise NotImplementedError
+        grad = self.dual(as_dense(theta, self.dim))[1]
+        if grad is None:
+            raise ValueError("dual point has mass on a coordinate never observed")
+        return grad
 
     def gradient(self, w):
         raise NotImplementedError
@@ -96,12 +111,8 @@ class FixedQuadratic(Regularizer):
         w = _batch(w)
         return 0.5 * self.scale * np.sum(w * w, axis=-1)
 
-    def conjugate(self, theta):
-        theta = as_dense(theta, self.dim)
-        return float(theta @ theta) / (2.0 * self.scale)
-
-    def mirror_map(self, theta):
-        return as_dense(theta, self.dim) / self.scale
+    def dual(self, theta):
+        return float(theta @ theta) / (2.0 * self.scale), theta / self.scale
 
     def gradient(self, w):
         return self.scale * as_dense(w, self.dim)
@@ -130,17 +141,14 @@ class PNorm(Regularizer):
         w = _batch(w)
         return 0.5 * np.sum(np.abs(w) ** self.p, axis=-1) ** (2.0 / self.p)
 
-    def conjugate(self, theta):
-        theta = as_dense(theta, self.dim)
-        return float(0.5 * np.sum(np.abs(theta) ** self.q) ** (2.0 / self.q))
-
-    def mirror_map(self, theta):
-        theta = as_dense(theta, self.dim)
+    def dual(self, theta):
         a = np.abs(theta)
+        total = np.sum(a ** self.q)
+        conj = float(0.5 * total ** (2.0 / self.q))
         if not a.any():
-            return np.zeros(self.dim)
-        nq = np.sum(a ** self.q) ** (1.0 / self.q)
-        return np.sign(theta) * (a / nq) ** (self.q - 1.0) * nq
+            return conj, np.zeros(self.dim)
+        nq = total ** (1.0 / self.q)
+        return conj, np.sign(theta) * (a / nq) ** (self.q - 1.0) * nq
 
     def gradient(self, w):
         w = as_dense(w, self.dim)
@@ -189,18 +197,13 @@ class WeightedQNorm(Regularizer):
         inner = np.sum(np.abs(w) ** self.q * self.a, axis=-1)
         return inner ** (2.0 / self.q) / (2.0 * (self.q - 1.0))
 
-    def conjugate(self, theta):
-        theta = as_dense(theta, self.dim)
-        inner = float(np.sum(np.abs(theta) ** self.p * self._ad))
-        return inner ** (2.0 / self.p) / (2.0 * (self.p - 1.0))
-
-    def mirror_map(self, theta):
-        theta = as_dense(theta, self.dim)
+    def dual(self, theta):
         a = np.abs(theta)
-        if not a.any():
-            return np.zeros(self.dim)
         inner = np.sum(a ** self.p * self._ad)
-        return (
+        conj = float(inner) ** (2.0 / self.p) / (2.0 * (self.p - 1.0))
+        if not a.any():
+            return conj, np.zeros(self.dim)
+        return conj, (
             np.sign(theta)
             * inner ** (2.0 / self.p - 1.0)
             * a ** (self.p - 1.0)
@@ -275,12 +278,9 @@ class GrowingQuadratic(Regularizer):
             return 0.5 * np.sum(w * w * self.tracker.diag, axis=-1)
         return 0.5 * np.einsum("...i,ij,...j->...", w, self.mat, w)
 
-    def conjugate(self, theta):
-        theta = as_dense(theta, self.dim)
-        return 0.5 * float(theta @ self.tracker.apply(theta))
-
-    def mirror_map(self, theta):
-        return self.tracker.apply(as_dense(theta, self.dim))
+    def dual(self, theta):
+        v = self.tracker.apply(theta)
+        return 0.5 * float(theta @ v), v
 
     def gradient(self, w):
         w = as_dense(w, self.dim)
@@ -345,18 +345,12 @@ class CompositeQuadL1(Regularizer):
         return (0.5 * self.curvature * np.sum(w * w, axis=-1)
                 + self.threshold * np.sum(np.abs(w), axis=-1))
 
-    def conjugate(self, theta):
-        theta = as_dense(theta, self.dim)
+    def dual(self, theta):
         if self.curvature == 0.0:
-            return math.inf if np.any(theta != 0.0) else 0.0
+            return (math.inf if np.any(theta != 0.0) else 0.0), np.zeros(self.dim)
         shr = np.maximum(np.abs(theta) - self.threshold, 0.0)
-        return float(np.sum(shr * shr)) / (2.0 * self.curvature)
-
-    def mirror_map(self, theta):
-        theta = as_dense(theta, self.dim)
-        if self.curvature == 0.0:
-            return np.zeros(self.dim)
-        return np.sign(theta) * np.maximum(np.abs(theta) - self.threshold, 0.0) / self.curvature
+        return (float(np.sum(shr * shr)) / (2.0 * self.curvature),
+                np.sign(theta) * shr / self.curvature)
 
     def gradient(self, w):
         w = as_dense(w, self.dim)
@@ -403,16 +397,11 @@ class _Scheduled(Regularizer):
     def value(self, w):
         return self.factor * self.base.value(w)
 
-    def conjugate(self, theta):
-        theta = as_dense(theta, self.dim)
+    def dual(self, theta):
         if self.factor == 0.0:
-            return math.inf if np.any(theta != 0.0) else 0.0
-        return self.factor * self.base.conjugate(theta / self.factor)
-
-    def mirror_map(self, theta):
-        if self.factor == 0.0:
-            return np.zeros(self.dim)
-        return self.base.mirror_map(as_dense(theta, self.dim) / self.factor)
+            return (math.inf if np.any(theta != 0.0) else 0.0), np.zeros(self.dim)
+        conj, grad = self.base.dual(theta / self.factor)
+        return self.factor * conj, grad
 
     def gradient(self, w):
         return self.factor * self.base.gradient(w)
@@ -543,23 +532,17 @@ class ScaleInvPNorm(Regularizer):
         inner = np.sum((np.abs(w) * self.b) ** self.q, axis=-1)
         return 0.5 * self.beta * inner ** (2.0 / self.q)
 
-    def conjugate(self, theta):
-        s = self._dual_core(as_dense(theta, self.dim))
-        if s == 0.0:
-            return 0.0
-        return s * s / (2.0 * self.beta)
-
-    def mirror_map(self, theta):
-        theta = as_dense(theta, self.dim)
+    def dual(self, theta):
         ratios = self._ratios(theta)
         if ratios is None:
-            raise ValueError("dual point has mass on a coordinate never observed")
+            return math.inf, None
         u, top = ratios
         out = np.zeros(self.dim)
         if top == 0.0:
-            return out
+            return 0.0, out
         p = self.p
         core = np.sum((u / top) ** p)
+        s = top * core ** (1.0 / p)
         out[self.live] = (
             np.sign(theta[self.live])
             * top
@@ -567,7 +550,7 @@ class ScaleInvPNorm(Regularizer):
             * (u / top) ** (p - 1.0)
             / (self.beta * self.b_live)
         )
-        return out
+        return s * s / (2.0 * self.beta), out
 
     def gradient(self, w):
         w = as_dense(w, self.dim)
@@ -605,12 +588,10 @@ class ScaleInvDiag(Regularizer):
         self.lipschitz = float(lipschitz)
         self.b = np.zeros(self.dim)
         self.gs = np.zeros(self.dim)
-        self.t = 0
         self._derive()
 
     def observe_input(self, x):
         xd = as_dense(x, self.dim)
-        self.t += 1
         self.b = np.maximum(self.b, np.abs(xd))
         self._derive()
 
@@ -635,19 +616,14 @@ class ScaleInvDiag(Regularizer):
         w = _batch(w)
         return 0.5 * np.sum(w * w * self.weights, axis=-1)
 
-    def conjugate(self, theta):
-        theta = as_dense(theta, self.dim)
-        if np.any(theta[~self.live] != 0.0):
-            return math.inf
-        return 0.5 * float(np.sum(theta[self.live] ** 2 / self.weights[self.live]))
-
-    def mirror_map(self, theta):
-        theta = as_dense(theta, self.dim)
-        if np.any(theta[~self.live] != 0.0):
-            raise ValueError("dual point has mass on a coordinate never observed")
+    def dual(self, theta):
+        live = self.live
+        if np.any(theta[~live] != 0.0):
+            return math.inf, None
+        th, weights = theta[live], self.weights[live]
         out = np.zeros(self.dim)
-        out[self.live] = theta[self.live] / self.weights[self.live]
-        return out
+        out[live] = th / weights
+        return 0.5 * float(np.sum(th ** 2 / weights)), out
 
     def gradient(self, w):
         return self.weights * as_dense(w, self.dim)
