@@ -16,6 +16,8 @@ import numpy as np
 from . import losses
 
 _E = math.e
+BATCH_STEPS = 400  # batch_comparator's steps and the radius of its ball
+BATCH_RADIUS = 4.0
 
 
 @dataclass
@@ -113,16 +115,16 @@ def grid_comparators(dim, radius=2.0, points=41):
     return np.stack([a.ravel() for a in axes], axis=1)
 
 
-def batch_comparator(X, y, kind="hinge", steps=400, radius=4.0):
+def batch_comparator(X, y, kind="hinge"):
     """Deterministic normalized subgradient descent on the cumulative loss.
 
-    Step s uses rate radius/sqrt(s) and projects back onto the Euclidean
-    ball of the given radius; the averaged iterate is returned.
+    Step s of BATCH_STEPS = 400 uses rate R/sqrt(s) and projects back onto the
+    Euclidean ball of radius R = BATCH_RADIUS = 4; the averaged iterate is returned.
     """
     T, d = X.shape
     u = np.zeros(d)
     acc = np.zeros(d)
-    for s in range(1, steps + 1):
+    for s in range(1, BATCH_STEPS + 1):
         P = X @ u
         if kind == "hinge":
             active = (1.0 - y * P) > 0
@@ -133,12 +135,12 @@ def batch_comparator(X, y, kind="hinge", steps=400, radius=4.0):
             g = (np.sign(P - y)[:, None] * X).sum(axis=0)
         gn = float(np.linalg.norm(g))
         if gn > 1e-12:
-            u = u - (radius / math.sqrt(s)) * g / gn
+            u = u - (BATCH_RADIUS / math.sqrt(s)) * g / gn
         un = float(np.linalg.norm(u))
-        if un > radius:
-            u = u * (radius / un)
+        if un > BATCH_RADIUS:
+            u = u * (BATCH_RADIUS / un)
         acc += u
-    return acc / steps
+    return acc / BATCH_STEPS
 
 
 def engine_audit(trace, u):
@@ -155,7 +157,7 @@ def engine_audit(trace, u):
     quad_sum = float(sum(r.dual_norm_sq / (2.0 * r.beta) for r in recs if r.dual_norm_sq != 0))
     residue_sum = float(sum(r.residue for r in recs))
     residue_gap = _max([r.residue - r.reg_drop for r in recs])
-    f_T = np.atleast_1d(np.asarray(trace.learner.reg.value(U), float))
+    f_T = trace.learner.reg.value(U)
     terms = {"quad_sum": quad_sum, "residue_sum": residue_sum, "max_residue_gap": residue_gap}
     return _finish("engine", U @ Z - zw_sum, f_T + quad_sum + residue_sum, terms, U)
 
@@ -179,20 +181,20 @@ def composite_bound(trace, u, schedule):
     X, y = trace.design()
     U = _as_batch(u, trace.dim)
     loss_kind = trace.learner.loss_name
-    penalty_u = np.atleast_1d(np.asarray(reg.penalty_value(U), float))
+    penalty_u = reg.penalty_value(U)
     loss_u = _cumulative_losses(U, X, y, loss_kind)
     measured_run = float(sum(r.loss + r.extras.get("penalty_w", 0.0) for r in recs))
     measured = measured_run - (loss_u + T * penalty_u)
     terms = {"eta": eta, "T": T, "run_loss_plus_penalty": measured_run}
     if schedule == "general":
-        g_T = np.atleast_1d(np.asarray(reg.scheduled_quad_value(U), float))
+        g_T = reg.scheduled_quad_value(U)
         quad = float(sum(r.dual_norm_sq / (2.0 * eta * r.beta) for r in recs
                          if r.dual_norm_sq != 0))
         bound = g_T / eta + quad
         terms["quad_sum"] = quad
     elif schedule == "sqrt":
         beta = float(reg.quad) if hasattr(reg, "quad") else float(reg.base.strong_convexity())
-        g_u = np.atleast_1d(np.asarray(reg.base_quad_value(U), float))
+        g_u = reg.base_quad_value(U)
         # ||l'_t||_* in the schedule's own (time-invariant) dual norm,
         # recovered from ||z_t||_*^2 = eta^2 ||l'_t||_*^2
         max_g2 = _max([r.dual_norm_sq for r in recs]) / (eta * eta)
@@ -231,7 +233,7 @@ def adaptive_filter_bound(trace, u):
     P = U @ X.T
     measured = ((preds[None, :] - P) ** 2).sum(axis=1)
     x_max = float(trace.learner.reg.x_max)
-    f_u = np.atleast_1d(np.asarray(trace.learner.reg.base.value(U), float))
+    f_u = trace.learner.reg.base.value(U)
     noise = ((y[None, :] - P) ** 2).sum(axis=1)
     bound = 2.0 * x_max * x_max * f_u + noise
     return _finish("adaptive_filter", measured, bound, {"x_max": x_max}, U)
@@ -306,7 +308,7 @@ def first_order_mistake_bound(trace, u):
     d_eff = max(D, -eta_u)
     x_T = _max([r.extras["x_max"] for r in recs])
     L_u = _cumulative_losses(U, X, y, "hinge")
-    f_u = np.atleast_1d(np.asarray(reg.value(U), float))
+    f_u = reg.value(U)
     core = (2.0 / beta) * f_u * x_T ** 2 + x_T * np.sqrt((2.0 / beta) * f_u * L_u)
     bound = L_u + d_eff + core
     u_norms = np.linalg.norm(U, axis=1)

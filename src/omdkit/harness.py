@@ -91,7 +91,16 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d):
-        return cls(d["learner"], d.get("params"), d.get("data"), d.get("comparators"))
+        """The config a trace header stores; ValueError names a field of the wrong shape."""
+        if not isinstance(d, dict):
+            raise ValueError("'config' must be an object")
+        for key, kind, shape in (("learner", str, "a string"), ("params", dict, "an object"),
+                                 ("data", dict, "an object"), ("comparators", list, "a list")):
+            if not isinstance(d.get(key), kind):
+                raise ValueError(f"config field {key!r} must be {shape}")
+        if not all(isinstance(c, str) for c in d["comparators"]):
+            raise ValueError("config field 'comparators' must be a list of strings")
+        return cls(d["learner"], d["params"], d["data"], d["comparators"])
 
     def fingerprint(self):
         return fingerprint({"learner": self.learner, "params": self.params, "data": self.data})
@@ -393,6 +402,7 @@ def write_summary(path, summary, drop_wall_time=False):
 
 
 def read_trace_lines(path):
+    """(fingerprint, config, record lines) of a stored trace; ValueError on a malformed header."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
     if not lines:
@@ -401,9 +411,16 @@ def read_trace_lines(path):
         header = json.loads(lines[0])
     except json.JSONDecodeError as e:
         raise ValueError(f"{path}: bad header record: {e}") from None
+    if not isinstance(header, dict):
+        raise ValueError(f"{path}: bad header record: not a JSON object")
     if header.get("version") != TRACE_VERSION:
         raise ValueError(f"{path}: unsupported trace version {header.get('version')}")
-    return header, lines[1:]
+    if not isinstance(header.get("fingerprint"), str):
+        raise ValueError(f"{path}: header field 'fingerprint' must be a string")
+    try:
+        return header["fingerprint"], ExperimentConfig.from_dict(header.get("config")), lines[1:]
+    except ValueError as e:
+        raise ValueError(f"{path}: header {e}") from None
 
 
 def _ulps(a, b):
@@ -440,15 +457,11 @@ def audit_stored(path, config_override=None):
     record-by-record equality against the stored file is enforced before
     any report is produced. Returns (reports, replayed trace).
     """
-    header, stored = read_trace_lines(path)
-    config = ExperimentConfig.from_dict(header["config"])
-    if config_override is not None:
-        if config_override.fingerprint() != header["fingerprint"]:
-            raise ValueError(
-                "learner fingerprint mismatch: trace was written by "
-                f"{header['fingerprint']}, supplied config is {config_override.fingerprint()}"
-            )
-    if config.fingerprint() != header["fingerprint"]:
+    stored_fp, config, stored = read_trace_lines(path)
+    if config_override is not None and config_override.fingerprint() != stored_fp:
+        raise ValueError("learner fingerprint mismatch: trace was written by "
+                         f"{stored_fp}, supplied config is {config_override.fingerprint()}")
+    if config.fingerprint() != stored_fp:
         raise ValueError("trace header fingerprint does not match its own config")
     trace, _ = _replay(config)
     records = trace.records

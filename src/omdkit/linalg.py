@@ -107,6 +107,7 @@ class RankOneInverse:
     Sherman-Morrison formula at O(d^2) cost and bumps the log-determinant
     by ln(1 + chi/r) where chi = x^T A^{-1} x. An update binds a new inverse
     and never writes into the old one, so a shallow copy keeps its state.
+    Its methods, like DiagInverse's, take a dense float64 vector of length dim, unchecked.
     """
 
     def __init__(self, dim, r=1.0, scale=1.0):
@@ -122,18 +123,16 @@ class RankOneInverse:
 
     def apply(self, v):
         """A^{-1} v."""
-        return self.inv @ as_dense(v, self.dim)
+        return self.inv @ v
 
     def quad_form(self, x):
         """x^T A^{-1} x; nonnegative while A stays positive definite."""
-        xd = as_dense(x, self.dim)
-        return float(xd @ self.inv @ xd)
+        return float(x @ self.inv @ x)
 
     def update(self, x):
         """Advance A by (1/r) x x^T; returns the pre-update quad form chi."""
-        xd = as_dense(x, self.dim)
-        u = self.inv @ xd
-        chi = float(xd @ u)
+        u = self.inv @ x
+        chi = float(x @ u)
         outer = np.outer(u, u, out=self._outer)
         outer /= self.r + chi
         self.inv = self.inv - outer
@@ -155,13 +154,11 @@ class DiagInverse:
         self.logdet = float(np.sum(np.log(self.diag)))
 
     def apply(self, v):
-        return as_dense(v, self.dim) / self.diag
+        return v / self.diag
 
     def quad_form(self, x):
-        xd = as_dense(x, self.dim)
-        return float(np.sum(xd * xd / self.diag))
+        return float(np.sum(x * x / self.diag))
 
     def update(self, x):
-        xd = as_dense(x, self.dim)
-        self.diag = self.diag + xd * xd / self.r
+        self.diag = self.diag + x * x / self.r
         self.logdet = float(np.sum(np.log(self.diag)))

@@ -27,8 +27,8 @@ curvature is 0, f_t is the zero function, with conjugate the indicator of
 {0} and mirror map 0.
 
 `value` and `norm` accept batched inputs of shape (N, d) for the grid
-comparators; `conjugate`, `mirror_map`, `gradient`, `dual_norm` take a
-single vector, and `dual` a dense float64 one.
+comparators; `conjugate` and `mirror_map` convert one vector, and every
+other method takes a dense float64 vector of length dim, unchecked.
 """
 
 import copy
@@ -115,7 +115,7 @@ class FixedQuadratic(Regularizer):
         return float(theta @ theta) / (2.0 * self.scale), theta / self.scale
 
     def gradient(self, w):
-        return self.scale * as_dense(w, self.dim)
+        return self.scale * w
 
     def strong_convexity(self):
         return self.scale
@@ -124,7 +124,7 @@ class FixedQuadratic(Regularizer):
         return np.linalg.norm(_batch(v), axis=-1)
 
     def dual_norm(self, z):
-        return float(np.linalg.norm(as_dense(z, self.dim)))
+        return float(np.linalg.norm(z))
 
 
 class PNorm(Regularizer):
@@ -151,7 +151,6 @@ class PNorm(Regularizer):
         return conj, np.sign(theta) * (a / nq) ** (self.q - 1.0) * nq
 
     def gradient(self, w):
-        w = as_dense(w, self.dim)
         a = np.abs(w)
         if not a.any():
             return np.zeros(self.dim)
@@ -166,7 +165,6 @@ class PNorm(Regularizer):
         return np.sum(np.abs(v) ** self.p, axis=-1) ** (1.0 / self.p)
 
     def dual_norm(self, z):
-        z = as_dense(z, self.dim)
         return float(np.sum(np.abs(z) ** self.q) ** (1.0 / self.q))
 
 
@@ -212,7 +210,6 @@ class WeightedQNorm(Regularizer):
         )
 
     def gradient(self, w):
-        w = as_dense(w, self.dim)
         a = np.abs(w)
         if not a.any():
             return np.zeros(self.dim)
@@ -233,7 +230,6 @@ class WeightedQNorm(Regularizer):
         return np.sum(np.abs(v) ** self.q * self.a, axis=-1) ** (1.0 / self.q)
 
     def dual_norm(self, z):
-        z = as_dense(z, self.dim)
         return float(np.sum(np.abs(z) ** self.p * self._ad) ** (1.0 / self.p))
 
 
@@ -260,10 +256,9 @@ class GrowingQuadratic(Regularizer):
             self._outer = np.empty((self.dim, self.dim))  # scratch for the rank-one term
 
     def update(self, x):
-        xd = as_dense(x, self.dim)
-        self.tracker.update(xd)
+        self.tracker.update(x)
         if not self.diagonal:
-            outer = np.outer(xd, xd, out=self._outer)
+            outer = np.outer(x, x, out=self._outer)
             outer /= self.r
             self.mat = self.mat + outer
 
@@ -283,7 +278,6 @@ class GrowingQuadratic(Regularizer):
         return 0.5 * float(theta @ v), v
 
     def gradient(self, w):
-        w = as_dense(w, self.dim)
         if self.diagonal:
             return self.tracker.diag * w
         return self.mat @ w
@@ -295,7 +289,7 @@ class GrowingQuadratic(Regularizer):
         return np.sqrt(np.maximum(2.0 * self.value(v), 0.0))
 
     def dual_norm(self, z):
-        return math.sqrt(max(self.tracker.quad_form(as_dense(z, self.dim)), 0.0))
+        return math.sqrt(max(self.tracker.quad_form(z), 0.0))
 
 
 class CompositeQuadL1(Regularizer):
@@ -353,7 +347,6 @@ class CompositeQuadL1(Regularizer):
                 np.sign(theta) * shr / self.curvature)
 
     def gradient(self, w):
-        w = as_dense(w, self.dim)
         return self.curvature * w + self.threshold * np.sign(w)
 
     def strong_convexity(self):
@@ -363,7 +356,7 @@ class CompositeQuadL1(Regularizer):
         return np.linalg.norm(_batch(v), axis=-1)
 
     def dual_norm(self, z):
-        return float(np.linalg.norm(as_dense(z, self.dim)))
+        return float(np.linalg.norm(z))
 
     # composite-objective pieces used by the bound evaluators
     def penalty_value(self, w):
@@ -422,8 +415,7 @@ class _Scheduled(Regularizer):
         return self.base.value(w)
 
     def penalty_value(self, w):
-        w = _batch(w)
-        return np.zeros(w.shape[:-1]) if w.ndim > 1 else 0.0
+        return np.zeros(_batch(w).shape[:-1])
 
 
 class SqrtScheduled(_Scheduled):
@@ -455,7 +447,7 @@ class MaxScaled(_Scheduled):
         self.x_max = 0.0
 
     def observe_input(self, x):
-        self.x_max = max(self.x_max, float(self.base.dual_norm(as_dense(x, self.dim))))
+        self.x_max = max(self.x_max, float(self.base.dual_norm(x)))
         self.factor = self.x_max * self.x_max
 
 
@@ -489,13 +481,12 @@ class ScaleInvPNorm(Regularizer):
         self._derive()
 
     def observe_input(self, x):
-        xd = as_dense(x, self.dim)
-        self.b = np.maximum(self.b, np.abs(xd))
-        self.m = max(self.m, int(np.count_nonzero(xd)))
+        self.b = np.maximum(self.b, np.abs(x))
+        self.m = max(self.m, int(np.count_nonzero(x)))
         self._derive()
 
     def observe_gradient(self, g):
-        s = self._dual_core(as_dense(g, self.dim))
+        s = self._dual_core(g)
         self.grad_stats += (self.p - 1.0) * s * s
         self._derive()
 
@@ -553,7 +544,6 @@ class ScaleInvPNorm(Regularizer):
         return s * s / (2.0 * self.beta), out
 
     def gradient(self, w):
-        w = as_dense(w, self.dim)
         q, beta = self.q, self.beta
         v = np.abs(w) * self.b
         top = v.max(initial=0.0)
@@ -568,7 +558,7 @@ class ScaleInvPNorm(Regularizer):
         return math.sqrt(self.q - 1.0) * inner ** (1.0 / self.q)
 
     def dual_norm(self, z):
-        return math.sqrt(self.p - 1.0) * self._dual_core(as_dense(z, self.dim))
+        return math.sqrt(self.p - 1.0) * self._dual_core(z)
 
 
 class ScaleInvDiag(Regularizer):
@@ -591,18 +581,16 @@ class ScaleInvDiag(Regularizer):
         self._derive()
 
     def observe_input(self, x):
-        xd = as_dense(x, self.dim)
-        self.b = np.maximum(self.b, np.abs(xd))
+        self.b = np.maximum(self.b, np.abs(x))
         self._derive()
 
     def observe_gradient(self, g):
-        gd = as_dense(g, self.dim)
         # b_i > 0 can still give a zero weight when b_i^2 underflows
         seen = self.b > 0.0
-        if np.any(gd[~seen] != 0.0):
+        if np.any(g[~seen] != 0.0):
             raise ValueError("gradient has mass on a coordinate never observed")
         gs = self.gs.copy()
-        gs[seen] += (gd[seen] / self.b[seen]) ** 2
+        gs[seen] += (g[seen] / self.b[seen]) ** 2
         self.gs = gs
         self._derive()
 
@@ -626,7 +614,7 @@ class ScaleInvDiag(Regularizer):
         return 0.5 * float(np.sum(th ** 2 / weights)), out
 
     def gradient(self, w):
-        return self.weights * as_dense(w, self.dim)
+        return self.weights * w
 
     def strong_convexity(self):
         return 1.0
@@ -636,7 +624,6 @@ class ScaleInvDiag(Regularizer):
         return np.sqrt(np.sum(v * v * self.weights, axis=-1))
 
     def dual_norm(self, z):
-        z = as_dense(z, self.dim)
         if np.any(z[~self.live] != 0.0):
             return math.inf
         return math.sqrt(float(np.sum(z[self.live] ** 2 / self.weights[self.live])))

@@ -299,6 +299,37 @@ def test_cli_audit_fingerprint_mismatch(tmp_path):
     assert "fingerprint mismatch" in out.stderr
 
 
+def test_cli_audit_names_the_field_of_a_malformed_header(tmp_path):
+    cfg = gen_config("pa", {}, separable(2, d=3, T=5))
+    trace = tmp_path / "t.jsonl"
+    write_trace(trace, cfg, run_experiment(cfg)[0])
+    header, *records = trace.read_text().splitlines()
+    good = json.loads(header)
+
+    def with_config(**fields):
+        return canonical_json({**good, "config": {**good["config"], **fields}})
+
+    cases = {
+        "[1]": "bad header record: not a JSON object",
+        "1": "bad header record: not a JSON object",
+        canonical_json({"version": good["version"]}): "'fingerprint' must be a string",
+        canonical_json({**good, "fingerprint": 5}): "'fingerprint' must be a string",
+        canonical_json({**good, "config": 5}): "'config' must be an object",
+        with_config(learner=5): "'learner' must be a string",
+        with_config(params=5): "'params' must be an object",
+        with_config(data=5): "'data' must be an object",
+        with_config(comparators=5): "'comparators' must be a list",
+        # comparators are outside the fingerprint, so this header passes its check
+        with_config(comparators=[5]): "'comparators' must be a list of strings",
+    }
+    bad = tmp_path / "bad.jsonl"
+    for text, msg in cases.items():
+        bad.write_text("\n".join([text, *records]) + "\n")
+        code, err = _main_code(["audit", "--trace", str(bad)])
+        assert code == 2, (text, err)
+        assert f"error: {bad}: " in err and msg in err, (text, err)
+
+
 def test_cli_exit_codes(tmp_path):
     assert run_cli("run").returncode == 1  # usage: missing --learner
     assert run_cli("nope").returncode == 1

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from helpers import regularizer_families
+from omdkit.linalg import SparseVec
 from omdkit.oracles import GridSpec, fd_gradient, numeric_argmax
 from omdkit.regularizers import (
     CompositeQuadL1,
@@ -67,15 +68,23 @@ def test_dual_norm_examples():
 
 def test_advance_examples():
     reg = ScaleInvPNorm(2, lipschitz=1.0)
-    reg.observe_input([1.0, 2.0])
-    reg.observe_input([3.0, 1.0])
+    reg.observe_input(np.array([1.0, 2.0]))
+    reg.observe_input(np.array([3.0, 1.0]))
     assert reg.b.tolist() == [3.0, 2.0]
     assert reg.m == 2
 
     sid = ScaleInvDiag(1, lipschitz=1.0)
-    sid.observe_input([1.0])
-    sid.observe_gradient([2.0])
+    sid.observe_input(np.array([1.0]))
+    sid.observe_gradient(np.array([2.0]))
     assert sid.gs.tolist() == [4.0]
+
+
+def test_conjugate_and_mirror_map_reject_a_point_of_the_wrong_length():
+    for reg in regularizer_families(3).values():
+        for theta in (np.ones(2), SparseVec([(0, 1.0)], dim=2)):
+            for method in (reg.conjugate, reg.mirror_map):
+                with pytest.raises(ValueError, match="dimension mismatch"):
+                    method(theta)
 
 
 def test_composite_invalid_parameters():
