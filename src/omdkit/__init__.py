@@ -24,7 +24,7 @@ from .bounds import (
     scale_invariant_bound,
     vaw_bound,
 )
-from .data import Dataset, Example, GeneratorSpec, generate, parse_csv, parse_svmlight
+from .data import Dataset, GeneratorSpec, generate, parse_csv, parse_svmlight
 from .learners import (
     AdaptiveFilter,
     FirstOrderClassifier,

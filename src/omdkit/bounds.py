@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import losses
 
 _E = math.e
 BATCH_STEPS = 400  # batch_comparator's steps and the radius of its ball
@@ -46,24 +45,19 @@ class RunTrace:
     """Finished run: its dataset, per-round records and final learner.
 
     The learner's (theta, f_T) and attributes (eta, loss_name, a, kind,
-    lipschitz, variant, r) describe the run; design() caches X and y.
+    lipschitz, variant, r) describe the run; design() gives the dataset's X and y.
     """
 
     dataset: object
     records: list
     learner: object
 
-    _design: np.ndarray = None
-    _labels: np.ndarray = None
-
     @property
     def dim(self):
         return self.learner.dim
 
     def design(self):
-        if self._design is None:
-            self._design, self._labels = self.dataset.design()
-        return self._design, self._labels
+        return self.dataset.X, self.dataset.y
 
 
 def _as_batch(u, dim):

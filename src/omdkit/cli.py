@@ -11,6 +11,7 @@ import sys
 
 from .data import GeneratorSpec, generate, rescale_dataset, write_svmlight
 from .harness import (
+    CHOICES,
     LEARNERS,
     ExperimentConfig,
     audit_stored,
@@ -21,8 +22,6 @@ from .harness import (
     write_summary,
     write_trace,
 )
-from .learners import SecondOrderClassifier
-from .regularizers import CompositeQuadL1
 
 
 class _Parser(argparse.ArgumentParser):
@@ -83,10 +82,8 @@ def _data_config(args):
     return cfg
 
 
-# every param some learner reads; the string-valued ones take a fixed set of choices
+# every param some learner reads; the string-valued ones take the CHOICES
 _LEARNER_FLAGS = sorted({k for _factory, defaults in LEARNERS.values() for k in defaults})
-_CHOICES = {"variant": SecondOrderClassifier.VARIANTS, "trigger": SecondOrderClassifier.TRIGGERS,
-            "schedule": CompositeQuadL1.SCHEDULES, "loss": ("hinge", "square", "absolute")}
 # data-source flags and their defaults; on `audit` they only feed the --learner override
 _DATA_FLAGS = {"gen": None, "data": None, "format": "svmlight", "label_column": "label",
                "remap01": False, "dim": None, "seed": 0, "rescale": None}
@@ -114,8 +111,8 @@ def _add_run_flags(sp, need_learner=True):
     sp.add_argument("--seed", type=int)
     sp.add_argument("--rescale", type=_factors, help="comma-separated per-coordinate factors")
     for key in _LEARNER_FLAGS:
-        sp.add_argument(_flags([key]), dest=key, choices=_CHOICES.get(key),
-                        type=None if key in _CHOICES else _finite)
+        sp.add_argument(_flags([key]), dest=key, choices=CHOICES.get(key),
+                        type=None if key in CHOICES else _finite)
 
 
 def _check_flags(parser, args):

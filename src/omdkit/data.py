@@ -1,67 +1,47 @@
-"""Datasets: svmlight/CSV parsing, seeded synthetic generators, export."""
+"""Datasets as one (T, d) matrix and a label vector: svmlight/CSV parsing, seeded
+synthetic generators, rescaling, export."""
 
 import csv as _csv
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import SparseVec
 from .prng import StateCursor, Xorshift64Star
-
-
-class Example(NamedTuple):
-    """One row: x is a SparseVec (parsed or rescaled data) or a read-only dense row."""
-
-    x: object
-    y: float
 
 
 @dataclass
 class Dataset:
-    """Rows (x_t, y_t) in order, their dimension and the generator's metadata.
+    """Rows x_t of R^d and labels y_t: a read-only (T, d) float64 matrix X and a label vector y.
 
-    Parsed and rescaled data keep a list of Examples with SparseVec rows.
-    Generated data is one read-only (T, d) float64 matrix X and a label
-    vector y, and its rows are views of X. Either way, iterating yields Example rows and
-    design() gives the matrix and the labels.
+    Parsed, generated and rescaled data all take this shape; iterating
+    yields (row, label) pairs. support, set only by rescale_dataset, marks
+    the entries a rescaled row keeps, so an underflowed product stays a
+    signed zero that a further rescaling flips and write_svmlight writes.
     """
 
-    examples: list
-    dim: int
+    X: np.ndarray
+    y: np.ndarray
     meta: dict = field(default_factory=dict)
-    X: np.ndarray = None
-    y: np.ndarray = None
+    support: np.ndarray = None
+
+    def __post_init__(self):
+        self.X.flags.writeable = False
 
     @classmethod
-    def from_matrix(cls, X, y, meta):
-        """Generated rows; -0.0 reads as +0.0, as it would from a SparseVec row."""
-        X = X + 0.0
-        X.flags.writeable = False
-        return cls(None, X.shape[1], meta, X, np.asarray(y, dtype=np.float64))
+    def from_matrix(cls, X, y, meta=None):
+        """Rows of a (T, d) matrix, copied; -0.0 reads as +0.0, as a zero a file leaves out."""
+        return cls(X + 0.0, np.asarray(y, dtype=np.float64), dict(meta or {}))
+
+    @property
+    def dim(self):
+        return self.X.shape[1]
 
     def __iter__(self):
-        if self.X is None:
-            return iter(self.examples)
-        return map(Example._make, zip(self.X, self.y.tolist()))
+        return zip(self.X, self.y.tolist())
 
     def __len__(self):
-        return len(self.examples) if self.X is None else self.X.shape[0]
-
-    def design(self):
-        """(X, y): the (T, d) design matrix and the label vector."""
-        if self.X is not None:
-            return self.X, self.y
-        X = np.zeros((len(self.examples), self.dim))
-        for i, (x, _) in enumerate(self.examples):
-            X[i, x.indices] = x.values
-        return X, np.array([y for _, y in self.examples])
-
-
-def _sparse(x):
-    """A row as a SparseVec."""
-    return x if isinstance(x, SparseVec) else SparseVec.from_dense(x)
+        return self.X.shape[0]
 
 
 def _features(rest):
@@ -116,10 +96,10 @@ def parse_svmlight(path, dim=None):
 
     Lines starting with '#' are comments. Raises ValueError naming the
     offending line on malformed input; an empty file is an error. The file
-    is read one line at a time and each row is held as two arrays, so no
-    Python object per token outlives its line.
+    is read one line at a time, each row is held as two arrays, and the
+    rows are scattered into X once the dimension is known.
     """
-    rows = []
+    labels, rows = [], []
     max_index = -1
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -140,16 +120,18 @@ def parse_svmlight(path, dim=None):
             idx, vals = row
             if idx.size:
                 max_index = max(max_index, int(idx[-1]) - 1)
-            keep = vals != 0.0
-            rows.append((y, idx[keep] - 1, vals[keep]))
+            labels.append(y)
+            rows.append(row)
     if not rows:
         raise ValueError(f"{path}: empty dataset")
     if dim is None:
         dim = max_index + 1
     elif max_index >= dim:
         raise ValueError(f"{path}: feature index {max_index + 1} exceeds declared dim {dim}")
-    examples = [Example(SparseVec.from_arrays(idx, vals, dim), y) for y, idx, vals in rows]
-    return Dataset(examples, dim)
+    X = np.zeros((len(rows), dim))
+    for x, (idx, vals) in zip(X, rows):
+        x[idx - 1] = vals
+    return Dataset.from_matrix(X, labels)
 
 
 def parse_csv(path, label_column="label", remap01=False, dim=None):
@@ -168,7 +150,7 @@ def parse_csv(path, label_column="label", remap01=False, dim=None):
             dim = len(feat_cols)
         elif dim < len(feat_cols):
             raise ValueError(f"{path}: declared dim {dim} below feature count {len(feat_cols)}")
-        examples = []
+        labels, rows = [], []
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -186,24 +168,25 @@ def parse_csv(path, label_column="label", remap01=False, dim=None):
                 if y not in (0.0, 1.0):
                     raise ValueError(f"{path}: line {lineno}: label {y} not in {{0,1}}")
                 y = 2.0 * y - 1.0
-            vals = np.array(vals)
-            nz = np.flatnonzero(vals)
-            examples.append(Example(SparseVec.from_arrays(nz, vals[nz], dim), y))
-    if not examples:
+            labels.append(y)
+            rows.append(vals)
+    if not rows:
         raise ValueError(f"{path}: empty dataset")
-    return Dataset(examples, dim)
+    X = np.zeros((len(rows), dim))
+    X[:, :len(feat_cols)] = rows
+    return Dataset.from_matrix(X, labels)
 
 
 def write_svmlight(dataset, path):
-    """Export with 1-based indices and repr floats; comparator metadata as comments."""
+    """Write the support (else nonzero) entries, 1-based, as repr floats; u_star as a comment."""
+    keep = dataset.X != 0.0 if dataset.support is None else dataset.support
     with open(path, "w", encoding="utf-8") as fh:
         if "u_star" in dataset.meta:
             ustr = " ".join(repr(float(v)) for v in dataset.meta["u_star"])
             fh.write(f"# u_star {ustr}\n")
-        for x, y in dataset:
-            x = _sparse(x)
-            toks = [repr(float(y))]
-            toks += [f"{i + 1}:{repr(float(v))}" for i, v in zip(x.indices, x.values)]
+        for (x, y), k in zip(dataset, keep):
+            idx = np.flatnonzero(k)
+            toks = [repr(y)] + [f"{i + 1}:{v!r}" for i, v in zip(idx.tolist(), x[idx].tolist())]
             fh.write(" ".join(toks) + "\n")
 
 
@@ -350,9 +333,9 @@ def rescale_dataset(dataset, factors):
             raise ValueError(f"rescaling factor {c!r} overflows the target at coordinate {i}: "
                              f"u_star[{i}] = {float(u[i])!r} / {c!r} is not finite")
     meta["rescaled_by"] = factors
-    # a SparseVec row keeps an underflowed product as an explicit (signed) zero
-    examples = [Example(_sparse(x).scaled(factors), y) for x, y in dataset]
-    return Dataset(examples, dataset.dim, meta)
+    # np.where keeps an underflowed product on the support as a signed zero
+    support = dataset.X != 0.0 if dataset.support is None else dataset.support
+    return Dataset(np.where(support, dataset.X * factors, 0.0), dataset.y, meta, support)
 
 
 # kind -> (generator, required scalar parameters, optional parameters)

@@ -76,7 +76,7 @@ def fingerprint(payload):
 
 
 class ExperimentConfig:
-    """Learner spec + data source + comparator specs + audit toggles."""
+    """Learner spec + data source + comparator specs + audit toggles, checked by _check_config."""
 
     def __init__(self, learner, params=None, data=None, comparators=None, audit=True):
         self.learner = learner
@@ -84,6 +84,7 @@ class ExperimentConfig:
         self.data = dict(data or {})
         self.comparators = list(comparators or ["zero"])
         self.audit = bool(audit)
+        _check_config(self.learner, self.params, self.data)
 
     def to_dict(self):
         return {"learner": self.learner, "params": self.params, "data": self.data,
@@ -149,19 +150,44 @@ LEARNERS = {
 }
 
 
+# the string params' choices; the others take a finite number, or None where that is the default
+CHOICES = {"variant": SecondOrderClassifier.VARIANTS, "trigger": SecondOrderClassifier.TRIGGERS,
+           "schedule": CompositeQuadL1.SCHEDULES, "loss": ("hinge", "square", "absolute")}
+
+
+def _check_config(learner, params, data):
+    """ValueError naming the first field no run could read."""
+    if learner not in LEARNERS:
+        raise ValueError(f"config field 'learner' names no learner: {learner!r}")
+    defaults = LEARNERS[learner][1]
+    for key, val in params.items():
+        name = f"config field 'params.{key}'"
+        if key not in defaults:
+            raise ValueError(f"{name} is not a parameter of learner {learner!r}")
+        if key in CHOICES:
+            if val not in CHOICES[key]:
+                raise ValueError(f"{name} must be one of {list(CHOICES[key])}")
+        elif not ((type(val) in (int, float) and abs(val) <= sys.float_info.max)
+                  or (val is None and defaults[key] is None)):
+            allowed = " or null" if defaults[key] is None else ""
+            raise ValueError(f"{name} must be a finite number{allowed}")
+    if data.get("kind") == "file" and not isinstance(data.get("path"), str):
+        raise ValueError("config field 'data.path' must be a string")
+    if data.get("kind") == "generator" and not isinstance(data.get("spec"), dict):
+        raise ValueError("config field 'data.spec' must be an object")
+
+
 def build_learner(config, dim):
-    """Build config's learner; params no learner reads (eta_mode in old traces) are ignored."""
-    if config.learner not in LEARNERS:
-        raise ValueError(f"unknown learner {config.learner!r}")
+    """Build config's learner: its params over the learner's defaults."""
     factory, defaults = LEARNERS[config.learner]
     return factory(dim, {**defaults, **config.params})
 
 
 def _validate_labels(learner, dataset):
-    for i, (_, y) in enumerate(dataset if learner.binary_labels else ()):
-        if y not in (-1.0, 1.0):
-            raise ValueError(f"classification learner needs labels in {{-1,+1}}; "
-                             f"example {i} has y={y}")
+    bad = np.flatnonzero(np.abs(dataset.y) != 1.0) if learner.binary_labels else ()
+    if len(bad):
+        raise ValueError(f"classification learner needs labels in {{-1,+1}}; "
+                         f"example {bad[0]} has y={float(dataset.y[bad[0]])}")
 
 
 def drive(learner, dataset):

@@ -35,23 +35,13 @@ class SparseVec:
             raise ValueError(f"non-finite value {vals[bad]} at index {idx[bad]}")
 
     @classmethod
-    def from_arrays(cls, indices, values, dim):
-        """Wrap int64 indices and float64 values as they are, neither checked nor copied.
-
-        For callers that have already checked what __init__ would: indices
-        strictly increasing in [0, dim), values finite and nonzero.
-        """
-        vec = cls.__new__(cls)
-        vec.indices = indices
-        vec.values = values
-        vec.dim = int(dim)
-        return vec
-
-    @classmethod
     def from_dense(cls, x):
         x = np.asarray(x, dtype=np.float64)
-        nz = np.flatnonzero(x)
-        return cls.from_arrays(nz.astype(np.int64), x[nz], x.shape[0])
+        vec = cls.__new__(cls)
+        vec.indices = np.flatnonzero(x).astype(np.int64)
+        vec.values = x[vec.indices]
+        vec.dim = x.shape[0]
+        return vec
 
     def to_dense(self):
         out = np.zeros(self.dim)

@@ -247,3 +247,27 @@ def scalar_generate(kind, seed, params, rescales=()):
     d = params["d"]
     X = np.array([x.to_dense() for x, _ in rows]).reshape(len(rows), d)
     return X, np.array([y for _, y in rows]), meta, rng
+
+
+# ---- the rescaling path before datasets were one matrix: a SparseVec per row --------------
+# A scaled SparseVec keeps its entries, so a product that underflows stays an explicit signed
+# zero, which a later rescaling flips and write_svmlight writes. rescale_dataset's support
+# mask must give the same matrix bits and the same file bytes.
+
+def sparsevec_rescale(X, rescales):
+    """X's rows as SparseVecs, through SparseVec.scaled once per factor list in rescales."""
+    rows = [SparseVec.from_dense(x) for x in X]
+    for factors in rescales:
+        rows = [x.scaled(np.asarray(factors, dtype=np.float64)) for x in rows]
+    return rows
+
+
+def sparsevec_svmlight(rows, y, meta):
+    """The svmlight text write_svmlight wrote for SparseVec rows and labels y."""
+    lines = []
+    if "u_star" in meta:
+        lines.append("# u_star " + " ".join(repr(float(v)) for v in meta["u_star"]))
+    for x, label in zip(rows, y):
+        lines.append(" ".join([repr(float(label))] + [f"{i + 1}:{repr(float(v))}"
+                                                       for i, v in zip(x.indices, x.values)]))
+    return "".join(line + "\n" for line in lines)

@@ -34,7 +34,7 @@ from omdkit.bounds import (
     second_order_bound,
     sqrt_sum_inequality_check,
 )
-from omdkit.data import Dataset, Example, GeneratorSpec, generate
+from omdkit.data import Dataset, GeneratorSpec, generate
 from omdkit.harness import (
     audit_stored,
     canonical_json,
@@ -43,7 +43,7 @@ from omdkit.harness import (
     write_trace,
 )
 from omdkit.learners import FirstOrderClassifier
-from omdkit.linalg import RankOneInverse, SparseVec
+from omdkit.linalg import RankOneInverse
 from omdkit.oracles import (
     GridSpec,
     implicit_scan,
@@ -149,16 +149,16 @@ def test_criterion_3_scale_invariant_bounds():
 def test_criterion_4_aggressive_vs_baseline():
     # constructed margin-error-heavy stream: D < 0 and the aggressive bound beats the baseline
     lrn = FirstOrderClassifier(FixedQuadratic(2), eta_mode="pa_optimal")
-    examples, recs = [], []
+    xs, recs = [], []
     x = np.array([1.0, 0.0])
     recs.append(lrn.round(x, 1.0))
-    examples.append(Example(SparseVec.from_dense(x), 1.0))
+    xs.append(x)
     for _ in range(80):
         a = 0.5 / lrn.w[0]
         x = np.array([a, 0.0])
         recs.append(lrn.round(x, 1.0))
-        examples.append(Example(SparseVec.from_dense(x), 1.0))
-    trace = RunTrace(Dataset(examples, lrn.dim), recs, lrn)
+        xs.append(x)
+    trace = RunTrace(Dataset.from_matrix(np.array(xs), [1.0] * len(xs)), recs, lrn)
     rep = first_order_mistake_bound(trace, np.array([[4.0, 0.0], [6.0, 0.0]]))
     d_negative = rep.terms["D"] < 0.0
     strictly_better = rep.bound < rep.terms["perceptron_bound"]

@@ -31,7 +31,7 @@ from omdkit.regularizers import FixedQuadratic
 
 
 def _manual_trace(records, learner):
-    return RunTrace(Dataset([], learner.dim), records, learner)
+    return RunTrace(Dataset.from_matrix(np.zeros((0, learner.dim)), []), records, learner)
 
 
 def test_engine_audit_single_step_hand_example():
@@ -67,23 +67,21 @@ def test_engine_audit_nan_residue_gap_is_reported():
 
 def test_first_order_and_composite_maxima_keep_nan():
     from omdkit.bounds import composite_bound
-    from omdkit.data import Example
     from omdkit.learners import GradientDescentLearner
-    from omdkit.linalg import SparseVec
     from omdkit.regularizers import SqrtScheduled
 
     lrn = FirstOrderClassifier(FixedQuadratic(2))
     x = np.array([1.0, 0.0])
-    examples = [Example(SparseVec.from_dense(x), 1.0)] * 2
+    data = Dataset.from_matrix(np.array([x, x]), [1.0, 1.0])
     recs = [lrn.round(x, 1.0) for _ in range(2)]
     recs[1].extras["x_max"] = math.nan
-    rep = first_order_mistake_bound(RunTrace(Dataset(examples, lrn.dim), recs, lrn), np.zeros(2))
+    rep = first_order_mistake_bound(RunTrace(data, recs, lrn), np.zeros(2))
     assert math.isnan(rep.terms["X_T"])
 
     lrn = GradientDescentLearner(SqrtScheduled(FixedQuadratic(2)), loss="absolute", eta=1.0)
     recs = [lrn.round(x, 1.0) for _ in range(2)]
     recs[1].dual_norm_sq = math.nan
-    trace = RunTrace(Dataset(examples, lrn.dim), recs, lrn)
+    trace = RunTrace(data, recs, lrn)
     rep = composite_bound(trace, np.zeros(2), "sqrt")
     assert math.isnan(rep.terms["max_lgrad_dual_sq"])
 
@@ -104,11 +102,7 @@ def test_vaw_hand_example():
     recs = [lrn.round([1.0], 1.0), lrn.round([1.0], 1.0)]
     assert recs[0].prediction == 0.0
     assert recs[1].prediction == pytest.approx(1.0 / 3.0)
-    from omdkit.data import Example
-    from omdkit.linalg import SparseVec
-
-    examples = [Example(SparseVec([(0, 1.0)], 1), 1.0)] * 2
-    trace = RunTrace(Dataset(examples, lrn.dim), recs, lrn)
+    trace = RunTrace(Dataset.from_matrix(np.ones((2, 1)), [1.0, 1.0]), recs, lrn)
     grid = np.linspace(-2, 2, 81)[:, None]
     rep = vaw_bound(trace, grid)
     # bound at u: u^2/2 + (1/2)(1/2 + 1/3)
@@ -119,21 +113,18 @@ def test_vaw_hand_example():
 def test_first_order_mistake_negative_d_on_margin_error_heavy_stream():
     # one mistake, then a stream of margin errors with margin held at 1/2
     lrn = FirstOrderClassifier(FixedQuadratic(2), eta_mode="pa_optimal")
-    from omdkit.data import Example
-    from omdkit.linalg import SparseVec
-
-    examples = []
+    xs = []
     recs = []
     x = np.array([1.0, 0.0])
     recs.append(lrn.round(x, 1.0))
-    examples.append(Example(SparseVec.from_dense(x), 1.0))
+    xs.append(x)
     for _ in range(60):
         a = 0.5 / lrn.w[0]
         x = np.array([a, 0.0])
         recs.append(lrn.round(x, 1.0))
-        examples.append(Example(SparseVec.from_dense(x), 1.0))
+        xs.append(x)
     assert sum(r.margin_error for r in recs) == 60
-    trace = RunTrace(Dataset(examples, lrn.dim), recs, lrn)
+    trace = RunTrace(Dataset.from_matrix(np.array(xs), [1.0] * len(xs)), recs, lrn)
     u = np.array([[4.0, 0.0]])
     rep = first_order_mistake_bound(trace, u)
     assert rep.terms["D"] < 0.0
@@ -149,14 +140,12 @@ def test_first_order_mistake_bound_clamps_oversubtraction():
     # approach -2 eta_t; the valid budget per margin error is -eta_t, so
     # the effective correction must clamp at -sum eta_t
     lrn = FirstOrderClassifier(FixedQuadratic(2), eta_mode="pa_optimal")
-    from omdkit.data import Example
-    from omdkit.linalg import SparseVec
-
-    examples, recs = [], []
+    xs, ys, recs = [], [], []
 
     def feed(x, y):
         recs.append(lrn.round(np.asarray(x, float), y))
-        examples.append(Example(SparseVec.from_dense(np.asarray(x, float)), y))
+        xs.append(x)
+        ys.append(y)
 
     feed([50.0, 0.0], 1.0)          # mistake; X_T = 50
     for _ in range(40):
@@ -164,7 +153,7 @@ def test_first_order_mistake_bound_clamps_oversubtraction():
         feed([0.5 / max(lrn.w[0], 1e-9), 0.0], 1.0)
         # tiny mistakes against the current direction keep M growing
         feed([0.01, 0.0], -1.0)
-    trace = RunTrace(Dataset(examples, lrn.dim), recs, lrn)
+    trace = RunTrace(Dataset.from_matrix(np.array(xs), ys), recs, lrn)
     rep = first_order_mistake_bound(trace, np.zeros((1, 2)))
     assert rep.terms["D"] < -rep.terms["eta_margin_sum"] - 1e-9
     assert rep.terms["D_effective"] == pytest.approx(-rep.terms["eta_margin_sum"])
@@ -198,14 +187,11 @@ def test_second_order_hand_example():
     # d=2, r=1, single mistake on x=(1,0): ln|A_1| = ln 2, m_1 = 0
     trace, _, _ = run("second_order", {"r": 1.0, "variant": "full"},
                       separable(0, d=2, T=1), audit=False)
-    from omdkit.data import Example
     from omdkit.learners import SecondOrderClassifier
-    from omdkit.linalg import SparseVec
 
     lrn = SecondOrderClassifier(2, r=1.0, variant="full")
     rec = lrn.round([1.0, 0.0], 1.0)
-    examples = [Example(SparseVec.from_dense(np.array([1.0, 0.0])), 1.0)]
-    trace = RunTrace(Dataset(examples, lrn.dim), [rec], lrn)
+    trace = RunTrace(Dataset.from_matrix(np.array([[1.0, 0.0]]), [1.0]), [rec], lrn)
     u = np.array([2.0, 0.3])
     rep = second_order_bound(trace, u)
     assert rep.measured == 1.0
@@ -297,9 +283,7 @@ def test_sqrt_sum_inequality():
 def test_composite_sqrt_display_with_pnorm_base():
     # f_t = sqrt(t) * (1/2 ||.||_p^2), F = 0: the display's gradient norms
     # live in the p-norm's dual, not the Euclidean norm
-    from omdkit.data import Example
     from omdkit.learners import GradientDescentLearner
-    from omdkit.linalg import SparseVec
     from omdkit.regularizers import PNorm, SqrtScheduled
     from omdkit.bounds import composite_bound
 
@@ -307,13 +291,14 @@ def test_composite_sqrt_display_with_pnorm_base():
     d, T = 4, 120
     u_true = rng.normal(size=d)
     lrn = GradientDescentLearner(SqrtScheduled(PNorm(d, 1.5)), loss="absolute", eta=0.6)
-    examples, recs = [], []
+    xs, ys, recs = [], [], []
     for _ in range(T):
         x = rng.normal(size=d)
         y = float(u_true @ x) + 0.3 * rng.normal()
         recs.append(lrn.round(x, y))
-        examples.append(Example(SparseVec.from_dense(x), y))
-    trace = RunTrace(Dataset(examples, lrn.dim), recs, lrn)
+        xs.append(x)
+        ys.append(y)
+    trace = RunTrace(Dataset.from_matrix(np.array(xs), ys), recs, lrn)
     U = np.vstack([np.zeros(d), u_true, 0.5 * u_true])
     for sched in ("sqrt", "general"):
         rep = composite_bound(trace, U, sched)
@@ -344,16 +329,10 @@ def test_filter_and_scale_invariant_reports_through_harness():
     assert th.terms["min_slack"] >= -1e-6
     # scale-invariant display check: d=1 diag, L=1, b=1, eta=1, T=4 -> sqrt(5)(u^2/2 + 1)
     from omdkit.learners import ScaleInvariantRegressor
-    from omdkit.data import Example
-    from omdkit.linalg import SparseVec
 
     lrn = ScaleInvariantRegressor(1, kind="diag", lipschitz=1.0, eta=1.0)
-    examples, recs = [], []
-    for t in range(4):
-        x = np.array([1.0])
-        recs.append(lrn.round(x, 0.5))
-        examples.append(Example(SparseVec.from_dense(x), 0.5))
-    trace = RunTrace(Dataset(examples, lrn.dim), recs, lrn)
+    recs = [lrn.round(np.array([1.0]), 0.5) for _ in range(4)]
+    trace = RunTrace(Dataset.from_matrix(np.ones((4, 1)), [0.5] * 4), recs, lrn)
     from omdkit.bounds import scale_invariant_bound
 
     rep = scale_invariant_bound(trace, np.array([[2.0]]))

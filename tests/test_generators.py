@@ -9,8 +9,16 @@ and holds each row as a SparseVec.
 import numpy as np
 import pytest
 
-from helpers import scalar_generate
-from omdkit.data import _KINDS, Dataset, GeneratorSpec, generate, rescale_dataset
+from helpers import scalar_generate, sparsevec_rescale, sparsevec_svmlight
+from omdkit.data import (
+    _KINDS,
+    Dataset,
+    GeneratorSpec,
+    generate,
+    parse_svmlight,
+    rescale_dataset,
+    write_svmlight,
+)
 from omdkit.prng import Xorshift64Star
 
 SEEDS = (1, 2, 3, 4, 5)
@@ -35,7 +43,7 @@ def _check(kind, seed, params):
     rng = Xorshift64Star(seed)
     ds = _KINDS[kind][0](rng, **params)
     X, y, meta, ref_rng = scalar_generate(kind, seed, params)
-    got_X, got_y = ds.design()
+    got_X, got_y = ds.X, ds.y
     assert got_X.shape == X.shape and got_X.tobytes() == X.tobytes()
     assert got_y.tobytes() == y.tobytes()
     assert not got_X.flags.writeable
@@ -92,9 +100,8 @@ def test_rescaled_generators_match_the_scalar_oracle():
                         generate(spec)
                     continue
                 ds = generate(spec)
-                got_X, got_y = ds.design()
-                assert got_X.tobytes() == X.tobytes()
-                assert got_y.tobytes() == y.tobytes()
+                assert ds.X.tobytes() == X.tobytes()
+                assert ds.y.tobytes() == y.tobytes()
                 _same_meta(ds.meta, meta)
                 nested_rows += len(rescales) > 1 and bool(np.signbit(X[X == 0.0]).any())
     assert nested_rows > 0
@@ -105,9 +112,32 @@ def test_generated_rows_are_read_only_views_and_signed_zeros_read_as_zero():
     ds = Dataset.from_matrix(X, [1.0, -1.0], {})
     assert np.signbit(ds.X).sum() == 0 and X[0, 0].tobytes() == np.float64(-0.0).tobytes()
     rows = list(ds)
-    assert [y for _, y in rows] == [1.0, -1.0] and type(rows[0].y) is float
+    assert [y for _, y in rows] == [1.0, -1.0] and type(rows[0][1]) is float
     with pytest.raises(ValueError):
-        rows[0].x[0] = 5.0
-    # a negative factor keeps the zeros at +0.0, as SparseVec.scaled does
+        rows[0][0][0] = 5.0
+    # a negative factor keeps the zeros off the support at +0.0, as SparseVec.scaled does
     scaled = rescale_dataset(ds, [-1.0, -1.0])
-    assert scaled.design()[0].tobytes() == np.array([[0.0, -1.0], [-2.0, 0.0]]).tobytes()
+    assert scaled.X.tobytes() == np.array([[0.0, -1.0], [-2.0, 0.0]]).tobytes()
+
+
+def test_nested_underflow_rescales_match_the_sparsevec_path(tmp_path):
+    # 5e-324 underflows the smaller products of coordinate 1 to signed zeros, and -2 then
+    # flips their signs; sparse_target's target at seed 1 sits on coordinate 0, so it stays
+    # finite. The parsed file leaves entries out, which stay +0.0 off the support.
+    rescales = ([1.0, 5e-324, 1.0], [-2.0, -2.0, -2.0])
+    base = GeneratorSpec("sparse_target", 1, {"k": 1, "d": 3, "T": 60})
+    spec = base
+    for factors in rescales:
+        spec = GeneratorSpec("rescaled", 1, base=spec, factors=factors)
+    path = tmp_path / "sparse.svm"
+    path.write_text("1 2:0.25 3:-1\n-1 1:2 2:-0.125\n1\n-1 2:0.75\n")
+    parsed = parse_svmlight(path)
+    for ds, X in ((generate(spec), generate(base).X),
+                  (rescale_dataset(rescale_dataset(parsed, rescales[0]), rescales[1]), parsed.X)):
+        rows = sparsevec_rescale(X, rescales)
+        assert ds.X.tobytes() == np.array([x.to_dense() for x in rows]).tobytes()
+        zeros = np.signbit(ds.X[ds.X == 0.0])
+        assert zeros.any() and not zeros.all()
+        out = tmp_path / "out.svm"
+        write_svmlight(ds, out)
+        assert out.read_bytes() == sparsevec_svmlight(rows, ds.y, ds.meta).encode()

@@ -83,10 +83,13 @@ def _sha(data):
     return hashlib.sha256(data).hexdigest()[:16]
 
 
-def _digests(tmp_path, flags, gen, comparators=("zero", "star")):
+def _digests(tmp_path, flags, source, comparators=("zero", "star")):
+    """source: a generator spec (run with --seed 1) or the data-source flags as a list."""
+    if isinstance(source, str):
+        source = ["--gen", source, "--seed", "1"]
     trace, summ, audit = (tmp_path / n for n in ("t.jsonl", "s.json", "a.json"))
     picks = [arg for spec in comparators for arg in ("--comparator", spec)]
-    assert cli.main(["run", *flags, "--gen", gen, "--seed", "1", *picks,
+    assert cli.main(["run", *flags, *source, *picks,
                      "--trace", str(trace), "--summary", str(summ)]) == 0
     assert cli.main(["audit", "--trace", str(trace), "--summary", str(audit)]) == 0
     summary = json.loads(summ.read_text())
@@ -200,3 +203,57 @@ def test_golden_digests_generator_edges(tmp_path, key):
 def test_golden_compare_negative_rescale(capsys):
     assert cli.main(COMPARE_ARGS) == 0
     assert _sha(capsys.readouterr().out.encode()) == COMPARE_GOLDEN
+
+
+# runs on parsed files, from the test's working directory, since the trace header stores the
+# path: a d=5 file written by `omdkit gen`, a CSV read with --remap01 and a --dim above its
+# column count, and a sparse svmlight file read with a --dim above its largest index
+SEPARABLE_FILE = ["--data", "sep5.svm"]
+FILE_CONFIGS = {
+    "file_pa": (["--learner", "pa"], SEPARABLE_FILE, ["zero", "batch"]),
+    "file_vaw": (["--learner", "vaw", "--a", "1"], SEPARABLE_FILE, ["zero", "batch"]),
+    "file_second_order_full": (["--learner", "second_order", "--variant", "full"],
+                               SEPARABLE_FILE, ["zero", "batch"]),
+    "csv_remap01_dim": (["--learner", "pa"],
+                        ["--data", "d.csv", "--format", "csv", "--remap01", "--dim", "6"],
+                        ["zero", "batch"]),
+    "sparse_svmlight_dim": (["--learner", "ogd", "--eta", "0.5", "--loss", "hinge"],
+                            ["--data", "sparse.svm", "--dim", "12"], ["zero"]),
+}
+
+FILE_GOLDEN = {
+    "csv_remap01_dim": ("860fae815ddba3a1", "31e8697bbd258a06", "63baf20b99916dbe"),
+    "file_pa": ("14599f6703a59f71", "b853eb39b4172898", "1f04b61f63a3ddb8"),
+    "file_second_order_full": ("d4d7eb6f6b05f51a", "54cefb098e0af672", "3fb6aeca8379c725"),
+    "file_vaw": ("fde018951c4945e3", "8940db29f398b97a", "c2ded194ae3acd28"),
+    "sparse_svmlight_dim": ("28751058fc4a3155", "0d397cede8a1aa40", "7dad23b83c0ab8f7"),
+}
+
+
+def _write_data_files():
+    """The three files FILE_CONFIGS reads, written to the working directory."""
+    assert cli.main(["gen", "--gen", SEPARABLE, "--seed", "1", "--out", "sep5.svm"]) == 0
+    rows = ["a,label,b,c"]
+    for i in range(40):
+        c = "-0" if i % 5 == 0 else repr(((i * i) % 13 - 6) / 8)
+        rows.append(f"{((7 * i) % 11 - 5) / 4!r},{int((i * 5) % 3 != 0)},"
+                    f"{((3 * i + 1) % 7 - 3) / 2!r},{c}")
+    with open("d.csv", "w", encoding="utf-8") as fh:
+        fh.write("\n".join(rows) + "\n")
+    lines = ["# sparse rows; index 8 is the largest"]
+    for i in range(40):
+        idx = sorted({(i + 1) % 8 + 1, (3 * i) % 8 + 1, (5 * i + 2) % 8 + 1})
+        toks = [f"{k}:{((i * k) % 9 - 4) / 3!r}" for k in idx]
+        lines.append(" ".join(["1" if i % 3 else "-1", *toks]))
+        if i == 20:
+            lines.append("")
+    with open("sparse.svm", "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("key", sorted(FILE_CONFIGS))
+def test_golden_digests_parsed_files(tmp_path, monkeypatch, key):
+    monkeypatch.chdir(tmp_path)
+    _write_data_files()
+    flags, source, comparators = FILE_CONFIGS[key]
+    assert _digests(tmp_path, flags, source, comparators) == FILE_GOLDEN[key]

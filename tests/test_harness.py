@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import types
 
 import numpy as np
@@ -20,12 +21,12 @@ from omdkit.harness import (
     ExperimentConfig,
     audit_stored,
     canonical_json,
+    fingerprint,
     run_compare,
     run_experiment,
     write_summary,
     write_trace,
 )
-from omdkit.linalg import as_dense
 from omdkit.prng import Xorshift64Star
 
 
@@ -34,10 +35,8 @@ def test_parse_svmlight_examples(tmp_path):
     p.write_text("+1 1:0.5 3:2\n-1\n")
     ds = parse_svmlight(p)
     assert ds.dim == 3
-    assert ds.examples[0].y == 1.0
-    assert ds.examples[0].x.to_dense().tolist() == [0.5, 0.0, 2.0]
-    assert ds.examples[1].y == -1.0
-    assert ds.examples[1].x.nnz == 0
+    assert ds.y.tolist() == [1.0, -1.0]
+    assert ds.X.tolist() == [[0.5, 0.0, 2.0], [0.0, 0.0, 0.0]]
 
 
 def test_parse_svmlight_malformed(tmp_path):
@@ -73,9 +72,8 @@ def test_parse_csv(tmp_path):
     p.write_text("f1,label,f2\n0.5,1,2\n0,0,1\n")
     ds = parse_csv(p, remap01=True)
     assert ds.dim == 2
-    assert ds.examples[0].y == 1.0
-    assert ds.examples[0].x.to_dense().tolist() == [0.5, 2.0]
-    assert ds.examples[1].y == -1.0
+    assert ds.y.tolist() == [1.0, -1.0]
+    assert ds.X.tolist() == [[0.5, 2.0], [0.0, 1.0]]
     with pytest.raises(ValueError, match="column"):
         parse_csv(p, label_column="missing")
 
@@ -95,15 +93,13 @@ def test_generator_determinism_and_margin():
                          params={"gamma": 0.4, "d": 6, "T": 100})
     a = generate(spec)
     b = generate(spec)
-    for ea, eb in zip(a, b):
-        assert ea.y == eb.y
-        assert np.array_equal(as_dense(ea.x), as_dense(eb.x))
+    assert np.array_equal(a.y, b.y) and np.array_equal(a.X, b.X)
     u = a.meta["u_unit"]
     assert np.linalg.norm(u) == pytest.approx(1.0)
-    for ex in a:
-        assert ex.y * float(u @ as_dense(ex.x)) >= 0.4 - 1e-12
-        assert ex.y * float(a.meta["u_star"] @ as_dense(ex.x)) >= 1.0 - 1e-12
-        assert np.linalg.norm(as_dense(ex.x)) <= 1.0 + 1e-12
+    for x, y in a:
+        assert y * float(u @ x) >= 0.4 - 1e-12
+        assert y * float(a.meta["u_star"] @ x) >= 1.0 - 1e-12
+        assert np.linalg.norm(x) <= 1.0 + 1e-12
 
 
 def test_generator_infeasible_margin():
@@ -139,8 +135,7 @@ def test_rescaled_generator_exact_factors():
     ds = generate(base)
     factors = [1000.0, 1.0, 0.5]
     scaled = generate(GeneratorSpec("rescaled", seed=2, base=base, factors=factors))
-    for ea, eb in zip(ds, scaled):
-        assert np.array_equal(as_dense(ea.x) * factors, as_dense(eb.x))
+    assert np.array_equal(ds.X * factors, scaled.X)
 
 
 def test_svmlight_round_trip(tmp_path):
@@ -153,10 +148,7 @@ def test_svmlight_round_trip(tmp_path):
         path = tmp_path / f"out{i}.svm"
         write_svmlight(ds, path)
         back = parse_svmlight(path, dim=ds.dim)
-        assert len(back) == len(ds)
-        for ea, eb in zip(ds, back):
-            assert ea.y == eb.y
-            assert np.array_equal(as_dense(ea.x), as_dense(eb.x))
+        assert np.array_equal(ds.y, back.y) and np.array_equal(ds.X, back.X)
 
 
 def test_prng_reference_stream():
@@ -309,6 +301,13 @@ def test_cli_audit_names_the_field_of_a_malformed_header(tmp_path):
     def with_config(**fields):
         return canonical_json({**good, "config": {**good["config"], **fields}})
 
+    def fingerprinted(**fields):
+        # a header whose config passes the fingerprint check, so only its fields are wrong
+        config = {**good["config"], **fields}
+        digest = fingerprint({k: config[k] for k in ("learner", "params", "data")})
+        return canonical_json({**good, "config": config, "fingerprint": digest})
+
+    fd = os.open(trace, os.O_RDONLY)
     cases = {
         "[1]": "bad header record: not a JSON object",
         "1": "bad header record: not a JSON object",
@@ -321,6 +320,21 @@ def test_cli_audit_names_the_field_of_a_malformed_header(tmp_path):
         with_config(comparators=5): "'comparators' must be a list",
         # comparators are outside the fingerprint, so this header passes its check
         with_config(comparators=[5]): "'comparators' must be a list of strings",
+        fingerprinted(learner="nope"): "'learner' names no learner: 'nope'",
+        fingerprinted(params={"eta": 1}): "'params.eta' is not a parameter of learner 'pa'",
+        fingerprinted(params={"bogus": 3}): "'params.bogus' is not a parameter of learner 'pa'",
+        fingerprinted(learner="ogd", params={"eta": "x"}): "'params.eta' must be a finite number",
+        fingerprinted(learner="ogd", params={"eta": True}): "'params.eta' must be a finite number",
+        fingerprinted(learner="ogd", params={"eta": 10**400}):
+            "'params.eta' must be a finite number",
+        fingerprinted(learner="ogd", params={"loss": "l1"}):
+            "'params.loss' must be one of ['hinge', 'square', 'absolute']",
+        fingerprinted(learner="second_order", params={"variant": 5}):
+            "'params.variant' must be one of ['full', 'diagonal']",
+        fingerprinted(learner="second_order", params={"rare_s": "3"}):
+            "'params.rare_s' must be a finite number or null",
+        fingerprinted(data={"kind": "generator", "spec": 5}): "'data.spec' must be an object",
+        fingerprinted(data={"kind": "file", "path": fd}): "'data.path' must be a string",
     }
     bad = tmp_path / "bad.jsonl"
     for text, msg in cases.items():
@@ -328,6 +342,14 @@ def test_cli_audit_names_the_field_of_a_malformed_header(tmp_path):
         code, err = _main_code(["audit", "--trace", str(bad)])
         assert code == 2, (text, err)
         assert f"error: {bad}: " in err and msg in err, (text, err)
+    # the path that names a descriptor was never opened, so the descriptor is still open
+    assert os.read(fd, 1) == b"{"
+    os.close(fd)
+    for params in ({"rare_s": None}, {"rare_s": 3}, {"r": 2}, {"variant": "diagonal"}):
+        text = fingerprinted(learner="second_order", params=params)
+        bad.write_text("\n".join([text, *records]) + "\n")
+        code, err = _main_code(["audit", "--trace", str(bad)])
+        assert "header" not in err, (params, err)
 
 
 def test_cli_exit_codes(tmp_path):
@@ -456,16 +478,21 @@ def test_cli_eta_mode_flag_is_gone(tmp_path):
     assert "--eta-mode" in out.stderr
 
 
-def test_audit_accepts_stored_eta_mode_param(tmp_path):
-    # traces written while the CLI still stored eta_mode carry it in their config
-    cfg = gen_config("pa", {"eta_mode": "fixed"}, separable(2, d=4, T=30))
-    trace, _, reports = run_experiment(cfg)
+def test_audit_rejects_stored_eta_mode_param(tmp_path):
+    # only version-1 traces stored eta_mode, and read_trace_lines refuses those; a param
+    # the learner does not read is an error wherever a config is built
+    with pytest.raises(ValueError, match="'params.eta_mode' is not a parameter of learner 'pa'"):
+        gen_config("pa", {"eta_mode": "fixed"}, separable(2, d=4, T=30))
+    cfg = gen_config("pa", {}, separable(2, d=4, T=30))
     tp = tmp_path / "t.jsonl"
-    write_trace(tp, cfg, trace)
-    assert '"eta_mode":"fixed"' in tp.read_text().splitlines()[0]
-    reports2, _ = audit_stored(tp)
-    assert canonical_json([r.to_dict() for r in reports]) == \
-        canonical_json([r.to_dict() for r in reports2])
+    write_trace(tp, cfg, run_experiment(cfg)[0])
+    header, *records = tp.read_text().splitlines()
+    config = {**json.loads(header)["config"], "params": {"eta_mode": "fixed"}}
+    stored = {"version": 2, "config": config, "fingerprint": fingerprint(
+        {k: config[k] for k in ("learner", "params", "data")})}
+    tp.write_text("\n".join([canonical_json(stored), *records]) + "\n")
+    with pytest.raises(ValueError, match="header config field 'params.eta_mode'"):
+        audit_stored(tp)
 
 
 def test_cli_perceptron_margin_bound(tmp_path):

@@ -2,7 +2,8 @@
 
 `reference_parse_svmlight` is the per-token parser the array parser
 replaced, kept here as the oracle: on every file both must return the
-same labels, indices, value bits and dim, or raise the same message.
+same labels, dim and matrix bits (the reference's rows read through
+SparseVec.to_dense), or raise the same message.
 """
 
 import math
@@ -67,18 +68,18 @@ def reference_parse_svmlight(path, dim=None):
 
 
 def _outcome(parse, path, dim=None):
-    """('ok', dim, rows as exact bytes) or ('error', message)."""
+    """('ok', dim, labels and matrix as exact bytes) or ('error', message)."""
     try:
         result = parse(path, dim=dim)
     except ValueError as exc:
         return ("error", str(exc))
     if isinstance(result, tuple):
         rows, dim = result
+        X = np.array([x.to_dense() for _, x in rows]).reshape(len(rows), dim)
+        y = np.array([y for y, _ in rows])
     else:
-        rows, dim = [(ex.y, ex.x) for ex in result], result.dim
-    return ("ok", dim, [(np.float64(y).tobytes(), x.dim, x.indices.dtype.str,
-                         x.indices.tobytes(), x.values.dtype.str, x.values.tobytes())
-                        for y, x in rows])
+        X, y, dim = result.X, result.y, result.dim
+    return ("ok", dim, X.shape, X.dtype.str, X.tobytes(), y.dtype.str, y.tobytes())
 
 
 def _assert_same(path, dim=None):
@@ -140,7 +141,7 @@ def test_syntax_cases_match_the_reference(tmp_path):
 def test_a_zero_valued_last_index_sets_dim(tmp_path):
     ds = parse_svmlight(_file(tmp_path, "1 2:1 9:0\n"))
     assert ds.dim == 9
-    assert ds.examples[0].x.indices.tolist() == [1]
+    assert np.flatnonzero(ds.X[0]).tolist() == [1]
 
 
 MALFORMED = [
@@ -237,10 +238,7 @@ def test_parse_csv_rows_match_sparsevec_entries(tmp_path):
     path = _file(tmp_path, "a,label,b,c\n0.5,1,0,-0.0\n0,-1,2.5,1e-3\n-0,1,0,0\n", "d.csv")
     for dim in (None, 3, 7):
         ds = parse_csv(path, dim=dim)
-        for ex, (y, entries) in zip(ds, [(1.0, [(0, 0.5)]), (-1.0, [(1, 2.5), (2, 1e-3)]),
-                                         (1.0, [])]):
-            ref = SparseVec(entries, ds.dim)
-            assert ex.y == y and ex.x.dim == ref.dim == (dim or 3)
-            assert ex.x.indices.dtype == ref.indices.dtype
-            assert ex.x.indices.tobytes() == ref.indices.tobytes()
-            assert ex.x.values.tobytes() == ref.values.tobytes()
+        assert ds.dim == (dim or 3) and ds.y.tolist() == [1.0, -1.0, 1.0]
+        ref = [SparseVec(entries, ds.dim).to_dense()
+               for entries in ([(0, 0.5)], [(1, 2.5), (2, 1e-3)], [])]
+        assert ds.X.dtype == np.float64 and ds.X.tobytes() == np.array(ref).tobytes()
