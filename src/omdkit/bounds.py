@@ -45,7 +45,7 @@ class RunTrace:
     """Finished run: its dataset, per-round records and final learner.
 
     The learner's (theta, f_T) and attributes (eta, loss_name, a, kind,
-    lipschitz, variant, r) describe the run; design() gives the dataset's X and y.
+    lipschitz, variant, r) describe the run.
     """
 
     dataset: object
@@ -55,9 +55,6 @@ class RunTrace:
     @property
     def dim(self):
         return self.learner.dim
-
-    def design(self):
-        return self.dataset.X, self.dataset.y
 
 
 def _as_batch(u, dim):
@@ -172,7 +169,7 @@ def composite_bound(trace, u, schedule):
     eta = trace.learner.eta
     recs = trace.records
     T = len(recs)
-    X, y = trace.design()
+    X, y = trace.dataset.X, trace.dataset.y
     U = _as_batch(u, trace.dim)
     loss_kind = trace.learner.loss_name
     penalty_u = reg.penalty_value(U)
@@ -207,7 +204,7 @@ def composite_bound(trace, u, schedule):
 
 def vaw_bound(trace, u):
     """Square-loss regret against (a/2)||u||^2 + (Y^2/2) sum_t x_t^T A_t^{-1} x_t, Y = max|y_t|."""
-    X, y = trace.design()
+    X, y = trace.dataset.X, trace.dataset.y
     U = _as_batch(u, trace.dim)
     a = trace.learner.a
     Y = float(np.max(np.abs(y))) if y.size else 0.0
@@ -221,7 +218,7 @@ def vaw_bound(trace, u):
 
 def adaptive_filter_bound(trace, u):
     """Filtering regret sum (w_t.x_t - u.x_t)^2 against 2 X_T^2 f(u) + sum (y_t - u.x_t)^2."""
-    X, y = trace.design()
+    X, y = trace.dataset.X, trace.dataset.y
     U = _as_batch(u, trace.dim)
     preds = np.array([r.prediction for r in trace.records])
     P = U @ X.T
@@ -244,7 +241,7 @@ def scale_invariant_bound(trace, u):
     """
     kind = trace.learner.kind
     reg = trace.learner.reg
-    X, y = trace.design()
+    X, y = trace.dataset.X, trace.dataset.y
     U = _as_batch(u, trace.dim)
     eta = trace.learner.eta
     L = trace.learner.lipschitz
@@ -286,7 +283,7 @@ def first_order_mistake_bound(trace, u):
     reg = trace.learner.reg
     beta = float(reg.strong_convexity())
     recs = trace.records
-    X, y = trace.design()
+    X, y = trace.dataset.X, trace.dataset.y
     U = _as_batch(u, trace.dim)
     M = sum(1 for r in recs if r.mistake)
     D = 0.0
@@ -351,7 +348,7 @@ def second_order_bound(trace, u):
     variant = trace.learner.variant
     r = trace.learner.r
     recs = trace.records
-    X, y = trace.design()
+    X, y = trace.dataset.X, trace.dataset.y
     U = _as_batch(u, trace.dim)
     upd, u_used, Xu, csum = _update_rounds(trace, X)
     measured = float(len(upd))
@@ -409,7 +406,7 @@ def diag_rare_feature_refinement(trace, u, s):
     if u.ndim != 1:
         raise ValueError("refinement takes a single comparator")
     r = trace.learner.r
-    X, y = trace.design()
+    X, y = trace.dataset.X, trace.dataset.y
     upd, u_used, _, csum = _update_rounds(trace, X)
     lhs = float(np.sum(u * u * csum))
     unorm2 = float(u @ u)

@@ -9,7 +9,7 @@ import functools
 import math
 import sys
 
-from .data import GeneratorSpec, generate, rescale_dataset, write_svmlight
+from .data import generate, rescaled, write_svmlight
 from .harness import (
     CHOICES,
     LEARNERS,
@@ -48,7 +48,7 @@ def _factors(text):
 
 
 def _parse_gen_spec(text, seed):
-    """'kind:key=val,key=val' into a GeneratorSpec dict."""
+    """'kind:key=val,key=val' into a generator spec {kind, seed, params}."""
     if ":" in text:
         kind, rest = text.split(":", 1)
         params = {}
@@ -63,15 +63,14 @@ def _parse_gen_spec(text, seed):
                                  f"got {kv!r}") from None
     else:
         kind, params = text, {}
-    return GeneratorSpec(kind=kind, seed=seed, params=params)
+    return {"kind": kind, "seed": seed, "params": params}
 
 
 def _data_config(args):
     if args.gen is not None:
-        spec = _parse_gen_spec(args.gen, args.seed).to_dict()
+        spec = _parse_gen_spec(args.gen, args.seed)
         if args.rescale is not None:
-            spec = {"kind": "rescaled", "seed": args.seed, "params": {},
-                    "base": spec, "factors": args.rescale}
+            spec = rescaled(spec, args.rescale)
         return {"kind": "generator", "spec": spec}
     cfg = {"kind": "file", "path": args.data, "format": args.format}
     if args.dim is not None:
@@ -222,10 +221,7 @@ def _report(args, payload, reports):
 
 def _dispatch(args):
     if args.command == "gen":
-        spec = _parse_gen_spec(args.gen, args.seed)
-        ds = generate(spec)
-        if args.rescale is not None:
-            ds = rescale_dataset(ds, args.rescale)
+        ds = generate(_data_config(args)["spec"])
         write_svmlight(ds, args.out)
         print(f"wrote {len(ds)} examples (dim {ds.dim}) to {args.out}")
         return 0
@@ -250,7 +246,7 @@ def _dispatch(args):
         return _report(args, payload, reports)
 
     if args.command == "compare":
-        spec = _parse_gen_spec(args.gen, args.seed).to_dict()
+        spec = _parse_gen_spec(args.gen, args.seed)
         config = ExperimentConfig(args.learner, _learner_params(args),
                                   {"kind": "generator", "spec": spec}, audit=False)
         result = run_compare(config, args.rescale)

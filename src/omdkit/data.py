@@ -1,8 +1,10 @@
 """Datasets as one (T, d) matrix and a label vector: svmlight/CSV parsing, seeded
-synthetic generators, rescaling, export."""
+synthetic generators, rescaling, export. A generator spec is the JSON object a
+config and a trace header hold; check_spec checks it and generate materializes it."""
 
 import csv as _csv
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -190,30 +192,6 @@ def write_svmlight(dataset, path):
             fh.write(" ".join(toks) + "\n")
 
 
-@dataclass
-class GeneratorSpec:
-    kind: str
-    seed: int = 0
-    params: dict = field(default_factory=dict)
-    base: "GeneratorSpec | None" = None
-    factors: "list | None" = None
-
-    def to_dict(self):
-        out = {"kind": self.kind, "seed": int(self.seed), "params": dict(self.params)}
-        if self.base is not None:
-            out["base"] = self.base.to_dict()
-        if self.factors is not None:
-            out["factors"] = [float(c) for c in self.factors]
-        return out
-
-    @classmethod
-    def from_dict(cls, d):
-        base = cls.from_dict(d["base"]) if d.get("base") else None
-        return cls(kind=d["kind"], seed=int(d.get("seed", 0)),
-                   params=dict(d.get("params", {})), base=base,
-                   factors=list(d["factors"]) if d.get("factors") else None)
-
-
 def _unit_vector(rng, d):
     while True:
         v = rng.normals(d)
@@ -270,12 +248,10 @@ def _gen_separable(rng, gamma, d, T):
     return Dataset.from_matrix(X, y, {"u_star": u / gamma, "u_unit": u, "gamma": gamma})
 
 
-def _gen_noisy_linear(rng, sigma, d, T, u_star=None):
+def _gen_noisy_linear(rng, sigma, d, T):
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
-    u = np.asarray(u_star, float) if u_star is not None else _unit_vector(rng, d)
-    if u.shape[0] != d:
-        raise ValueError("u_star length must equal d")
+    u = _unit_vector(rng, d)
     # row t: d uniforms in [-1, 1), then one normal for the noise
     cur = StateCursor(rng, T * (d + 2))
     x_at = np.empty(T, dtype=np.intp)
@@ -332,50 +308,76 @@ def rescale_dataset(dataset, factors):
             c = float(factors[i])
             raise ValueError(f"rescaling factor {c!r} overflows the target at coordinate {i}: "
                              f"u_star[{i}] = {float(u[i])!r} / {c!r} is not finite")
-    meta["rescaled_by"] = factors
     # np.where keeps an underflowed product on the support as a signed zero
     support = dataset.X != 0.0 if dataset.support is None else dataset.support
     return Dataset(np.where(support, dataset.X * factors, 0.0), dataset.y, meta, support)
 
 
-# kind -> (generator, required scalar parameters, optional parameters)
+# kind -> (generator, its parameters)
 _KINDS = {
-    "separable_margin": (_gen_separable, ("gamma", "d", "T"), ()),
-    "noisy_linear": (_gen_noisy_linear, ("sigma", "d", "T"), ("u_star",)),
-    "sparse_target": (_gen_sparse_target, ("k", "d", "T"), ()),
-    "heavy_tail_features": (_gen_heavy_tail, ("zipf", "d", "T"), ()),
+    "separable_margin": (_gen_separable, ("gamma", "d", "T")),
+    "noisy_linear": (_gen_noisy_linear, ("sigma", "d", "T")),
+    "sparse_target": (_gen_sparse_target, ("k", "d", "T")),
+    "heavy_tail_features": (_gen_heavy_tail, ("zipf", "d", "T")),
 }
 
 
-def generate(spec):
-    """Materialize a GeneratorSpec; deterministic given the seed."""
-    if spec.kind == "rescaled":
-        if spec.base is None or spec.factors is None:
-            raise ValueError("rescaled spec needs base and factors")
-        return rescale_dataset(generate(spec.base), spec.factors)
-    if spec.kind not in _KINDS:
-        raise ValueError(f"unknown generator kind {spec.kind!r}")
-    fn, required, optional = _KINDS[spec.kind]
-    missing = [k for k in required if k not in spec.params]
+def check_spec(spec, path="spec"):
+    """ValueError naming the first field, under path, that generate could not read.
+
+    A spec is {kind, seed=0, params={}}, each param a finite int or float,
+    or {kind: "rescaled", base, factors}: a base spec and a list of numbers.
+    """
+    if not isinstance(spec, dict):
+        raise ValueError(f"field {path!r} must be an object")
+    if type(spec.get("seed", 0)) is not int:
+        raise ValueError(f"field '{path}.seed' must be an integer")
+    params = spec.get("params", {})
+    if not isinstance(params, dict):
+        raise ValueError(f"field '{path}.params' must be an object")
+    kind = spec.get("kind")
+    if kind == "rescaled":
+        check_spec(spec.get("base"), path + ".base")
+        factors = spec.get("factors")
+        if not (isinstance(factors, list) and all(type(c) in (int, float) for c in factors)):
+            raise ValueError(f"field '{path}.factors' must be a list of numbers")
+        return
+    if not (isinstance(kind, str) and kind in _KINDS):
+        raise ValueError(f"unknown generator kind {kind!r} in field '{path}.kind'")
+    names = _KINDS[kind][1]
+    missing = [k for k in names if k not in params]
     if missing:
-        raise ValueError(f"generator {spec.kind!r} missing parameters {missing}")
-    unknown = sorted(set(spec.params) - set(required) - set(optional))
+        raise ValueError(f"generator {kind!r} missing parameters {missing}")
+    unknown = sorted(set(params) - set(names))
     if unknown:
-        raise ValueError(f"generator {spec.kind!r} got unknown parameters {unknown}; "
-                         f"allowed: {list(required + optional)}")
-    kwargs = dict(spec.params)
-    for key in required:
-        if not math.isfinite(float(kwargs[key])):
-            raise ValueError(f"generator {spec.kind!r}: parameter {key}={kwargs[key]} "
-                             "is not finite")
-    for key in ("d", "T", "k"):
-        if key in kwargs:
-            if kwargs[key] != int(kwargs[key]):
-                raise ValueError(f"generator {spec.kind!r}: parameter {key}={kwargs[key]} "
-                                 "is not an integer")
-            kwargs[key] = int(kwargs[key])
-    if kwargs["d"] < 1 or kwargs["T"] < 0:
-        raise ValueError(f"generator {spec.kind!r} needs d >= 1 and T >= 0 "
-                         f"(got d={kwargs['d']}, T={kwargs['T']})")
-    rng = Xorshift64Star(spec.seed)
-    return fn(rng, **kwargs)
+        raise ValueError(f"generator {kind!r} got unknown parameters {unknown}; "
+                         f"allowed: {list(names)}")
+    for key, val in params.items():
+        if type(val) not in (int, float):
+            raise ValueError(f"field '{path}.params.{key}' must be a number")
+        if not abs(val) <= sys.float_info.max:
+            raise ValueError(f"generator {kind!r}: parameter {key}={val} is not finite")
+        if key in ("d", "T", "k") and val != int(val):
+            raise ValueError(f"generator {kind!r}: parameter {key}={val} is not an integer")
+    if params["d"] < 1 or params["T"] < 0:
+        raise ValueError(f"generator {kind!r} needs d >= 1 and T >= 0 "
+                         f"(got d={int(params['d'])}, T={int(params['T'])})")
+
+
+def rescaled(base, factors):
+    """base's spec with coordinate i scaled by factors[i].
+
+    Nothing reads its seed and params; they keep the bytes of stored trace headers."""
+    return {"kind": "rescaled", "seed": base.get("seed", 0), "params": {}, "base": base,
+            "factors": [float(c) for c in factors]}
+
+
+def generate(spec):
+    """Materialize a generator spec, checked by check_spec; deterministic given the seed."""
+    check_spec(spec)
+    if spec["kind"] == "rescaled":
+        return rescale_dataset(generate(spec["base"]), spec["factors"])
+    fn = _KINDS[spec["kind"]][0]
+    params = spec.get("params", {})
+    kwargs = {k: int(v) if k in ("d", "T", "k") else v for k, v in params.items()}
+    return fn(Xorshift64Star(spec.get("seed", 0)), **kwargs)

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from .bounds import RunTrace, batch_comparator, grid_comparators
-from .data import GeneratorSpec, generate, parse_csv, parse_svmlight
+from .data import check_spec, generate, parse_csv, parse_svmlight, rescaled
 from .learners import (
     AdaptiveFilter,
     FirstOrderClassifier,
@@ -108,19 +108,14 @@ class ExperimentConfig:
 
 
 def load_dataset(config):
+    """The dataset of config's data source, whose fields _check_config has checked."""
     data = config.data
-    kind = data.get("kind")
-    if kind == "file":
-        fmt = data.get("format", "svmlight")
-        if fmt == "svmlight":
-            return parse_svmlight(data["path"], dim=data.get("dim"))
-        if fmt == "csv":
-            return parse_csv(data["path"], label_column=data.get("label_column", "label"),
-                             remap01=bool(data.get("remap01", False)), dim=data.get("dim"))
-        raise ValueError(f"unknown data format {fmt!r}")
-    if kind == "generator":
-        return generate(GeneratorSpec.from_dict(data["spec"]))
-    raise ValueError("config.data must have kind 'file' or 'generator'")
+    if data["kind"] == "generator":
+        return generate(data["spec"])
+    if data.get("format") == "csv":
+        return parse_csv(data["path"], label_column=data.get("label_column", "label"),
+                         remap01=data.get("remap01", False), dim=data.get("dim"))
+    return parse_svmlight(data["path"], dim=data.get("dim"))
 
 
 _SCALE_INVARIANT = {"lipschitz": 1.0, "eta": 1.0, "loss": "absolute"}
@@ -171,10 +166,22 @@ def _check_config(learner, params, data):
                   or (val is None and defaults[key] is None)):
             allowed = " or null" if defaults[key] is None else ""
             raise ValueError(f"{name} must be a finite number{allowed}")
-    if data.get("kind") == "file" and not isinstance(data.get("path"), str):
-        raise ValueError("config field 'data.path' must be a string")
-    if data.get("kind") == "generator" and not isinstance(data.get("spec"), dict):
-        raise ValueError("config field 'data.spec' must be an object")
+    kind = data.get("kind")
+    if kind == "generator":
+        check_spec(data.get("spec"), "data.spec")
+        return
+    if kind != "file":
+        raise ValueError("config field 'data.kind' must be 'file' or 'generator'")
+    dim = data.get("dim")
+    for key, ok, shape in (
+            ("path", isinstance(data.get("path"), str), "a string"),
+            ("format", data.get("format", "svmlight") in ("svmlight", "csv"),
+             "'svmlight' or 'csv'"),
+            ("dim", dim is None or (type(dim) is int and dim >= 0), "an integer >= 0 or null"),
+            ("label_column", isinstance(data.get("label_column", ""), str), "a string"),
+            ("remap01", type(data.get("remap01", False)) is bool, "true or false")):
+        if not ok:
+            raise ValueError(f"config field 'data.{key}' must be {shape}")
 
 
 def build_learner(config, dim):
@@ -257,7 +264,7 @@ def comparator_matrix(specs, trace):
                 raise ValueError("comparator 'star' needs a generator with an embedded target")
             rows.append(np.asarray(u, float)[None, :])
         elif spec == "batch":
-            X, y = trace.design()
+            X, y = trace.dataset.X, trace.dataset.y
             kind = getattr(trace.learner, "loss_name", None)
             if kind not in ("hinge", "square", "absolute"):
                 kind = "hinge" if trace.learner.binary_labels else "square"
@@ -518,11 +525,8 @@ def run_compare(config, factors):
     """Run config and its per-coordinate rescaled twin; report prediction deviation."""
     if config.data.get("kind") != "generator":
         raise ValueError("compare needs a generator data source")
-    spec = config.data["spec"]
-    rescaled = {"kind": "generator",
-                "spec": {"kind": "rescaled", "seed": spec.get("seed", 0), "params": {},
-                         "base": spec, "factors": [float(c) for c in factors]}}
+    scaled_data = {"kind": "generator", "spec": rescaled(config.data["spec"], factors)}
     base, scaled = (run_experiment(ExperimentConfig(config.learner, config.params, data,
                                                     audit=False))[0]
-                    for data in (config.data, rescaled))
+                    for data in (config.data, scaled_data))
     return {"max_relative_deviation": prediction_deviation(base, scaled), "T": len(base.records)}

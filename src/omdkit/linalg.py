@@ -78,14 +78,14 @@ class SparseVec:
         return f"SparseVec({{{pairs}}}, dim={self.dim})"
 
 
-def as_dense(x, dim=None):
-    """Accept SparseVec or array-like; return a float64 dense vector."""
+def as_dense(x, dim):
+    """Accept SparseVec or array-like of length dim; return a float64 dense vector."""
     if isinstance(x, SparseVec):
-        if dim is not None and x.dim != dim:
+        if x.dim != dim:
             raise ValueError(f"dimension mismatch: {x.dim} != {dim}")
         return x.to_dense()
     arr = np.asarray(x, dtype=np.float64)
-    if dim is not None and arr.shape[-1] != dim:
+    if arr.shape[-1] != dim:
         raise ValueError(f"dimension mismatch: {arr.shape[-1]} != {dim}")
     return arr
 

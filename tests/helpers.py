@@ -185,8 +185,8 @@ def _scalar_separable(rng, gamma, d, T):
     return rows, {"u_star": u / gamma, "u_unit": u, "gamma": gamma}
 
 
-def _scalar_noisy_linear(rng, sigma, d, T, u_star=None):
-    u = np.asarray(u_star, float) if u_star is not None else _scalar_unit_vector(rng, d)
+def _scalar_noisy_linear(rng, sigma, d, T):
+    u = _scalar_unit_vector(rng, d)
     rows = []
     for _ in range(int(T)):
         x = np.array([rng.uniform_in(-1.0, 1.0) for _ in range(d)])
@@ -242,8 +242,7 @@ def scalar_generate(kind, seed, params, rescales=()):
     for factors in rescales:
         factors = np.asarray(factors, dtype=np.float64)
         rows = [(x.scaled(factors), y) for x, y in rows]
-        meta = {**meta, "u_star": np.asarray(meta["u_star"], float) / factors,
-                "rescaled_by": factors}
+        meta = {**meta, "u_star": np.asarray(meta["u_star"], float) / factors}
     d = params["d"]
     X = np.array([x.to_dense() for x, _ in rows]).reshape(len(rows), d)
     return X, np.array([y for _, y in rows]), meta, rng

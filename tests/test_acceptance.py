@@ -34,7 +34,7 @@ from omdkit.bounds import (
     second_order_bound,
     sqrt_sum_inequality_check,
 )
-from omdkit.data import Dataset, GeneratorSpec, generate
+from omdkit.data import Dataset, generate
 from omdkit.harness import (
     audit_stored,
     canonical_json,
@@ -84,7 +84,7 @@ def test_criterion_1_engine_audit_all_learners():
                 suite = dict((n, (p, s)) for n, p, s in audited_learner_suite(d=10, T=200, seed=seed))
                 params_d, spec = suite[name]
                 trace, _, _ = run(name, params_d, spec, audit=False)
-                star = generate(GeneratorSpec.from_dict(spec)).meta["u_star"]
+                star = generate(spec).meta["u_star"]
                 U = np.vstack([np.zeros(10), star, u_fixed])
             rep = engine_audit(trace, U)
             worst_slack = min(worst_slack, rep.terms["min_slack"])
@@ -169,7 +169,7 @@ def test_criterion_4_aggressive_vs_baseline():
     for seed in range(10):
         spec = separable(seed, gamma=0.5, d=5, T=300)
         trace, summary, _ = run("pnorm_perceptron", {"p": 2.0}, spec, audit=False)
-        star = generate(GeneratorSpec.from_dict(spec)).meta["u_star"]
+        star = generate(spec).meta["u_star"]
         reg = trace.learner.reg
         beta = reg.strong_convexity()
         x_T = max(r.extras["x_max"] for r in trace.records)
@@ -190,7 +190,7 @@ def test_criterion_5_second_order_bounds():
     chain_ok = True
     for seed in range(25):
         spec = separable(seed, gamma=0.25, d=5, T=150)
-        star = generate(GeneratorSpec.from_dict(spec)).meta["u_star"]
+        star = generate(spec).meta["u_star"]
         U = np.vstack([np.zeros(5), star])
         for trigger in ("omd", "arow"):
             trace, _, _ = run("second_order",
@@ -213,8 +213,8 @@ def test_criterion_5_second_order_bounds():
         trace, _, _ = run("second_order",
                           {"r": 1.0, "variant": "diagonal", "trigger": "mistake"},
                           spec, audit=False)
-        star = generate(GeneratorSpec.from_dict(spec)).meta["u_star"]
-        X, _ = trace.design()
+        star = generate(spec).meta["u_star"]
+        X = trace.dataset.X
         upd = [i for i, rec in enumerate(trace.records) if rec.extras.get("updated")]
         csum = (X[upd] ** 2).sum(axis=0) if upd else np.zeros(12)
         s_min = float(np.sum(star ** 2 * csum) / float(star @ star))

@@ -217,9 +217,9 @@ def test_second_order_property_and_ordering():
 
 
 def _star(spec):
-    from omdkit.data import GeneratorSpec, generate
+    from omdkit.data import generate
 
-    return generate(GeneratorSpec.from_dict(spec)).meta["u_star"]
+    return generate(spec).meta["u_star"]
 
 
 def test_diag_log_bound_hand_example():
@@ -345,7 +345,7 @@ def test_diag_rare_feature_refinement_on_heavy_tail():
                       {"r": 1.0, "variant": "diagonal", "trigger": "mistake"},
                       spec, audit=False)
     star = _star(spec)
-    X, _ = trace.design()
+    X = trace.dataset.X
     upd = [i for i, rec in enumerate(trace.records) if rec.extras.get("updated")]
     csum = (X[upd] ** 2).sum(axis=0)
     s_min = float(np.sum(star ** 2 * csum) / float(star @ star))

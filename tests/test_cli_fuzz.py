@@ -1,22 +1,27 @@
 """Property test: whatever the CLI is given, it ends in exit 0, 1, 2 or 3.
 
 cli.main runs in-process on malformed svmlight and CSV text, generator
-specs, comparator specs and random learner-flag sets. Any exception other
-than argparse's SystemExit (which counts as its code) fails the test.
-Sizes stay small: d, T <= 20 and grid n <= 30.
+specs, comparator specs and random learner-flag sets, and audits stored
+traces whose header data source holds fields of the wrong type. Any
+exception other than argparse's SystemExit (which counts as its code)
+fails the test. Sizes stay small: d, T <= 20 and grid n <= 30.
 """
 
 import contextlib
+import copy
 import io
+import json
 import os
 import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import READS
 from omdkit import cli
+from omdkit.harness import canonical_json, fingerprint
 
 EXAMPLES = 100
 FUZZ = settings(derandomize=True, max_examples=EXAMPLES, deadline=None, database=None)
@@ -32,7 +37,7 @@ GOOD = {
 BAD = ["0", "-1", "1e-300", "1e300", "nan", "inf", "abc", "", "bogus"]
 NUMBERS = ["0", "1", "-1", "0.5", "2", "1e300", "nan", "inf", "abc", ""]
 GEN_KINDS = ["separable_margin", "noisy_linear", "sparse_target", "heavy_tail_features", "bogus"]
-GEN_KEYS = ["gamma", "sigma", "k", "zipf", "d", "T", "extra", ""]
+GEN_KEYS = ["gamma", "sigma", "k", "zipf", "d", "T", "u_star", "extra", ""]
 GEN_VALUES = ["0", "1", "2", "3", "5", "20", "0.3", "-1", "2.5", "nan", "inf", "x", ""]
 GRID_VALUES = ["2", "0", "-1", "1", "30", "2.5", "nan", "inf", "abc", ""]
 
@@ -139,3 +144,62 @@ def test_csv_runs_end_in_known_exit_codes(lf, text, remap):
             fh.write(text)
         _code(["run", "--learner", learner, *flags, "--data", path, "--format", "csv",
                *(["--remap01"] if remap else [])])
+
+
+# the header data-source fields of a rescaled generator trace and of a CSV trace, dotted
+HEADER_FIELDS = {
+    "gen": ["kind", "spec", "spec.kind", "spec.seed", "spec.params", "spec.base",
+            "spec.factors", "spec.base.kind", "spec.base.seed", "spec.base.params",
+            "spec.base.params.gamma", "spec.base.params.d", "spec.base.params.T"],
+    "csv": ["kind", "path", "format", "dim", "label_column", "remap01"],
+}
+# a string, bool, list, object, null or float; floats stay in [-20, 20], so d, T <= 20
+wrong_type = st.one_of(
+    st.sampled_from(["", "x", "3", "0.3", "csv", "separable_margin", "rescaled"]),
+    st.booleans(),
+    st.lists(st.sampled_from([1, 0.5, -1, "a", True, None]), max_size=3),
+    st.dictionaries(st.sampled_from(["kind", "seed", "params", "d"]),
+                    st.sampled_from([1, "a", None]), max_size=2),
+    st.none(),
+    st.floats(-20, 20),
+)
+
+
+@pytest.fixture(scope="module")
+def stored_traces(tmp_path_factory):
+    """(directory, {source: (header, record lines)}) of two pa traces, written once."""
+    tmp = tmp_path_factory.mktemp("headers")
+    csv = tmp / "d.csv"
+    csv.write_text("label,a,b\n1,0.5,2\n0,1,-1\n1,0,0.5\n")
+    traces = {}
+    for source, argv in (
+            ("gen", ["--gen", "separable_margin:gamma=0.2,d=3,T=20", "--seed", "1",
+                     "--rescale", "2,0.5,-1"]),
+            ("csv", ["--data", str(csv), "--format", "csv", "--remap01", "--dim", "3"])):
+        path = tmp / f"{source}.jsonl"
+        assert _code(["run", "--learner", "pa", *argv, "--trace", str(path), "--no-audit"]) == 0
+        header, *records = path.read_text().splitlines()
+        traces[source] = (json.loads(header), records)
+    return tmp, traces
+
+
+@FUZZ
+@given(st.data())
+def test_mistyped_header_data_sources_end_in_exit_0_or_2(stored_traces, data):
+    tmp, traces = stored_traces
+    source = data.draw(st.sampled_from(sorted(traces)))
+    header, records = traces[source]
+    config = copy.deepcopy(header["config"])
+    for key in data.draw(st.lists(st.sampled_from(HEADER_FIELDS[source]), min_size=1,
+                                  max_size=3, unique=True)):
+        *parents, last = key.split(".")
+        node = config["data"]
+        for name in parents:
+            node = node.get(name) if isinstance(node, dict) else None
+        if isinstance(node, dict):  # an earlier replacement may have removed the field
+            node[last] = data.draw(wrong_type)
+    digest = fingerprint({k: config[k] for k in ("learner", "params", "data")})
+    path = tmp / "audit.jsonl"
+    text = canonical_json({**header, "config": config, "fingerprint": digest})
+    path.write_text("\n".join([text, *records]) + "\n")
+    assert _code(["audit", "--trace", str(path)]) in (0, 2)

@@ -11,7 +11,6 @@ import pytest
 from helpers import READS, gen_config, noisy_linear, run_cli, separable
 from omdkit import cli
 from omdkit.data import (
-    GeneratorSpec,
     generate,
     parse_csv,
     parse_svmlight,
@@ -89,8 +88,7 @@ def test_parse_csv_rejects_non_finite(tmp_path):
 
 
 def test_generator_determinism_and_margin():
-    spec = GeneratorSpec("separable_margin", seed=9,
-                         params={"gamma": 0.4, "d": 6, "T": 100})
+    spec = {"kind": "separable_margin", "seed": 9, "params": {"gamma": 0.4, "d": 6, "T": 100}}
     a = generate(spec)
     b = generate(spec)
     assert np.array_equal(a.y, b.y) and np.array_equal(a.X, b.X)
@@ -104,13 +102,13 @@ def test_generator_determinism_and_margin():
 
 def test_generator_infeasible_margin():
     with pytest.raises(ValueError, match="infeasible"):
-        generate(GeneratorSpec("separable_margin", seed=0,
-                               params={"gamma": 1.5, "d": 3, "T": 5}))
+        generate({"kind": "separable_margin", "seed": 0,
+                  "params": {"gamma": 1.5, "d": 3, "T": 5}})
 
 
 def test_generator_spec_validation():
     def spec(kind, **params):
-        return GeneratorSpec(kind, seed=0, params=params)
+        return {"kind": kind, "seed": 0, "params": params}
 
     with pytest.raises(ValueError, match="unknown parameters \\['extra'\\]"):
         generate(spec("separable_margin", gamma=0.5, d=3, T=5, extra=1.0))
@@ -126,22 +124,22 @@ def test_generator_spec_validation():
         generate(spec("sparse_target", k=1, d=2.5, T=5))
     base = spec("noisy_linear", sigma=0.1, d=2, T=5)
     with pytest.raises(ValueError, match="finite and nonzero"):
-        generate(GeneratorSpec("rescaled", seed=0, base=base, factors=[1.0, float("inf")]))
+        generate({"kind": "rescaled", "seed": 0, "base": base, "factors": [1.0, float("inf")]})
     assert len(generate(spec("noisy_linear", sigma=0.1, d=2, T=0))) == 0
 
 
 def test_rescaled_generator_exact_factors():
-    base = GeneratorSpec("noisy_linear", seed=2, params={"sigma": 0.1, "d": 3, "T": 20})
+    base = {"kind": "noisy_linear", "seed": 2, "params": {"sigma": 0.1, "d": 3, "T": 20}}
     ds = generate(base)
     factors = [1000.0, 1.0, 0.5]
-    scaled = generate(GeneratorSpec("rescaled", seed=2, base=base, factors=factors))
+    scaled = generate({"kind": "rescaled", "seed": 2, "base": base, "factors": factors})
     assert np.array_equal(ds.X * factors, scaled.X)
 
 
 def test_svmlight_round_trip(tmp_path):
     specs = [
-        GeneratorSpec("heavy_tail_features", seed=5, params={"zipf": 1.5, "d": 8, "T": 40}),
-        GeneratorSpec("noisy_linear", seed=6, params={"sigma": 0.3, "d": 5, "T": 40}),
+        {"kind": "heavy_tail_features", "seed": 5, "params": {"zipf": 1.5, "d": 8, "T": 40}},
+        {"kind": "noisy_linear", "seed": 6, "params": {"sigma": 0.3, "d": 5, "T": 40}},
     ]
     for i, spec in enumerate(specs):
         ds = generate(spec)
@@ -307,6 +305,25 @@ def test_cli_audit_names_the_field_of_a_malformed_header(tmp_path):
         digest = fingerprint({k: config[k] for k in ("learner", "params", "data")})
         return canonical_json({**good, "config": config, "fingerprint": digest})
 
+    spec = good["config"]["data"]["spec"]
+
+    def spec_with(**fields):
+        return fingerprinted(data={"kind": "generator", "spec": {**spec, **fields}})
+
+    def params_with(**params):
+        return spec_with(params={**spec["params"], **params})
+
+    def rescaled(**fields):
+        return spec_with(**{"kind": "rescaled", "params": {}, "base": spec,
+                            "factors": [1.0, 2.0, 3.0], **fields})
+
+    svm, csv = tmp_path / "d.svm", tmp_path / "d.csv"
+    svm.write_text("1 1:0.5\n-1 3:1\n")
+    csv.write_text("label,a\n1,0.5\n0,1\n")
+
+    def file_with(path, **fields):
+        return fingerprinted(data={"kind": "file", "path": str(path), **fields})
+
     fd = os.open(trace, os.O_RDONLY)
     cases = {
         "[1]": "bad header record: not a JSON object",
@@ -335,6 +352,28 @@ def test_cli_audit_names_the_field_of_a_malformed_header(tmp_path):
             "'params.rare_s' must be a finite number or null",
         fingerprinted(data={"kind": "generator", "spec": 5}): "'data.spec' must be an object",
         fingerprinted(data={"kind": "file", "path": fd}): "'data.path' must be a string",
+        # each of these raised out of cli.main, or was read as another value
+        file_with(svm, format="svmlight", dim="3"): "'data.dim' must be an integer >= 0 or null",
+        file_with(svm, dim=-1): "'data.dim' must be an integer >= 0 or null",
+        file_with(svm, format="tsv"): "'data.format' must be 'svmlight' or 'csv'",
+        file_with(csv, format="csv", label_column=5): "'data.label_column' must be a string",
+        file_with(csv, format="csv", label_column="label", remap01="no"):
+            "'data.remap01' must be true or false",
+        fingerprinted(data={"kind": [1], "spec": spec}):
+            "'data.kind' must be 'file' or 'generator'",
+        fingerprinted(data={"kind": "generator", "spec": {}}):
+            "unknown generator kind None in field 'data.spec.kind'",
+        spec_with(kind=[1]): "unknown generator kind [1] in field 'data.spec.kind'",
+        spec_with(params=5): "'data.spec.params' must be an object",
+        spec_with(seed="x"): "'data.spec.seed' must be an integer",
+        params_with(gamma="0.3"): "'data.spec.params.gamma' must be a number",
+        params_with(d=True): "'data.spec.params.d' must be a number",
+        rescaled(base=5): "'data.spec.base' must be an object",
+        spec_with(kind="rescaled", factors=[1.0, 2.0, 3.0]): "'data.spec.base' must be an object",
+        rescaled(base={**spec, "params": {**spec["params"], "T": None}}):
+            "'data.spec.base.params.T' must be a number",
+        rescaled(factors=5): "'data.spec.factors' must be a list of numbers",
+        rescaled(factors=[1.0, "2", 3.0]): "'data.spec.factors' must be a list of numbers",
     }
     bad = tmp_path / "bad.jsonl"
     for text, msg in cases.items():
@@ -384,9 +423,10 @@ def test_cli_overflowing_rescaled_target_is_data_error(tmp_path, capsys):
     msg = "rescaling factor 5e-324 overflows the target at coordinate 0: u_star[0] = "
     # a stored trace of that config, as a version that let the target overflow wrote it
     trace = tmp_path / "t.jsonl"
-    base = GeneratorSpec("noisy_linear", 1, {"sigma": 0.2, "d": 3, "T": 60})
-    spec = GeneratorSpec("rescaled", 1, base=base, factors=[5e-324, -1.0, 1e-300])
-    config = ExperimentConfig("pa", {}, {"kind": "generator", "spec": spec.to_dict()})
+    base = {"kind": "noisy_linear", "seed": 1, "params": {"sigma": 0.2, "d": 3, "T": 60}}
+    spec = {"kind": "rescaled", "seed": 1, "params": {}, "base": base,
+            "factors": [5e-324, -1.0, 1e-300]}
+    config = ExperimentConfig("pa", {}, {"kind": "generator", "spec": spec})
     write_trace(trace, config, types.SimpleNamespace(records=[]))
     for argv in (["gen", *gen, "--out", str(tmp_path / "x.svm")],
                  ["run", "--learner", "pa", *gen],
@@ -407,7 +447,10 @@ def test_cli_bad_generator_spec_is_data_error():
     # d=0 used to redraw a zero-length unit vector forever; extra=1 raised TypeError
     for spec, msg in (("separable_margin:gamma=0.5,d=0,T=5", "d >= 1"),
                       ("separable_margin:gamma=0.5,d=3,T=5,extra=1", "unknown parameters"),
-                      ("separable_margin:gamma,d=3,T=5", "expected key=number, got 'gamma'")):
+                      ("separable_margin:gamma,d=3,T=5", "expected key=number, got 'gamma'"),
+                      # u_star is no parameter: it used to end in an IndexError traceback
+                      ("noisy_linear:sigma=0.2,d=3,T=5,u_star=1",
+                       "unknown parameters ['u_star']")):
         out = run_cli("run", "--learner", "pa", "--gen", spec, timeout=60)
         assert out.returncode == 2, out.stderr
         assert msg in out.stderr
