@@ -7,7 +7,6 @@ reproducible experiments.
 """
 
 from .bounds import (
-    BoundReport,
     RunTrace,
     adaptive_filter_bound,
     batch_comparator,

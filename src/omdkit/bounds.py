@@ -2,14 +2,15 @@
 
 Evaluators consume immutable RunTrace objects, read the run's parameters
 off its final learner and never change learner state. Each accepts a
-single comparator (d,) or a batch (N, d); the returned BoundReport
-carries the numbers at the comparator with the smallest slack, so
-"slack >= -tol" on the report certifies the bound for every comparator
-supplied.
+single comparator (d,) or a batch (N, d) and returns a report dict
+{name, measured, bound, slack, terms}, the shape a run summary stores,
+with slack = bound - measured. It carries the numbers at the comparator
+with the smallest slack, so "slack >= -tol" on the report certifies the
+bound for every comparator supplied.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,27 +18,6 @@ import numpy as np
 _E = math.e
 BATCH_STEPS = 400  # batch_comparator's steps and the radius of its ball
 BATCH_RADIUS = 4.0
-
-
-@dataclass
-class BoundReport:
-    name: str
-    measured: float
-    bound: float
-    terms: dict = field(default_factory=dict)
-
-    @property
-    def slack(self):
-        return self.bound - self.measured
-
-    def to_dict(self):
-        return {
-            "name": self.name,
-            "measured": self.measured,
-            "bound": self.bound,
-            "slack": self.slack,
-            "terms": dict(self.terms),
-        }
 
 
 @dataclass
@@ -95,7 +75,8 @@ def _finish(name, measured, bound, terms, U):
             "comparator": [float(v) for v in U[i]],
         }
     )
-    return BoundReport(name, float(measured[i]), float(bound[i]), terms)
+    return {"name": name, "measured": float(measured[i]), "bound": float(bound[i]),
+            "slack": float(slack[i]), "terms": terms}
 
 
 def grid_comparators(dim, radius=2.0, points=41):
@@ -400,7 +381,7 @@ def diag_rare_feature_refinement(trace, u, s):
     Checks sum_i u_i^2 sum_t x_{t,i}^2 <= s ||u||^2 over the update rounds
     for the single comparator u; if it holds (and the run was conservative,
     U_used == 0) the closed-form solver turns the implicit inequality in M
-    into the explicit bound below. Returns (report, hypothesis_ok).
+    into the explicit bound below, else the bound is +inf. Returns (report, hypothesis_ok).
     """
     u = np.asarray(u, dtype=np.float64)
     if u.ndim != 1:
@@ -417,13 +398,15 @@ def diag_rare_feature_refinement(trace, u, s):
     d = trace.dim
     terms = {"s": s, "hypothesis_lhs": lhs, "u_norm_sq": unorm2, "U_used": u_used,
              "X_T": x_T, "L_u": L_u}
-    if not hypothesis_ok or x_T == 0.0 or unorm2 == 0.0:
-        return BoundReport("diag_refinement", M, math.inf, terms), hypothesis_ok
-    a = unorm2 * (r + s) * d
-    b = x_T ** 2 / (d * r)
-    bound = implicit_log_solve("sqrt_log", {"a": a, "b": b, "c": 0.0, "d": L_u})
-    terms.update({"a": a, "b": b})
-    return BoundReport("diag_refinement", M, bound, terms), hypothesis_ok
+    bound = math.inf
+    if hypothesis_ok and x_T != 0.0 and unorm2 != 0.0:
+        a = unorm2 * (r + s) * d
+        b = x_T ** 2 / (d * r)
+        bound = implicit_log_solve("sqrt_log", {"a": a, "b": b, "c": 0.0, "d": L_u})
+        terms.update({"a": a, "b": b})
+    report = {"name": "diag_refinement", "measured": M, "bound": bound, "slack": bound - M,
+              "terms": terms}
+    return report, hypothesis_ok
 
 
 def diag_log_bound(x_squares, r):

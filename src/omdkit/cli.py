@@ -13,12 +13,10 @@ from .data import generate, rescaled, write_svmlight
 from .harness import (
     CHOICES,
     LEARNERS,
-    ExperimentConfig,
     audit_stored,
     report_violations,
     run_compare,
     run_experiment,
-    with_first_nonfinite,
     write_summary,
     write_trace,
 )
@@ -95,8 +93,11 @@ def _flags(keys):
     return ", ".join("--" + k.replace("_", "-") for k in keys)
 
 
-def _learner_params(args):
-    return {k: getattr(args, k) for k in _LEARNER_FLAGS if getattr(args, k) is not None}
+def _config(args, data, comparators=None):
+    """The config object a trace header stores: the learner flags read off args."""
+    params = {k: getattr(args, k) for k in _LEARNER_FLAGS if getattr(args, k) is not None}
+    return {"learner": args.learner, "params": params, "data": data,
+            "comparators": comparators or ["zero"]}
 
 
 def _add_run_flags(sp, need_learner=True):
@@ -202,7 +203,7 @@ def main(argv=None):
         return 2
 
 
-def _report(args, payload, reports):
+def _report(args, payload):
     """Write the payload to --summary or stdout; 3 on a strict-audit violation, else 0.
 
     A non-finite record value is named on stderr, and it is a strict-audit violation.
@@ -210,7 +211,7 @@ def _report(args, payload, reports):
     text = write_summary(args.summary, payload)
     if not args.summary:
         print(text, end="")
-    bad = report_violations(reports) if args.strict else []
+    bad = report_violations(payload["reports"]) if args.strict else []
     for name, slack, tol in bad:
         print(f"strict-audit violation: {name} slack {slack} not >= -{tol}", file=sys.stderr)
     nonfinite = payload.get("first_nonfinite")
@@ -227,29 +228,21 @@ def _dispatch(args):
         return 0
 
     if args.command == "run":
-        config = ExperimentConfig(
-            args.learner, _learner_params(args), _data_config(args),
-            args.comparator or ["zero"], audit=args.audit)
-        trace, summary, reports = run_experiment(config)
+        config = _config(args, _data_config(args), args.comparator)
+        trace, payload = run_experiment(config, audit=args.audit)
         if args.trace:
             write_trace(args.trace, config, trace)
-        return _report(args, summary, reports)
+        return _report(args, payload)
 
     if args.command == "audit":
-        override = None
-        if args.learner:
-            override = ExperimentConfig(args.learner, _learner_params(args),
-                                        _data_config(args))
-        reports, trace = audit_stored(args.trace, config_override=override)
-        payload = with_first_nonfinite({"reports": [r.to_dict() for r in reports]},
-                                       trace.records)
-        return _report(args, payload, reports)
+        override = _config(args, _data_config(args)) if args.learner else None
+        trace, payload = audit_stored(args.trace, config_override=override)
+        return _report(args, payload)
 
     if args.command == "compare":
         spec = _parse_gen_spec(args.gen, args.seed)
-        config = ExperimentConfig(args.learner, _learner_params(args),
-                                  {"kind": "generator", "spec": spec}, audit=False)
-        result = run_compare(config, args.rescale)
+        result = run_compare(_config(args, {"kind": "generator", "spec": spec}),
+                             args.rescale)
         print(write_summary(None, result), end="")
         if args.strict and result["max_relative_deviation"] > args.tol:
             print(f"strict-audit violation: deviation {result['max_relative_deviation']} "

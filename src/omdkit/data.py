@@ -209,8 +209,7 @@ def _gen_separable(rng, gamma, d, T):
     every later draw, so the layout assumes it is (it is not at d = 1, where
     orth is 0) and is redone from the first row where that was wrong.
 
-    meta carries u_unit (the unit-norm target), gamma, and u_star = u/gamma,
-    the comparator with zero hinge loss.
+    meta carries u_star = u/gamma, the comparator with zero hinge loss.
     """
     if not 0.0 < gamma <= 1.0:
         raise ValueError(f"infeasible margin gamma={gamma}; need 0 < gamma <= 1")
@@ -245,7 +244,7 @@ def _gen_separable(rng, gamma, d, T):
     step *= cur.uniforms[np.asarray(rho_at, dtype=np.intp)][:, None]
     step *= np.sqrt(np.maximum(1.0 - m[k] * m[k], 0.0))[:, None]
     X[k] += step
-    return Dataset.from_matrix(X, y, {"u_star": u / gamma, "u_unit": u, "gamma": gamma})
+    return Dataset.from_matrix(X, y, {"u_star": u / gamma})
 
 
 def _gen_noisy_linear(rng, sigma, d, T):

@@ -75,41 +75,14 @@ def fingerprint(payload):
     return hashlib.sha256(canonical_json(payload).encode()).hexdigest()[:16]
 
 
-class ExperimentConfig:
-    """Learner spec + data source + comparator specs + audit toggles, checked by _check_config."""
-
-    def __init__(self, learner, params=None, data=None, comparators=None, audit=True):
-        self.learner = learner
-        self.params = dict(params or {})
-        self.data = dict(data or {})
-        self.comparators = list(comparators or ["zero"])
-        self.audit = bool(audit)
-        _check_config(self.learner, self.params, self.data)
-
-    def to_dict(self):
-        return {"learner": self.learner, "params": self.params, "data": self.data,
-                "comparators": self.comparators}
-
-    @classmethod
-    def from_dict(cls, d):
-        """The config a trace header stores; ValueError names a field of the wrong shape."""
-        if not isinstance(d, dict):
-            raise ValueError("'config' must be an object")
-        for key, kind, shape in (("learner", str, "a string"), ("params", dict, "an object"),
-                                 ("data", dict, "an object"), ("comparators", list, "a list")):
-            if not isinstance(d.get(key), kind):
-                raise ValueError(f"config field {key!r} must be {shape}")
-        if not all(isinstance(c, str) for c in d["comparators"]):
-            raise ValueError("config field 'comparators' must be a list of strings")
-        return cls(d["learner"], d["params"], d["data"], d["comparators"])
-
-    def fingerprint(self):
-        return fingerprint({"learner": self.learner, "params": self.params, "data": self.data})
+def config_fingerprint(config):
+    """The fingerprint of what a replay reads: the config's learner, params and data."""
+    return fingerprint({key: config[key] for key in ("learner", "params", "data")})
 
 
 def load_dataset(config):
-    """The dataset of config's data source, whose fields _check_config has checked."""
-    data = config.data
+    """The dataset of config's data source, whose fields check_config has checked."""
+    data = config["data"]
     if data["kind"] == "generator":
         return generate(data["spec"])
     if data.get("format") == "csv":
@@ -150,8 +123,20 @@ CHOICES = {"variant": SecondOrderClassifier.VARIANTS, "trigger": SecondOrderClas
            "schedule": CompositeQuadL1.SCHEDULES, "loss": ("hinge", "square", "absolute")}
 
 
-def _check_config(learner, params, data):
-    """ValueError naming the first field no run could read."""
+def check_config(config):
+    """ValueError naming the first field of a config that no run could read.
+
+    A config is the object a trace header stores: {learner, params, data,
+    comparators}. The comparator checks that need the data's dim are
+    comparator_matrix's.
+    """
+    if not isinstance(config, dict):
+        raise ValueError("'config' must be an object")
+    for key, kind, shape in (("learner", str, "a string"), ("params", dict, "an object"),
+                             ("data", dict, "an object"), ("comparators", list, "a list")):
+        if not isinstance(config.get(key), kind):
+            raise ValueError(f"config field {key!r} must be {shape}")
+    learner, params, data = config["learner"], config["params"], config["data"]
     if learner not in LEARNERS:
         raise ValueError(f"config field 'learner' names no learner: {learner!r}")
     defaults = LEARNERS[learner][1]
@@ -167,6 +152,19 @@ def _check_config(learner, params, data):
             allowed = " or null" if defaults[key] is None else ""
             raise ValueError(f"{name} must be a finite number{allowed}")
     kind = data.get("kind")
+    if not config["comparators"]:
+        raise ValueError("config field 'comparators' must not be empty")
+    for spec in config["comparators"]:
+        if not isinstance(spec, str):
+            raise ValueError("config field 'comparators' must be a list of strings")
+        if spec == "star" and kind == "file":
+            raise ValueError("comparator 'star' needs a generator with an embedded target")
+        if spec.startswith("grid:"):
+            _grid_spec(spec)
+        elif spec.startswith("vec:"):
+            _spec_numbers(spec, spec[4:].split(","))
+        elif spec not in ("zero", "star", "batch"):
+            raise ValueError(f"unknown comparator spec {spec!r} in field 'comparators'")
     if kind == "generator":
         check_spec(data.get("spec"), "data.spec")
         return
@@ -186,8 +184,8 @@ def _check_config(learner, params, data):
 
 def build_learner(config, dim):
     """Build config's learner: its params over the learner's defaults."""
-    factory, defaults = LEARNERS[config.learner]
-    return factory(dim, {**defaults, **config.params})
+    factory, defaults = LEARNERS[config["learner"]]
+    return factory(dim, {**defaults, **config["params"]})
 
 
 def _validate_labels(learner, dataset):
@@ -213,11 +211,11 @@ def _replay(config):
     return RunTrace(dataset, records, learner), wall
 
 
-def run_experiment(config):
-    """Returns (trace, summary, reports). Bound reports only when audit is on."""
+def run_experiment(config, audit=True):
+    """Check and run config; returns (trace, summary). The bound reports only when audit is on."""
+    check_config(config)
     trace, wall = _replay(config)
     records = trace.records
-    reports = audit_reports(trace, config) if config.audit else []
     summary = {
         "T": len(records),
         "cumulative_loss": float(sum(r.loss for r in records)),
@@ -225,9 +223,9 @@ def run_experiment(config):
         "margin_errors": int(sum(1 for r in records if r.margin_error)),
         "theta_norm": float(np.linalg.norm(trace.learner.theta)),
         "wall_time_s": wall,
-        "reports": [r.to_dict() for r in reports],
+        "reports": audit_reports(trace, config) if audit else [],
     }
-    return trace, with_first_nonfinite(summary, records), reports
+    return trace, with_first_nonfinite(summary, records)
 
 
 def _spec_numbers(spec, texts):
@@ -237,8 +235,10 @@ def _spec_numbers(spec, texts):
         raise ValueError(f"comparator {spec!r}: entries must be numbers") from None
 
 
-def _grid_spec(spec, dim):
-    """'grid:R=<radius>,n=<points>' into (radius, points), checked before any allocation."""
+def _grid_spec(spec, dim=0):
+    """'grid:R=<radius>,n=<points>' into (radius, points), checked before any allocation.
+
+    Every n fits dim 0, so there only the spec itself is checked."""
     items = [item.partition("=")[::2] for item in spec[5:].split(",")]
     opts = dict(items)
     if len(opts) < len(items) or not set(opts) <= {"R", "n"}:
@@ -252,17 +252,14 @@ def _grid_spec(spec, dim):
 
 
 def comparator_matrix(specs, trace):
-    """Resolve comparator specs into one (N, d) matrix."""
+    """Resolve comparator specs, which check_config has checked, into one (N, d) matrix."""
     dim = trace.dim
     rows = []
     for spec in specs:
         if spec == "zero":
             rows.append(np.zeros((1, dim)))
         elif spec == "star":
-            u = trace.dataset.meta.get("u_star")
-            if u is None:
-                raise ValueError("comparator 'star' needs a generator with an embedded target")
-            rows.append(np.asarray(u, float)[None, :])
+            rows.append(np.asarray(trace.dataset.meta["u_star"], float)[None, :])
         elif spec == "batch":
             X, y = trace.dataset.X, trace.dataset.y
             kind = getattr(trace.learner, "loss_name", None)
@@ -272,26 +269,24 @@ def comparator_matrix(specs, trace):
         elif spec.startswith("grid:"):
             radius, points = _grid_spec(spec, dim)
             rows.append(grid_comparators(dim, radius=radius, points=points))
-        elif spec.startswith("vec:"):
+        else:  # vec:v1,v2,...
             vals = np.array(_spec_numbers(spec, spec[4:].split(",")))
             if vals.size != dim or not np.isfinite(vals).all():
                 raise ValueError(f"comparator {spec!r}: needs {dim} finite entries")
             rows.append(vals[None, :])
-        else:
-            raise ValueError(f"unknown comparator spec {spec!r}")
     return np.vstack(rows)
 
 
 def audit_reports(trace, config):
-    """Every bound evaluator applicable to the trace's learner."""
-    U = comparator_matrix(config.comparators, trace)
+    """The report dicts of every bound evaluator applicable to the trace's learner."""
+    U = comparator_matrix(config["comparators"], trace)
     learner = trace.learner
     reports = [bounds_mod.engine_audit(trace, U)]
     if isinstance(learner, FirstOrderClassifier):
         reports.append(bounds_mod.first_order_mistake_bound(trace, U))
     elif isinstance(learner, SecondOrderClassifier):
         reports.append(bounds_mod.second_order_bound(trace, U))
-        s = config.params.get("rare_s")
+        s = config["params"].get("rare_s")
         star = trace.dataset.meta.get("u_star")
         if s is not None and learner.variant == "diagonal" and star is not None:
             rep, _ok = bounds_mod.diag_rare_feature_refinement(trace, np.asarray(star), s)
@@ -315,13 +310,14 @@ def audit_reports(trace, config):
 def report_violations(reports):
     out = []
     for rep in reports:
-        tol = REPORT_TOL.get(rep.name, DEFAULT_TOL)
+        name, slack = rep["name"], rep["slack"]
+        tol = REPORT_TOL.get(name, DEFAULT_TOL)
         # written so that a NaN slack or gap fails; +inf slack (a vacuous bound) passes
-        if not rep.slack >= -tol:
-            out.append((rep.name, rep.slack, tol))
-        gap = rep.terms.get("max_residue_gap")
+        if not slack >= -tol:
+            out.append((name, slack, tol))
+        gap = rep["terms"].get("max_residue_gap")
         if gap is not None and not gap <= DEFAULT_TOL:
-            out.append((rep.name + ":residue", -gap, DEFAULT_TOL))
+            out.append((name + ":residue", -gap, DEFAULT_TOL))
     return out
 
 
@@ -414,8 +410,8 @@ def with_first_nonfinite(payload, records):
 
 
 def write_trace(path, config, trace):
-    header = {"version": TRACE_VERSION, "fingerprint": config.fingerprint(),
-              "config": config.to_dict()}
+    header = {"version": TRACE_VERSION, "fingerprint": config_fingerprint(config),
+              "config": config}
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(canonical_json(header) + "\n")
         for rec in trace.records:
@@ -435,7 +431,7 @@ def write_summary(path, summary, drop_wall_time=False):
 
 
 def read_trace_lines(path):
-    """(fingerprint, config, record lines) of a stored trace; ValueError on a malformed header."""
+    """(fingerprint, checked config, record lines) of a stored trace; ValueError on a bad one."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
     if not lines:
@@ -451,9 +447,10 @@ def read_trace_lines(path):
     if not isinstance(header.get("fingerprint"), str):
         raise ValueError(f"{path}: header field 'fingerprint' must be a string")
     try:
-        return header["fingerprint"], ExperimentConfig.from_dict(header.get("config")), lines[1:]
+        check_config(header.get("config"))
     except ValueError as e:
         raise ValueError(f"{path}: header {e}") from None
+    return header["fingerprint"], header["config"], lines[1:]
 
 
 def _ulps(a, b):
@@ -488,13 +485,16 @@ def audit_stored(path, config_override=None):
     The trace only stores per-round scalars, so the data source named in
     the embedded config is re-materialized to rebuild regularizer state;
     record-by-record equality against the stored file is enforced before
-    any report is produced. Returns (reports, replayed trace).
+    any report is produced. Returns (replayed trace, {reports[, first_nonfinite]}).
     """
     stored_fp, config, stored = read_trace_lines(path)
-    if config_override is not None and config_override.fingerprint() != stored_fp:
-        raise ValueError("learner fingerprint mismatch: trace was written by "
-                         f"{stored_fp}, supplied config is {config_override.fingerprint()}")
-    if config.fingerprint() != stored_fp:
+    if config_override is not None:
+        check_config(config_override)
+        supplied = config_fingerprint(config_override)
+        if supplied != stored_fp:
+            raise ValueError("learner fingerprint mismatch: trace was written by "
+                             f"{stored_fp}, supplied config is {supplied}")
+    if config_fingerprint(config) != stored_fp:
         raise ValueError("trace header fingerprint does not match its own config")
     trace, _ = _replay(config)
     records = trace.records
@@ -507,7 +507,7 @@ def audit_stored(path, config_override=None):
         if stored[i] != encode_record(rec):
             raise ValueError(f"{path}: record {i + 1} does not match the replayed run: "
                              f"{_record_mismatch(stored[i], _record_payload(rec))}")
-    return audit_reports(trace, config), trace
+    return trace, with_first_nonfinite({"reports": audit_reports(trace, config)}, records)
 
 
 def prediction_deviation(trace_a, trace_b):
@@ -523,10 +523,10 @@ def prediction_deviation(trace_a, trace_b):
 
 def run_compare(config, factors):
     """Run config and its per-coordinate rescaled twin; report prediction deviation."""
-    if config.data.get("kind") != "generator":
+    check_config(config)
+    if config["data"]["kind"] != "generator":
         raise ValueError("compare needs a generator data source")
-    scaled_data = {"kind": "generator", "spec": rescaled(config.data["spec"], factors)}
-    base, scaled = (run_experiment(ExperimentConfig(config.learner, config.params, data,
-                                                    audit=False))[0]
-                    for data in (config.data, scaled_data))
+    twin = {**config, "data": {"kind": "generator", "spec": rescaled(config["data"]["spec"],
+                                                                     factors)}}
+    base, scaled = (run_experiment(c, audit=False)[0] for c in (config, twin))
     return {"max_relative_deviation": prediction_deviation(base, scaled), "T": len(base.records)}

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from omdkit.harness import ExperimentConfig, run_experiment
+from omdkit.harness import run_experiment
 from omdkit.linalg import SparseVec
 from omdkit.prng import Xorshift64Star
 
@@ -38,10 +38,9 @@ def run_cli(*args, timeout=None):
                           capture_output=True, text=True, env=env, timeout=timeout)
 
 
-def gen_config(learner, params, spec, comparators=("zero",), audit=True):
-    return ExperimentConfig(
-        learner, params, {"kind": "generator", "spec": spec},
-        list(comparators), audit=audit)
+def gen_config(learner, params, spec, comparators=("zero",)):
+    return {"learner": learner, "params": dict(params),
+            "data": {"kind": "generator", "spec": spec}, "comparators": list(comparators)}
 
 
 def separable(seed, gamma=0.3, d=10, T=200):
@@ -65,7 +64,9 @@ def heavy_tail(seed, zipf=1.5, d=12, T=200):
 
 
 def run(learner, params, spec, comparators=("zero",), audit=True):
-    return run_experiment(gen_config(learner, params, spec, comparators, audit))
+    """(trace, summary, report dicts) of a generator run."""
+    trace, summary = run_experiment(gen_config(learner, params, spec, comparators), audit)
+    return trace, summary, summary["reports"]
 
 
 def regularizer_families(dim=2):
@@ -182,7 +183,7 @@ def _scalar_separable(rng, gamma, d, T):
             rho = rng.uniform()
             x = x + (orth / northo) * rho * math.sqrt(max(1.0 - m * m, 0.0))
         rows.append((SparseVec.from_dense(x), y))
-    return rows, {"u_star": u / gamma, "u_unit": u, "gamma": gamma}
+    return rows, {"u_star": u / gamma}
 
 
 def _scalar_noisy_linear(rng, sigma, d, T):

@@ -87,8 +87,8 @@ def test_criterion_1_engine_audit_all_learners():
                 star = generate(spec).meta["u_star"]
                 U = np.vstack([np.zeros(10), star, u_fixed])
             rep = engine_audit(trace, U)
-            worst_slack = min(worst_slack, rep.terms["min_slack"])
-            worst_gap = max(worst_gap, rep.terms["max_residue_gap"])
+            worst_slack = min(worst_slack, rep["terms"]["min_slack"])
+            worst_gap = max(worst_gap, rep["terms"]["max_residue_gap"])
             n_runs += 1
     elapsed = time.perf_counter() - t0
     ok = worst_slack >= -AUDIT_TOL and worst_gap <= AUDIT_TOL and elapsed < 60.0
@@ -111,9 +111,9 @@ def test_criterion_2_composite_schedules():
                 "composite", dict(params, loss="absolute"),
                 noisy_linear(seed, sigma=0.3, d=5, T=100),
                 comparators=("zero", "star", "batch"))
-            rep = [r for r in reports if r.name == f"composite_{sched}"][0]
-            gen = [r for r in reports if r.name == "composite_general"][0]
-            worst = min(worst, rep.terms["min_slack"], gen.terms["min_slack"])
+            rep = [r for r in reports if r["name"] == f"composite_{sched}"][0]
+            gen = [r for r in reports if r["name"] == "composite_general"][0]
+            worst = min(worst, rep["terms"]["min_slack"], gen["terms"]["min_slack"])
     _report("criterion-2 composite-schedules", worst >= -AUDIT_TOL,
             f"min_slack={worst:.3e} over 4 configs x 50 seeds")
 
@@ -126,8 +126,8 @@ def test_criterion_3_scale_invariant_bounds():
                 kind, {"lipschitz": 1.0, "eta": 0.8, "loss": "absolute"},
                 sparse_target(seed, k=2, d=3, T=120),
                 comparators=("zero", "star", "grid:R=2,n=21"))
-            rep = [r for r in reports if r.name.startswith("scale_invariant")][0]
-            worst = min(worst, rep.terms["min_slack"])
+            rep = [r for r in reports if r["name"].startswith("scale_invariant")][0]
+            worst = min(worst, rep["terms"]["min_slack"])
     # prediction invariance under log-uniform factors in [1e-3, 1e3]
     rng = Xorshift64Star(999)
     max_dev = 0.0
@@ -138,7 +138,7 @@ def test_criterion_3_scale_invariant_bounds():
             from omdkit.harness import run_compare
 
             cfg = gen_config(kind, {"lipschitz": 1.0, "eta": 0.8},
-                             noisy_linear(seed, sigma=0.2, d=d, T=150), audit=False)
+                             noisy_linear(seed, sigma=0.2, d=d, T=150))
             res = run_compare(cfg, factors)
             max_dev = max(max_dev, res["max_relative_deviation"])
     ok = worst >= -SCALE_INV_TOL and max_dev <= 1e-6
@@ -160,8 +160,8 @@ def test_criterion_4_aggressive_vs_baseline():
         xs.append(x)
     trace = RunTrace(Dataset.from_matrix(np.array(xs), [1.0] * len(xs)), recs, lrn)
     rep = first_order_mistake_bound(trace, np.array([[4.0, 0.0], [6.0, 0.0]]))
-    d_negative = rep.terms["D"] < 0.0
-    strictly_better = rep.bound < rep.terms["perceptron_bound"]
+    d_negative = rep["terms"]["D"] < 0.0
+    strictly_better = rep["bound"] < rep["terms"]["perceptron_bound"]
 
     # separable specialization: L(u*) = 0 so M <= (2/beta) f(u*) X_T^2
     ok_sep = True
@@ -179,8 +179,8 @@ def test_criterion_4_aggressive_vs_baseline():
         details.append((m, cap))
     ok = d_negative and strictly_better and ok_sep
     _report("criterion-4 aggressive-vs-baseline", ok,
-            f"D={rep.terms['D']:.3f} aggressive={rep.bound:.2f} "
-            f"perceptron={rep.terms['perceptron_bound']:.2f} "
+            f"D={rep['terms']['D']:.3f} aggressive={rep['bound']:.2f} "
+            f"perceptron={rep['terms']['perceptron_bound']:.2f} "
             f"separable M<=cap on 10 seeds: {ok_sep}")
 
 
@@ -197,14 +197,14 @@ def test_criterion_5_second_order_bounds():
                               {"r": 1.0, "variant": "full", "trigger": trigger},
                               spec, audit=False)
             rep = second_order_bound(trace, U)
-            worst = min(worst, rep.terms["min_slack"])
-            ordering_ok = ordering_ok and rep.terms["ordering_ok"]
-            chain_ok = chain_ok and rep.terms["mistake_chain_ok"]
+            worst = min(worst, rep["terms"]["min_slack"])
+            ordering_ok = ordering_ok and rep["terms"]["ordering_ok"]
+            chain_ok = chain_ok and rep["terms"]["mistake_chain_ok"]
         trace, _, _ = run("second_order",
                           {"r": 1.0, "variant": "diagonal", "trigger": "omd"},
                           spec, audit=False)
         rep = second_order_bound(trace, U)
-        worst = min(worst, rep.terms["min_slack"])
+        worst = min(worst, rep["terms"]["min_slack"])
 
     # conditional rare-feature refinement on heavy-tailed data
     refinement_ok = True
@@ -222,12 +222,12 @@ def test_criterion_5_second_order_bounds():
         if not hyp:
             refinement_ok = False
             continue
-        a, b, L_u = rep.terms["a"], rep.terms["b"], rep.terms["L_u"]
+        a, b, L_u = rep["terms"]["a"], rep["terms"]["b"], rep["terms"]["L_u"]
         scan = implicit_scan(
             lambda x: x <= math.sqrt(a * math.log(b * x + 1.0)) + L_u + 1e-9,
-            hi=max(10.0 * rep.bound, 50.0), step=max(rep.bound, 1.0) / 2000.0)
-        refinement_ok = refinement_ok and scan <= rep.bound + EXACT_TOL \
-            and rep.measured <= rep.bound + 1e-9
+            hi=max(10.0 * rep["bound"], 50.0), step=max(rep["bound"], 1.0) / 2000.0)
+        refinement_ok = refinement_ok and scan <= rep["bound"] + EXACT_TOL \
+            and rep["measured"] <= rep["bound"] + 1e-9
     ok = worst >= -AUDIT_TOL and ordering_ok and chain_ok and refinement_ok
     _report("criterion-5 second-order-bounds", ok,
             f"min_slack={worst:.3e} ordering={ordering_ok} "
@@ -361,15 +361,15 @@ def test_criterion_9_determinism_and_audit(tmp_path):
                      separable(31, d=6, T=120), comparators=("zero", "star"))
     blobs = []
     for tag in ("a", "b"):
-        trace, summary, reports = run_experiment(cfg)
+        trace, summary = run_experiment(cfg)
         tp = tmp_path / f"t{tag}.jsonl"
         write_trace(tp, cfg, trace)
         blobs.append((tp.read_bytes(),
                       write_summary(None, summary, drop_wall_time=True),
-                      canonical_json([r.to_dict() for r in reports])))
+                      canonical_json(summary["reports"])))
     identical = blobs[0][0] == blobs[1][0] and blobs[0][1] == blobs[1][1]
-    reports2, _ = audit_stored(tmp_path / "ta.jsonl")
-    audit_matches = canonical_json([r.to_dict() for r in reports2]) == blobs[0][2]
+    _, payload = audit_stored(tmp_path / "ta.jsonl")
+    audit_matches = canonical_json(payload["reports"]) == blobs[0][2]
     ok = identical and audit_matches
     _report("criterion-9 determinism", ok,
             f"byte_identical={identical} audit_reproduces={audit_matches}")

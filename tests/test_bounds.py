@@ -41,16 +41,16 @@ def test_engine_audit_single_step_hand_example():
                      z=np.array([1.0, 0.0]), dual_norm_sq=1.0, beta=1.0, zw=0.0)
     lrn.apply_update(rec.z)  # the audit reads sum_t z_t off the learner's theta
     rep = engine_audit(_manual_trace([rec], lrn), np.array([1.0, 0.0]))
-    assert rep.measured == pytest.approx(1.0)
-    assert rep.bound == pytest.approx(1.0)
-    assert rep.slack == pytest.approx(0.0, abs=1e-15)
+    assert rep["measured"] == pytest.approx(1.0)
+    assert rep["bound"] == pytest.approx(1.0)
+    assert rep["slack"] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_engine_audit_empty_trace():
     lrn = FirstOrderClassifier(FixedQuadratic(2))
     rep = engine_audit(_manual_trace([], lrn), np.array([0.5, 0.5]))
-    assert rep.measured == 0.0
-    assert rep.bound == pytest.approx(0.25)
+    assert rep["measured"] == 0.0
+    assert rep["bound"] == pytest.approx(0.25)
 
 
 def test_engine_audit_nan_residue_gap_is_reported():
@@ -61,7 +61,7 @@ def test_engine_audit_nan_residue_gap_is_reported():
     recs = [StepRecord(t=t, prediction=0.0, label=1.0, loss=1.0, eta=1.0,
                        z=np.zeros(2), reg_drop=drop) for t, drop in ((1, 0.0), (2, math.nan))]
     rep = engine_audit(_manual_trace(recs, lrn), np.zeros(2))
-    assert math.isnan(rep.terms["max_residue_gap"])
+    assert math.isnan(rep["terms"]["max_residue_gap"])
     assert [name for name, _, _ in report_violations([rep])] == ["engine:residue"]
 
 
@@ -76,14 +76,14 @@ def test_first_order_and_composite_maxima_keep_nan():
     recs = [lrn.round(x, 1.0) for _ in range(2)]
     recs[1].extras["x_max"] = math.nan
     rep = first_order_mistake_bound(RunTrace(data, recs, lrn), np.zeros(2))
-    assert math.isnan(rep.terms["X_T"])
+    assert math.isnan(rep["terms"]["X_T"])
 
     lrn = GradientDescentLearner(SqrtScheduled(FixedQuadratic(2)), loss="absolute", eta=1.0)
     recs = [lrn.round(x, 1.0) for _ in range(2)]
     recs[1].dual_norm_sq = math.nan
     trace = RunTrace(data, recs, lrn)
     rep = composite_bound(trace, np.zeros(2), "sqrt")
-    assert math.isnan(rep.terms["max_lgrad_dual_sq"])
+    assert math.isnan(rep["terms"]["max_lgrad_dual_sq"])
 
 
 def test_engine_audit_property_random_runs():
@@ -93,8 +93,8 @@ def test_engine_audit_property_random_runs():
             trace, _, _ = run(name, params, spec, audit=False)
             U = np.vstack([rng.normal(size=(6, 4)), np.zeros((1, 4))])
             rep = engine_audit(trace, U)
-            assert rep.terms["min_slack"] >= -1e-9, (name, seed)
-            assert rep.terms["max_residue_gap"] <= 1e-9, (name, seed)
+            assert rep["terms"]["min_slack"] >= -1e-9, (name, seed)
+            assert rep["terms"]["max_residue_gap"] <= 1e-9, (name, seed)
 
 
 def test_vaw_hand_example():
@@ -106,8 +106,8 @@ def test_vaw_hand_example():
     grid = np.linspace(-2, 2, 81)[:, None]
     rep = vaw_bound(trace, grid)
     # bound at u: u^2/2 + (1/2)(1/2 + 1/3)
-    assert rep.terms["quad_sum"] == pytest.approx(1.0 / 2.0 + 1.0 / 3.0)
-    assert rep.terms["min_slack"] >= -1e-12
+    assert rep["terms"]["quad_sum"] == pytest.approx(1.0 / 2.0 + 1.0 / 3.0)
+    assert rep["terms"]["min_slack"] >= -1e-12
 
 
 def test_first_order_mistake_negative_d_on_margin_error_heavy_stream():
@@ -127,12 +127,12 @@ def test_first_order_mistake_negative_d_on_margin_error_heavy_stream():
     trace = RunTrace(Dataset.from_matrix(np.array(xs), [1.0] * len(xs)), recs, lrn)
     u = np.array([[4.0, 0.0]])
     rep = first_order_mistake_bound(trace, u)
-    assert rep.terms["D"] < 0.0
-    assert rep.terms["D_negative"]
+    assert rep["terms"]["D"] < 0.0
+    assert rep["terms"]["D_negative"]
     # for f = ||.||^2/2 the two bounds differ exactly by D
-    assert rep.bound < rep.terms["perceptron_bound"]
-    assert rep.bound == pytest.approx(rep.terms["perceptron_bound"] + rep.terms["D"])
-    assert rep.slack >= -1e-9
+    assert rep["bound"] < rep["terms"]["perceptron_bound"]
+    assert rep["bound"] == pytest.approx(rep["terms"]["perceptron_bound"] + rep["terms"]["D"])
+    assert rep["slack"] >= -1e-9
 
 
 def test_first_order_mistake_bound_clamps_oversubtraction():
@@ -155,11 +155,11 @@ def test_first_order_mistake_bound_clamps_oversubtraction():
         feed([0.01, 0.0], -1.0)
     trace = RunTrace(Dataset.from_matrix(np.array(xs), ys), recs, lrn)
     rep = first_order_mistake_bound(trace, np.zeros((1, 2)))
-    assert rep.terms["D"] < -rep.terms["eta_margin_sum"] - 1e-9
-    assert rep.terms["D_effective"] == pytest.approx(-rep.terms["eta_margin_sum"])
-    assert rep.slack >= -1e-9
+    assert rep["terms"]["D"] < -rep["terms"]["eta_margin_sum"] - 1e-9
+    assert rep["terms"]["D_effective"] == pytest.approx(-rep["terms"]["eta_margin_sum"])
+    assert rep["slack"] >= -1e-9
     # the unclamped display value genuinely dips below the mistake count here
-    assert rep.terms["display_bound"] < rep.measured
+    assert rep["terms"]["display_bound"] < rep["measured"]
 
 
 def test_first_order_mistake_conservative_run_has_zero_d():
@@ -168,7 +168,7 @@ def test_first_order_mistake_conservative_run_has_zero_d():
     trace, _, _ = run("pnorm_perceptron", {"p": 1.5}, separable(3, d=4, T=150),
                       audit=False)
     rep = first_order_mistake_bound(trace, np.zeros(4))
-    assert rep.terms["D"] == 0.0
+    assert rep["terms"]["D"] == 0.0
     assert all(r.eta == 0.0 for r in trace.records if r.margin_error)
 
 
@@ -179,8 +179,8 @@ def test_first_order_mistake_property_random_separable():
                                 ("fixed_margin", {"fixed_eta": 0.4})]:
             trace, _, reports = run(learner, params, spec,
                                     comparators=("zero", "star", "batch"))
-            rep = [r for r in reports if r.name == "first_order_mistake"][0]
-            assert rep.terms["min_slack"] >= -1e-9, (learner, seed)
+            rep = [r for r in reports if r["name"] == "first_order_mistake"][0]
+            assert rep["terms"]["min_slack"] >= -1e-9, (learner, seed)
 
 
 def test_second_order_hand_example():
@@ -194,9 +194,9 @@ def test_second_order_hand_example():
     trace = RunTrace(Dataset.from_matrix(np.array([[1.0, 0.0]]), [1.0]), [rec], lrn)
     u = np.array([2.0, 0.3])
     rep = second_order_bound(trace, u)
-    assert rep.measured == 1.0
+    assert rep["measured"] == 1.0
     expect = math.sqrt(1.0 * float(u @ u) + u[0] ** 2) * math.sqrt(math.log(2.0))
-    assert rep.bound == pytest.approx(0.0 + expect)  # L(u) = 0 for u_1 = 2
+    assert rep["bound"] == pytest.approx(0.0 + expect)  # L(u) = 0 for u_1 = 2
 
 
 def test_second_order_property_and_ordering():
@@ -209,11 +209,11 @@ def test_second_order_property_and_ordering():
                                   {"r": 1.3, "variant": variant, "trigger": trigger},
                                   spec, audit=False)
                 rep = second_order_bound(trace, U)
-                assert rep.terms["min_slack"] >= -1e-9, (variant, trigger, seed)
+                assert rep["terms"]["min_slack"] >= -1e-9, (variant, trigger, seed)
                 if variant == "full":
-                    assert rep.terms["ordering_ok"]
-                    assert rep.terms["mistake_chain_ok"]
-                    assert rep.terms["loose_bound"] >= rep.bound - 1e-9
+                    assert rep["terms"]["ordering_ok"]
+                    assert rep["terms"]["mistake_chain_ok"]
+                    assert rep["terms"]["loose_bound"] >= rep["bound"] - 1e-9
 
 
 def _star(spec):
@@ -302,7 +302,7 @@ def test_composite_sqrt_display_with_pnorm_base():
     U = np.vstack([np.zeros(d), u_true, 0.5 * u_true])
     for sched in ("sqrt", "general"):
         rep = composite_bound(trace, U, sched)
-        assert rep.terms["min_slack"] >= -1e-9, sched
+        assert rep["terms"]["min_slack"] >= -1e-9, sched
 
 
 def test_vaw_and_af_property_random_runs():
@@ -310,23 +310,23 @@ def test_vaw_and_af_property_random_runs():
         spec = noisy_linear(seed, sigma=0.4, d=3, T=100)
         _, _, reports = run("vaw", {"a": 1.0}, spec,
                             comparators=("zero", "star", "grid:R=2,n=15"))
-        rep = [r for r in reports if r.name == "vaw"][0]
-        assert rep.terms["min_slack"] >= -1e-9, seed
+        rep = [r for r in reports if r["name"] == "vaw"][0]
+        assert rep["terms"]["min_slack"] >= -1e-9, seed
         _, _, reports = run("adaptive_filter", {}, spec,
                             comparators=("zero", "star", "grid:R=2,n=15", "batch"))
-        rep = [r for r in reports if r.name == "adaptive_filter"][0]
-        assert rep.terms["min_slack"] >= -1e-9, seed
+        rep = [r for r in reports if r["name"] == "adaptive_filter"][0]
+        assert rep["terms"]["min_slack"] >= -1e-9, seed
 
 
 def test_filter_and_scale_invariant_reports_through_harness():
     trace, _, reports = run("adaptive_filter", {}, noisy_linear(2, d=3, T=100),
                             comparators=("zero", "star", "grid:R=2,n=15"))
-    af = [r for r in reports if r.name == "adaptive_filter"][0]
-    assert af.terms["min_slack"] >= -1e-9
+    af = [r for r in reports if r["name"] == "adaptive_filter"][0]
+    assert af["terms"]["min_slack"] >= -1e-9
     trace, _, reports = run("scaleinv_diag", {"eta": 0.5}, sparse_target(2, k=2, d=3, T=100),
                             comparators=("zero", "star", "grid:R=2,n=15"))
-    th = [r for r in reports if r.name == "scale_invariant_diag"][0]
-    assert th.terms["min_slack"] >= -1e-6
+    th = [r for r in reports if r["name"] == "scale_invariant_diag"][0]
+    assert th["terms"]["min_slack"] >= -1e-6
     # scale-invariant display check: d=1 diag, L=1, b=1, eta=1, T=4 -> sqrt(5)(u^2/2 + 1)
     from omdkit.learners import ScaleInvariantRegressor
 
@@ -336,7 +336,7 @@ def test_filter_and_scale_invariant_reports_through_harness():
     from omdkit.bounds import scale_invariant_bound
 
     rep = scale_invariant_bound(trace, np.array([[2.0]]))
-    assert rep.bound == pytest.approx(math.sqrt(5.0) * (2.0 + 1.0))
+    assert rep["bound"] == pytest.approx(math.sqrt(5.0) * (2.0 + 1.0))
 
 
 def test_diag_rare_feature_refinement_on_heavy_tail():
@@ -351,17 +351,17 @@ def test_diag_rare_feature_refinement_on_heavy_tail():
     s_min = float(np.sum(star ** 2 * csum) / float(star @ star))
     rep, ok = diag_rare_feature_refinement(trace, star, s=s_min * 1.05 + 1e-9)
     assert ok
-    assert rep.measured <= rep.bound + 1e-9
+    assert rep["measured"] <= rep["bound"] + 1e-9
     # scan oracle for the implicit inequality must be dominated
-    a, b = rep.terms["a"], rep.terms["b"]
-    L_u = rep.terms["L_u"]
+    a, b = rep["terms"]["a"], rep["terms"]["b"]
+    L_u = rep["terms"]["L_u"]
     scan = implicit_scan(
         lambda x: x <= math.sqrt(a * math.log(b * x + 1.0)) + L_u + 1e-9,
-        hi=max(10.0 * rep.bound, 50.0), step=rep.bound / 2000.0)
-    assert scan <= rep.bound + 1e-9
+        hi=max(10.0 * rep["bound"], 50.0), step=rep["bound"] / 2000.0)
+    assert scan <= rep["bound"] + 1e-9
     # hypothesis failure path
     rep2, ok2 = diag_rare_feature_refinement(trace, star, s=s_min * 0.5)
-    assert not ok2 and rep2.bound == math.inf
+    assert not ok2 and rep2["bound"] == math.inf
 
 
 def test_batch_comparator_deterministic():
@@ -389,13 +389,13 @@ def test_engine_audit_reads_theta_with_the_bits_of_the_summed_updates():
         suite.append(("composite", {"eta": 0.7, "lam": 0.1, "ridge": 0.5,
                                     "schedule": "linear"}, noisy_linear(d, d=d, T=60)))
         for name, params, spec in suite:
-            cfg = gen_config(name, params, spec, ("zero", "star"), audit=False)
-            trace, _, _ = run_experiment(cfg)
-            U = comparator_matrix(cfg.comparators, trace)
+            cfg = gen_config(name, params, spec, ("zero", "star"))
+            trace, _ = run_experiment(cfg, audit=False)
+            U = comparator_matrix(cfg["comparators"], trace)
             # the oracle: the same audit over Z = sum_t z_t, summed as a stacked array
             summed = copy.copy(trace.learner)
             summed.theta = np.sum([r.z for r in trace.records], axis=0)
             got, expect = (canonical_json(engine_audit(RunTrace(trace.dataset, trace.records,
-                                                                lrn), U).to_dict())
+                                                                lrn), U))
                            for lrn in (trace.learner, summed))
             assert got == expect, (name, params, d)

@@ -4,7 +4,9 @@ cli.main runs in-process on malformed svmlight and CSV text, generator
 specs, comparator specs and random learner-flag sets, and audits stored
 traces whose header data source holds fields of the wrong type. Any
 exception other than argparse's SystemExit (which counts as its code)
-fails the test. Sizes stay small: d, T <= 20 and grid n <= 30.
+fails the test. Sizes stay small: d, T <= 20 and grid n <= 30. A
+complete generator spec with one key its kind does not read must exit 2,
+naming the key.
 """
 
 import contextlib
@@ -121,6 +123,38 @@ def test_generator_runs_end_in_known_exit_codes(lf, spec, seed, comps, strict):
     learner, flags = lf
     _code(["run", "--learner", learner, *flags, "--gen", spec, "--seed", str(seed), *comps,
            *(["--strict-audit"] if strict else [])])
+
+
+# the parameters each generator kind reads, with values that make a valid spec at d, T <= 3
+GEN_READS = {
+    "separable_margin": {"gamma": ["0.2", "0.5", "1"]},
+    "noisy_linear": {"sigma": ["0", "0.2", "1"]},
+    "sparse_target": {"k": ["1"]},
+    "heavy_tail_features": {"zipf": ["0.5", "1.5", "2"]},
+}
+
+
+@st.composite
+def spec_with_one_unread_key(draw):
+    """(spec text, key): a kind's complete parameters at d, T <= 3 and one key it does not read."""
+    kind = draw(st.sampled_from(sorted(GEN_READS)))
+    reads = {**GEN_READS[kind], "d": ["1", "2", "3"], "T": ["0", "1", "2", "3"]}
+    key = draw(st.sampled_from([k for k in GEN_KEYS if k not in reads]))
+    items = [f"{k}={draw(st.sampled_from(values))}" for k, values in reads.items()]
+    items.append(f"{key}={draw(st.sampled_from(['0', '1', '2.5', '-1']))}")
+    return f"{kind}:{','.join(draw(st.permutations(items)))}", key
+
+
+@FUZZ
+@given(spec_with_one_unread_key(), st.booleans())
+def test_a_complete_spec_with_one_unread_key_is_a_data_error(spec_key, audit):
+    spec, key = spec_key
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(["run", "--learner", "vaw", "--gen", spec,
+                         *([] if audit else ["--no-audit"])])
+    assert code == 2, (spec, err.getvalue())
+    assert f"unknown parameters [{key!r}]" in err.getvalue(), (spec, err.getvalue())
 
 
 @FUZZ

@@ -80,7 +80,7 @@ def test_encoder_matches_canonical_json_on_every_learner_run():
     nonfinite = 0
     for name, params, spec in suite:
         with np.errstate(all="ignore"):
-            trace, _, _ = run_experiment(gen_config(name, params, spec, audit=False))
+            trace, _ = run_experiment(gen_config(name, params, spec), audit=False)
         for rec in trace.records:
             _same(rec)
             shapes.add((name, tuple(rec.extras)))
@@ -93,7 +93,7 @@ def test_encoder_matches_canonical_json_on_every_learner_run():
 
 def test_audit_names_the_field_and_ulps_of_a_changed_digit(tmp_path):
     cfg = gen_config("adaptive_filter", {}, noisy_linear(4, d=3, T=12))
-    trace, _, _ = run_experiment(cfg)
+    trace, _ = run_experiment(cfg)
     path = tmp_path / "t.jsonl"
     write_trace(path, cfg, trace)
     lines = path.read_text().splitlines()

@@ -17,9 +17,9 @@ from omdkit.data import (
     write_svmlight,
 )
 from omdkit.harness import (
-    ExperimentConfig,
     audit_stored,
     canonical_json,
+    check_config,
     fingerprint,
     run_compare,
     run_experiment,
@@ -92,7 +92,7 @@ def test_generator_determinism_and_margin():
     a = generate(spec)
     b = generate(spec)
     assert np.array_equal(a.y, b.y) and np.array_equal(a.X, b.X)
-    u = a.meta["u_unit"]
+    u = a.meta["u_star"] * 0.4
     assert np.linalg.norm(u) == pytest.approx(1.0)
     for x, y in a:
         assert y * float(u @ x) >= 0.4 - 1e-12
@@ -167,7 +167,7 @@ def test_run_determinism_byte_identical(tmp_path):
     cfg = gen_config("pa", {}, separable(11, d=5, T=80), comparators=("zero", "star"))
     paths = []
     for tag in ("a", "b"):
-        trace, summary, _ = run_experiment(cfg)
+        trace, summary = run_experiment(cfg)
         tp = tmp_path / f"trace_{tag}.jsonl"
         write_trace(tp, cfg, trace)
         sp = tmp_path / f"summary_{tag}.json"
@@ -180,17 +180,16 @@ def test_run_determinism_byte_identical(tmp_path):
 def test_audit_reproduces_reports(tmp_path):
     cfg = gen_config("vaw", {"a": 1.0}, noisy_linear(3, d=4, T=60),
                      comparators=("zero", "star"))
-    trace, summary, reports = run_experiment(cfg)
+    trace, summary = run_experiment(cfg)
     tp = tmp_path / "t.jsonl"
     write_trace(tp, cfg, trace)
-    reports2, _ = audit_stored(tp)
-    assert canonical_json([r.to_dict() for r in reports]) == \
-        canonical_json([r.to_dict() for r in reports2])
+    _, payload = audit_stored(tp)
+    assert canonical_json(summary["reports"]) == canonical_json(payload["reports"])
 
 
 def test_audit_detects_truncation_and_tamper(tmp_path):
     cfg = gen_config("pa", {}, separable(2, d=4, T=30))
-    trace, _, _ = run_experiment(cfg)
+    trace, _ = run_experiment(cfg)
     tp = tmp_path / "t.jsonl"
     write_trace(tp, cfg, trace)
     lines = tp.read_text().splitlines()
@@ -207,7 +206,7 @@ def test_audit_detects_truncation_and_tamper(tmp_path):
 
 def test_audit_fingerprint_mismatch(tmp_path):
     cfg = gen_config("pa", {}, separable(2, d=4, T=30))
-    trace, _, _ = run_experiment(cfg)
+    trace, _ = run_experiment(cfg)
     tp = tmp_path / "t.jsonl"
     write_trace(tp, cfg, trace)
     other = gen_config("pnorm_perceptron", {"p": 1.5}, separable(2, d=4, T=30))
@@ -217,7 +216,7 @@ def test_audit_fingerprint_mismatch(tmp_path):
 
 def test_empty_dataset_runs_cleanly():
     cfg = gen_config("pa", {}, separable(0, d=3, T=0), comparators=("zero",))
-    trace, summary, _ = run_experiment(cfg)
+    trace, summary = run_experiment(cfg)
     assert summary["T"] == 0 and summary["mistakes"] == 0
     assert not trace.records
 
@@ -234,8 +233,7 @@ def test_regression_learner_accepts_binary_labels():
 
 
 def test_compare_rescaling_invariance():
-    cfg = gen_config("scaleinv_pnorm", {"eta": 0.7}, noisy_linear(4, d=4, T=80),
-                     audit=False)
+    cfg = gen_config("scaleinv_pnorm", {"eta": 0.7}, noisy_linear(4, d=4, T=80))
     res = run_compare(cfg, [1000.0, 0.01, 1.0, 5.0])
     assert res["max_relative_deviation"] <= 1e-6
 
@@ -337,6 +335,10 @@ def test_cli_audit_names_the_field_of_a_malformed_header(tmp_path):
         with_config(comparators=5): "'comparators' must be a list",
         # comparators are outside the fingerprint, so this header passes its check
         with_config(comparators=[5]): "'comparators' must be a list of strings",
+        # an empty list was audited against zero
+        with_config(comparators=[]): "'comparators' must not be empty",
+        with_config(comparators=["nope"]): "unknown comparator spec 'nope' in field 'comparators'",
+        with_config(comparators=["vec:1,x"]): "comparator 'vec:1,x': entries must be numbers",
         fingerprinted(learner="nope"): "'learner' names no learner: 'nope'",
         fingerprinted(params={"eta": 1}): "'params.eta' is not a parameter of learner 'pa'",
         fingerprinted(params={"bogus": 3}): "'params.bogus' is not a parameter of learner 'pa'",
@@ -426,7 +428,8 @@ def test_cli_overflowing_rescaled_target_is_data_error(tmp_path, capsys):
     base = {"kind": "noisy_linear", "seed": 1, "params": {"sigma": 0.2, "d": 3, "T": 60}}
     spec = {"kind": "rescaled", "seed": 1, "params": {}, "base": base,
             "factors": [5e-324, -1.0, 1e-300]}
-    config = ExperimentConfig("pa", {}, {"kind": "generator", "spec": spec})
+    config = {"learner": "pa", "params": {}, "data": {"kind": "generator", "spec": spec},
+              "comparators": ["zero"]}
     write_trace(trace, config, types.SimpleNamespace(records=[]))
     for argv in (["gen", *gen, "--out", str(tmp_path / "x.svm")],
                  ["run", "--learner", "pa", *gen],
@@ -466,29 +469,32 @@ def test_cli_non_finite_svmlight_is_data_error(tmp_path):
 
 
 def test_report_violations_flags_bad_slack():
-    from omdkit.bounds import BoundReport
     from omdkit.harness import report_violations
 
-    good = BoundReport("engine", measured=1.0, bound=1.0 + 1e-12)
-    bad = BoundReport("engine", measured=1.0, bound=1.0 - 1e-6)
-    loose = BoundReport("scale_invariant_diag", measured=1.0, bound=1.0 - 1e-7)
+    def report(name, measured, bound, terms=None):
+        return {"name": name, "measured": measured, "bound": bound, "slack": bound - measured,
+                "terms": terms or {}}
+
+    good = report("engine", measured=1.0, bound=1.0 + 1e-12)
+    bad = report("engine", measured=1.0, bound=1.0 - 1e-6)
+    loose = report("scale_invariant_diag", measured=1.0, bound=1.0 - 1e-7)
     assert report_violations([good]) == []
     assert len(report_violations([bad])) == 1
     # the scale-invariant displays get the looser tolerance
     assert report_violations([loose]) == []
-    residue_bad = BoundReport("engine", measured=0.0, bound=1.0,
-                              terms={"max_residue_gap": 1e-6})
+    residue_bad = report("engine", measured=0.0, bound=1.0,
+                         terms={"max_residue_gap": 1e-6})
     assert len(report_violations([residue_bad])) == 1
     # NaN compares false both ways, so it must fail rather than slip through
-    nan_slack = BoundReport("engine", measured=float("nan"), bound=1.0)
+    nan_slack = report("engine", measured=float("nan"), bound=1.0)
     assert len(report_violations([nan_slack])) == 1
-    nan_loose = BoundReport("scale_invariant_diag", measured=1.0, bound=float("nan"))
+    nan_loose = report("scale_invariant_diag", measured=1.0, bound=float("nan"))
     assert len(report_violations([nan_loose])) == 1
-    nan_gap = BoundReport("engine", measured=0.0, bound=1.0,
-                          terms={"max_residue_gap": float("nan")})
+    nan_gap = report("engine", measured=0.0, bound=1.0,
+                     terms={"max_residue_gap": float("nan")})
     assert len(report_violations([nan_gap])) == 1
     # a vacuous +inf bound still passes
-    vacuous = BoundReport("diag_refinement", measured=1.0, bound=float("inf"))
+    vacuous = report("diag_refinement", measured=1.0, bound=float("inf"))
     assert report_violations([vacuous]) == []
 
 
@@ -525,7 +531,7 @@ def test_audit_rejects_stored_eta_mode_param(tmp_path):
     # only version-1 traces stored eta_mode, and read_trace_lines refuses those; a param
     # the learner does not read is an error wherever a config is built
     with pytest.raises(ValueError, match="'params.eta_mode' is not a parameter of learner 'pa'"):
-        gen_config("pa", {"eta_mode": "fixed"}, separable(2, d=4, T=30))
+        check_config(gen_config("pa", {"eta_mode": "fixed"}, separable(2, d=4, T=30)))
     cfg = gen_config("pa", {}, separable(2, d=4, T=30))
     tp = tmp_path / "t.jsonl"
     write_trace(tp, cfg, run_experiment(cfg)[0])
@@ -675,7 +681,8 @@ def test_cli_compare_reads_only_a_generator(tmp_path):
         assert code == 1, source
         assert "compare needs --gen; it does not read --data" in err, err
     # library callers still get the data error from run_compare itself
-    cfg = ExperimentConfig("scaleinv_diag", {}, {"kind": "file", "path": svm}, audit=False)
+    cfg = {"learner": "scaleinv_diag", "params": {}, "data": {"kind": "file", "path": svm},
+           "comparators": ["zero"]}
     with pytest.raises(ValueError, match="compare needs a generator data source"):
         run_compare(cfg, [2.0, 1.0])
 
@@ -849,9 +856,44 @@ def test_comparator_grid_limits():
         _grid_spec("grid:n=2", 4)
 
 
+def _refusing(monkeypatch, name):
+    """Make harness.<name> fail the test if it is called."""
+    def called(*args, **kwargs):
+        raise AssertionError(f"harness.{name} ran")
+    monkeypatch.setattr(f"omdkit.harness.{name}", called)
+
+
+@pytest.mark.parametrize("spec, msg", [
+    ("nope", "unknown comparator spec 'nope' in field 'comparators'"),
+    ("grid:R=x", "comparator 'grid:R=x': entries must be numbers"),
+    ("grid:R=2,m=3", "comparator 'grid:R=2,m=3': expected R=<radius>,n=<points>"),
+    ("grid:n=1.5", "comparator 'grid:n=1.5': needs a finite R > 0 and an integer n >= 2"),
+    ("vec:1,x", "comparator 'vec:1,x': entries must be numbers"),
+])
+def test_cli_bad_comparator_fails_before_any_round(monkeypatch, tmp_path, spec, msg):
+    # --no-audit used to write a trace that audit then refused, and an audited run
+    # drove every round before it read the spec
+    _refusing(monkeypatch, "drive")
+    trace = tmp_path / "t.jsonl"
+    for audit in ([], ["--no-audit"]):
+        code, err = _main_code(["run", "--learner", "vaw", "--gen", TINY["linear"],
+                                "--comparator", spec, "--trace", str(trace), *audit])
+        assert code == 2, audit
+        assert msg in err, err
+        assert not trace.exists()
+
+
+def test_cli_star_comparator_on_a_file_fails_before_parsing(monkeypatch, tmp_path):
+    svm, _ = _data_files(tmp_path)
+    _refusing(monkeypatch, "parse_svmlight")
+    code, err = _main_code(["run", "--learner", "pa", "--data", svm, "--comparator", "star"])
+    assert code == 2
+    assert "comparator 'star' needs a generator with an embedded target" in err
+
+
 def test_audit_names_the_differing_field(tmp_path):
     cfg = gen_config("vaw", {"a": 1.0}, noisy_linear(3, d=3, T=10))
-    trace, _, _ = run_experiment(cfg)
+    trace, _ = run_experiment(cfg)
     tp = tmp_path / "t.jsonl"
     write_trace(tp, cfg, trace)
     lines = tp.read_text().splitlines()
