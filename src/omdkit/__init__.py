@@ -34,7 +34,7 @@ from .learners import (
     StepRecord,
     VAWRegressor,
 )
-from .linalg import DiagInverse, RankOneInverse, SparseVec
+from .linalg import DiagInverse, RankOneInverse
 from .losses import LossEval, absolute, hinge, hinge_condition_check, square
 from .prng import Xorshift64Star
 from .regularizers import (

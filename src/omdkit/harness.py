@@ -106,7 +106,7 @@ LEARNERS = {
     "pa": (lambda d, p: FirstOrderClassifier(FixedQuadratic(d), "pa_optimal"), {}),
     "fixed_margin": (lambda d, p: FirstOrderClassifier(FixedQuadratic(d), "fixed",
                                                        p["fixed_eta"]), {"fixed_eta": 0.5}),
-    # rare_s feeds the diagonal variant's rare-feature refinement in audit_reports
+    # rare_s feeds the diagonal variant's rare-feature refinement against the generator's u_star
     "second_order": (lambda d, p: SecondOrderClassifier(d, p["r"], p["variant"], p["trigger"]),
                      {"r": 1.0, "variant": "full", "trigger": "omd", "rare_s": None}),
     "vaw": (lambda d, p: VAWRegressor(d, p["a"]), {"a": 1.0}),
@@ -128,7 +128,7 @@ def check_config(config):
 
     A config is the object a trace header stores: {learner, params, data,
     comparators}. The comparator checks that need the data's dim are
-    comparator_matrix's.
+    comparator_matrix's, which a run makes before its first round.
     """
     if not isinstance(config, dict):
         raise ValueError("'config' must be an object")
@@ -152,6 +152,11 @@ def check_config(config):
             allowed = " or null" if defaults[key] is None else ""
             raise ValueError(f"{name} must be a finite number{allowed}")
     kind = data.get("kind")
+    rare_s = params.get("rare_s")
+    if rare_s is not None and not (rare_s >= 0 and kind == "generator"
+                                   and {**defaults, **params}["variant"] == "diagonal"):
+        raise ValueError("config field 'params.rare_s' needs s >= 0, the diagonal variant "
+                         "and a generator data source")
     if not config["comparators"]:
         raise ValueError("config field 'comparators' must not be empty")
     for spec in config["comparators"]:
@@ -201,20 +206,21 @@ def drive(learner, dataset):
 
 
 def _replay(config):
-    """Load, validate, build and drive config; returns (trace, drive seconds)."""
+    """Load, validate, build, resolve the comparators and drive; returns (trace, U, drive s)."""
     dataset = load_dataset(config)
     learner = build_learner(config, dataset.dim)
     _validate_labels(learner, dataset)
+    U = comparator_matrix(config["comparators"], dataset, learner)
     t0 = time.perf_counter()
     records = drive(learner, dataset)
     wall = time.perf_counter() - t0
-    return RunTrace(dataset, records, learner), wall
+    return RunTrace(dataset, records, learner), U, wall
 
 
 def run_experiment(config, audit=True):
     """Check and run config; returns (trace, summary). The bound reports only when audit is on."""
     check_config(config)
-    trace, wall = _replay(config)
+    trace, U, wall = _replay(config)
     records = trace.records
     summary = {
         "T": len(records),
@@ -223,7 +229,7 @@ def run_experiment(config, audit=True):
         "margin_errors": int(sum(1 for r in records if r.margin_error)),
         "theta_norm": float(np.linalg.norm(trace.learner.theta)),
         "wall_time_s": wall,
-        "reports": audit_reports(trace, config) if audit else [],
+        "reports": audit_reports(trace, U, config) if audit else [],
     }
     return trace, with_first_nonfinite(summary, records)
 
@@ -251,21 +257,20 @@ def _grid_spec(spec, dim=0):
     return radius, int(points)
 
 
-def comparator_matrix(specs, trace):
+def comparator_matrix(specs, dataset, learner):
     """Resolve comparator specs, which check_config has checked, into one (N, d) matrix."""
-    dim = trace.dim
+    dim = learner.dim
     rows = []
     for spec in specs:
         if spec == "zero":
             rows.append(np.zeros((1, dim)))
         elif spec == "star":
-            rows.append(np.asarray(trace.dataset.meta["u_star"], float)[None, :])
+            rows.append(np.asarray(dataset.meta["u_star"], float)[None, :])
         elif spec == "batch":
-            X, y = trace.dataset.X, trace.dataset.y
-            kind = getattr(trace.learner, "loss_name", None)
+            kind = getattr(learner, "loss_name", None)
             if kind not in ("hinge", "square", "absolute"):
-                kind = "hinge" if trace.learner.binary_labels else "square"
-            rows.append(batch_comparator(X, y, kind=kind)[None, :])
+                kind = "hinge" if learner.binary_labels else "square"
+            rows.append(batch_comparator(dataset.X, dataset.y, kind=kind)[None, :])
         elif spec.startswith("grid:"):
             radius, points = _grid_spec(spec, dim)
             rows.append(grid_comparators(dim, radius=radius, points=points))
@@ -277,9 +282,8 @@ def comparator_matrix(specs, trace):
     return np.vstack(rows)
 
 
-def audit_reports(trace, config):
-    """The report dicts of every bound evaluator applicable to the trace's learner."""
-    U = comparator_matrix(config["comparators"], trace)
+def audit_reports(trace, U, config):
+    """The report dicts of every bound evaluator applicable to the trace's learner, against U."""
     learner = trace.learner
     reports = [bounds_mod.engine_audit(trace, U)]
     if isinstance(learner, FirstOrderClassifier):
@@ -287,10 +291,9 @@ def audit_reports(trace, config):
     elif isinstance(learner, SecondOrderClassifier):
         reports.append(bounds_mod.second_order_bound(trace, U))
         s = config["params"].get("rare_s")
-        star = trace.dataset.meta.get("u_star")
-        if s is not None and learner.variant == "diagonal" and star is not None:
-            rep, _ok = bounds_mod.diag_rare_feature_refinement(trace, np.asarray(star), s)
-            reports.append(rep)
+        if s is not None:  # check_config admits s only on the diagonal variant over a generator
+            reports.append(bounds_mod.diag_rare_feature_refinement(
+                trace, trace.dataset.meta["u_star"], s)[0])
     elif isinstance(learner, VAWRegressor):
         reports.append(bounds_mod.vaw_bound(trace, U))
     elif isinstance(learner, AdaptiveFilter):
@@ -496,7 +499,7 @@ def audit_stored(path, config_override=None):
                              f"{stored_fp}, supplied config is {supplied}")
     if config_fingerprint(config) != stored_fp:
         raise ValueError("trace header fingerprint does not match its own config")
-    trace, _ = _replay(config)
+    trace, U, _ = _replay(config)
     records = trace.records
     if len(stored) < len(records):
         raise ValueError(f"{path}: trace truncated at record {len(stored)} "
@@ -507,7 +510,7 @@ def audit_stored(path, config_override=None):
         if stored[i] != encode_record(rec):
             raise ValueError(f"{path}: record {i + 1} does not match the replayed run: "
                              f"{_record_mismatch(stored[i], _record_payload(rec))}")
-    return trace, with_first_nonfinite({"reports": audit_reports(trace, config)}, records)
+    return trace, with_first_nonfinite({"reports": audit_reports(trace, U, config)}, records)
 
 
 def prediction_deviation(trace_a, trace_b):

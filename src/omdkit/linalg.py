@@ -1,4 +1,4 @@
-"""Sparse vectors and incrementally maintained inverses of rank-one updated matrices."""
+"""Dense row checks and incrementally maintained inverses of rank-one updated matrices."""
 
 import math
 
@@ -6,7 +6,8 @@ import numpy as np
 
 
 class SparseVec:
-    """Sparse vector: sorted (index, value) pairs, no explicit zeros."""
+    """Sparse vector: sorted (index, value) pairs, no explicit zeros. No learner reads one;
+    it is the tests' oracle for parsed and generated rows and the bench tracer's patch target."""
 
     __slots__ = ("indices", "values", "dim")
 
@@ -79,11 +80,7 @@ class SparseVec:
 
 
 def as_dense(x, dim):
-    """Accept SparseVec or array-like of length dim; return a float64 dense vector."""
-    if isinstance(x, SparseVec):
-        if x.dim != dim:
-            raise ValueError(f"dimension mismatch: {x.dim} != {dim}")
-        return x.to_dense()
+    """An array-like of length dim as a float64 vector; ValueError on another length."""
     arr = np.asarray(x, dtype=np.float64)
     if arr.shape[-1] != dim:
         raise ValueError(f"dimension mismatch: {arr.shape[-1]} != {dim}")
@@ -109,7 +106,6 @@ class RankOneInverse:
         self.r = float(r)
         self.inv = np.eye(self.dim) / scale
         self.logdet = self.dim * math.log(scale)
-        self._outer = np.empty((self.dim, self.dim))  # scratch for the rank-one term
 
     def apply(self, v):
         """A^{-1} v."""
@@ -123,7 +119,7 @@ class RankOneInverse:
         """Advance A by (1/r) x x^T; returns the pre-update quad form chi."""
         u = self.inv @ x
         chi = float(x @ u)
-        outer = np.outer(u, u, out=self._outer)
+        outer = np.outer(u, u)
         outer /= self.r + chi
         self.inv = self.inv - outer
         self.logdet += math.log1p(chi / self.r)

@@ -253,12 +253,11 @@ class GrowingQuadratic(Regularizer):
         else:
             self.tracker = RankOneInverse(dim, r=r, scale=scale)
             self.mat = scale * np.eye(self.dim)
-            self._outer = np.empty((self.dim, self.dim))  # scratch for the rank-one term
 
     def update(self, x):
         self.tracker.update(x)
         if not self.diagonal:
-            outer = np.outer(x, x, out=self._outer)
+            outer = np.outer(x, x)
             outer /= self.r
             self.mat = self.mat + outer
 

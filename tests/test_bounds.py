@@ -391,7 +391,7 @@ def test_engine_audit_reads_theta_with_the_bits_of_the_summed_updates():
         for name, params, spec in suite:
             cfg = gen_config(name, params, spec, ("zero", "star"))
             trace, _ = run_experiment(cfg, audit=False)
-            U = comparator_matrix(cfg["comparators"], trace)
+            U = comparator_matrix(cfg["comparators"], trace.dataset, trace.learner)
             # the oracle: the same audit over Z = sum_t z_t, summed as a stacked array
             summed = copy.copy(trace.learner)
             summed.theta = np.sum([r.z for r in trace.records], axis=0)

@@ -287,6 +287,9 @@ def test_cli_audit_fingerprint_mismatch(tmp_path):
     assert "fingerprint mismatch" in out.stderr
 
 
+RARE_S = "'params.rare_s' needs s >= 0, the diagonal variant and a generator data source"
+
+
 def test_cli_audit_names_the_field_of_a_malformed_header(tmp_path):
     cfg = gen_config("pa", {}, separable(2, d=3, T=5))
     trace = tmp_path / "t.jsonl"
@@ -352,6 +355,12 @@ def test_cli_audit_names_the_field_of_a_malformed_header(tmp_path):
             "'params.variant' must be one of ['full', 'diagonal']",
         fingerprinted(learner="second_order", params={"rare_s": "3"}):
             "'params.rare_s' must be a finite number or null",
+        # each of these was accepted, and its rare_s ignored or its refinement vacuous
+        fingerprinted(learner="second_order", params={"rare_s": 3}): RARE_S,
+        fingerprinted(learner="second_order", params={"rare_s": 3, "variant": "diagonal"},
+                      data={"kind": "file", "path": str(svm)}): RARE_S,
+        fingerprinted(learner="second_order", params={"rare_s": -1, "variant": "diagonal"}):
+            RARE_S,
         fingerprinted(data={"kind": "generator", "spec": 5}): "'data.spec' must be an object",
         fingerprinted(data={"kind": "file", "path": fd}): "'data.path' must be a string",
         # each of these raised out of cli.main, or was read as another value
@@ -386,7 +395,8 @@ def test_cli_audit_names_the_field_of_a_malformed_header(tmp_path):
     # the path that names a descriptor was never opened, so the descriptor is still open
     assert os.read(fd, 1) == b"{"
     os.close(fd)
-    for params in ({"rare_s": None}, {"rare_s": 3}, {"r": 2}, {"variant": "diagonal"}):
+    for params in ({"rare_s": None}, {"rare_s": 3, "variant": "diagonal"}, {"r": 2},
+                   {"variant": "diagonal"}):
         text = fingerprinted(learner="second_order", params=params)
         bad.write_text("\n".join([text, *records]) + "\n")
         code, err = _main_code(["audit", "--trace", str(bad)])
@@ -863,24 +873,40 @@ def _refusing(monkeypatch, name):
     monkeypatch.setattr(f"omdkit.harness.{name}", called)
 
 
+def _refused_before_any_round(monkeypatch, tmp_path, argv, msg):
+    """run argv exits 2 with msg, audited or not, before any round and without a trace."""
+    _refusing(monkeypatch, "drive")
+    trace = tmp_path / "t.jsonl"
+    for audit in ([], ["--no-audit"]):
+        code, err = _main_code(["run", *argv, "--trace", str(trace), *audit])
+        assert code == 2, audit
+        assert msg in err, err
+        assert not trace.exists()
+
+
 @pytest.mark.parametrize("spec, msg", [
     ("nope", "unknown comparator spec 'nope' in field 'comparators'"),
     ("grid:R=x", "comparator 'grid:R=x': entries must be numbers"),
     ("grid:R=2,m=3", "comparator 'grid:R=2,m=3': expected R=<radius>,n=<points>"),
     ("grid:n=1.5", "comparator 'grid:n=1.5': needs a finite R > 0 and an integer n >= 2"),
     ("vec:1,x", "comparator 'vec:1,x': entries must be numbers"),
+    # these need the data's dim
+    ("vec:1", "comparator 'vec:1': needs 2 finite entries"),
+    ("vec:1,nan", "comparator 'vec:1,nan': needs 2 finite entries"),
+    ("grid:n=1001", "comparator 'grid:n=1001': needs dim <= 3 and n^dim <= 10^6 (dim 2)"),
 ])
 def test_cli_bad_comparator_fails_before_any_round(monkeypatch, tmp_path, spec, msg):
     # --no-audit used to write a trace that audit then refused, and an audited run
     # drove every round before it read the spec
-    _refusing(monkeypatch, "drive")
-    trace = tmp_path / "t.jsonl"
-    for audit in ([], ["--no-audit"]):
-        code, err = _main_code(["run", "--learner", "vaw", "--gen", TINY["linear"],
-                                "--comparator", spec, "--trace", str(trace), *audit])
-        assert code == 2, audit
-        assert msg in err, err
-        assert not trace.exists()
+    _refused_before_any_round(monkeypatch, tmp_path, ["--learner", "vaw", "--gen", TINY["linear"],
+                                                      "--comparator", spec], msg)
+
+
+def test_cli_comparator_of_another_dim_fails_before_any_round(monkeypatch, tmp_path):
+    _refused_before_any_round(
+        monkeypatch, tmp_path, ["--learner", "pa", "--gen", "separable_margin:gamma=0.3,d=10,T=20",
+                                "--comparator", "vec:1,2"],
+        "comparator 'vec:1,2': needs 10 finite entries")
 
 
 def test_cli_star_comparator_on_a_file_fails_before_parsing(monkeypatch, tmp_path):

@@ -12,7 +12,6 @@ from omdkit.learners import (
     SecondOrderClassifier,
     VAWRegressor,
 )
-from omdkit.linalg import SparseVec
 from omdkit.regularizers import FixedQuadratic, GrowingQuadratic, PNorm
 
 
@@ -237,25 +236,18 @@ def test_pnorm_conservative_matches_pnorm_oracle_mistakes():
         assert rec.mistake == oracle_mistake
 
 
-def test_gradient_descent_sparse_inputs():
-    lrn = GradientDescentLearner(FixedQuadratic(3), loss="hinge", eta=0.5)
-    rec = lrn.round(SparseVec([(1, 2.0)], dim=3), 1.0)
-    assert rec.loss == 1.0
-    assert np.allclose(lrn.theta, [0.0, 1.0, 0.0])
-
-
 @pytest.mark.parametrize("name", sorted(LEARNERS))
 def test_a_row_of_the_wrong_length_is_rejected_where_it_enters(name):
     # the learner converts a row once; the regularizer and tracker methods check nothing
     factory, defaults = LEARNERS[name]
-    for row in (np.ones(2), SparseVec([(0, 1.0)], dim=2)):
-        lrn = factory(3, defaults)
-        entries = [lambda: lrn.round(row, 1.0), lambda: lrn.apply_update(row)]
-        if isinstance(lrn, VAWRegressor):
-            entries.append(lambda: lrn.observe(row))
-        for enter in entries:
-            with pytest.raises(ValueError, match="dimension mismatch"):
-                enter()
+    row = np.ones(2)
+    lrn = factory(3, defaults)
+    entries = [lambda: lrn.round(row, 1.0), lambda: lrn.apply_update(row)]
+    if isinstance(lrn, VAWRegressor):
+        entries.append(lambda: lrn.observe(row))
+    for enter in entries:
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            enter()
 
 
 def test_scale_invariant_rejects_square_loss():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from omdkit.linalg import DiagInverse, RankOneInverse, SparseVec
+from omdkit.linalg import DiagInverse, RankOneInverse, SparseVec, as_dense
 
 
 def test_sparse_vec_basics():
@@ -32,6 +32,12 @@ def test_sparse_vec_rejects_non_finite():
     for bad in (float("nan"), float("inf"), float("-inf")):
         with pytest.raises(ValueError, match="non-finite value .* at index 1"):
             SparseVec([(0, 1.0), (1, bad)], dim=3)
+
+
+def test_as_dense_refuses_a_sparse_row():
+    # a row is an array-like of length dim; a SparseVec is not one
+    with pytest.raises(TypeError):
+        as_dense(SparseVec([(0, 1.0)], dim=2), 2)
 
 
 def test_quad_form_identity_cases():

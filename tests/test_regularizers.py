@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from helpers import regularizer_families
-from omdkit.linalg import SparseVec
 from omdkit.oracles import GridSpec, fd_gradient, numeric_argmax
 from omdkit.regularizers import (
     CompositeQuadL1,
@@ -81,10 +80,9 @@ def test_advance_examples():
 
 def test_conjugate_and_mirror_map_reject_a_point_of_the_wrong_length():
     for reg in regularizer_families(3).values():
-        for theta in (np.ones(2), SparseVec([(0, 1.0)], dim=2)):
-            for method in (reg.conjugate, reg.mirror_map):
-                with pytest.raises(ValueError, match="dimension mismatch"):
-                    method(theta)
+        for method in (reg.conjugate, reg.mirror_map):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                method(np.ones(2))
 
 
 def test_composite_invalid_parameters():
@@ -240,14 +238,9 @@ def test_scaleinv_gradient_stats_bound_lipschitz():
 
 
 def _state(obj):
-    """Every attribute of a regularizer and of the objects it holds, arrays as exact bytes.
-
-    The rank-one scratch buffers (`_outer`) hold no state between updates and are skipped.
-    """
+    """Every attribute of a regularizer and of the objects it holds, arrays as exact bytes."""
     out = {}
     for key, val in vars(obj).items():
-        if key == "_outer":
-            continue
         if isinstance(val, np.ndarray):
             out[key] = (val.dtype.str, val.shape, val.tobytes())
         elif hasattr(val, "__dict__"):
