@@ -109,7 +109,7 @@ class OnlineLearner:
         conj, self._w = self.reg.dual(self.theta)
         w = self.w
         residue = conj - prev.dual(self.theta)[0]
-        return float(residue), float(prev.value(w) - self.reg.value(w))
+        return float(residue), float(self.reg.value_drop(prev, w))
 
     def _emit(self, z, grad=None, **fields):
         """Record <z, w_t>, fold the loss subgradient grad into f, apply theta += z.

@@ -71,6 +71,10 @@ class Regularizer:
     def gradient(self, w):
         raise NotImplementedError
 
+    def value_drop(self, prev, w):
+        """f_prev(w) - f(w), where prev is an earlier state of this regularizer."""
+        return prev.value(w) - self.value(w)
+
     def strong_convexity(self):
         raise NotImplementedError
 
@@ -96,6 +100,11 @@ class Regularizer:
 
 def _batch(w):
     return np.asarray(w, dtype=np.float64)
+
+
+def _count(rows):
+    """The number of rows in a GrowingQuadratic row history."""
+    return 0 if rows is None else rows[0]
 
 
 class FixedQuadratic(Regularizer):
@@ -234,11 +243,20 @@ class WeightedQNorm(Regularizer):
 
 
 class GrowingQuadratic(Regularizer):
-    """f_t(w) = 1/2 w^T A_t w with A_t <- A_{t-1} + (1/r) x x^T (or its diagonal).
+    """f_t(w) = 1/2 w^T A_t w with A_t <- A_{t-1} + (1/r) x x^T (or its diagonal), A_0 = scale*I.
 
-    The inverse is maintained incrementally by the linalg trackers; the
-    matrix itself is kept alongside for value/norm evaluation. Dimensions
-    are fixed at construction.
+    The linalg trackers maintain A_t^{-1} incrementally for the conjugate
+    side. The full variant never forms A_t: it keeps `scale` and an
+    append-only history of the update rows, `rows`, which is None or the
+    persistent triple (n, x_n, rows before x_n). It evaluates
+    f_t(u) = 1/2 (scale ||u||^2 + sum_s (x_s . u)^2 / r) one row at a time,
+    and its value drop f_{t-1}(w) - f_t(w) = -(x_t . w)^2 / (2r) in closed
+    form. An update prepends one triple in O(1) and leaves the older ones
+    as they were, so a snapshot never sees rows added after it. The history
+    keeps a reference to each row, not a copy: the learners pass rows of
+    the read-only Dataset.X, and a caller that writes into a row it passed
+    changes f_t. The diagonal variant reads diag(A_t) from its tracker and
+    keeps no rows. Dimensions are fixed at construction.
     """
 
     time_varying = True
@@ -246,31 +264,69 @@ class GrowingQuadratic(Regularizer):
     def __init__(self, dim, r=1.0, scale=1.0, diagonal=False):
         self.dim = int(dim)
         self.r = float(r)
+        self.scale = float(scale)
         self.diagonal = bool(diagonal)
-        if diagonal:
-            self.tracker = DiagInverse(dim, r=r, scale=scale)
-            self.mat = None
-        else:
-            self.tracker = RankOneInverse(dim, r=r, scale=scale)
-            self.mat = scale * np.eye(self.dim)
+        self.rows = None
+        tracker = DiagInverse if diagonal else RankOneInverse
+        self.tracker = tracker(dim, r=r, scale=scale)
 
     def update(self, x):
         self.tracker.update(x)
         if not self.diagonal:
-            outer = np.outer(x, x)
-            outer /= self.r
-            self.mat = self.mat + outer
+            self.rows = (_count(self.rows) + 1, x, self.rows)
 
     def snapshot(self):
-        snap = super().snapshot()
+        snap = object.__new__(type(self))  # not copy.copy, which would go through __getstate__
+        vars(snap).update(vars(self))
         snap.tracker = copy.copy(self.tracker)
         return snap
+
+    def __getstate__(self):
+        """The history as a flat list, oldest row first, so that deepcopy and pickle
+        do not recurse once per row."""
+        return {**vars(self), "rows": list(self._rows())[::-1]}
+
+    def __setstate__(self, state):
+        vars(self).update(state, rows=None)
+        for x in state["rows"]:
+            self.rows = (_count(self.rows) + 1, x, self.rows)
+
+    def _rows(self, keep=0):
+        """The history's rows after its first `keep`, newest first."""
+        node = self.rows
+        while _count(node) > keep:
+            _, x, node = node
+            yield x
+
+    def _squares(self, w, keep=0):
+        """sum_s (x_s . w)^2 over the rows after the first `keep`, one row at a time.
+
+        It walks the history itself rather than through _rows: it runs once a
+        round in the engine and on every oracle probe, where a generator's
+        overhead shows.
+        """
+        total, node = 0.0, self.rows
+        while _count(node) > keep:
+            _, x, node = node
+            v = w @ x
+            total = total + v * v
+        return total
 
     def value(self, w):
         w = _batch(w)
         if self.diagonal:
             return 0.5 * np.sum(w * w * self.tracker.diag, axis=-1)
-        return 0.5 * np.einsum("...i,ij,...j->...", w, self.mat, w)
+        return 0.5 * (self.scale * np.vecdot(w, w) + self._squares(w) / self.r)
+
+    def value_drop(self, prev, w):
+        """-sum (x_s . w)^2 / (2r) over the rows added since prev; exact up to the dot products.
+
+        Written as 0.0 minus the sum, so that w = 0 gives +0.0, and computed in
+        numpy float64, so that an overflow gives -inf rather than raising.
+        """
+        if self.diagonal:
+            return super().value_drop(prev, w)
+        return 0.0 - self._squares(w, _count(prev.rows)) / (2.0 * self.r)
 
     def dual(self, theta):
         v = self.tracker.apply(theta)
@@ -279,7 +335,10 @@ class GrowingQuadratic(Regularizer):
     def gradient(self, w):
         if self.diagonal:
             return self.tracker.diag * w
-        return self.mat @ w
+        g = self.scale * w
+        for x in self._rows():
+            g = g + (x @ w / self.r) * x
+        return g
 
     def strong_convexity(self):
         return 1.0

@@ -62,8 +62,8 @@ GOLDEN = {
     "scaleinv_diag": ("49c3647a4eb3ac2e", "dd2445957d32509f", "48f95867a410523d"),
     "scaleinv_pnorm": ("8a4d310dfd999d4e", "aa6103786ac90aa2", "b20f39dfecdd825a"),
     "second_order_diagonal": ("98a2982b4731510e", "ba25bc28f399fd5e", "0f05a4d5e2cbe048"),
-    "second_order_full": ("6fba09b84fbf4fb8", "54cefb098e0af672", "3fb6aeca8379c725"),
-    "vaw": ("e7bbf61891866ecb", "7395d09f867c32a5", "c887ff6ec93eb11a"),
+    "second_order_full": ("30233f9d41f2ff26", "54cefb098e0af672", "3fb6aeca8379c725"),
+    "vaw": ("5a81bfbc91e6aa69", "f5240877bef73541", "3b787902e1667f71"),
 }
 
 # same digests as GOLDEN, for the configs that read the loss, the target and rare_s off the run
@@ -75,7 +75,7 @@ EXTRA_GOLDEN = {
                                              "fd723a154c3d6c94"),
     "second_order_diagonal_rare_s": ("a7c78bf7847157ef", "46916e1893302266",
                                      "bc83c5850a8e566a"),
-    "vaw_batch": ("8142597a79cefe1b", "e84fc5cb31e8fe6b", "629813e89983e07e"),
+    "vaw_batch": ("a8287d8c46d83bc4", "5bf5d766099e734c", "d19ab443acb61ff8"),
 }
 
 
@@ -224,8 +224,8 @@ FILE_CONFIGS = {
 FILE_GOLDEN = {
     "csv_remap01_dim": ("860fae815ddba3a1", "31e8697bbd258a06", "63baf20b99916dbe"),
     "file_pa": ("14599f6703a59f71", "b853eb39b4172898", "1f04b61f63a3ddb8"),
-    "file_second_order_full": ("d4d7eb6f6b05f51a", "54cefb098e0af672", "3fb6aeca8379c725"),
-    "file_vaw": ("fde018951c4945e3", "8940db29f398b97a", "c2ded194ae3acd28"),
+    "file_second_order_full": ("6cb0b665182a0280", "54cefb098e0af672", "3fb6aeca8379c725"),
+    "file_vaw": ("d4af547e9b56ed7c", "8940db29f398b97a", "c2ded194ae3acd28"),
     "sparse_svmlight_dim": ("28751058fc4a3155", "0d397cede8a1aa40", "7dad23b83c0ab8f7"),
 }
 

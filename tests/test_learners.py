@@ -1,7 +1,9 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from helpers import audited_learner_suite, run
+from helpers import audited_learner_suite, noisy_linear, run, separable
 from omdkit.harness import LEARNERS
 from omdkit.learners import (
     AdaptiveFilter,
@@ -277,7 +279,7 @@ def _reference_engine(monkeypatch):
             return float(self.reg.conjugate(self.theta)), 0.0
         prev_conj = prev.conjugate(self.theta)
         residue = self.reg.conjugate(self.theta) - prev_conj
-        return float(residue), float(prev.value(self.w) - self.reg.value(self.w))
+        return float(residue), float(self.reg.value_drop(prev, self.w))
 
     monkeypatch.setattr(OnlineLearner, "apply_update", apply_update)
     monkeypatch.setattr(OnlineLearner, "_advance", _advance)
@@ -308,3 +310,38 @@ def test_engine_matches_the_deepcopy_reference_bit_for_bit(monkeypatch):
     deep = outcomes()
     for (name, _params, _spec), got, expect in zip(suite, shallow, deep):
         assert got == expect, name
+
+
+def _drop_errors(learner, dataset):
+    """Relative error of each update round's reg_drop against the exact drop.
+
+    The exact drop is -(x_t . w_t)^2 / (2r), computed in rationals from the
+    float operands: the row, the w_t that f_t maps theta_t to, and r.
+    """
+    r = Fraction(learner.reg.r)
+    errors = []
+    for x, y in dataset:
+        theta = learner.theta
+        rec = learner.round(x, y)
+        if not rec.extras.get("updated", True):
+            continue
+        w = learner.reg.mirror_map(theta)
+        v = sum(Fraction(a) * Fraction(b) for a, b in zip(x.tolist(), w.tolist()))
+        exact = -v * v / (2 * r)
+        if exact == 0:
+            assert rec.reg_drop == 0.0
+            continue
+        errors.append(float(abs((Fraction(rec.reg_drop) - exact) / exact)))
+    return errors
+
+
+@pytest.mark.parametrize("d,T", [(10, 200), (300, 300)])
+def test_growing_quadratic_drop_matches_the_exact_drop(d, T):
+    from omdkit.data import generate
+
+    cases = [(VAWRegressor(d, a=1.0), generate(noisy_linear(7, d=d, T=T))),
+             (SecondOrderClassifier(d, r=1.0, variant="full"), generate(separable(7, d=d, T=T)))]
+    for learner, dataset in cases:
+        errors = _drop_errors(learner, dataset)
+        assert len(errors) > T // 10
+        assert max(errors) <= 1e-9, type(learner).__name__

@@ -237,17 +237,80 @@ def test_scaleinv_gradient_stats_bound_lipschitz():
         prev = reg.grad_stats
 
 
+def test_growing_quadratic_matches_its_explicit_matrix():
+    rng = np.random.default_rng(23)
+    for dim, r, scale, n in [(3, 1.0, 1.0, 0), (5, 2.5, 0.3, 7), (40, 0.7, 2.0, 60)]:
+        reg = GrowingQuadratic(dim, r=r, scale=scale)
+        A = scale * np.eye(dim)
+        for _ in range(n):
+            x = rng.normal(size=dim) * (rng.random(dim) < 0.8)
+            reg.update(x)
+            A = A + np.outer(x, x) / r
+        W = rng.normal(size=(9, dim)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(9, 1))
+        expect = 0.5 * np.einsum("ni,ij,nj->n", W, A, W)
+        np.testing.assert_allclose(reg.value(W), expect, rtol=1e-12)
+        np.testing.assert_allclose(reg.norm(W), np.sqrt(2.0 * expect), rtol=1e-12)
+        for w in W:
+            assert float(reg.value(w)) == pytest.approx(0.5 * w @ A @ w, rel=1e-12)
+            # a coordinate of A w may cancel, so its error is bounded by |A| |w|
+            err = np.abs(reg.gradient(w) - A @ w)
+            assert np.all(err <= 1e-12 * (np.abs(A) @ np.abs(w)))
+        # the drop over several rows since a snapshot is f_prev - f
+        prev = reg.snapshot()
+        for _ in range(3):
+            reg.update(rng.normal(size=dim))
+        for w in W:
+            assert float(reg.value_drop(prev, w)) == pytest.approx(
+                float(prev.value(w) - reg.value(w)), rel=1e-9)
+
+
+def test_growing_quadratic_drop_at_zero_and_on_overflow():
+    reg = GrowingQuadratic(2, r=1.0)
+    prev = reg.snapshot()
+    reg.update(np.array([1e150, 3.0]))
+    drop = reg.value_drop(prev, np.zeros(2))
+    assert drop == 0.0 and math.copysign(1.0, drop) == 1.0
+    # (x.w)^2 = 1e320 overflows: the drop is -inf, not an OverflowError
+    with np.errstate(over="ignore"):
+        assert reg.value_drop(prev, np.array([1e10, 0.0])) == -math.inf
+
+
+def test_a_long_row_history_deep_copies_and_pickles():
+    import copy
+    import pickle
+
+    rng = np.random.default_rng(29)
+    reg = GrowingQuadratic(3, r=0.5, scale=2.0)
+    for _ in range(2000):  # deeper than the interpreter's recursion limit
+        reg.update(rng.normal(size=3))
+    def flat(reg):
+        node, out = reg.rows, []
+        while node is not None:
+            n, x, node = node
+            out.append((n, x.tobytes()))
+        return {**vars(reg), "rows": out, "tracker": _state(reg.tracker)}
+
+    W = rng.normal(size=(4, 3))
+    for other in (copy.deepcopy(reg), pickle.loads(pickle.dumps(reg))):
+        assert flat(other) == flat(reg)
+        assert reg.value(W).tobytes() == other.value(W).tobytes()
+
+
+def _exact(val):
+    """val with its arrays as exact bytes, into tuples (a row history's nested triples)
+    and into the attributes of the objects it holds."""
+    if isinstance(val, np.ndarray):
+        return (val.dtype.str, val.shape, val.tobytes())
+    if isinstance(val, tuple):
+        return tuple(_exact(v) for v in val)
+    if hasattr(val, "__dict__"):
+        return _state(val)
+    return val
+
+
 def _state(obj):
     """Every attribute of a regularizer and of the objects it holds, arrays as exact bytes."""
-    out = {}
-    for key, val in vars(obj).items():
-        if isinstance(val, np.ndarray):
-            out[key] = (val.dtype.str, val.shape, val.tobytes())
-        elif hasattr(val, "__dict__"):
-            out[key] = _state(val)
-        else:
-            out[key] = val
-    return out
+    return {key: _exact(val) for key, val in vars(obj).items()}
 
 
 def _hooks(reg, rng, dim, scale):
