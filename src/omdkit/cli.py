@@ -201,6 +201,9 @@ def main(argv=None):
         # extreme but finite settings (--r 1e-300, --lipschitz 1e300) overflow Python floats
         print(f"error: numeric failure: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 2
 
 
 def _report(args, payload):

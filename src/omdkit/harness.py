@@ -50,8 +50,7 @@ def _fmt(x):
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     if isinstance(x, str):
-        out = x.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{out}"'
+        return json.dumps(x, ensure_ascii=False)
     if x is None:
         return "null"
     raise TypeError(f"cannot serialize {type(x)}")

@@ -2,23 +2,25 @@
 
 Every learner follows the same skeleton: theta starts at zero, w_t is the
 mirror map of theta at the round's regularizer state, the observed update
-z_t is added to theta. w is derived on its first read after theta or f
-moved, so no mirror map is spent on a w that nothing reads. Two
-OnlineLearner helpers hold that skeleton:
+z_t is added to theta by apply_update. w is a read-only property, derived
+on its first read after theta or f moved, so no mirror map is spent on a
+w that nothing reads. Three OnlineLearner helpers hold that skeleton:
 
-  _advance  snapshots f_{t-1}, runs the learner's state hook (a schedule
-            tick, an input observation or a rank-one update), takes
-            f*_t(theta) and w_t from one `dual` call on f_t and returns the
-            conjugate residue and the value drop at w_t;
-  _emit     records <z_t, w_t>, folds an optional loss subgradient into
-            f, applies theta += z_t and returns the round's StepRecord.
+  _advance  snapshots f_{t-1}, runs the regularizer's observe_input(x_t),
+            takes f*_t(theta) and w_t from one `dual` call on f_t and
+            returns the conjugate residue and the value drop at w_t;
+  _observe  counts the round, takes x_t dense, advances, predicts <w_t, x_t>;
+  _emit     records <z_t, w_t> and f_t's beta, folds an optional loss
+            subgradient into f, applies theta += z_t and returns the
+            round's StepRecord.
 
-What differs per learner is the protocol: which hook advances the state
-before the prediction, how z_t is formed, and whether a subgradient is
-folded back in. The StepRecord carries the audit quantities (dual norm of
-z_t, strong convexity, conjugate residue) consumed by the bound
-evaluators. A learner's attributes (eta, loss_name, a, kind, lipschitz,
-variant, r) are the run's parameters as the evaluators read them.
+What differs per learner is how z_t is formed and whether a subgradient
+is folded back in; the second-order classifier alone keeps its own round
+prefix, as it advances only on update rounds. The StepRecord carries the
+audit quantities (dual norm of z_t, strong convexity, conjugate residue)
+consumed by the bound evaluators. A learner's attributes (eta, loss_name,
+a, kind, lipschitz, variant, r) are the run's parameters as the evaluators
+read them.
 """
 
 from dataclasses import dataclass, field
@@ -82,47 +84,51 @@ class OnlineLearner:
             self._w = self.reg.mirror_map(self.theta)
         return self._w
 
-    @w.setter
-    def w(self, value):
-        self._w = value
-
     def apply_update(self, z):
         """Engine step: theta += z; w is re-derived on its next read."""
         self.theta = self.theta + as_dense(z, self.dim)
         self._w = None
 
-    def _advance(self, hook, *args):
-        """Move f_{t-1} to f_t through hook(*args).
+    def _advance(self, x):
+        """Move f_{t-1} to f_t through the regularizer's observe_input(x).
 
         Returns (residue, reg_drop): f*_t(theta) - f*_{t-1}(theta) and
         f_{t-1}(w_t) - f_t(w_t); both are zero for a fixed regularizer,
-        whose hook leaves f, and with it w, as it was. In round 1 f_{t-1}
-        is f_0, which every time-varying family defines. One `dual` call
-        on f_t gives f*_t(theta) and w_t; where it gives no gradient, the
-        read of w raises through mirror_map.
+        which has no state to advance, so f, and with it w, stays as it
+        was. In round 1 f_{t-1} is f_0, which every time-varying family
+        defines. One `dual` call on f_t gives f*_t(theta) and w_t; where it
+        gives no gradient, the read of w raises through mirror_map.
         """
         if not self.reg.time_varying:
-            hook(*args)
             return 0.0, 0.0
         prev = self.reg.snapshot()
-        hook(*args)
+        self.reg.observe_input(x)
         conj, self._w = self.reg.dual(self.theta)
         w = self.w
         residue = conj - prev.dual(self.theta)[0]
         return float(residue), float(self.reg.value_drop(prev, w))
 
-    def _emit(self, z, grad=None, **fields):
-        """Record <z, w_t>, fold the loss subgradient grad into f, apply theta += z.
+    def _observe(self, x):
+        """Start round t; returns (x_t dense, <w_t, x_t>, residue, reg_drop)."""
+        self.t += 1
+        xd = as_dense(x, self.dim)
+        residue, drop = self._advance(xd)
+        return xd, float(self.w @ xd), residue, drop
 
+    def _emit(self, z, grad=None, **fields):
+        """Record <z, w_t> and f_t's beta, fold the loss subgradient grad into f, apply theta += z.
+
+        beta is read before grad is folded in, which moves ScaleInvPNorm's.
         A zero z with no grad leaves theta and f as they are, so the step is
         skipped and w keeps its bits.
         """
         zw = float(z @ self.w)
+        beta = float(self.reg.strong_convexity())
         if grad is not None:
             self.reg.observe_gradient(grad)
         if grad is not None or z.any():
             self.apply_update(z)
-        return StepRecord(t=self.t, z=z, zw=zw, **fields)
+        return StepRecord(t=self.t, z=z, zw=zw, beta=beta, **fields)
 
 
 class GradientDescentLearner(OnlineLearner):
@@ -138,10 +144,7 @@ class GradientDescentLearner(OnlineLearner):
         self.binary_labels = loss == "hinge"
 
     def round(self, x, y):
-        self.t += 1
-        xd = as_dense(x, self.dim)
-        residue, drop = self._advance(self.reg.advance_step)
-        pred = float(self.w @ xd)
+        xd, pred, residue, drop = self._observe(x)
         ev = self.loss_fn(pred, y)
         z = -self.eta * (ev.subgrad_scalar * xd)
         extras = {}
@@ -149,8 +152,7 @@ class GradientDescentLearner(OnlineLearner):
             extras["penalty_w"] = float(self.reg.penalty_value(self.w))
         return self._emit(
             z, prediction=pred, label=float(y), loss=ev.value, eta=self.eta,
-            dual_norm_sq=float(self.reg.dual_norm(z)) ** 2,
-            beta=float(self.reg.strong_convexity()), residue=residue, reg_drop=drop,
+            dual_norm_sq=float(self.reg.dual_norm(z)) ** 2, residue=residue, reg_drop=drop,
             extras=extras,
         )
 
@@ -181,11 +183,9 @@ class FirstOrderClassifier(OnlineLearner):
 
     def round(self, x, y):
         y = _check_binary(y)
-        self.t += 1
-        xd = as_dense(x, self.dim)
+        xd, margin, _, _ = self._observe(x)
         x_dual = float(self.reg.dual_norm(xd))
         self.x_max = max(self.x_max, x_dual)
-        margin = float(self.w @ xd)
         ev = losses.hinge(y * margin)
         mistake = y * margin <= 0.0
         margin_error = ev.active and not mistake
@@ -205,7 +205,6 @@ class FirstOrderClassifier(OnlineLearner):
         return self._emit(
             z, prediction=margin, label=y, loss=ev.value, eta=eta, mistake=mistake,
             margin_error=margin_error, dual_norm_sq=(eta * x_dual) ** 2 if ev.active else 0.0,
-            beta=beta,
             extras={"x_dual_sq": x_dual * x_dual, "x_max": self.x_max,
                     "ymargin": y * margin},
         )
@@ -273,7 +272,7 @@ class SecondOrderClassifier(OnlineLearner):
                 z=np.zeros(self.dim), mistake=mistake,
                 margin_error=ev.active and not mistake, extras=extras,
             )
-        residue, drop = self._advance(self.reg.update, xd)
+        residue, drop = self._advance(xd)
         margin_w = float(self.w @ xd)
         ev = losses.hinge(y * margin_w)
         post_quad = tracker.quad_form(xd)
@@ -304,12 +303,8 @@ class VAWRegressor(OnlineLearner):
     def observe(self, x):
         if self._pending is not None:
             raise RuntimeError("label() must be called before the next observe()")
-        self.t += 1
-        xd = as_dense(x, self.dim)
-        residue, drop = self._advance(self.reg.update, xd)
-        pred = float(self.w @ xd)
-        self._pending = (xd, pred, residue, drop)
-        return pred
+        self._pending = self._observe(x)
+        return self._pending[1]
 
     def label(self, y):
         if self._pending is None:
@@ -341,17 +336,13 @@ class AdaptiveFilter(OnlineLearner):
         super().__init__(MaxScaled(FixedQuadratic(dim)))
 
     def round(self, x, y):
-        self.t += 1
-        xd = as_dense(x, self.dim)
         y = float(y)
-        residue, drop = self._advance(self.reg.observe_input, xd)
-        pred = float(self.w @ xd)
+        xd, pred, residue, drop = self._observe(x)
         resid = y - pred
         z = resid * xd
         return self._emit(
             z, prediction=pred, label=y, loss=0.5 * resid * resid, eta=1.0,
-            dual_norm_sq=float(z @ z), beta=float(self.reg.strong_convexity()),
-            residue=residue, reg_drop=drop,
+            dual_norm_sq=float(z @ z), residue=residue, reg_drop=drop,
             extras={"x_max": self.reg.x_max, "residual": resid},
         )
 
@@ -385,10 +376,7 @@ class ScaleInvariantRegressor(OnlineLearner):
         self.loss_fn = losses.by_name(loss)
 
     def round(self, x, y):
-        self.t += 1
-        xd = as_dense(x, self.dim)
-        residue, drop = self._advance(self.reg.observe_input, xd)
-        pred = float(self.w @ xd)
+        xd, pred, residue, drop = self._observe(x)
         ev = self.loss_fn(pred, y)
         if abs(ev.subgrad_scalar) > self.lipschitz + 1e-12:
             raise ValueError("loss subgradient exceeds the declared Lipschitz constant")
@@ -399,7 +387,6 @@ class ScaleInvariantRegressor(OnlineLearner):
             extras["p_t"] = self.reg.p
         return self._emit(
             z, grad=lvec, prediction=pred, label=float(y), loss=ev.value, eta=self.eta,
-            dual_norm_sq=float(self.reg.dual_norm(z)) ** 2,
-            beta=float(self.reg.strong_convexity()), residue=residue, reg_drop=drop,
+            dual_norm_sq=float(self.reg.dual_norm(z)) ** 2, residue=residue, reg_drop=drop,
             extras=extras,
         )

@@ -14,13 +14,15 @@ checked numerically by the oracle test suite:
   * f(v) >= f(u) + <grad f(u), v-u> + (beta/2) ||u-v||^2
   * dual_norm(z) == sup {<u,z> : norm(u) <= 1}
 
-State-advancing hooks are split by protocol position: advance_step is a
-schedule tick, observe_input must run before the round's prediction
-(feature maxima, support sizes, the growing quadratic in feature-driven
-mode), observe_gradient runs after the prediction so f_t only ever depends
-on subgradients from earlier rounds. Every hook binds new state arrays and
-never writes into the old ones, so `snapshot` is a shallow copy that keeps
-f_t while the hooks move the regularizer on to f_{t+1}. The hooks also
+The engine moves a family through two hooks, one per protocol position.
+observe_input(x) runs before the round's prediction and takes f_{t-1} to
+f_t: by default it is the schedule tick advance_step, the feature-driven
+families override it (feature maxima and support sizes, MaxScaled's input
+norm), and the growing quadratic runs its rank-one update(x).
+observe_gradient(g) runs after the prediction, so f_t only ever depends
+on subgradients from earlier rounds. Every hook binds new state arrays
+and never writes into the old ones, so `snapshot` is a shallow copy that
+keeps f_t while the hooks move the regularizer on to f_{t+1}. The hooks also
 re-derive f_t's constants into plain attributes that the methods only read.
 f_0, the state before any hook, is defined: where a schedule factor or
 curvature is 0, f_t is the zero function, with conjugate the indicator of
@@ -88,7 +90,8 @@ class Regularizer:
         pass
 
     def observe_input(self, x):
-        pass
+        """Move f_{t-1} to f_t before the round's prediction; by default a schedule tick."""
+        self.advance_step()
 
     def observe_gradient(self, g):
         pass
@@ -274,6 +277,9 @@ class GrowingQuadratic(Regularizer):
         self.tracker.update(x)
         if not self.diagonal:
             self.rows = (_count(self.rows) + 1, x, self.rows)
+
+    def observe_input(self, x):
+        self.update(x)
 
     def snapshot(self):
         snap = object.__new__(type(self))  # not copy.copy, which would go through __getstate__

@@ -287,6 +287,30 @@ def test_cli_audit_fingerprint_mismatch(tmp_path):
     assert "fingerprint mismatch" in out.stderr
 
 
+def test_cli_run_audit_round_trip_with_control_characters_in_the_data_path(tmp_path):
+    # the header stores the path as a JSON string, so a tab and a newline must be escaped
+    data = tmp_path / "a\tb\nc.svm"
+    code, err = _main_code(["gen", "--gen", "separable_margin:gamma=0.3,d=3,T=20",
+                            "--seed", "1", "--out", str(data)])
+    assert code == 0, err
+    trace = tmp_path / "t.jsonl"
+    code, err = _main_code(["run", "--learner", "pa", "--data", str(data),
+                            "--trace", str(trace), "--strict-audit"])
+    assert code == 0, err
+    header = json.loads(trace.read_text().splitlines()[0])
+    assert header["config"]["data"]["path"] == str(data)
+    code, err = _main_code(["audit", "--trace", str(trace), "--strict-audit"])
+    assert code == 0, err
+
+
+def test_cli_out_of_memory_is_a_data_error_with_a_message():
+    # T=1e15 rows need over 900 TiB, beyond any x86-64 address space: numpy refuses at once
+    code, err = _main_code(["run", "--learner", "pa",
+                            "--gen", "separable_margin:gamma=0.3,d=10,T=1e15"])
+    assert code == 2
+    assert err.startswith("error: out of memory: ") and "Traceback" not in err, err
+
+
 RARE_S = "'params.rare_s' needs s >= 0, the diagonal variant and a generator data source"
 
 

@@ -14,7 +14,14 @@ from omdkit.learners import (
     SecondOrderClassifier,
     VAWRegressor,
 )
-from omdkit.regularizers import FixedQuadratic, GrowingQuadratic, PNorm
+from omdkit.regularizers import (
+    FixedQuadratic,
+    GrowingQuadratic,
+    MaxScaled,
+    PNorm,
+    ScaleInvDiag,
+    ScaleInvPNorm,
+)
 
 
 def test_omd_step_identity_mirror():
@@ -47,19 +54,17 @@ def test_first_order_pa_eta_formula():
     # margin 0.5 via x = (0.5, 0): eta = (1 - 1*0.5)/0.25 = 2 -> clipped to 1
     rec = lrn.round([0.5, 0.0], 1.0)
     assert rec.margin_error and rec.eta == 1.0
-    # rebuild a margin exactly 0.5 with unit x: set theta by hand
+    # rebuild a margin exactly 0.5 with unit x: step theta from e1 back to 0.5 e1
     lrn2 = FirstOrderClassifier(FixedQuadratic(2), eta_mode="pa_optimal")
     lrn2.round([1.0, 0.0], 1.0)
-    lrn2.theta = np.array([0.5, 0.0])
-    lrn2.w = lrn2.reg.mirror_map(lrn2.theta)
+    lrn2.apply_update([-0.5, 0.0])
     rec = lrn2.round([1.0, 0.0], 1.0)
     assert rec.eta == pytest.approx(0.5)
 
 
 def test_first_order_passive_case():
     lrn = FirstOrderClassifier(FixedQuadratic(2), eta_mode="pa_optimal")
-    lrn.theta = np.array([1.2, 0.0])
-    lrn.w = lrn.reg.mirror_map(lrn.theta)
+    lrn.apply_update([1.2, 0.0])
     rec = lrn.round([1.0, 0.0], 1.0)
     assert rec.loss == 0.0 and rec.eta == 0.0 and not rec.z.any()
 
@@ -164,7 +169,7 @@ def test_scale_invariant_trivial_cases():
     assert not lrn.w.any()
     # d=1, L=1, b=1, no gradient history: prediction-time w equals theta
     lrn_d = ScaleInvariantRegressor(1, kind="diag", lipschitz=1.0, eta=1.0)
-    lrn_d.theta = np.array([0.5])
+    lrn_d.apply_update([0.5])
     rec = lrn_d.round([1.0], 5.0)
     assert rec.prediction == pytest.approx(0.5)
 
@@ -267,12 +272,12 @@ def _reference_engine(monkeypatch):
 
     def apply_update(self, z):
         self.theta = self.theta + np.asarray(z, dtype=np.float64)
-        self.w = self.reg.mirror_map(self.theta)
+        self._w = self.reg.mirror_map(self.theta)
 
-    def _advance(self, hook, *args):
+    def _advance(self, x):
         prev = copy.deepcopy(self.reg) if self.reg.time_varying else None
-        hook(*args)
-        self.w = self.reg.mirror_map(self.theta)
+        self.reg.observe_input(x)
+        self._w = self.reg.mirror_map(self.theta)
         if prev is None:
             return 0.0, 0.0
         if isinstance(self, GradientDescentLearner) and self.t == 1:
@@ -345,3 +350,31 @@ def test_growing_quadratic_drop_matches_the_exact_drop(d, T):
         errors = _drop_errors(learner, dataset)
         assert len(errors) > T // 10
         assert max(errors) <= 1e-9, type(learner).__name__
+
+
+@pytest.mark.parametrize("family", ["scaleinv_diag", "scaleinv_pnorm", "growing_quadratic",
+                                    "max_scaled"])
+def test_gradient_descent_advances_every_input_driven_family(family):
+    # every family moves through observe_input, whichever learner drives it
+    from omdkit.bounds import RunTrace, engine_audit
+    from omdkit.data import generate
+
+    d, T = 4, 40
+    reg = {"scaleinv_diag": lambda: ScaleInvDiag(d, lipschitz=1.0),
+           "scaleinv_pnorm": lambda: ScaleInvPNorm(d, lipschitz=1.0),
+           "growing_quadratic": lambda: GrowingQuadratic(d, r=1.0),
+           "max_scaled": lambda: MaxScaled(FixedQuadratic(d))}[family]()
+    dataset = generate(noisy_linear(3, d=d, T=T))
+    lrn = GradientDescentLearner(reg, loss="absolute", eta=0.5)
+    records = [lrn.round(x, y) for x, y in dataset]
+    if family == "growing_quadratic":
+        assert reg.rows[0] == T and reg.tracker.logdet > 0.0
+    elif family == "max_scaled":
+        assert reg.x_max == max(float(np.linalg.norm(x)) for x, _ in dataset)
+    else:
+        assert (reg.b == np.abs(dataset.X).max(axis=0)).all()
+    assert sum(r.z.any() for r in records) > T // 2
+    assert all(r.beta > 0.0 for r in records)
+    U = np.vstack([np.zeros(d), dataset.meta["u_star"]])
+    rep = engine_audit(RunTrace(dataset, records, lrn), U)
+    assert rep["slack"] >= -1e-9 and rep["terms"]["max_residue_gap"] <= 1e-9, rep

@@ -328,6 +328,29 @@ def _hooks(reg, rng, dim, scale):
     return [reg.advance_step]
 
 
+def test_observe_input_is_each_familys_own_advance():
+    # the engine's one pre-prediction hook does what each family's own method does:
+    # a schedule tick, or the growing quadratic's update
+    import copy
+
+    dim = 4
+    rng = np.random.default_rng(23)
+    fams = {name: reg for name, reg in regularizer_families(dim).items()
+            if reg.time_varying and not isinstance(reg, (MaxScaled, ScaleInvPNorm, ScaleInvDiag))}
+    assert len(fams) == 6
+    for name, reg in fams.items():
+        for _ in range(3):
+            x = rng.normal(size=dim)
+            hooked, own = copy.deepcopy(reg), copy.deepcopy(reg)
+            hooked.observe_input(x)
+            if isinstance(reg, GrowingQuadratic):
+                own.update(x)
+            else:
+                own.advance_step()
+            assert _state(hooked) == _state(own) != _state(reg), name
+            reg = own
+
+
 def test_snapshot_keeps_the_previous_state_bit_for_bit():
     import copy
 

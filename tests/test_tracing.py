@@ -37,3 +37,19 @@ def test_traced_cli_run_counts_every_round(tmp_path):
     assert counts["bounds.comparators"] == 1
     assert {"harness.drive", "harness.encode", "bounds.engine_audit"} <= set(tracer.names)
     assert (harness.drive, harness.write_trace, learners.FirstOrderClassifier.round) == originals
+
+
+def test_traced_vaw_run_spans_one_update_and_one_snapshot_per_round(tmp_path):
+    # the bench's regularizer layer sees the engine's hook: a layer that read 0 would show here
+    argv = ["run", "--learner", "vaw", "--gen", f"noisy_linear:sigma=0.2,d=3,T={T}",
+            "--seed", "1", "--trace", str(tmp_path / "t.jsonl"), "--strict-audit"]
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer)
+        code, _wall = tracer.run_job(0, "cli", lambda: cli.main(argv))
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    names = tracer.arrays()["name"]
+    for span in ("regularizers.update", "regularizers.snapshot"):
+        assert int((names == tracer.codes[span]).sum()) == T, span
