@@ -92,19 +92,26 @@ def batch_comparator(X, y, kind="hinge"):
 
     Step s of BATCH_STEPS = 400 uses rate R/sqrt(s) and projects back onto the
     Euclidean ball of radius R = BATCH_RADIUS = 4; the averaged iterate is returned.
+    The square loss's gradient X^T (X u - y) is two matrix-vector products a
+    step; where T >= d it is G u - X^T y from the Gram matrix G = X^T X, formed
+    once, which is then no larger than X and a d^2 step instead of a 2 T d one.
     """
     T, d = X.shape
     u = np.zeros(d)
     acc = np.zeros(d)
+    gram = kind == "square" and T >= d
+    if gram:
+        G, b = X.T @ X, X.T @ y
     for s in range(1, BATCH_STEPS + 1):
-        P = X @ u
-        if kind == "hinge":
-            active = (1.0 - y * P) > 0
-            g = -(y[active, None] * X[active]).sum(axis=0)
+        if gram:
+            g = G @ u - b
         elif kind == "square":
-            g = ((P - y)[:, None] * X).sum(axis=0)
+            g = X.T @ (X @ u - y)
+        elif kind == "hinge":
+            active = (1.0 - y * (X @ u)) > 0
+            g = -(y[active, None] * X[active]).sum(axis=0)
         else:
-            g = (np.sign(P - y)[:, None] * X).sum(axis=0)
+            g = (np.sign(X @ u - y)[:, None] * X).sum(axis=0)
         gn = float(np.linalg.norm(g))
         if gn > 1e-12:
             u = u - (BATCH_RADIUS / math.sqrt(s)) * g / gn

@@ -8,7 +8,8 @@ w that nothing reads. Three OnlineLearner helpers hold that skeleton:
 
   _advance  snapshots f_{t-1}, runs the regularizer's observe_input(x_t),
             takes f*_t(theta) and w_t from one `dual` call on f_t and
-            returns the conjugate residue and the value drop at w_t;
+            returns the conjugate residue and the value drop at w_t from
+            the regularizer's residue and value_drop hooks;
   _observe  counts the round, takes x_t dense, advances, predicts <w_t, x_t>;
   _emit     records <z_t, w_t> and f_t's beta, folds an optional loss
             subgradient into f, applies theta += z_t and returns the
@@ -97,7 +98,9 @@ class OnlineLearner:
         which has no state to advance, so f, and with it w, stays as it
         was. In round 1 f_{t-1} is f_0, which every time-varying family
         defines. One `dual` call on f_t gives f*_t(theta) and w_t; where it
-        gives no gradient, the read of w raises through mirror_map.
+        gives no gradient, the read of w raises through mirror_map. The
+        family's residue and value_drop hooks give the two differences; by
+        default they evaluate f_{t-1}, a growing quadratic has closed forms.
         """
         if not self.reg.time_varying:
             return 0.0, 0.0
@@ -105,7 +108,7 @@ class OnlineLearner:
         self.reg.observe_input(x)
         conj, self._w = self.reg.dual(self.theta)
         w = self.w
-        residue = conj - prev.dual(self.theta)[0]
+        residue = self.reg.residue(prev, self.theta, conj)
         return float(residue), float(self.reg.value_drop(prev, w))
 
     def _observe(self, x):
@@ -275,7 +278,10 @@ class SecondOrderClassifier(OnlineLearner):
         residue, drop = self._advance(xd)
         margin_w = float(self.w @ xd)
         ev = losses.hinge(y * margin_w)
-        post_quad = tracker.quad_form(xd)
+        if self.variant == "full":
+            post_quad = tracker.last_quad_form()
+        else:
+            post_quad = tracker.quad_form(xd)
         extras.update({"margin_w": margin_w, "post_quad": post_quad,
                        "logdet": tracker.logdet})
         return self._emit(
@@ -312,7 +318,7 @@ class VAWRegressor(OnlineLearner):
         xd, pred, residue, drop = self._pending
         self._pending = None
         y = float(y)
-        post_quad = self.reg.tracker.quad_form(xd)
+        post_quad = self.reg.tracker.last_quad_form()
         return self._emit(
             y * xd, prediction=pred, label=y, loss=losses.square(pred, y).value,
             eta=1.0, dual_norm_sq=y * y * post_quad, residue=residue, reg_drop=drop,

@@ -1,4 +1,5 @@
-"""Dense row checks and incrementally maintained inverses of rank-one updated matrices."""
+"""Dense row checks and incrementally maintained inverses of rank-one updated matrices:
+a blocked Sherman-Morrison inverse for the full matrix, a diagonal for its diagonal."""
 
 import math
 
@@ -90,12 +91,24 @@ def as_dense(x, dim):
 class RankOneInverse:
     """A^{-1} and ln|A| maintained under A <- A + (1/r) x x^T, with A_0 = scale * I.
 
-    The inverse is never recomputed from scratch; each update applies the
-    Sherman-Morrison formula at O(d^2) cost and bumps the log-determinant
-    by ln(1 + chi/r) where chi = x^T A^{-1} x. An update binds a new inverse
-    and never writes into the old one, so a shallow copy keeps its state.
-    Its methods, like DiagInverse's, take a dense float64 vector of length dim, unchecked.
+    The inverse is never recomputed from scratch. It is a dense `base`, A^{-1}
+    at the last fold, minus a block of pending Sherman-Morrison terms:
+    A^{-1} = base - V^T diag(c) V, where row s of V is u_s = A_{s-1}^{-1} x_s
+    and c_s = 1/(r + chi_s) with chi_s = x_s^T u_s. An update appends one row
+    and bumps the log-determinant by ln(1 + chi/r); when the block already
+    held `block` rows, it folds them and the new one into a new base with one
+    matrix product. block is ceil(sqrt(dim)), which pays a fold's d^2 pass once
+    per block + 1 updates while each apply pays k*d for its k pending rows, and
+    0, a fold on every update, for dim <= DENSE_DIM, where the numpy calls of a
+    pending block cost more than the fold's d^2 pass. The last update's u and
+    chi stay readable for the Sherman-Morrison closed forms quad_drop and
+    last_quad_form. An update binds new V and c (a fold a new base too) and
+    never writes into the old ones, so a shallow copy keeps its state. Its
+    methods, like DiagInverse's, take a dense float64 vector of length dim,
+    unchecked.
     """
+
+    DENSE_DIM = 48  # measured: blocked and dense vaw/second_order rounds cross near d = 48
 
     def __init__(self, dim, r=1.0, scale=1.0):
         if r <= 0:
@@ -104,24 +117,60 @@ class RankOneInverse:
             raise ValueError("scale must be positive")
         self.dim = int(dim)
         self.r = float(r)
-        self.inv = np.eye(self.dim) / scale
+        self.block = 0 if self.dim <= self.DENSE_DIM else math.isqrt(self.dim - 1) + 1
+        self.base = np.eye(self.dim) / scale
+        self.V = np.empty((0, self.dim))
+        self.c = np.empty(0)
+        self.u = np.zeros(self.dim)  # the last update's A^{-1} x and chi, taken before it
+        self.chi = 0.0
         self.logdet = self.dim * math.log(scale)
 
+    @property
+    def inv(self):
+        """A^{-1} as one dense matrix, the pending rows folded in."""
+        return self.base - (self.V.T * self.c) @ self.V
+
     def apply(self, v):
-        """A^{-1} v."""
-        return self.inv @ v
+        """A^{-1} v, as base @ v - ((V @ v) * c) @ V on its own temporaries."""
+        out = self.base @ v
+        if self.c.size:
+            pending = self.V @ v
+            pending *= self.c
+            out -= pending @ self.V
+        return out
 
     def quad_form(self, x):
         """x^T A^{-1} x; nonnegative while A stays positive definite."""
-        return float(x @ self.inv @ x)
+        return float(x @ self.apply(x))
+
+    def quad_drop(self, v):
+        """v^T A^{-1} v before the last update minus after it: (u . v)^2 / (r + chi)."""
+        p = self.u @ v
+        return p * p / (self.r + self.chi)
+
+    def last_quad_form(self):
+        """x^T A^{-1} x after the last update, of its x: chi r / (r + chi)."""
+        return self.chi * self.r / (self.r + self.chi)
 
     def update(self, x):
-        """Advance A by (1/r) x x^T; returns the pre-update quad form chi."""
-        u = self.inv @ x
+        """Advance A by (1/r) x x^T; returns the pre-update quad form chi.
+
+        ArithmeticError, with the state unchanged, when 1 + chi/r <= 0: rounding
+        has left A^{-1} indefinite, and ln|A| would have no value.
+        """
+        u = self.apply(x)
         chi = float(x @ u)
-        outer = np.outer(u, u)
-        outer /= self.r + chi
-        self.inv = self.inv - outer
+        if 1.0 + chi / self.r <= 0.0:
+            raise ArithmeticError(f"rank-one update lost positive definiteness: "
+                                  f"chi = {chi!r} with r = {self.r!r} gives 1 + chi/r <= 0")
+        k = self.c.size
+        V, c = np.empty((k + 1, self.dim)), np.empty(k + 1)
+        V[:k], V[k] = self.V, u
+        c[:k], c[k] = self.c, 1.0 / (self.r + chi)
+        if k == self.block:  # the block is full: fold it, u's row with it, into a new base
+            self.base = self.base - (V.T * c) @ V
+            V, c = V[:0], c[:0]
+        self.V, self.c, self.u, self.chi = V, c, u, chi
         self.logdet += math.log1p(chi / self.r)
         return chi
 

@@ -28,12 +28,17 @@ f_0, the state before any hook, is defined: where a schedule factor or
 curvature is 0, f_t is the zero function, with conjugate the indicator of
 {0} and mirror map 0.
 
+Given a snapshot prev of an earlier state, f_t reports the engine's two
+differences: value_drop(prev, w) = f_prev(w) - f_t(w) and
+residue(prev, theta, conj) = f*_t(theta) - f*_prev(theta), where conj is
+f*_t(theta). By default they evaluate prev; the full growing quadratic
+has both in closed form.
+
 `value` and `norm` accept batched inputs of shape (N, d) for the grid
 comparators; `conjugate` and `mirror_map` convert one vector, and every
 other method takes a dense float64 vector of length dim, unchecked.
 """
 
-import copy
 import math
 
 import numpy as np
@@ -77,6 +82,10 @@ class Regularizer:
         """f_prev(w) - f(w), where prev is an earlier state of this regularizer."""
         return prev.value(w) - self.value(w)
 
+    def residue(self, prev, theta, conj):
+        """f*(theta) - f*_prev(theta), given conj = f*(theta); prev is an earlier state."""
+        return conj - prev.dual(theta)[0]
+
     def strong_convexity(self):
         raise NotImplementedError
 
@@ -98,7 +107,15 @@ class Regularizer:
 
     def snapshot(self):
         """f_t as it stands: shares the state arrays, which the hooks only rebind."""
-        return copy.copy(self)
+        return _shallow(self)
+
+
+def _shallow(obj):
+    """A copy of obj sharing its attributes' values; unlike copy.copy, it bypasses the
+    reduce protocol, and with it a __getstate__."""
+    new = object.__new__(type(obj))
+    vars(new).update(vars(obj))
+    return new
 
 
 def _batch(w):
@@ -249,7 +266,9 @@ class GrowingQuadratic(Regularizer):
     """f_t(w) = 1/2 w^T A_t w with A_t <- A_{t-1} + (1/r) x x^T (or its diagonal), A_0 = scale*I.
 
     The linalg trackers maintain A_t^{-1} incrementally for the conjugate
-    side. The full variant never forms A_t: it keeps `scale` and an
+    side; the full variant's RankOneInverse keeps the last update's
+    A_{t-1}^{-1} x_t, which gives the conjugate residue f*_t - f*_{t-1} in
+    closed form. The full variant never forms A_t: it keeps `scale` and an
     append-only history of the update rows, `rows`, which is None or the
     persistent triple (n, x_n, rows before x_n). It evaluates
     f_t(u) = 1/2 (scale ||u||^2 + sum_s (x_s . u)^2 / r) one row at a time,
@@ -282,9 +301,8 @@ class GrowingQuadratic(Regularizer):
         self.update(x)
 
     def snapshot(self):
-        snap = object.__new__(type(self))  # not copy.copy, which would go through __getstate__
-        vars(snap).update(vars(self))
-        snap.tracker = copy.copy(self.tracker)
+        snap = _shallow(self)
+        snap.tracker = _shallow(self.tracker)
         return snap
 
     def __getstate__(self):
@@ -333,6 +351,18 @@ class GrowingQuadratic(Regularizer):
         if self.diagonal:
             return super().value_drop(prev, w)
         return 0.0 - self._squares(w, _count(prev.rows)) / (2.0 * self.r)
+
+    def residue(self, prev, theta, conj):
+        """-1/2 (u . theta)^2 / (r + chi) where prev is one row back, in closed form.
+
+        With u = A_{t-1}^{-1} x_t and chi = x_t^T u from the tracker's last
+        update, this is f*(theta) - f*_prev(theta) by Sherman-Morrison, without
+        evaluating f*_prev; written as 0.0 minus it, as in value_drop. Further
+        back, or in the diagonal variant, it is the difference of the conjugates.
+        """
+        if self.diagonal or _count(self.rows) - _count(prev.rows) != 1:
+            return super().residue(prev, theta, conj)
+        return 0.0 - 0.5 * self.tracker.quad_drop(theta)
 
     def dual(self, theta):
         v = self.tracker.apply(theta)

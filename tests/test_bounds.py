@@ -12,6 +12,8 @@ from helpers import (
     sparse_target,
 )
 from omdkit.bounds import (
+    BATCH_RADIUS,
+    BATCH_STEPS,
     RunTrace,
     batch_comparator,
     first_order_mistake_bound,
@@ -374,6 +376,36 @@ def test_batch_comparator_deterministic():
     # it should achieve small hinge loss on separable data
     margins = y * (X @ u1)
     assert np.mean(margins > 0) > 0.9
+
+
+@pytest.mark.parametrize("T,d", [(60, 5), (20, 2000)])
+def test_square_batch_comparator_descends_on_the_gradient_without_a_d_by_d_matrix(T, d):
+    # X^T (X u - y) from the Gram matrix where T >= d, from two matrix-vector products
+    # where d > T, which allocate nothing of size d x d
+    import tracemalloc
+
+    rng = np.random.default_rng(61)
+    X, y = rng.normal(size=(T, d)), rng.normal(size=T)
+    tracemalloc.start()
+    try:
+        got = batch_comparator(X, y, kind="square")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    if d > T:
+        assert peak < 8 * d * d // 4
+    u, acc = np.zeros(d), np.zeros(d)
+    for s in range(1, BATCH_STEPS + 1):
+        g = ((X @ u - y)[:, None] * X).sum(axis=0)
+        u = u - (BATCH_RADIUS / math.sqrt(s)) * g / np.linalg.norm(g)
+        u = u * min(1.0, BATCH_RADIUS / np.linalg.norm(u))
+        acc += u
+    ref = acc / BATCH_STEPS
+    if d <= T:
+        assert np.allclose(got, ref, rtol=1e-9, atol=1e-12)
+    else:  # near an interpolating u the normalized step amplifies rounding: compare losses
+        loss = lambda w: 0.5 * float(np.sum((X @ w - y) ** 2))
+        assert abs(loss(got) - loss(ref)) <= 0.05 * loss(ref) and loss(got) < loss(0 * ref)
 
 
 def test_engine_audit_reads_theta_with_the_bits_of_the_summed_updates():

@@ -62,20 +62,20 @@ GOLDEN = {
     "scaleinv_diag": ("49c3647a4eb3ac2e", "dd2445957d32509f", "48f95867a410523d"),
     "scaleinv_pnorm": ("8a4d310dfd999d4e", "aa6103786ac90aa2", "b20f39dfecdd825a"),
     "second_order_diagonal": ("98a2982b4731510e", "ba25bc28f399fd5e", "0f05a4d5e2cbe048"),
-    "second_order_full": ("30233f9d41f2ff26", "54cefb098e0af672", "3fb6aeca8379c725"),
-    "vaw": ("5a81bfbc91e6aa69", "f5240877bef73541", "3b787902e1667f71"),
+    "second_order_full": ("2f6d5d8d6e5a69ac", "bb303afe0dfa92e0", "bc8b3a61a487d040"),
+    "vaw": ("6b347749c568f8eb", "7193a5f214e54acd", "aeefbcefa17a46ee"),
 }
 
 # same digests as GOLDEN, for the configs that read the loss, the target and rare_s off the run
 EXTRA_GOLDEN = {
     "composite_batch": ("ce45e7472ecb5ee1", "205a260e8e27f01c", "911f18e3b830009c"),
-    "ogd_square_batch": ("f42a3ab135a32a46", "22b9bec8f3520330", "e2015a338838ed7c"),
+    "ogd_square_batch": ("f42a3ab135a32a46", "5e24b0f4ef141159", "d1b0869e9b7a29a7"),
     "pa_batch": ("4fe404a48dda3d61", "b853eb39b4172898", "1f04b61f63a3ddb8"),
     "second_order_diagonal_mistake_rare_s": ("f29259ac44abf8cd", "dc7ca9aaa4016fdd",
                                              "fd723a154c3d6c94"),
     "second_order_diagonal_rare_s": ("a7c78bf7847157ef", "46916e1893302266",
                                      "bc83c5850a8e566a"),
-    "vaw_batch": ("a8287d8c46d83bc4", "5bf5d766099e734c", "d19ab443acb61ff8"),
+    "vaw_batch": ("7e0da944a28a332c", "3f7b02a4fdf99975", "04a9542eddf9bada"),
 }
 
 
@@ -224,8 +224,8 @@ FILE_CONFIGS = {
 FILE_GOLDEN = {
     "csv_remap01_dim": ("860fae815ddba3a1", "31e8697bbd258a06", "63baf20b99916dbe"),
     "file_pa": ("14599f6703a59f71", "b853eb39b4172898", "1f04b61f63a3ddb8"),
-    "file_second_order_full": ("6cb0b665182a0280", "54cefb098e0af672", "3fb6aeca8379c725"),
-    "file_vaw": ("d4af547e9b56ed7c", "8940db29f398b97a", "c2ded194ae3acd28"),
+    "file_second_order_full": ("bae3d834a9462611", "bb303afe0dfa92e0", "bc8b3a61a487d040"),
+    "file_vaw": ("613d96fc39bfd198", "0711aa8369c8a269", "a4def30d57e11750"),
     "sparse_svmlight_dim": ("28751058fc4a3155", "0d397cede8a1aa40", "7dad23b83c0ab8f7"),
 }
 

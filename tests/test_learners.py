@@ -266,7 +266,10 @@ def _reference_engine(monkeypatch):
     """The engine step before copy-free snapshots: deepcopy f_{t-1}, derive w eagerly.
 
     It also keeps the step from before f_0 was defined, which skipped f_{t-1}
-    in the first round of a GradientDescentLearner.
+    in the first round of a GradientDescentLearner. It takes the residue
+    through the family's residue hook, as the engine does, but hands it the
+    deep copy; test_growing_quadratic_residue_matches_the_exact_residue holds
+    the growing quadratic's closed form to the difference of the conjugates.
     """
     import copy
 
@@ -282,8 +285,7 @@ def _reference_engine(monkeypatch):
             return 0.0, 0.0
         if isinstance(self, GradientDescentLearner) and self.t == 1:
             return float(self.reg.conjugate(self.theta)), 0.0
-        prev_conj = prev.conjugate(self.theta)
-        residue = self.reg.conjugate(self.theta) - prev_conj
+        residue = self.reg.residue(prev, self.theta, self.reg.conjugate(self.theta))
         return float(residue), float(self.reg.value_drop(prev, self.w))
 
     monkeypatch.setattr(OnlineLearner, "apply_update", apply_update)
@@ -349,6 +351,60 @@ def test_growing_quadratic_drop_matches_the_exact_drop(d, T):
     for learner, dataset in cases:
         errors = _drop_errors(learner, dataset)
         assert len(errors) > T // 10
+        assert max(errors) <= 1e-9, type(learner).__name__
+
+
+_UNIT = 2 ** 1074  # every finite float64 is an integer multiple of 2^-1074
+
+
+def _units(a):
+    """The floats of a as exact integer multiples of 2^-1074."""
+    mant, expo = np.frexp(np.ravel(a))  # a = mant * 2^expo with 53-bit mant
+    ints = (mant * 2.0 ** 53).astype(np.int64).tolist()
+    return [n << s if s >= 0 else n >> -s for n, s in zip(ints, (expo + 1021).tolist())]
+
+
+def _exact_conj(tracker, theta, with_base):
+    """1/2 theta^T (base - V^T diag(c) V) theta of a RankOneInverse's floats, in rationals;
+    without the base term if with_base is false."""
+    t = _units(theta)
+    pending = sum(c * sum(v * tj for v, tj in zip(_units(row), t)) ** 2
+                  for c, row in zip(_units(tracker.c), tracker.V))
+    out = -Fraction(pending, _UNIT ** 5) / 2
+    if with_base:
+        base = sum(ti * sum(b * tj for b, tj in zip(_units(row), t))
+                   for ti, row in zip(t, tracker.base))
+        out += Fraction(base, _UNIT ** 3) / 2
+    return out
+
+
+@pytest.mark.parametrize("d,T", [(10, 200), (300, 60)])
+def test_growing_quadratic_residue_matches_the_exact_residue(d, T):
+    # the closed form against the deepcopy reference's f*_t(theta) - f*_{t-1}(theta), the
+    # two conjugates of the tracker's own floats taken in rationals; the base terms cancel
+    # exactly between folds
+    import copy
+
+    from omdkit.data import generate
+
+    cases = [(VAWRegressor(d, a=1.0), generate(noisy_linear(7, d=d, T=T))),
+             (SecondOrderClassifier(d, r=1.0, variant="full"), generate(separable(7, d=d, T=T)))]
+    for learner, dataset in cases:
+        errors, folds = [], 0
+        for x, y in dataset:
+            prev, theta = copy.deepcopy(learner.reg).tracker, learner.theta
+            rec = learner.round(x, y)
+            if not rec.extras.get("updated", True):
+                continue
+            now = learner.reg.tracker
+            fold = now.base.tobytes() != prev.base.tobytes()
+            folds += fold
+            exact = _exact_conj(now, theta, fold) - _exact_conj(prev, theta, fold)
+            if exact == 0:
+                assert rec.residue == 0.0
+                continue
+            errors.append(float(abs((Fraction(rec.residue) - exact) / exact)))
+        assert len(errors) > T // 10 and folds >= 2, type(learner).__name__
         assert max(errors) <= 1e-9, type(learner).__name__
 
 

@@ -115,6 +115,119 @@ def test_quad_form_positive_definite():
     assert np.max(np.abs(inv.inv - inv.inv.T)) < 1e-12
 
 
+def _dense_reference(d, r, scale, rows):
+    A = scale * np.eye(d)
+    for x in rows:
+        A += np.outer(x, x) / r
+    return A
+
+
+def test_the_block_is_empty_up_to_the_dense_dim_and_ceil_sqrt_past_it():
+    dense = RankOneInverse.DENSE_DIM
+    for d in (1, 2, 10, dense):
+        assert RankOneInverse(d).block == 0
+    for d in (dense + 1, 96, 300, 301):
+        assert RankOneInverse(d).block == math.ceil(math.sqrt(d))
+
+
+@pytest.mark.parametrize("d", [1, 2, 10, 300])
+@pytest.mark.parametrize("block", [None, 3])  # None: the tracker's own rule
+def test_blocked_tracker_matches_a_dense_inverse_across_folds(d, block):
+    rng = np.random.default_rng(d)
+    r, scale = 0.8, 1.5
+    inv = RankOneInverse(d, r=r, scale=scale)
+    if block is not None:
+        inv.block = block
+    rows, folds = [], 0
+    direct = np.eye(d) / scale
+    for step in range(3 * (inv.block + 1) + 2):
+        x = rng.normal(size=d)
+        base, u = inv.base, inv.apply(x)
+        assert inv.update(x) == float(x @ u)
+        rows.append(x)
+        folds += inv.base is not base
+        # the last update's u = A_{t-1}^{-1} x and chi; a row that did not fold stays pending
+        assert inv.u.tobytes() == u.tobytes() and inv.chi == float(x @ u)
+        assert 0 <= inv.c.size <= inv.block
+        if inv.c.size:
+            assert inv.V[-1].tobytes() == u.tobytes() and inv.c[-1] == 1.0 / (r + inv.chi)
+        if d == 300 and step % 7:
+            continue
+        A = _dense_reference(d, r, scale, rows)
+        prev, direct = direct, np.linalg.inv(A)
+        v = rng.normal(size=d)
+        assert np.max(np.abs(inv.inv - direct)) <= 1e-10 * np.max(np.abs(direct))
+        assert np.allclose(inv.apply(v), direct @ v, rtol=1e-10, atol=1e-12)
+        assert inv.quad_form(v) == pytest.approx(float(v @ direct @ v), rel=1e-10)
+        assert inv.last_quad_form() == pytest.approx(float(x @ direct @ x), rel=1e-10)
+        if not (d == 300 and step):  # prev is A_{t-1}^{-1} only when no step was skipped
+            assert inv.quad_drop(v) == pytest.approx(float(v @ (prev - direct) @ v),
+                                                     rel=1e-8)
+        sign, ld = np.linalg.slogdet(A)
+        assert sign > 0 and inv.logdet == pytest.approx(ld, rel=1e-10, abs=1e-10)
+    assert folds >= 3
+
+
+def _tracker_bits(inv, v):
+    return (inv.base.tobytes(), inv.V.tobytes(), inv.c.tobytes(), inv.V.shape,
+            inv.u.tobytes(), repr(inv.chi), repr(inv.logdet), inv.inv.tobytes(),
+            inv.apply(v).tobytes())
+
+
+_BLOCKED_DIM = 2 * RankOneInverse.DENSE_DIM  # past the dense dim: a block of pending rows
+
+
+def test_a_snapshot_taken_mid_block_keeps_its_bits_through_a_fold():
+    import copy
+
+    d = _BLOCKED_DIM
+    rng = np.random.default_rng(3)
+    inv = RankOneInverse(d, r=0.5)
+    for _ in range(inv.block + 3):
+        inv.update(rng.normal(size=d))
+    assert 1 < inv.c.size < inv.block
+    v = rng.normal(size=d)
+    snap = copy.copy(inv)
+    before = _tracker_bits(snap, v)
+    base = inv.base
+    for _ in range(inv.block):
+        inv.update(rng.normal(size=d))
+    assert inv.base is not base  # a fold happened after the snapshot
+    assert _tracker_bits(snap, v) == before
+
+
+def test_a_tracker_with_pending_rows_deep_copies_and_pickles():
+    import copy
+    import pickle
+
+    d = _BLOCKED_DIM
+    rng = np.random.default_rng(4)
+    inv = RankOneInverse(d, r=2.0, scale=0.5)
+    for _ in range(inv.block + 2):
+        inv.update(rng.normal(size=d))
+    assert inv.c.size == 1 < inv.block
+    v = rng.normal(size=d)
+    rows = rng.normal(size=(inv.block + 1, d))
+    expect = _tracker_bits(inv, v)
+    for other in (copy.deepcopy(inv), pickle.loads(pickle.dumps(inv))):
+        assert _tracker_bits(other, v) == expect
+        twin = copy.deepcopy(inv)
+        for x in rows:  # the copy folds and appends as the original does
+            assert other.update(x) == twin.update(x)
+        assert _tracker_bits(other, v) == _tracker_bits(twin, v)
+
+
+def test_an_update_that_loses_positive_definiteness_names_chi_and_r():
+    # with r = 1e-300 the first update leaves A^{-1} = 0 up to rounding, here just below it
+    inv = RankOneInverse(1, r=1e-300)
+    inv.update(np.array([0.7]))
+    v = np.array([1.0])
+    before = _tracker_bits(inv, v)
+    with pytest.raises(ArithmeticError, match=r"chi = -2\.22\d*e-16 with r = 1e-300"):
+        inv.update(np.array([1.0]))
+    assert _tracker_bits(inv, v) == before
+
+
 def test_diag_update_examples():
     d = DiagInverse(2, r=1.0)
     d.update(np.array([2.0, 0.0]))

@@ -264,6 +264,33 @@ def test_growing_quadratic_matches_its_explicit_matrix():
                 float(prev.value(w) - reg.value(w)), rel=1e-9)
 
 
+@pytest.mark.parametrize("dim", [16, 64])  # a fold on every update; a block of 8 rows
+def test_growing_quadratic_residue_one_row_back_and_further(dim):
+    rng = np.random.default_rng(31)
+    reg = GrowingQuadratic(dim, r=0.6, scale=1.2)
+    reg.update(rng.normal(size=dim))
+    thetas = rng.normal(size=(5, dim)) * 10.0 ** rng.uniform(-2.0, 2.0, size=(5, 1))
+    for n in (0, 1, 2, 1, 3) + (1,) * reg.tracker.block:
+        prev = reg.snapshot()
+        for _ in range(n):
+            reg.update(rng.normal(size=dim))
+        for theta in thetas:
+            conj = reg.dual(theta)[0]
+            got = reg.residue(prev, theta, conj)
+            if n == 1:  # Sherman-Morrison's closed form, through folds as well
+                assert got == pytest.approx(conj - prev.dual(theta)[0], rel=1e-9, abs=0.0)
+                assert got < 0.0
+            else:  # the difference of the two conjugates
+                assert got == conj - prev.dual(theta)[0]
+    # theta = 0 gives +0.0; a square that overflows gives -inf
+    prev = reg.snapshot()
+    reg.update(np.full(dim, 1e150))
+    zero = reg.residue(prev, np.zeros(dim), 0.0)
+    assert zero == 0.0 and math.copysign(1.0, zero) == 1.0
+    with np.errstate(over="ignore"):
+        assert reg.residue(prev, 1e200 * np.eye(dim)[0], math.inf) == -math.inf
+
+
 def test_growing_quadratic_drop_at_zero_and_on_overflow():
     reg = GrowingQuadratic(2, r=1.0)
     prev = reg.snapshot()
