@@ -47,20 +47,30 @@ def _as_batch(u, dim):
 
 
 def _cumulative_losses(U, X, y, kind):
-    """sum_t loss(<u, x_t>, y_t) for each comparator row."""
+    """sum_t loss(<u, x_t>, y_t) for each comparator row.
+
+    The (N, T) prediction matrix is the one temporary: each loss is worked
+    out in it, in place, with the operations and the bits of the expression
+    in its comment.
+    """
+    if kind not in ("hinge", "square", "absolute"):
+        raise ValueError(f"unknown loss kind {kind!r}")
     P = U @ X.T
-    if kind == "hinge":
-        return np.maximum(0.0, 1.0 - y[None, :] * P).sum(axis=1)
-    if kind == "square":
-        return 0.5 * ((P - y[None, :]) ** 2).sum(axis=1)
-    if kind == "absolute":
-        return np.abs(P - y[None, :]).sum(axis=1)
-    raise ValueError(f"unknown loss kind {kind!r}")
+    if kind == "hinge":  # max(0, 1 - y P)
+        P *= y
+        np.subtract(1.0, P, out=P)
+        np.maximum(P, 0.0, out=P)
+        return P.sum(axis=1)
+    P -= y
+    if kind == "square":  # 0.5 * (P - y)^2
+        P *= P
+        return 0.5 * P.sum(axis=1)
+    return np.abs(P, out=P).sum(axis=1)  # |P - y|
 
 
 def _max(values):
     """Largest value, 0.0 for none; NaN if any is NaN, where Python's max keeps its first item."""
-    return float(np.max(values)) if len(values) else 0.0
+    return float(np.asarray(values).max()) if len(values) else 0.0
 
 
 def _finish(name, measured, bound, terms, U):
@@ -195,11 +205,11 @@ def vaw_bound(trace, u):
     X, y = trace.dataset.X, trace.dataset.y
     U = _as_batch(u, trace.dim)
     a = trace.learner.a
-    Y = float(np.max(np.abs(y))) if y.size else 0.0
+    Y = float(np.abs(y).max()) if y.size else 0.0
     run_loss = float(sum(r.loss for r in trace.records))
     measured = run_loss - _cumulative_losses(U, X, y, "square")
     quad_sum = float(sum(r.extras["post_quad"] for r in trace.records))
-    bound = 0.5 * a * np.sum(U * U, axis=1) + 0.5 * Y * Y * quad_sum
+    bound = 0.5 * a * (U * U).sum(axis=1) + 0.5 * Y * Y * quad_sum
     return _finish("vaw", measured, bound,
                    {"a": a, "y_max": Y, "quad_sum": quad_sum, "run_loss": run_loss}, U)
 
@@ -304,7 +314,7 @@ def first_order_mistake_bound(trace, u):
         "M": M,
         "U": sum(1 for r in recs if r.margin_error),
         "perceptron_bound": float(baseline[i]),
-        "min_bound": float(np.min(bound)),
+        "min_bound": float(bound.min()),
     }
     return _finish("first_order_mistake", float(M), bound, terms, U)
 
@@ -359,7 +369,7 @@ def second_order_bound(trace, u):
             s_term += contrib
             if rec.mistake and m * (2.0 * r * rec.label - m) > 1e-12:
                 mistake_chain_ok = False
-        S1 = r * np.sum(U * U, axis=1) + ((U @ Xu.T) ** 2).sum(axis=1) if upd else r * np.sum(U * U, axis=1)
+        S1 = r * (U * U).sum(axis=1) + ((U @ Xu.T) ** 2).sum(axis=1) if upd else r * (U * U).sum(axis=1)
         S2 = max(logdet + s_term, 0.0)
         bound = L_u + np.sqrt(S1 * S2)
         loose = L_u + np.sqrt(S1 * max(logdet + u_used, 0.0))
@@ -376,7 +386,7 @@ def second_order_bound(trace, u):
     else:
         diag_T = 1.0 + csum / r
         S1 = (U * U) @ diag_T
-        S2 = r * float(np.sum(np.log(csum / r + 1.0))) + 2.0 * u_used
+        S2 = r * float(np.log(csum / r + 1.0).sum()) + 2.0 * u_used
         bound = L_u + np.sqrt(S1 * S2)
         terms.update({"log_sum": S2, "col_sq_total": float(csum.sum())})
     return _finish(f"second_order_{variant}", measured, bound, terms, U)
@@ -396,7 +406,7 @@ def diag_rare_feature_refinement(trace, u, s):
     r = trace.learner.r
     X, y = trace.dataset.X, trace.dataset.y
     upd, u_used, _, csum = _update_rounds(trace, X)
-    lhs = float(np.sum(u * u * csum))
+    lhs = float((u * u * csum).sum())
     unorm2 = float(u @ u)
     hypothesis_ok = lhs <= s * unorm2 + 1e-12 and u_used == 0
     M = float(len(upd))
@@ -419,11 +429,11 @@ def diag_rare_feature_refinement(trace, u, s):
 def diag_log_bound(x_squares, r):
     """RHS r * sum_i ln((1/r) sum_t x_{t,i}^2 + 1) bounding sum_t x_t^T D_t^{-1} x_t."""
     xs = np.asarray(x_squares, dtype=np.float64)
-    if np.any(xs < 0):
+    if (xs < 0).any():
         raise ValueError("inputs must be squares (nonnegative)")
     if r <= 0:
         raise ValueError("r must be positive")
-    return float(r * np.sum(np.log(xs.sum(axis=0) / r + 1.0)))
+    return float(r * np.log(xs.sum(axis=0) / r + 1.0).sum())
 
 
 def diag_quad_sum(x_squares, r):
@@ -433,7 +443,7 @@ def diag_quad_sum(x_squares, r):
     total = 0.0
     for row in xs:
         diag = diag + row / r
-        total += float(np.sum(row / diag))
+        total += float((row / diag).sum())
     return total
 
 
@@ -474,7 +484,7 @@ def implicit_log_solve(form, coeffs, n=2.0):
 def sqrt_sum_inequality_check(a, tol=1e-12):
     """Whether sum_t a_t / sqrt(sum_{s<=t} a_s) <= 2 sqrt(sum_t a_t); 0/0 terms are 0."""
     a = np.asarray(a, dtype=np.float64)
-    if np.any(a < 0):
+    if (a < 0).any():
         raise ValueError("entries must be nonnegative")
     if a.size == 0:
         return True

@@ -10,6 +10,7 @@ lives only in the summary and is excluded from determinism claims).
 import dataclasses
 import functools
 import hashlib
+import itertools
 import json
 import math
 import operator
@@ -401,9 +402,39 @@ def _flat(payload):
             **{"extras." + k: v for k, v in extras.items()}}
 
 
+# every record value that can be a float: all but the update vector z, and the extras' values
+_SCREENED = operator.attrgetter(*(name for name in _RECORD_FIELDS if name != "extras"))
+_EXTRAS = operator.attrgetter("extras")
+
+
+def _sum_is_finite(records):
+    """Whether the records' values sum to a finite number, in one pass that visits each once.
+
+    True proves that none is NaN or infinite: either one makes the sum NaN
+    or infinite. False only calls for a closer look, since finite values can
+    overflow the sum, and a value that adds to no float gives False too.
+    """
+    values = itertools.chain(itertools.chain.from_iterable(map(_SCREENED, records)),
+                             itertools.chain.from_iterable(map(dict.values, map(_EXTRAS, records))))
+    try:
+        return math.isfinite(sum(filter(None, values)))  # filter drops None, zeros and False
+    except (TypeError, ValueError, OverflowError):
+        return False
+
+
 def with_first_nonfinite(payload, records):
-    """payload plus the {t, field} of the first NaN or infinite record value, if any."""
+    """payload plus the {t, field} of the first NaN or infinite record value, if any.
+
+    The records' values pass one screen, _sum_is_finite, over the whole run;
+    where it fails, each record takes the screen again, and only a record
+    that fails its own has its fields walked, in order, for the first float
+    that is not finite.
+    """
+    if _sum_is_finite(records):
+        return payload
     for rec in records:
+        if _sum_is_finite((rec,)):
+            continue
         for prefix, fields in (("", vars(rec)), ("extras.", rec.extras)):
             for key, val in fields.items():
                 if isinstance(val, float) and not math.isfinite(val):
@@ -518,9 +549,8 @@ def prediction_deviation(trace_a, trace_b):
     pb = np.array([r.prediction for r in trace_b.records])
     if pa.shape != pb.shape:
         raise ValueError("runs have different lengths")
-    scale = max(float(np.max(np.abs(pa), initial=0.0)),
-                float(np.max(np.abs(pb), initial=0.0)), 1e-12)
-    return float(np.max(np.abs(pa - pb), initial=0.0)) / scale
+    scale = max(float(np.abs(pa).max(initial=0.0)), float(np.abs(pb).max(initial=0.0)), 1e-12)
+    return float(np.abs(pa - pb).max(initial=0.0)) / scale
 
 
 def run_compare(config, factors):

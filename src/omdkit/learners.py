@@ -90,7 +90,7 @@ class OnlineLearner:
         self.theta = self.theta + as_dense(z, self.dim)
         self._w = None
 
-    def _advance(self, x):
+    def _advance(self, x, u=None):
         """Move f_{t-1} to f_t through the regularizer's observe_input(x).
 
         Returns (residue, reg_drop): f*_t(theta) - f*_{t-1}(theta) and
@@ -101,11 +101,16 @@ class OnlineLearner:
         gives no gradient, the read of w raises through mirror_map. The
         family's residue and value_drop hooks give the two differences; by
         default they evaluate f_{t-1}, a growing quadratic has closed forms.
+        The second-order classifier has A_{t-1}^{-1} x_t already and passes it
+        as u, which its growing quadratic takes as observe_input(x, u).
         """
         if not self.reg.time_varying:
             return 0.0, 0.0
         prev = self.reg.snapshot()
-        self.reg.observe_input(x)
+        if u is None:
+            self.reg.observe_input(x)
+        else:
+            self.reg.observe_input(x, u)
         conj, self._w = self.reg.dual(self.theta)
         w = self.w
         residue = self.reg.residue(prev, self.theta, conj)
@@ -248,7 +253,7 @@ class SecondOrderClassifier(OnlineLearner):
         if self.variant == "full":
             return m * self.r / (self.r + chi)
         d_new = self.reg.tracker.diag + xd * xd / self.r
-        return float(np.sum(self.theta * xd / d_new))
+        return float(np.add.reduce(self.theta * xd / d_new))
 
     def round(self, x, y):
         y = _check_binary(y)
@@ -275,7 +280,7 @@ class SecondOrderClassifier(OnlineLearner):
                 z=np.zeros(self.dim), mistake=mistake,
                 margin_error=ev.active and not mistake, extras=extras,
             )
-        residue, drop = self._advance(xd)
+        residue, drop = self._advance(xd, inv_x)
         margin_w = float(self.w @ xd)
         ev = losses.hinge(y * margin_w)
         if self.variant == "full":

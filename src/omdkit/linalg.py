@@ -67,7 +67,7 @@ class SparseVec:
         factors = np.asarray(factors, dtype=np.float64)
         if factors.shape[0] != self.dim:
             raise ValueError("factor length must equal dim")
-        if np.any(factors == 0.0):
+        if (factors == 0.0).any():
             raise ValueError("factors must be nonzero")
         vec = SparseVec.__new__(SparseVec)
         vec.indices = self.indices.copy()
@@ -152,13 +152,17 @@ class RankOneInverse:
         """x^T A^{-1} x after the last update, of its x: chi r / (r + chi)."""
         return self.chi * self.r / (self.r + self.chi)
 
-    def update(self, x):
+    def update(self, x, u=None):
         """Advance A by (1/r) x x^T; returns the pre-update quad form chi.
 
+        u is A^{-1} x at the state before the update: a caller that has just
+        applied the inverse to x passes what apply(x) returned, and by default
+        it is computed here.
         ArithmeticError, with the state unchanged, when 1 + chi/r <= 0: rounding
         has left A^{-1} indefinite, and ln|A| would have no value.
         """
-        u = self.apply(x)
+        if u is None:
+            u = self.apply(x)
         chi = float(x @ u)
         if 1.0 + chi / self.r <= 0.0:
             raise ArithmeticError(f"rank-one update lost positive definiteness: "
@@ -186,14 +190,14 @@ class DiagInverse:
         self.dim = int(dim)
         self.r = float(r)
         self.diag = np.full(self.dim, float(scale))
-        self.logdet = float(np.sum(np.log(self.diag)))
+        self.logdet = float(np.add.reduce(np.log(self.diag)))
 
     def apply(self, v):
         return v / self.diag
 
     def quad_form(self, x):
-        return float(np.sum(x * x / self.diag))
+        return float(np.add.reduce(x * x / self.diag))
 
     def update(self, x):
         self.diag = self.diag + x * x / self.r
-        self.logdet = float(np.sum(np.log(self.diag)))
+        self.logdet = float(np.add.reduce(np.log(self.diag)))

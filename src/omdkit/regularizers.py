@@ -24,6 +24,13 @@ on subgradients from earlier rounds. Every hook binds new state arrays
 and never writes into the old ones, so `snapshot` is a shallow copy that
 keeps f_t while the hooks move the regularizer on to f_{t+1}. The hooks also
 re-derive f_t's constants into plain attributes that the methods only read.
+The scale-invariant families derive their observed coordinates this way:
+`live`, the mask of coordinates with a positive scale (b_i, or the weight
+in ScaleInvDiag), and `all_live`, whether that is every coordinate. While
+some coordinate is unseen, their methods gather a vector's live part and
+scatter results back; once all are live, which on dense rows is every
+round after the first, they read whole vectors with no mask, with the
+same bits.
 f_0, the state before any hook, is defined: where a schedule factor or
 curvature is 0, f_t is the zero function, with conjugate the indicator of
 {0} and mirror map 0.
@@ -32,11 +39,17 @@ Given a snapshot prev of an earlier state, f_t reports the engine's two
 differences: value_drop(prev, w) = f_prev(w) - f_t(w) and
 residue(prev, theta, conj) = f*_t(theta) - f*_prev(theta), where conj is
 f*_t(theta). By default they evaluate prev; the full growing quadratic
-has both in closed form.
+has both in closed form, ScaleInvPNorm and CompositeQuadL1 take f*_prev
+without the gradient that `dual` builds, and CompositeQuadL1 reads the
+two sums of w that both of its values need once.
 
 `value` and `norm` accept batched inputs of shape (N, d) for the grid
 comparators; `conjugate` and `mirror_map` convert one vector, and every
-other method takes a dense float64 vector of length dim, unchecked.
+other method takes a dense float64 vector of length dim, unchecked (the
+Euclidean dual norms take a list too). Sums call np.add.reduce, the
+pairwise reduction that np.sum runs, so they keep its bits without its
+Python-level dispatch, which costs more than the arithmetic on a d=10
+vector.
 """
 
 import math
@@ -122,6 +135,40 @@ def _batch(w):
     return np.asarray(w, dtype=np.float64)
 
 
+def _euclidean(z):
+    """||z||_2 of a vector or a list, with the bits of np.linalg.norm: sqrt of the dot product."""
+    z = _batch(z)
+    return math.sqrt(z @ z)
+
+
+def _moments(w):
+    """(||w||^2, ||w||_1) along the last axis."""
+    w = _batch(w)
+    return np.add.reduce(w * w, -1), np.add.reduce(np.abs(w), -1)
+
+
+def _gather(reg, z):
+    """z on a scale-invariant family's live coordinates, or None where z has mass on another.
+
+    Where every coordinate is live, as from the first round of a dense stream
+    on, z itself: no test and no copy.
+    """
+    if reg.all_live:
+        return z
+    if z[~reg.live].any():
+        return None
+    return z[reg.live]
+
+
+def _scatter(reg, vals):
+    """vals, given on reg's live coordinates, as a length-dim vector that is 0 elsewhere."""
+    if reg.all_live:
+        return vals
+    out = np.zeros(reg.dim)
+    out[reg.live] = vals
+    return out
+
+
 def _count(rows):
     """The number of rows in a GrowingQuadratic row history."""
     return 0 if rows is None else rows[0]
@@ -138,7 +185,7 @@ class FixedQuadratic(Regularizer):
 
     def value(self, w):
         w = _batch(w)
-        return 0.5 * self.scale * np.sum(w * w, axis=-1)
+        return 0.5 * self.scale * np.add.reduce(w * w, -1)
 
     def dual(self, theta):
         return float(theta @ theta) / (2.0 * self.scale), theta / self.scale
@@ -153,7 +200,7 @@ class FixedQuadratic(Regularizer):
         return np.linalg.norm(_batch(v), axis=-1)
 
     def dual_norm(self, z):
-        return float(np.linalg.norm(z))
+        return _euclidean(z)
 
 
 class PNorm(Regularizer):
@@ -168,11 +215,11 @@ class PNorm(Regularizer):
 
     def value(self, w):
         w = _batch(w)
-        return 0.5 * np.sum(np.abs(w) ** self.p, axis=-1) ** (2.0 / self.p)
+        return 0.5 * np.add.reduce(np.abs(w) ** self.p, -1) ** (2.0 / self.p)
 
     def dual(self, theta):
         a = np.abs(theta)
-        total = np.sum(a ** self.q)
+        total = np.add.reduce(a ** self.q)
         conj = float(0.5 * total ** (2.0 / self.q))
         if not a.any():
             return conj, np.zeros(self.dim)
@@ -183,7 +230,7 @@ class PNorm(Regularizer):
         a = np.abs(w)
         if not a.any():
             return np.zeros(self.dim)
-        npv = np.sum(a ** self.p) ** (1.0 / self.p)
+        npv = np.add.reduce(a ** self.p) ** (1.0 / self.p)
         return np.sign(w) * (a / npv) ** (self.p - 1.0) * npv
 
     def strong_convexity(self):
@@ -191,10 +238,10 @@ class PNorm(Regularizer):
 
     def norm(self, v):
         v = _batch(v)
-        return np.sum(np.abs(v) ** self.p, axis=-1) ** (1.0 / self.p)
+        return np.add.reduce(np.abs(v) ** self.p, -1) ** (1.0 / self.p)
 
     def dual_norm(self, z):
-        return float(np.sum(np.abs(z) ** self.q) ** (1.0 / self.q))
+        return float(np.add.reduce(np.abs(z) ** self.q) ** (1.0 / self.q))
 
 
 class WeightedQNorm(Regularizer):
@@ -211,7 +258,7 @@ class WeightedQNorm(Regularizer):
         weights = np.asarray(weights, dtype=np.float64)
         if weights.shape[0] != dim:
             raise ValueError("weights length must equal dim")
-        if np.any(weights <= 0):
+        if (weights <= 0).any():
             raise ValueError("weights must be positive")
         self.dim = int(dim)
         self.q = float(q)
@@ -221,12 +268,12 @@ class WeightedQNorm(Regularizer):
 
     def value(self, w):
         w = _batch(w)
-        inner = np.sum(np.abs(w) ** self.q * self.a, axis=-1)
+        inner = np.add.reduce(np.abs(w) ** self.q * self.a, -1)
         return inner ** (2.0 / self.q) / (2.0 * (self.q - 1.0))
 
     def dual(self, theta):
         a = np.abs(theta)
-        inner = np.sum(a ** self.p * self._ad)
+        inner = np.add.reduce(a ** self.p * self._ad)
         conj = float(inner) ** (2.0 / self.p) / (2.0 * (self.p - 1.0))
         if not a.any():
             return conj, np.zeros(self.dim)
@@ -242,7 +289,7 @@ class WeightedQNorm(Regularizer):
         a = np.abs(w)
         if not a.any():
             return np.zeros(self.dim)
-        inner = np.sum(a ** self.q * self.a)
+        inner = np.add.reduce(a ** self.q * self.a)
         return (
             np.sign(w)
             * inner ** (2.0 / self.q - 1.0)
@@ -256,10 +303,10 @@ class WeightedQNorm(Regularizer):
 
     def norm(self, v):
         v = _batch(v)
-        return np.sum(np.abs(v) ** self.q * self.a, axis=-1) ** (1.0 / self.q)
+        return np.add.reduce(np.abs(v) ** self.q * self.a, -1) ** (1.0 / self.q)
 
     def dual_norm(self, z):
-        return float(np.sum(np.abs(z) ** self.p * self._ad) ** (1.0 / self.p))
+        return float(np.add.reduce(np.abs(z) ** self.p * self._ad) ** (1.0 / self.p))
 
 
 class GrowingQuadratic(Regularizer):
@@ -292,13 +339,17 @@ class GrowingQuadratic(Regularizer):
         tracker = DiagInverse if diagonal else RankOneInverse
         self.tracker = tracker(dim, r=r, scale=scale)
 
-    def update(self, x):
-        self.tracker.update(x)
-        if not self.diagonal:
+    def update(self, x, u=None):
+        """A <- A + (1/r) x x^T; u is A^{-1} x before it, where the caller has it, for the
+        full variant's tracker, which computes it otherwise."""
+        if self.diagonal:
+            self.tracker.update(x)
+        else:
+            self.tracker.update(x, u)
             self.rows = (_count(self.rows) + 1, x, self.rows)
 
-    def observe_input(self, x):
-        self.update(x)
+    def observe_input(self, x, u=None):
+        self.update(x, u)
 
     def snapshot(self):
         snap = _shallow(self)
@@ -339,7 +390,7 @@ class GrowingQuadratic(Regularizer):
     def value(self, w):
         w = _batch(w)
         if self.diagonal:
-            return 0.5 * np.sum(w * w * self.tracker.diag, axis=-1)
+            return 0.5 * np.add.reduce(w * w * self.tracker.diag, -1)
         return 0.5 * (self.scale * np.vecdot(w, w) + self._squares(w) / self.r)
 
     def value_drop(self, prev, w):
@@ -429,16 +480,33 @@ class CompositeQuadL1(Regularizer):
         self.threshold = self.eta * self.t * self.lam
 
     def value(self, w):
-        w = _batch(w)
-        return (0.5 * self.curvature * np.sum(w * w, axis=-1)
-                + self.threshold * np.sum(np.abs(w), axis=-1))
+        return self._value(*_moments(w))
+
+    def _value(self, sq, l1):
+        """f(w) from the sums sq = ||w||^2 and l1 = ||w||_1."""
+        return 0.5 * self.curvature * sq + self.threshold * l1
+
+    def value_drop(self, prev, w):
+        """f_prev(w) - f(w), the two values from one reading of w's two sums."""
+        moments = _moments(w)
+        return prev._value(*moments) - self._value(*moments)
 
     def dual(self, theta):
+        conj, shr = self._conjugate(theta)
+        if shr is None:
+            return conj, np.zeros(self.dim)
+        return conj, np.sign(theta) * shr / self.curvature
+
+    def _conjugate(self, theta):
+        """(f*(theta), max(|theta| - threshold, 0)), the latter None where f is 0."""
         if self.curvature == 0.0:
-            return (math.inf if np.any(theta != 0.0) else 0.0), np.zeros(self.dim)
+            return (math.inf if theta.any() else 0.0), None
         shr = np.maximum(np.abs(theta) - self.threshold, 0.0)
-        return (float(np.sum(shr * shr)) / (2.0 * self.curvature),
-                np.sign(theta) * shr / self.curvature)
+        return float(np.add.reduce(shr * shr)) / (2.0 * self.curvature), shr
+
+    def residue(self, prev, theta, conj):
+        """f*(theta) - f*_prev(theta), f*_prev without the gradient that `dual` builds."""
+        return conj - prev._conjugate(theta)[0]
 
     def gradient(self, w):
         return self.curvature * w + self.threshold * np.sign(w)
@@ -450,18 +518,18 @@ class CompositeQuadL1(Regularizer):
         return np.linalg.norm(_batch(v), axis=-1)
 
     def dual_norm(self, z):
-        return float(np.linalg.norm(z))
+        return _euclidean(z)
 
     # composite-objective pieces used by the bound evaluators
     def penalty_value(self, w):
         """F(w) = lam ||w||_1 + ridge/2 ||w||^2."""
-        w = _batch(w)
-        return self.lam * np.sum(np.abs(w), axis=-1) + 0.5 * self.ridge * np.sum(w * w, axis=-1)
+        sq, l1 = _moments(w)
+        return self.lam * l1 + 0.5 * self.ridge * sq
 
     def base_quad_value(self, w):
         """g(w) = quad/2 ||w||^2, the schedule-free quadratic part."""
         w = _batch(w)
-        return 0.5 * self.quad * np.sum(w * w, axis=-1)
+        return 0.5 * self.quad * np.add.reduce(w * w, -1)
 
     def scheduled_quad_value(self, w):
         """g_t(w) at the current step; g_0 = 0 under the sqrt schedule."""
@@ -486,7 +554,7 @@ class _Scheduled(Regularizer):
 
     def dual(self, theta):
         if self.factor == 0.0:
-            return (math.inf if np.any(theta != 0.0) else 0.0), np.zeros(self.dim)
+            return (math.inf if theta.any() else 0.0), np.zeros(self.dim)
         conj, grad = self.base.dual(theta / self.factor)
         return self.factor * conj, grad
 
@@ -582,24 +650,30 @@ class ScaleInvPNorm(Regularizer):
     def observe_gradient(self, g):
         s = self._dual_core(g)
         self.grad_stats += (self.p - 1.0) * s * s
-        self._derive()
+        self._derive_beta()
 
     def _derive(self):
-        """p, q and beta from m and grad_stats; the observed coordinates and their b."""
+        """p and q from m; the observed coordinates, whether all are, and their b; then beta."""
         self.p = max(2.0 * math.log(self.m), 2.0) if self.m >= 1 else 2.0
         self.q = self.p / (self.p - 1.0)
-        self.beta = math.sqrt(_E * self.lipschitz ** 2 * (self.p - 1.0) + self.grad_stats)
         self.live = self.b > 0.0
-        self.b_live = self.b[self.live]
+        self.all_live = bool(self.live.all())
+        self.b_live = self.b if self.all_live else self.b[self.live]
+        self._derive_beta()
+
+    def _derive_beta(self):
+        """beta from p and grad_stats, the one constant that a gradient moves."""
+        self.beta = math.sqrt(_E * self.lipschitz ** 2 * (self.p - 1.0) + self.grad_stats)
 
     def strong_convexity(self):
         return self.beta
 
     def _ratios(self, z):
         """|z_i|/b_i on the observed coordinates and their max; None if z lives on an unseen one."""
-        if np.any(z[~self.live] != 0.0):
+        z = _gather(self, z)
+        if z is None:
             return None
-        u = np.abs(z[self.live]) / self.b_live
+        u = np.abs(z) / self.b_live
         return u, u.max(initial=0.0)
 
     def _dual_core(self, z):
@@ -610,11 +684,11 @@ class ScaleInvPNorm(Regularizer):
         u, top = ratios
         if top == 0.0:
             return 0.0
-        return top * np.sum((u / top) ** self.p) ** (1.0 / self.p)
+        return top * np.add.reduce((u / top) ** self.p) ** (1.0 / self.p)
 
     def value(self, w):
         w = _batch(w)
-        inner = np.sum((np.abs(w) * self.b) ** self.q, axis=-1)
+        inner = np.add.reduce((np.abs(w) * self.b) ** self.q, -1)
         return 0.5 * self.beta * inner ** (2.0 / self.q)
 
     def dual(self, theta):
@@ -622,20 +696,25 @@ class ScaleInvPNorm(Regularizer):
         if ratios is None:
             return math.inf, None
         u, top = ratios
-        out = np.zeros(self.dim)
         if top == 0.0:
-            return 0.0, out
+            return 0.0, np.zeros(self.dim)
         p = self.p
-        core = np.sum((u / top) ** p)
+        r = u / top
+        core = np.add.reduce(r ** p)
         s = top * core ** (1.0 / p)
-        out[self.live] = (
-            np.sign(theta[self.live])
+        grad = (
+            np.sign(_gather(self, theta))
             * top
             * core ** ((2.0 - p) / p)
-            * (u / top) ** (p - 1.0)
+            * r ** (p - 1.0)
             / (self.beta * self.b_live)
         )
-        return s * s / (2.0 * self.beta), out
+        return s * s / (2.0 * self.beta), _scatter(self, grad)
+
+    def residue(self, prev, theta, conj):
+        """f*(theta) - f*_prev(theta), f*_prev = s^2/(2 beta) from prev's dual norm core alone."""
+        s = prev._dual_core(theta)
+        return conj - s * s / (2.0 * prev.beta)
 
     def gradient(self, w):
         q, beta = self.q, self.beta
@@ -643,12 +722,12 @@ class ScaleInvPNorm(Regularizer):
         top = v.max(initial=0.0)
         if top == 0.0:
             return np.zeros(self.dim)
-        core = np.sum((v / top) ** q)
+        core = np.add.reduce((v / top) ** q)
         return np.sign(w) * beta * top * core ** ((2.0 - q) / q) * (v / top) ** (q - 1.0) * self.b
 
     def norm(self, v):
         v = _batch(v)
-        inner = np.sum((np.abs(v) * self.b) ** self.q, axis=-1)
+        inner = np.add.reduce((np.abs(v) * self.b) ** self.q, -1)
         return math.sqrt(self.q - 1.0) * inner ** (1.0 / self.q)
 
     def dual_norm(self, z):
@@ -660,7 +739,8 @@ class ScaleInvDiag(Regularizer):
 
     G_i accumulates (g_i / b_i)^2 over past rounds, giving a separate,
     scale-free learning rate per coordinate. Unseen coordinates are frozen
-    exactly as in ScaleInvPNorm.
+    exactly as in ScaleInvPNorm; here a coordinate is live where its weight
+    is positive.
     """
 
     time_varying = True
@@ -679,33 +759,37 @@ class ScaleInvDiag(Regularizer):
         self._derive()
 
     def observe_gradient(self, g):
-        # b_i > 0 can still give a zero weight when b_i^2 underflows
-        seen = self.b > 0.0
-        if np.any(g[~seen] != 0.0):
-            raise ValueError("gradient has mass on a coordinate never observed")
-        gs = self.gs.copy()
-        gs[seen] += (g[seen] / self.b[seen]) ** 2
-        self.gs = gs
+        if self.all_live:  # every weight is positive, so every b_i is
+            self.gs = self.gs + (g / self.b) ** 2
+        else:
+            # b_i > 0 can still give a zero weight when b_i^2 underflows
+            seen = self.b > 0.0
+            if g[~seen].any():
+                raise ValueError("gradient has mass on a coordinate never observed")
+            gs = self.gs.copy()
+            gs[seen] += (g[seen] / self.b[seen]) ** 2
+            self.gs = gs
         self._derive()
 
     def _derive(self):
-        """The weight diagonal of the current b and gs, and where it is positive."""
+        """The weights of the current b and gs; where, and whether everywhere, they are positive;
+        and the positive ones."""
         h = np.sqrt(self.lipschitz ** 2 + self.gs)
         self.weights = math.sqrt(self.dim) * self.b * self.b * h
         self.live = self.weights > 0.0
+        self.all_live = bool(self.live.all())
+        self.weights_live = self.weights if self.all_live else self.weights[self.live]
 
     def value(self, w):
         w = _batch(w)
-        return 0.5 * np.sum(w * w * self.weights, axis=-1)
+        return 0.5 * np.add.reduce(w * w * self.weights, -1)
 
     def dual(self, theta):
-        live = self.live
-        if np.any(theta[~live] != 0.0):
+        th = _gather(self, theta)
+        if th is None:
             return math.inf, None
-        th, weights = theta[live], self.weights[live]
-        out = np.zeros(self.dim)
-        out[live] = th / weights
-        return 0.5 * float(np.sum(th ** 2 / weights)), out
+        conj = 0.5 * float(np.add.reduce(th ** 2 / self.weights_live))
+        return conj, _scatter(self, th / self.weights_live)
 
     def gradient(self, w):
         return self.weights * w
@@ -715,9 +799,10 @@ class ScaleInvDiag(Regularizer):
 
     def norm(self, v):
         v = _batch(v)
-        return np.sqrt(np.sum(v * v * self.weights, axis=-1))
+        return np.sqrt(np.add.reduce(v * v * self.weights, -1))
 
     def dual_norm(self, z):
-        if np.any(z[~self.live] != 0.0):
+        z = _gather(self, z)
+        if z is None:
             return math.inf
-        return math.sqrt(float(np.sum(z[self.live] ** 2 / self.weights[self.live])))
+        return math.sqrt(float(np.add.reduce(z ** 2 / self.weights_live)))

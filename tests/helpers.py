@@ -30,11 +30,11 @@ READS = {
 }
 
 
-def run_cli(*args, timeout=None):
-    """Run `python -m omdkit.cli` in a child process that imports omdkit from this checkout."""
+def run_cli(*args, timeout=None, module="omdkit.cli"):
+    """Run `python -m <module>` in a child process that imports omdkit from this checkout."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, "-m", "omdkit.cli", *args],
+    return subprocess.run([sys.executable, "-m", module, *args],
                           capture_output=True, text=True, env=env, timeout=timeout)
 
 

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import sys
 import types
 
 import numpy as np
@@ -23,9 +24,11 @@ from omdkit.harness import (
     fingerprint,
     run_compare,
     run_experiment,
+    with_first_nonfinite,
     write_summary,
     write_trace,
 )
+from omdkit.learners import StepRecord
 from omdkit.prng import Xorshift64Star
 
 
@@ -425,6 +428,13 @@ def test_cli_audit_names_the_field_of_a_malformed_header(tmp_path):
         bad.write_text("\n".join([text, *records]) + "\n")
         code, err = _main_code(["audit", "--trace", str(bad)])
         assert "header" not in err, (params, err)
+
+
+def test_package_runs_as_a_module():
+    out = run_cli("--help", module="omdkit")
+    assert out.returncode == 0, out.stderr
+    assert "run" in out.stdout and "audit" in out.stdout
+    assert run_cli("nope", module="omdkit").returncode == 1
 
 
 def test_cli_exit_codes(tmp_path):
@@ -854,6 +864,64 @@ def test_cli_names_first_nonfinite_round(tmp_path):
     assert _main_code(["run", "--learner", "vaw", "--gen", TINY["linear"],
                        "--summary", str(summ)])[0] == 0
     assert "first_nonfinite" not in json.loads(summ.read_text())
+
+
+def _record(t, extras=None, **fields):
+    base = {"prediction": 0.5, "label": 1.0, "loss": 0.25, "eta": 1.0, "z": np.zeros(2),
+            "dual_norm_sq": 0.5, "beta": 2.0, "residue": -0.125, "reg_drop": 0.0, "zw": 0.5}
+    return StepRecord(t=t, **{**base, **fields}, extras=dict(extras or {}))
+
+
+def _walked_first_nonfinite(payload, records):
+    """The field walk alone, over every record: the reference for with_first_nonfinite."""
+    for rec in records:
+        for prefix, fields in (("", vars(rec)), ("extras.", rec.extras)):
+            for key, val in fields.items():
+                if isinstance(val, float) and not math.isfinite(val):
+                    return {**payload, "first_nonfinite": {"t": rec.t, "field": prefix + key}}
+    return payload
+
+
+def test_first_nonfinite_reports_nothing_where_finite_values_overflow_their_sum():
+    big = sys.float_info.max
+    records = [_record(t, prediction=big, loss=big, zw=-big, residue=-big,
+                       extras={"x_max": big, "m_t": None, "updated": True, "n": 3})
+               for t in (1, 2, 3)]
+    assert math.isinf(sum(vars(records[0])[k] for k in ("prediction", "loss")))
+    assert with_first_nonfinite({"T": 3}, records) == {"T": 3}
+
+
+def test_first_nonfinite_names_the_lowest_round_then_field_order_then_extras_order():
+    big = sys.float_info.max
+    records = [_record(1), _record(2, prediction=big, loss=big),
+               _record(3, extras={"x_max": 1.0, "residual": math.nan, "m_t": None}),
+               _record(4, loss=math.inf)]
+    assert with_first_nonfinite({}, records) == {
+        "first_nonfinite": {"t": 3, "field": "extras.residual"}}
+    rec = _record(5, zw=-math.inf, extras={"b": math.nan, "a": math.inf})
+    assert with_first_nonfinite({}, [rec])["first_nonfinite"] == {"t": 5, "field": "zw"}
+    rec = _record(6, extras={"b": math.nan, "a": math.inf})
+    assert with_first_nonfinite({}, [rec])["first_nonfinite"] == {"t": 6, "field": "extras.b"}
+    # +inf and -inf cancel to NaN in a sum, which the screen still catches
+    rec = _record(7, label=math.inf, loss=-math.inf)
+    assert with_first_nonfinite({}, [rec])["first_nonfinite"] == {"t": 7, "field": "label"}
+
+
+def test_first_nonfinite_matches_the_field_walk_on_random_records():
+    rng = np.random.default_rng(41)
+    specials = [math.nan, math.inf, -math.inf, sys.float_info.max, -sys.float_info.max, 0.0]
+    names = ["prediction", "label", "loss", "eta", "dual_norm_sq", "beta", "residue",
+             "reg_drop", "zw"]
+    for _ in range(300):
+        records = []
+        for t in range(1, int(rng.integers(1, 6)) + 1):
+            fields = {name: float(rng.choice(specials)) for name in names
+                      if rng.random() < 0.15}
+            extras = {key: float(rng.choice(specials)) if rng.random() < 0.2 else val
+                      for key, val in (("x_max", 1.5), ("m_t", None), ("updated", True),
+                                       ("n", 4))}
+            records.append(_record(t, extras=extras, **fields))
+        assert with_first_nonfinite({}, records) == _walked_first_nonfinite({}, records)
 
 
 @pytest.mark.parametrize("spec, msg", [

@@ -5,6 +5,7 @@ import pytest
 
 from helpers import audited_learner_suite, noisy_linear, run, separable
 from omdkit.harness import LEARNERS
+from omdkit.linalg import RankOneInverse
 from omdkit.learners import (
     AdaptiveFilter,
     FirstOrderClassifier,
@@ -84,6 +85,43 @@ def test_second_order_first_steps():
     assert rec2.extras["m"] == pytest.approx(0.5)
     assert rec2.extras["chi"] == pytest.approx(0.5)
     assert rec2.extras["margin_w"] == pytest.approx(1.0 / 3.0)
+
+
+def _second_order_run(dim, rounds=40):
+    """(records, final w) of a full-variant second-order run on seeded Gaussian rows."""
+    rng = np.random.default_rng(dim)
+    lrn = SecondOrderClassifier(dim, r=1.0, variant="full", trigger="omd")
+    recs = [lrn.round(rng.normal(size=dim), 1.0 if rng.random() < 0.5 else -1.0)
+            for _ in range(rounds)]
+    return recs, lrn.w
+
+
+@pytest.mark.parametrize("dim", [3, 60])
+def test_second_order_update_round_reuses_its_applied_inverse(monkeypatch, dim):
+    # an update round applies A_{t-1}^{-1} to x_t once, for m and chi, and that vector
+    # feeds the rank-one update; the other apply is w_t's
+    applies = []
+    apply = RankOneInverse.apply
+    monkeypatch.setattr(RankOneInverse, "apply",
+                        lambda self, v: applies.append(1) or apply(self, v))
+    lrn = SecondOrderClassifier(dim, r=1.0, variant="full", trigger="omd")
+    rng = np.random.default_rng(7)
+    updates = 0
+    for _ in range(30):
+        applies.clear()
+        rec = lrn.round(rng.normal(size=dim), 1.0)
+        assert len(applies) == (2 if rec.extras["updated"] else 1)
+        updates += rec.extras["updated"]
+    assert updates
+    monkeypatch.undo()
+    # the bits are those of an update that applies the inverse itself
+    reused = _second_order_run(dim)
+    update = RankOneInverse.update
+    monkeypatch.setattr(RankOneInverse, "update", lambda self, x, u=None: update(self, x))
+    recomputed = _second_order_run(dim)
+    assert reused[1].tobytes() == recomputed[1].tobytes()
+    for a, b in zip(reused[0], recomputed[0]):
+        assert repr(vars(a)) == repr(vars(b))
 
 
 def test_second_order_zero_input():
@@ -270,6 +308,8 @@ def _reference_engine(monkeypatch):
     through the family's residue hook, as the engine does, but hands it the
     deep copy; test_growing_quadratic_residue_matches_the_exact_residue holds
     the growing quadratic's closed form to the difference of the conjugates.
+    It drops the A_{t-1}^{-1} x_t that the second-order classifier passes,
+    so the rank-one update computes it itself.
     """
     import copy
 
@@ -277,7 +317,7 @@ def _reference_engine(monkeypatch):
         self.theta = self.theta + np.asarray(z, dtype=np.float64)
         self._w = self.reg.mirror_map(self.theta)
 
-    def _advance(self, x):
+    def _advance(self, x, u=None):
         prev = copy.deepcopy(self.reg) if self.reg.time_varying else None
         self.reg.observe_input(x)
         self._w = self.reg.mirror_map(self.theta)

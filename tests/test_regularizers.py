@@ -619,3 +619,90 @@ def test_dual_keeps_the_bits_of_the_separate_conjugate_and_mirror_map():
                 assert _bits(reg.mirror_map(theta)) == _bits(expect), (name, dim)
                 checked += 1
     assert off_domain and checked
+
+
+def _masked_core(reg, z):
+    """ScaleInvPNorm's (sum_{b_i>0} (|z_i|/b_i)^p)^{1/p} by the masked formula."""
+    if np.any(z[~reg.live] != 0.0):
+        return math.inf
+    u = np.abs(z[reg.live]) / reg.b_live
+    top = u.max(initial=0.0)
+    return 0.0 if top == 0.0 else top * np.sum((u / top) ** reg.p) ** (1.0 / reg.p)
+
+
+def _masked_dual_norm(reg, z):
+    """A scale-invariant dual norm by the masked formula, which gathers the live coordinates."""
+    if not isinstance(reg, ScaleInvDiag):
+        return math.sqrt(reg.p - 1.0) * _masked_core(reg, z)
+    if np.any(z[~reg.live] != 0.0):
+        return math.inf
+    return math.sqrt(float(np.sum(z[reg.live] ** 2 / reg.weights[reg.live])))
+
+
+def _masked_value(reg, w):
+    w = np.asarray(w, dtype=np.float64)
+    if isinstance(reg, ScaleInvDiag):
+        return 0.5 * np.sum(w * w * reg.weights, axis=-1)
+    return 0.5 * reg.beta * np.sum((np.abs(w) * reg.b) ** reg.q, axis=-1) ** (2.0 / reg.q)
+
+
+def _masked_gradient_state(reg, g):
+    """The statistics observe_gradient(g) leaves, by the masked formulas; raises where it did."""
+    if isinstance(reg, ScaleInvDiag):
+        seen = reg.b > 0.0
+        if np.any(g[~seen] != 0.0):
+            raise ValueError("gradient has mass on a coordinate never observed")
+        gs = reg.gs.copy()
+        gs[seen] += (g[seen] / reg.b[seen]) ** 2
+        return gs
+    s = _masked_core(reg, g)
+    return reg.grad_stats + (reg.p - 1.0) * s * s
+
+
+@pytest.mark.parametrize("cls", [ScaleInvPNorm, ScaleInvDiag])
+def test_scale_invariant_methods_keep_the_masked_bits_in_every_observation_state(cls):
+    # rows that leave coordinates unseen, then the row that observes the last of them, then
+    # dense rows: partially observed, just fully observed, and fully observed states
+    dim = 5
+    rows = [[3.0, 0.0, 0.0, -1.0, 0.0], [0.0, 0.7, 0.0, 0.0, 0.0],
+            [0.0, 0.0, 0.4, 0.0, 2.5], [1.5, -0.2, 0.9, 4.0, -0.3], [0.1, 2.0, -1.0, 0.5, 1.0]]
+    kinds = ["partial", "partial", "completed", "full", "full"]
+    rng = np.random.default_rng(43)
+    reg = cls(dim, lipschitz=1.0)
+    assert not reg.all_live
+    for row, kind in zip(rows, kinds):
+        prev = reg.snapshot()
+        reg.observe_input(np.array(row))
+        assert reg.all_live == (kind != "partial"), kind
+        assert prev.all_live == (kind == "full"), kind
+        points = []
+        for _ in range(8):
+            v = rng.normal(size=dim) * 10.0 ** rng.uniform(-3.0, 3.0, size=dim)
+            v[rng.random(dim) < 0.25] = 0.0
+            points += [v, v * reg.live]
+        points.append(np.zeros(dim))
+        for v in points:
+            conj, grad = reg.dual(v)
+            assert _bits(conj) == _bits(_old_conjugate(reg, v)), kind
+            if grad is None:
+                with pytest.raises(ValueError):
+                    _old_mirror_map(reg, v)
+            else:
+                assert _bits(grad) == _bits(_old_mirror_map(reg, v)), kind
+            residue = reg.residue(prev, v, conj)
+            assert _bits(float(residue)) == _bits(float(conj - _old_conjugate(prev, v))), kind
+            assert _bits(reg.dual_norm(v)) == _bits(_masked_dual_norm(reg, v)), kind
+            assert _bits(reg.value(v)) == _bits(_masked_value(reg, v)), kind
+            state = reg.snapshot()
+            try:
+                expect = _masked_gradient_state(reg, v)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    state.observe_gradient(v)
+                continue
+            state.observe_gradient(v)
+            got = state.gs if cls is ScaleInvDiag else state.grad_stats
+            assert _bits(got) == _bits(expect), kind
+        batch = np.stack(points)
+        assert _bits(reg.value(batch)) == _bits(_masked_value(reg, batch)), kind
+        reg.observe_gradient(points[1])
