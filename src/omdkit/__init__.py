@@ -29,7 +29,6 @@ from .learners import (
     FirstOrderClassifier,
     GradientDescentLearner,
     OnlineLearner,
-    ScaleInvariantRegressor,
     SecondOrderClassifier,
     StepRecord,
     VAWRegressor,

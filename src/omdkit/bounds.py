@@ -24,8 +24,9 @@ BATCH_RADIUS = 4.0
 class RunTrace:
     """Finished run: its dataset, per-round records and final learner.
 
-    The learner's (theta, f_T) and attributes (eta, loss_name, a, kind,
-    lipschitz, variant, r) describe the run.
+    The learner's (theta, f_T) and attributes (eta, loss_name, a, variant,
+    r) describe the run; the scale-invariant displays read L and their
+    kind off f_T.
     """
 
     dataset: object
@@ -237,12 +238,12 @@ def scale_invariant_bound(trace, u):
     p_T is the clamped exponent max(2 ln m_T, 2), which keeps the display
     meaningful for tiny supports and matches the regularizer actually run.
     """
-    kind = trace.learner.kind
     reg = trace.learner.reg
+    kind = reg.kind
     X, y = trace.dataset.X, trace.dataset.y
     U = _as_batch(u, trace.dim)
     eta = trace.learner.eta
-    L = trace.learner.lipschitz
+    L = reg.lipschitz
     T = len(trace.records)
     loss_kind = trace.learner.loss_name
     run_loss = float(sum(r.loss for r in trace.records))

@@ -26,12 +26,11 @@ from .learners import (
     AdaptiveFilter,
     FirstOrderClassifier,
     GradientDescentLearner,
-    ScaleInvariantRegressor,
     SecondOrderClassifier,
     StepRecord,
     VAWRegressor,
 )
-from .regularizers import CompositeQuadL1, FixedQuadratic, PNorm
+from .regularizers import CompositeQuadL1, FixedQuadratic, PNorm, ScaleInvDiag, ScaleInvPNorm
 
 # 2: the lgrad_norm and b_hash extras are gone
 TRACE_VERSION = 2
@@ -111,10 +110,10 @@ LEARNERS = {
                      {"r": 1.0, "variant": "full", "trigger": "omd", "rare_s": None}),
     "vaw": (lambda d, p: VAWRegressor(d, p["a"]), {"a": 1.0}),
     "adaptive_filter": (lambda d, p: AdaptiveFilter(d), {}),
-    "scaleinv_pnorm": (lambda d, p: ScaleInvariantRegressor(
-        d, "pnorm", p["lipschitz"], p["eta"], p["loss"]), _SCALE_INVARIANT),
-    "scaleinv_diag": (lambda d, p: ScaleInvariantRegressor(
-        d, "diag", p["lipschitz"], p["eta"], p["loss"]), _SCALE_INVARIANT),
+    "scaleinv_pnorm": (lambda d, p: GradientDescentLearner(
+        ScaleInvPNorm(d, p["lipschitz"]), p["loss"], p["eta"]), _SCALE_INVARIANT),
+    "scaleinv_diag": (lambda d, p: GradientDescentLearner(
+        ScaleInvDiag(d, p["lipschitz"]), p["loss"], p["eta"]), _SCALE_INVARIANT),
 }
 
 
@@ -298,7 +297,7 @@ def audit_reports(trace, U, config):
         reports.append(bounds_mod.vaw_bound(trace, U))
     elif isinstance(learner, AdaptiveFilter):
         reports.append(bounds_mod.adaptive_filter_bound(trace, U))
-    elif isinstance(learner, ScaleInvariantRegressor):
+    elif isinstance(learner.reg, (ScaleInvPNorm, ScaleInvDiag)):
         reports.append(bounds_mod.scale_invariant_bound(trace, U))
     elif isinstance(learner.reg, CompositeQuadL1):
         # the constant schedule has no display of its own, and the linear one

@@ -20,23 +20,18 @@ is folded back in; the second-order classifier alone keeps its own round
 prefix, as it advances only on update rounds. The StepRecord carries the
 audit quantities (dual norm of z_t, strong convexity, conjugate residue)
 consumed by the bound evaluators. A learner's attributes (eta, loss_name,
-a, kind, lipschitz, variant, r) are the run's parameters as the evaluators
-read them.
+a, variant, r) and its regularizer's (lipschitz, kind) are the run's
+parameters as the evaluators read them.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import losses
 from .linalg import as_dense
-from .regularizers import (
-    FixedQuadratic,
-    GrowingQuadratic,
-    MaxScaled,
-    ScaleInvDiag,
-    ScaleInvPNorm,
-)
+from .regularizers import FixedQuadratic, GrowingQuadratic, MaxScaled
 
 
 @dataclass
@@ -127,20 +122,26 @@ class OnlineLearner:
         """Record <z, w_t> and f_t's beta, fold the loss subgradient grad into f, apply theta += z.
 
         beta is read before grad is folded in, which moves ScaleInvPNorm's.
-        A zero z with no grad leaves theta and f as they are, so the step is
-        skipped and w keeps its bits.
+        A round steps only where grad (z if there is none) is nonzero; a skip
+        keeps every bit, as a zero gradient leaves f as it was and theta,
+        never -0.0, plus 0 is theta.
         """
         zw = float(z @ self.w)
         beta = float(self.reg.strong_convexity())
-        if grad is not None:
-            self.reg.observe_gradient(grad)
-        if grad is not None or z.any():
+        if (z if grad is None else grad).any():
+            if grad is not None:
+                self.reg.observe_gradient(grad)
             self.apply_update(z)
         return StepRecord(t=self.t, z=z, zw=zw, beta=beta, **fields)
 
 
 class GradientDescentLearner(OnlineLearner):
-    """OMD driven by z_t = -eta * l'_t; covers OGD and the composite schedules."""
+    """OMD driven by z_t = -eta * l'_t x_t, with l'_t x_t folded into f after the prediction.
+
+    Covers OGD, the composite schedules and, over a family with a finite
+    Lipschitz constant L, the scale-invariant regressors; the loss must then
+    be L-Lipschitz in the prediction, and each round's l'_t at most L.
+    """
 
     def __init__(self, reg, loss="hinge", eta=1.0):
         super().__init__(reg)
@@ -150,18 +151,26 @@ class GradientDescentLearner(OnlineLearner):
         self.loss_name = loss
         self.loss_fn = losses.by_name(loss)
         self.binary_labels = loss == "hinge"
+        if math.isfinite(reg.lipschitz):
+            loss_l = losses.LIPSCHITZ[loss]
+            if loss_l is None:
+                raise ValueError(f"loss {loss!r} is not Lipschitz in the prediction")
+            if loss_l > reg.lipschitz + losses.LIPSCHITZ_TOL:
+                raise ValueError(f"loss {loss!r} is {loss_l}-Lipschitz in the prediction, "
+                                 f"above the regularizer's Lipschitz constant {reg.lipschitz}")
 
     def round(self, x, y):
         xd, pred, residue, drop = self._observe(x)
         ev = self.loss_fn(pred, y)
-        z = -self.eta * (ev.subgrad_scalar * xd)
-        extras = {}
-        if hasattr(self.reg, "penalty_value"):
-            extras["penalty_w"] = float(self.reg.penalty_value(self.w))
+        if abs(ev.subgrad_scalar) > self.reg.lipschitz + losses.LIPSCHITZ_TOL:
+            raise ValueError(f"round {self.t}: loss subgradient {ev.subgrad_scalar} exceeds "
+                             f"the declared Lipschitz constant {self.reg.lipschitz}")
+        grad = ev.subgrad_scalar * xd
+        z = -self.eta * grad
         return self._emit(
-            z, prediction=pred, label=float(y), loss=ev.value, eta=self.eta,
+            z, grad=grad, prediction=pred, label=float(y), loss=ev.value, eta=self.eta,
             dual_norm_sq=float(self.reg.dual_norm(z)) ** 2, residue=residue, reg_drop=drop,
-            extras=extras,
+            extras=self.reg.round_extras(self.w),
         )
 
 
@@ -355,49 +364,4 @@ class AdaptiveFilter(OnlineLearner):
             z, prediction=pred, label=y, loss=0.5 * resid * resid, eta=1.0,
             dual_norm_sq=float(z @ z), residue=residue, reg_drop=drop,
             extras={"x_max": self.reg.x_max, "residual": resid},
-        )
-
-
-class ScaleInvariantRegressor(OnlineLearner):
-    """Regression with feature-rescaling-invariant predictions.
-
-    kind 'pnorm' uses the weighted q_t-norm regularizer (logarithmic
-    dependence on the support size), kind 'diag' the per-coordinate
-    quadratic (sqrt(d) dependence, one rate per feature). Protocol per
-    round: feature maxima advance first, then predict, and only after the
-    prediction fold the round's subgradient into the statistics, so the
-    regularizer at round t depends on subgradients from rounds < t.
-    """
-
-    KINDS = ("pnorm", "diag")
-
-    def __init__(self, dim, kind="pnorm", lipschitz=1.0, eta=1.0, loss="absolute"):
-        if kind not in self.KINDS:
-            raise ValueError(f"kind must be one of {self.KINDS}")
-        if eta <= 0:
-            raise ValueError("eta must be positive")
-        if losses.LIPSCHITZ.get(loss) is None:
-            raise ValueError(f"loss {loss!r} is not Lipschitz in the prediction")
-        reg = ScaleInvPNorm(dim, lipschitz) if kind == "pnorm" else ScaleInvDiag(dim, lipschitz)
-        super().__init__(reg)
-        self.kind = kind
-        self.lipschitz = float(lipschitz)
-        self.eta = float(eta)
-        self.loss_name = loss
-        self.loss_fn = losses.by_name(loss)
-
-    def round(self, x, y):
-        xd, pred, residue, drop = self._observe(x)
-        ev = self.loss_fn(pred, y)
-        if abs(ev.subgrad_scalar) > self.lipschitz + 1e-12:
-            raise ValueError("loss subgradient exceeds the declared Lipschitz constant")
-        lvec = ev.subgrad_scalar * xd
-        z = -self.eta * lvec
-        extras = {"m_t": getattr(self.reg, "m", None)}
-        if self.kind == "pnorm":
-            extras["p_t"] = self.reg.p
-        return self._emit(
-            z, grad=lvec, prediction=pred, label=float(y), loss=ev.value, eta=self.eta,
-            dual_norm_sq=float(self.reg.dual_norm(z)) ** 2, residue=residue, reg_drop=drop,
-            extras=extras,
         )

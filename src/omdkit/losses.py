@@ -58,6 +58,7 @@ _BY_NAME = {
 
 # Lipschitz constants in the prediction argument (None: not Lipschitz).
 LIPSCHITZ = {"hinge": 1.0, "absolute": 1.0, "square": None}
+LIPSCHITZ_TOL = 1e-12  # how far a subgradient may pass a declared Lipschitz constant
 
 
 def by_name(name):

@@ -43,6 +43,12 @@ has both in closed form, ScaleInvPNorm and CompositeQuadL1 take f*_prev
 without the gradient that `dual` builds, and CompositeQuadL1 reads the
 two sums of w that both of its values need once.
 
+For a gradient learner, `lipschitz` is the largest Lipschitz constant of
+a loss the family takes (L in the scale-invariant families, else inf), and
+`round_extras(w_t)` the family's fields of the round's record: `penalty_w`
+in the composite schedules and wrappers, `m_t` (and `p_t`) in the
+scale-invariant families, whose `kind` names their regret display.
+
 `value` and `norm` accept batched inputs of shape (N, d) for the grid
 comparators; `conjugate` and `mirror_map` convert one vector, and every
 other method takes a dense float64 vector of length dim, unchecked (the
@@ -66,6 +72,7 @@ class Regularizer:
 
     dim = 0
     time_varying = False
+    lipschitz = math.inf
 
     def value(self, w):
         raise NotImplementedError
@@ -121,6 +128,10 @@ class Regularizer:
     def snapshot(self):
         """f_t as it stands: shares the state arrays, which the hooks only rebind."""
         return _shallow(self)
+
+    def round_extras(self, w):
+        """The family's own fields of a gradient learner's round record, at w_t."""
+        return {}
 
 
 def _shallow(obj):
@@ -520,6 +531,9 @@ class CompositeQuadL1(Regularizer):
     def dual_norm(self, z):
         return _euclidean(z)
 
+    def round_extras(self, w):
+        return {"penalty_w": float(self.penalty_value(w))}
+
     # composite-objective pieces used by the bound evaluators
     def penalty_value(self, w):
         """F(w) = lam ||w||_1 + ridge/2 ||w||^2."""
@@ -579,6 +593,8 @@ class _Scheduled(Regularizer):
     def penalty_value(self, w):
         return np.zeros(_batch(w).shape[:-1])
 
+    round_extras = CompositeQuadL1.round_extras
+
 
 class SqrtScheduled(_Scheduled):
     schedule = "sqrt"
@@ -631,6 +647,7 @@ class ScaleInvPNorm(Regularizer):
     """
 
     time_varying = True
+    kind = "pnorm"  # the scale-invariant regret display that audits it
 
     def __init__(self, dim, lipschitz):
         if lipschitz <= 0:
@@ -667,6 +684,9 @@ class ScaleInvPNorm(Regularizer):
 
     def strong_convexity(self):
         return self.beta
+
+    def round_extras(self, w):
+        return {"m_t": self.m, "p_t": self.p}
 
     def _ratios(self, z):
         """|z_i|/b_i on the observed coordinates and their max; None if z lives on an unseen one."""
@@ -744,6 +764,7 @@ class ScaleInvDiag(Regularizer):
     """
 
     time_varying = True
+    kind = "diag"
 
     def __init__(self, dim, lipschitz):
         if lipschitz <= 0:
@@ -793,6 +814,9 @@ class ScaleInvDiag(Regularizer):
 
     def gradient(self, w):
         return self.weights * w
+
+    def round_extras(self, w):
+        return {"m_t": None}
 
     def strong_convexity(self):
         return 1.0

@@ -330,9 +330,10 @@ def test_filter_and_scale_invariant_reports_through_harness():
     th = [r for r in reports if r["name"] == "scale_invariant_diag"][0]
     assert th["terms"]["min_slack"] >= -1e-6
     # scale-invariant display check: d=1 diag, L=1, b=1, eta=1, T=4 -> sqrt(5)(u^2/2 + 1)
-    from omdkit.learners import ScaleInvariantRegressor
+    from omdkit.learners import GradientDescentLearner
+    from omdkit.regularizers import ScaleInvDiag
 
-    lrn = ScaleInvariantRegressor(1, kind="diag", lipschitz=1.0, eta=1.0)
+    lrn = GradientDescentLearner(ScaleInvDiag(1, 1.0), "absolute", 1.0)
     recs = [lrn.round(np.array([1.0]), 0.5) for _ in range(4)]
     trace = RunTrace(Dataset.from_matrix(np.ones((4, 1)), [0.5] * 4), recs, lrn)
     from omdkit.bounds import scale_invariant_bound

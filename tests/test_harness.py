@@ -3,8 +3,10 @@ import io
 import json
 import math
 import os
+import shlex
 import sys
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1078,3 +1080,46 @@ def test_ogd_default_hinge_loss_needs_binary_labels():
     with pytest.raises(ValueError, match="labels"):
         run_experiment(gen_config("ogd", {}, noisy_linear(0, d=3, T=10)))
     run_experiment(gen_config("ogd", {"loss": "square"}, noisy_linear(0, d=3, T=10)))
+
+
+@pytest.mark.parametrize("learner", ["scaleinv_pnorm", "scaleinv_diag"])
+def test_scale_invariant_hinge_needs_binary_labels(learner):
+    code, err = _main_code(["run", "--learner", learner, "--loss", "hinge", "--lipschitz", "2",
+                            "--gen", "noisy_linear:sigma=0.2,d=3,T=20"])
+    assert code == 2
+    assert err.startswith("error: classification learner needs labels in {-1,+1}; "
+                          "example 0 has y="), err
+
+
+@pytest.mark.parametrize("learner", ["scaleinv_pnorm", "scaleinv_diag"])
+def test_a_lipschitz_constant_below_the_losses_is_rejected_before_round_one(learner,
+                                                                            monkeypatch):
+    import omdkit.harness as harness
+
+    def no_round(*args):
+        raise AssertionError("drove a round")
+
+    monkeypatch.setattr(harness, "drive", no_round)
+    code, err = _main_code(["run", "--learner", learner, "--lipschitz", "1e-200",
+                            "--gen", "noisy_linear:sigma=0.2,d=3,T=20"])
+    assert code == 2
+    assert err == ("error: loss 'absolute' is 1.0-Lipschitz in the prediction, above the "
+                   "regularizer's Lipschitz constant 1e-200\n")
+
+
+def _readme_cli_lines():
+    """The `omdkit ...` commands of the README's CLI block, with their continuations joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("\n## CLI\n", 1)[1].split("```\n", 2)[1]
+    return [line for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("omdkit ")]
+
+
+def test_the_readme_cli_block_runs(tmp_path, monkeypatch):
+    # in order, in one directory: the audit line reads the trace that the run line writes
+    lines = _readme_cli_lines()
+    assert len(lines) == 4
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        out = run_cli(*shlex.split(line)[1:])
+        assert out.returncode == 0, (line, out.stderr)

@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import audited_learner_suite, noisy_linear, run, separable
+from helpers import audited_learner_suite, gen_config, noisy_linear, run, separable
 from omdkit.harness import LEARNERS
 from omdkit.linalg import RankOneInverse
 from omdkit.learners import (
@@ -11,7 +11,6 @@ from omdkit.learners import (
     FirstOrderClassifier,
     GradientDescentLearner,
     OnlineLearner,
-    ScaleInvariantRegressor,
     SecondOrderClassifier,
     VAWRegressor,
 )
@@ -203,10 +202,10 @@ def test_adaptive_filter_example():
 
 
 def test_scale_invariant_trivial_cases():
-    lrn = ScaleInvariantRegressor(2, kind="pnorm")
+    lrn = GradientDescentLearner(ScaleInvPNorm(2, 1.0), "absolute", 1.0)
     assert not lrn.w.any()
     # d=1, L=1, b=1, no gradient history: prediction-time w equals theta
-    lrn_d = ScaleInvariantRegressor(1, kind="diag", lipschitz=1.0, eta=1.0)
+    lrn_d = GradientDescentLearner(ScaleInvDiag(1, 1.0), "absolute", 1.0)
     lrn_d.apply_update([0.5])
     rec = lrn_d.round([1.0], 5.0)
     assert rec.prediction == pytest.approx(0.5)
@@ -218,16 +217,16 @@ def test_scale_invariant_prediction_invariance():
     xs = rng.normal(size=(T, d))
     ys = rng.normal(size=T)
     factors = np.array([1000.0, 1.0, 0.001, 7.3])
-    for kind in ("pnorm", "diag"):
-        a = ScaleInvariantRegressor(d, kind=kind, lipschitz=1.0, eta=0.7)
-        b = ScaleInvariantRegressor(d, kind=kind, lipschitz=1.0, eta=0.7)
+    for family in (ScaleInvPNorm, ScaleInvDiag):
+        a = GradientDescentLearner(family(d, 1.0), "absolute", 0.7)
+        b = GradientDescentLearner(family(d, 1.0), "absolute", 0.7)
         pa, pb = [], []
         for t in range(T):
             pa.append(a.round(xs[t], ys[t]).prediction)
             pb.append(b.round(xs[t] * factors, ys[t]).prediction)
         pa, pb = np.array(pa), np.array(pb)
         scale = max(np.abs(pa).max(), 1e-12)
-        assert np.max(np.abs(pa - pb)) / scale < 1e-6, kind
+        assert np.max(np.abs(pa - pb)) / scale < 1e-6, family.__name__
 
 
 def test_state_invariant_w_is_mirror_of_theta():
@@ -297,7 +296,44 @@ def test_a_row_of_the_wrong_length_is_rejected_where_it_enters(name):
 
 def test_scale_invariant_rejects_square_loss():
     with pytest.raises(ValueError):
-        ScaleInvariantRegressor(2, kind="pnorm", loss="square")
+        GradientDescentLearner(ScaleInvPNorm(2, 1.0), "square")
+
+
+@pytest.mark.parametrize("family", [ScaleInvPNorm, ScaleInvDiag])
+def test_a_scale_invariant_family_takes_losses_up_to_its_lipschitz_constant(family):
+    # the loss's constant may pass L by the per-round slack of 1e-12, not more
+    GradientDescentLearner(family(2, 1.0 - 1e-13), "absolute")
+    with pytest.raises(ValueError, match=r"^loss 'hinge' is 1.0-Lipschitz in the prediction, "
+                                         r"above the regularizer's Lipschitz constant 0.5$"):
+        GradientDescentLearner(family(2, 0.5), "hinge")
+    # a library caller's hinge label off {-1, +1} gives a subgradient past L in that round
+    lrn = GradientDescentLearner(family(2, 2.0), "hinge")
+    lrn.round([1.0, 0.0], 2.0)
+    with pytest.raises(ValueError, match=r"^round 2: loss subgradient -3.0 exceeds the "
+                                         r"declared Lipschitz constant 2.0$"):
+        lrn.round([0.0, 1.0], 3.0)
+
+
+@pytest.mark.parametrize("family", [ScaleInvPNorm, ScaleInvDiag])
+def test_gradient_descent_over_a_scale_invariant_family_is_the_cli_regressor(family):
+    # the golden scaleinv_* run driven by hand: the same records bit for bit, the same audit
+    from omdkit.bounds import RunTrace
+    from omdkit.data import generate
+    from omdkit.harness import audit_reports, canonical_json, comparator_matrix, run_experiment
+
+    name = {ScaleInvPNorm: "scaleinv_pnorm", ScaleInvDiag: "scaleinv_diag"}[family]
+    config = gen_config(name, {}, noisy_linear(1, d=5, T=60), ("zero", "star"))
+    cli_trace, summary = run_experiment(config)
+    dataset = generate(config["data"]["spec"])
+    lrn = GradientDescentLearner(family(5, 1.0), "absolute", 1.0)
+    records = [lrn.round(x, y) for x, y in dataset]
+    assert len(records) == len(cli_trace.records) == 60
+    for mine, theirs in zip(records, cli_trace.records):
+        assert canonical_json(vars(mine)) == canonical_json(vars(theirs)), mine.t
+    U = comparator_matrix(config["comparators"], dataset, lrn)
+    reports = audit_reports(RunTrace(dataset, records, lrn), U, config)
+    assert [rep["name"] for rep in reports] == ["engine", f"scale_invariant_{family.kind}"]
+    assert canonical_json(reports) == canonical_json(summary["reports"])
 
 
 def _reference_engine(monkeypatch):

@@ -706,3 +706,27 @@ def test_scale_invariant_methods_keep_the_masked_bits_in_every_observation_state
         batch = np.stack(points)
         assert _bits(reg.value(batch)) == _bits(_masked_value(reg, batch)), kind
         reg.observe_gradient(points[1])
+
+
+@pytest.mark.parametrize("cls", [ScaleInvPNorm, ScaleInvDiag])
+def test_folding_a_zero_gradient_keeps_every_bit_in_every_observation_state(cls):
+    # a gradient learner skips the fold of a zero gradient; that is exact only if the fold
+    # would leave every attribute as it was: partially observed, just completed, fully observed
+    dim = 5
+    rows = [[3.0, 0.0, 0.0, -1.0, 0.0], [0.0, 0.0, 0.4, 0.0, 2.5],
+            [1.5, -0.2, 0.9, 4.0, -0.3], [0.1, 2.0, -1.0, 0.5, 1.0]]
+    kinds = ["partial", "partial", "completed", "full"]
+    rng = np.random.default_rng(47)
+    reg = cls(dim, lipschitz=1.0)
+    for row, kind in zip(rows, kinds):
+        was_live = reg.all_live
+        reg.observe_input(np.array(row))
+        assert (was_live, reg.all_live) == {"partial": (False, False),
+                                            "completed": (False, True),
+                                            "full": (True, True)}[kind]
+        for _ in range(2):
+            before = repr(_state(reg))
+            reg.observe_gradient(np.zeros(dim))
+            assert repr(_state(reg)) == before, kind
+            # then a gradient on the observed coordinates, so the statistics move
+            reg.observe_gradient(rng.normal(size=dim) * reg.live)
