@@ -25,7 +25,6 @@ from .bounds import (
 )
 from .data import Dataset, generate, parse_csv, parse_svmlight
 from .learners import (
-    AdaptiveFilter,
     FirstOrderClassifier,
     GradientDescentLearner,
     OnlineLearner,

@@ -23,14 +23,20 @@ from . import bounds as bounds_mod
 from .bounds import RunTrace, batch_comparator, grid_comparators
 from .data import check_spec, generate, parse_csv, parse_svmlight, rescaled
 from .learners import (
-    AdaptiveFilter,
     FirstOrderClassifier,
     GradientDescentLearner,
     SecondOrderClassifier,
     StepRecord,
     VAWRegressor,
 )
-from .regularizers import CompositeQuadL1, FixedQuadratic, PNorm, ScaleInvDiag, ScaleInvPNorm
+from .regularizers import (
+    CompositeQuadL1,
+    FixedQuadratic,
+    MaxScaled,
+    PNorm,
+    ScaleInvDiag,
+    ScaleInvPNorm,
+)
 
 # 2: the lgrad_norm and b_hash extras are gone
 TRACE_VERSION = 2
@@ -109,7 +115,8 @@ LEARNERS = {
     "second_order": (lambda d, p: SecondOrderClassifier(d, p["r"], p["variant"], p["trigger"]),
                      {"r": 1.0, "variant": "full", "trigger": "omd", "rare_s": None}),
     "vaw": (lambda d, p: VAWRegressor(d, p["a"]), {"a": 1.0}),
-    "adaptive_filter": (lambda d, p: AdaptiveFilter(d), {}),
+    "adaptive_filter": (lambda d, p: GradientDescentLearner(
+        MaxScaled(FixedQuadratic(d)), "square", 1.0), {}),
     "scaleinv_pnorm": (lambda d, p: GradientDescentLearner(
         ScaleInvPNorm(d, p["lipschitz"]), p["loss"], p["eta"]), _SCALE_INVARIANT),
     "scaleinv_diag": (lambda d, p: GradientDescentLearner(
@@ -295,7 +302,7 @@ def audit_reports(trace, U, config):
                 trace, trace.dataset.meta["u_star"], s)[0])
     elif isinstance(learner, VAWRegressor):
         reports.append(bounds_mod.vaw_bound(trace, U))
-    elif isinstance(learner, AdaptiveFilter):
+    elif isinstance(learner.reg, MaxScaled):
         reports.append(bounds_mod.adaptive_filter_bound(trace, U))
     elif isinstance(learner.reg, (ScaleInvPNorm, ScaleInvDiag)):
         reports.append(bounds_mod.scale_invariant_bound(trace, U))

@@ -17,11 +17,15 @@ w that nothing reads. Three OnlineLearner helpers hold that skeleton:
 
 What differs per learner is how z_t is formed and whether a subgradient
 is folded back in; the second-order classifier alone keeps its own round
-prefix, as it advances only on update rounds. The StepRecord carries the
-audit quantities (dual norm of z_t, strong convexity, conjugate residue)
-consumed by the bound evaluators. A learner's attributes (eta, loss_name,
-a, variant, r) and its regularizer's (lipschitz, kind) are the run's
-parameters as the evaluators read them.
+prefix, as it advances only on update rounds. Four classes cover every
+CLI learner: GradientDescentLearner runs ogd, composite, adaptive_filter
+and scaleinv_*, which differ only in their regularizer family, and
+FirstOrderClassifier, SecondOrderClassifier and VAWRegressor form z_t
+their own way. The StepRecord carries the audit quantities (dual norm of
+z_t, strong convexity, conjugate residue) consumed by the bound
+evaluators. A learner's attributes (eta, loss_name, a, variant, r) and
+its regularizer's (lipschitz, kind, x_max) are the run's parameters as
+the evaluators read them.
 """
 
 import math
@@ -31,7 +35,7 @@ import numpy as np
 
 from . import losses
 from .linalg import as_dense
-from .regularizers import FixedQuadratic, GrowingQuadratic, MaxScaled
+from .regularizers import GrowingQuadratic
 
 
 @dataclass
@@ -138,9 +142,11 @@ class OnlineLearner:
 class GradientDescentLearner(OnlineLearner):
     """OMD driven by z_t = -eta * l'_t x_t, with l'_t x_t folded into f after the prediction.
 
-    Covers OGD, the composite schedules and, over a family with a finite
-    Lipschitz constant L, the scale-invariant regressors; the loss must then
-    be L-Lipschitz in the prediction, and each round's l'_t at most L.
+    Covers OGD, the composite schedules, the adaptive filter (square loss,
+    eta = 1, over MaxScaled: LMS with f_t scaled by the running max input
+    norm) and, over a family with a finite Lipschitz constant L, the
+    scale-invariant regressors; the loss must then be L-Lipschitz in the
+    prediction, and each round's l'_t at most L.
     """
 
     def __init__(self, reg, loss="hinge", eta=1.0):
@@ -167,9 +173,11 @@ class GradientDescentLearner(OnlineLearner):
                              f"the declared Lipschitz constant {self.reg.lipschitz}")
         grad = ev.subgrad_scalar * xd
         z = -self.eta * grad
+        # squared as a product, which overflows to inf where ** raises OverflowError
+        dual_norm = float(self.reg.dual_norm(z))
         return self._emit(
             z, grad=grad, prediction=pred, label=float(y), loss=ev.value, eta=self.eta,
-            dual_norm_sq=float(self.reg.dual_norm(z)) ** 2, residue=residue, reg_drop=drop,
+            dual_norm_sq=dual_norm * dual_norm, residue=residue, reg_drop=drop,
             extras=self.reg.round_extras(self.w),
         )
 
@@ -343,25 +351,3 @@ class VAWRegressor(OnlineLearner):
         self.observe(x)
         return self.label(y)
 
-
-class AdaptiveFilter(OnlineLearner):
-    """LMS-style filter under a regularizer rescaled by the running max input norm.
-
-    z_t = (y_t - w_t^T x_t) x_t, the plain descent direction for the
-    residual; the increasing scale X_t^2 removes the need to know the
-    largest input norm in advance.
-    """
-
-    def __init__(self, dim):
-        super().__init__(MaxScaled(FixedQuadratic(dim)))
-
-    def round(self, x, y):
-        y = float(y)
-        xd, pred, residue, drop = self._observe(x)
-        resid = y - pred
-        z = resid * xd
-        return self._emit(
-            z, prediction=pred, label=y, loss=0.5 * resid * resid, eta=1.0,
-            dual_norm_sq=float(z @ z), residue=residue, reg_drop=drop,
-            extras={"x_max": self.reg.x_max, "residual": resid},
-        )

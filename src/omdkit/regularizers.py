@@ -46,8 +46,8 @@ two sums of w that both of its values need once.
 For a gradient learner, `lipschitz` is the largest Lipschitz constant of
 a loss the family takes (L in the scale-invariant families, else inf), and
 `round_extras(w_t)` the family's fields of the round's record: `penalty_w`
-in the composite schedules and wrappers, `m_t` (and `p_t`) in the
-scale-invariant families, whose `kind` names their regret display.
+in CompositeQuadL1, `m_t` (and `p_t`) in the scale-invariant families,
+whose `kind` names their regret display, and none in the others.
 
 `value` and `norm` accept batched inputs of shape (N, d) for the grid
 comparators; `conjugate` and `mirror_map` convert one vector, and every
@@ -593,8 +593,6 @@ class _Scheduled(Regularizer):
     def penalty_value(self, w):
         return np.zeros(_batch(w).shape[:-1])
 
-    round_extras = CompositeQuadL1.round_extras
-
 
 class SqrtScheduled(_Scheduled):
     schedule = "sqrt"
@@ -615,9 +613,9 @@ class LinearScheduled(_Scheduled):
 class MaxScaled(_Scheduled):
     """f_t = X_t^2 * base with X_t the running max of base-dual norms of the inputs.
 
-    Used by the adaptive filter: the schedule adapts to the largest input
-    norm seen so far instead of requiring it up front. Before the first
-    nonzero input f_t is 0.
+    The adaptive filter is the square-loss gradient learner over it: the
+    schedule adapts to the largest input norm seen so far instead of
+    requiring it up front. Before the first nonzero input f_t is 0.
     """
 
     def __init__(self, base):

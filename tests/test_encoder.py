@@ -97,18 +97,17 @@ def test_audit_names_the_field_and_ulps_of_a_changed_digit(tmp_path):
     path = tmp_path / "t.jsonl"
     write_trace(path, cfg, trace)
     lines = path.read_text().splitlines()
-    for lineno, key in ((3, "prediction"), (7, "extras.residual"), (12, "zw")):
-        rec = json.loads(lines[lineno])
-        old = rec[key] if "." not in key else rec["extras"][key[7:]]
+    for lineno, key in ((3, "prediction"), (7, "dual_norm_sq"), (12, "zw")):
+        old = json.loads(lines[lineno])[key]
         text = canonical_json(old)
         # the sixth digit from the mantissa's end, far enough up to change the float
         i = [m.start() for m in re.finditer(r"\d", text.split("e")[0])][-6]
         new_text = text[:i] + str((int(text[i]) + 1) % 10) + text[i + 1:]
-        pattern = f'"{key.split(".")[-1]}":{text}'
+        pattern = f'"{key}":{text}'
         assert lines[lineno].count(pattern) == 1
         bad = tmp_path / "bad.jsonl"
         bad.write_text("\n".join(lines[:lineno] + [lines[lineno].replace(
-            pattern, f'"{key.split(".")[-1]}":{new_text}')] + lines[lineno + 1:]) + "\n")
+            pattern, f'"{key}":{new_text}')] + lines[lineno + 1:]) + "\n")
         with pytest.raises(ValueError) as exc:
             audit_stored(bad)
         msg = str(exc.value)

@@ -35,6 +35,21 @@ CONFIGS = {
     "scaleinv_diag": (["--learner", "scaleinv_diag"], LINEAR),
 }
 
+# the reports audit_reports picks for each CONFIGS run, after the engine's
+REPORTS = {
+    "ogd": [],
+    "composite": ["composite_sqrt", "composite_general"],
+    "pnorm_perceptron": ["first_order_mistake"],
+    "pa": ["first_order_mistake"],
+    "fixed_margin": ["first_order_mistake"],
+    "second_order_full": ["second_order_full"],
+    "second_order_diagonal": ["second_order_diagonal"],
+    "vaw": ["vaw"],
+    "adaptive_filter": ["adaptive_filter"],
+    "scaleinv_pnorm": ["scale_invariant_pnorm"],
+    "scaleinv_diag": ["scale_invariant_diag"],
+}
+
 # runs that reach the batch comparator or the rare-feature refinement: (flags, gen, comparators)
 EXTRA_CONFIGS = {
     "ogd_square_batch": (["--learner", "ogd", "--eta", "0.1", "--loss", "square"], LINEAR,
@@ -53,7 +68,7 @@ EXTRA_CONFIGS = {
 # sha256 of (trace bytes, summary without wall_time_s, audit payload), first 16 hex digits;
 # the trace digests are those of TRACE_VERSION 2 (no lgrad_norm or b_hash extras)
 GOLDEN = {
-    "adaptive_filter": ("e68bbeebebd520e9", "1c475088b6399f83", "1e92408a87aa9c96"),
+    "adaptive_filter": ("1d27656d2632a916", "c4cf74433b16375e", "a04dfd8decfc83e3"),
     "composite": ("d273308810a68243", "b9c03da2377a9fbc", "b3d478462f924da9"),
     "fixed_margin": ("1339d0d6e1abf613", "763e025990699dbd", "8a3e5ee08d7a4009"),
     "ogd": ("9cff4108638dad51", "ae8a4221e880d3ba", "a6aadc5326f22282"),
@@ -102,6 +117,15 @@ def _digests(tmp_path, flags, source, comparators=("zero", "star")):
 def test_golden_digests(tmp_path, key):
     flags, gen = CONFIGS[key]
     assert _digests(tmp_path, flags, gen) == GOLDEN[key]
+
+
+@pytest.mark.parametrize("key", sorted(CONFIGS))
+def test_each_golden_run_gets_its_learners_reports(tmp_path, key):
+    flags, gen = CONFIGS[key]
+    summ = tmp_path / "s.json"
+    assert cli.main(["run", *flags, "--gen", gen, "--seed", "1", "--summary", str(summ)]) == 0
+    names = [r["name"] for r in json.loads(summ.read_text())["reports"]]
+    assert names == ["engine", *REPORTS[key]]
 
 
 @pytest.mark.parametrize("key", sorted(EXTRA_CONFIGS))

@@ -868,6 +868,19 @@ def test_cli_names_first_nonfinite_round(tmp_path):
     assert "first_nonfinite" not in json.loads(summ.read_text())
 
 
+def test_cli_names_the_round_where_a_finite_dual_norm_squares_to_inf(tmp_path):
+    # ScaleInvPNorm's scaled dual norm of z_t stays finite above 1.34e154, where ** would raise
+    argv = ["run", "--learner", "scaleinv_pnorm", "--eta", "1e200",
+            "--gen", "noisy_linear:sigma=0.2,d=3,T=20"]
+    summ = tmp_path / "s.json"
+    with np.errstate(all="ignore"):
+        code, err = _main_code([*argv, "--summary", str(summ)])
+        assert code == 0, err
+        assert "non-finite dual_norm_sq at round 1" in err
+        assert json.loads(summ.read_text())["first_nonfinite"] == {"t": 1, "field": "dual_norm_sq"}
+        assert _main_code([*argv, "--strict-audit"])[0] == 3
+
+
 def _record(t, extras=None, **fields):
     base = {"prediction": 0.5, "label": 1.0, "loss": 0.25, "eta": 1.0, "z": np.zeros(2),
             "dual_norm_sq": 0.5, "beta": 2.0, "residue": -0.125, "reg_drop": 0.0, "zw": 0.5}

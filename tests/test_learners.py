@@ -1,13 +1,21 @@
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from helpers import audited_learner_suite, gen_config, noisy_linear, run, separable
+from helpers import (
+    audited_learner_suite,
+    gen_config,
+    heavy_tail,
+    noisy_linear,
+    run,
+    separable,
+    sparse_target,
+)
 from omdkit.harness import LEARNERS
 from omdkit.linalg import RankOneInverse
 from omdkit.learners import (
-    AdaptiveFilter,
     FirstOrderClassifier,
     GradientDescentLearner,
     OnlineLearner,
@@ -190,15 +198,31 @@ def test_vaw_zero_labels_never_move():
 
 
 def test_adaptive_filter_example():
-    lrn = AdaptiveFilter(2)
+    lrn = LEARNERS["adaptive_filter"][0](2, {})
     rec = lrn.round([1.0, 0.0], 2.0)
-    assert rec.prediction == 0.0
-    assert rec.extras["residual"] == 2.0
+    assert rec.prediction == 0.0 and rec.loss == 2.0
     assert rec.z.tolist() == [2.0, 0.0]
     assert np.allclose(lrn.w, [2.0, 0.0])
     rec = lrn.round([1.0, 0.0], 2.0)
-    assert rec.extras["residual"] == 0.0
+    assert rec.prediction == 2.0 and rec.loss == 0.0
     assert not rec.z.any()
+
+
+@pytest.mark.parametrize("gen", [noisy_linear, sparse_target, heavy_tail, separable])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_adaptive_filter_is_lms_scaled_by_the_running_max_input_norm(gen, seed):
+    # the plain recurrence: X_t = max(X_{t-1}, ||x_t||), w_t = theta / X_t^2 (0 before any
+    # nonzero input), theta += (y_t - w_t.x_t) x_t; the CLI learner must match it bit for bit
+    trace, _, _ = run("adaptive_filter", {}, gen(seed, d=5, T=60), audit=False)
+    x_max, theta = 0.0, np.zeros(5)
+    for (x, y), rec in zip(trace.dataset, trace.records, strict=True):
+        x_max = max(x_max, math.sqrt(x @ x))
+        w = theta / (x_max * x_max) if x_max else np.zeros(5)
+        pred = float(w @ x)
+        resid = y - pred
+        assert (rec.prediction, rec.loss) == (pred, 0.5 * resid * resid), rec.t
+        theta = theta + resid * x
+    assert trace.learner.theta.tobytes() == theta.tobytes()
 
 
 def test_scale_invariant_trivial_cases():
