@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .regularizers import CompositeQuadL1
+
 
 _E = math.e
 BATCH_STEPS = 400  # batch_comparator's steps and the radius of its ball
@@ -153,18 +155,23 @@ def engine_audit(trace, u):
 
 
 def composite_bound(trace, u, schedule):
-    """Composite regret against the schedule-matched display.
+    """Composite regret of a CompositeQuadL1 run against the schedule-matched display.
 
     general  g_T(u)/eta + sum_t ||l'_t||_{*,t}^2 / (2 eta beta_t)
     sqrt     sqrt(T) * (g(u)/eta + (eta/beta) max_t ||l'_t||_*^2)
     linear   max_t ||l'_t||_*^2 (1 + ln T) / (2 beta), requires eta == 1
+
+    The regret counts the penalty F in each round's loss, so only the family
+    with the split f_t = s(t) g + eta t F is taken; other runs raise ValueError.
     """
     if schedule not in ("general", "sqrt", "linear"):
         raise ValueError("schedule must be general, sqrt, or linear")
     reg = trace.learner.reg
-    run_sched = getattr(reg, "schedule", "constant")
-    if schedule != "general" and run_sched != schedule:
-        raise ValueError(f"schedule mismatch: run used {run_sched!r}")
+    if not isinstance(reg, CompositeQuadL1):
+        raise ValueError("composite displays need a CompositeQuadL1 run, "
+                         f"not {type(reg).__name__}")
+    if schedule != "general" and reg.schedule != schedule:
+        raise ValueError(f"schedule mismatch: run used {reg.schedule!r}")
     eta = trace.learner.eta
     recs = trace.records
     T = len(recs)
@@ -173,7 +180,7 @@ def composite_bound(trace, u, schedule):
     loss_kind = trace.learner.loss_name
     penalty_u = reg.penalty_value(U)
     loss_u = _cumulative_losses(U, X, y, loss_kind)
-    measured_run = float(sum(r.loss + r.extras.get("penalty_w", 0.0) for r in recs))
+    measured_run = float(sum(r.loss + r.extras["penalty_w"] for r in recs))
     measured = measured_run - (loss_u + T * penalty_u)
     terms = {"eta": eta, "T": T, "run_loss_plus_penalty": measured_run}
     if schedule == "general":
@@ -183,7 +190,7 @@ def composite_bound(trace, u, schedule):
         bound = g_T / eta + quad
         terms["quad_sum"] = quad
     elif schedule == "sqrt":
-        beta = float(reg.quad) if hasattr(reg, "quad") else float(reg.base.strong_convexity())
+        beta = reg.quad
         g_u = reg.base_quad_value(U)
         # ||l'_t||_* in the schedule's own (time-invariant) dual norm,
         # recovered from ||z_t||_*^2 = eta^2 ||l'_t||_*^2
@@ -193,7 +200,7 @@ def composite_bound(trace, u, schedule):
     else:
         if abs(eta - 1.0) > 1e-12:
             raise ValueError("schedule mismatch: the linear-schedule display requires eta == 1")
-        beta = float(getattr(reg, "ridge", 0.0)) or float(reg.base.strong_convexity())
+        beta = reg.ridge
         max_g2 = _max([r.dual_norm_sq for r in recs]) / (eta * eta)
         val = max_g2 * (1.0 + math.log(T)) / (2.0 * beta) if T else 0.0
         bound = np.full(U.shape[0], val)

@@ -247,10 +247,10 @@ def _spec_numbers(spec, texts):
         raise ValueError(f"comparator {spec!r}: entries must be numbers") from None
 
 
-def _grid_spec(spec, dim=0):
+def _grid_spec(spec, dim=None):
     """'grid:R=<radius>,n=<points>' into (radius, points), checked before any allocation.
 
-    Every n fits dim 0, so there only the spec itself is checked."""
+    With dim None only the spec itself is checked; a grid needs dim 1 to 3."""
     items = [item.partition("=")[::2] for item in spec[5:].split(",")]
     opts = dict(items)
     if len(opts) < len(items) or not set(opts) <= {"R", "n"}:
@@ -258,8 +258,11 @@ def _grid_spec(spec, dim=0):
     radius, points = _spec_numbers(spec, [opts.get("R", 2), opts.get("n", 41)])
     if not (math.isfinite(radius) and radius > 0 and points >= 2 and points.is_integer()):
         raise ValueError(f"comparator {spec!r}: needs a finite R > 0 and an integer n >= 2")
-    if dim > 3 or int(points) ** dim > 10**6:
-        raise ValueError(f"comparator {spec!r}: needs dim <= 3 and n^dim <= 10^6 (dim {dim})")
+    if dim is not None:
+        if dim < 1:
+            raise ValueError(f"comparator {spec!r}: needs dim >= 1 (the data has dim {dim})")
+        if dim > 3 or int(points) ** dim > 10**6:
+            raise ValueError(f"comparator {spec!r}: needs dim <= 3 and n^dim <= 10^6 (dim {dim})")
     return radius, int(points)
 
 

@@ -21,11 +21,12 @@ prefix, as it advances only on update rounds. Four classes cover every
 CLI learner: GradientDescentLearner runs ogd, composite, adaptive_filter
 and scaleinv_*, which differ only in their regularizer family, and
 FirstOrderClassifier, SecondOrderClassifier and VAWRegressor form z_t
-their own way. The StepRecord carries the audit quantities (dual norm of
-z_t, strong convexity, conjugate residue) consumed by the bound
-evaluators. A learner's attributes (eta, loss_name, a, variant, r) and
-its regularizer's (lipschitz, kind, x_max) are the run's parameters as
-the evaluators read them.
+their own way. Each learner has one entry, round(x_t, y_t). The
+StepRecord carries the audit quantities (dual norm of z_t, strong
+convexity, conjugate residue) consumed by the bound evaluators. A
+learner's attributes (eta, loss_name, a, variant, r) and its
+regularizer's (lipschitz, kind, x_max) are the run's parameters as the
+evaluators read them.
 """
 
 import math
@@ -316,9 +317,9 @@ class SecondOrderClassifier(OnlineLearner):
 class VAWRegressor(OnlineLearner):
     """Ridge-style online regression where x_t enters the regularizer before the label.
 
-    Two-phase protocol: observe(x) advances A by x x^T and returns the
-    prediction; label(y) then applies z_t = y * x_t. z_t is a proxy, not
-    the negative gradient of the square loss.
+    A round first advances A_t = A_{t-1} + x_t x_t^T, so the prediction
+    <w_t, x_t> already sees x_t, then applies z_t = y_t * x_t. z_t is a
+    proxy, not the negative gradient of the square loss.
     """
 
     def __init__(self, dim, a=1.0):
@@ -326,19 +327,9 @@ class VAWRegressor(OnlineLearner):
             raise ValueError("a must be positive")
         super().__init__(GrowingQuadratic(dim, r=1.0, scale=a))
         self.a = float(a)
-        self._pending = None
 
-    def observe(self, x):
-        if self._pending is not None:
-            raise RuntimeError("label() must be called before the next observe()")
-        self._pending = self._observe(x)
-        return self._pending[1]
-
-    def label(self, y):
-        if self._pending is None:
-            raise RuntimeError("observe() must be called first")
-        xd, pred, residue, drop = self._pending
-        self._pending = None
+    def round(self, x, y):
+        xd, pred, residue, drop = self._observe(x)
         y = float(y)
         post_quad = self.reg.tracker.last_quad_form()
         return self._emit(
@@ -346,8 +337,3 @@ class VAWRegressor(OnlineLearner):
             eta=1.0, dual_norm_sq=y * y * post_quad, residue=residue, reg_drop=drop,
             extras={"post_quad": post_quad},
         )
-
-    def round(self, x, y):
-        self.observe(x)
-        return self.label(y)
-

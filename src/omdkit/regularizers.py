@@ -551,7 +551,12 @@ class CompositeQuadL1(Regularizer):
 
 
 class _Scheduled(Regularizer):
-    """f_t = factor * base for a time-invariant base regularizer; f_0 has factor 0."""
+    """f_t = factor * base for a time-invariant base regularizer; f_0 has factor 0.
+
+    A wrapper has no composite penalty F, so the composite displays, which
+    take CompositeQuadL1 runs alone, do not apply; a run over SqrtScheduled
+    or LinearScheduled is audited by the engine bound.
+    """
 
     time_varying = True
 
@@ -584,27 +589,14 @@ class _Scheduled(Regularizer):
     def dual_norm(self, z):
         return self.base.dual_norm(z)
 
-    def scheduled_quad_value(self, w):
-        return self.value(w)
-
-    def base_quad_value(self, w):
-        return self.base.value(w)
-
-    def penalty_value(self, w):
-        return np.zeros(_batch(w).shape[:-1])
-
 
 class SqrtScheduled(_Scheduled):
-    schedule = "sqrt"
-
     def advance_step(self):
         self.t += 1
         self.factor = math.sqrt(self.t)
 
 
 class LinearScheduled(_Scheduled):
-    schedule = "linear"
-
     def advance_step(self):
         self.t += 1
         self.factor = float(self.t)

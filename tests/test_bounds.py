@@ -70,7 +70,7 @@ def test_engine_audit_nan_residue_gap_is_reported():
 def test_first_order_and_composite_maxima_keep_nan():
     from omdkit.bounds import composite_bound
     from omdkit.learners import GradientDescentLearner
-    from omdkit.regularizers import SqrtScheduled
+    from omdkit.regularizers import CompositeQuadL1
 
     lrn = FirstOrderClassifier(FixedQuadratic(2))
     x = np.array([1.0, 0.0])
@@ -80,7 +80,7 @@ def test_first_order_and_composite_maxima_keep_nan():
     rep = first_order_mistake_bound(RunTrace(data, recs, lrn), np.zeros(2))
     assert math.isnan(rep["terms"]["X_T"])
 
-    lrn = GradientDescentLearner(SqrtScheduled(FixedQuadratic(2)), loss="absolute", eta=1.0)
+    lrn = GradientDescentLearner(CompositeQuadL1(2, 1.0), loss="absolute", eta=1.0)
     recs = [lrn.round(x, 1.0) for _ in range(2)]
     recs[1].dual_norm_sq = math.nan
     trace = RunTrace(data, recs, lrn)
@@ -282,29 +282,40 @@ def test_sqrt_sum_inequality():
         sqrt_sum_inequality_check([-1.0])
 
 
-def test_composite_sqrt_display_with_pnorm_base():
-    # f_t = sqrt(t) * (1/2 ||.||_p^2), F = 0: the display's gradient norms
-    # live in the p-norm's dual, not the Euclidean norm
+def test_composite_displays_audit_only_a_composite_run():
+    # the displays count the penalty F in the loss; a schedule wrapper has no F,
+    # so its run is audited by the engine bound and the displays refuse it
     from omdkit.learners import GradientDescentLearner
-    from omdkit.regularizers import PNorm, SqrtScheduled
+    from omdkit.regularizers import (
+        CompositeQuadL1, LinearScheduled, MaxScaled, PNorm, SqrtScheduled,
+    )
     from omdkit.bounds import composite_bound
 
     rng = np.random.default_rng(71)
     d, T = 4, 120
     u_true = rng.normal(size=d)
-    lrn = GradientDescentLearner(SqrtScheduled(PNorm(d, 1.5)), loss="absolute", eta=0.6)
-    xs, ys, recs = [], [], []
-    for _ in range(T):
-        x = rng.normal(size=d)
-        y = float(u_true @ x) + 0.3 * rng.normal()
-        recs.append(lrn.round(x, y))
-        xs.append(x)
-        ys.append(y)
-    trace = RunTrace(Dataset.from_matrix(np.array(xs), ys), recs, lrn)
+    X = np.empty((T, d))
+    ys = []
+    for t in range(T):
+        X[t] = rng.normal(size=d)
+        ys.append(float(u_true @ X[t]) + 0.3 * rng.normal())
+    data = Dataset.from_matrix(X, ys)
     U = np.vstack([np.zeros(d), u_true, 0.5 * u_true])
+
+    def trace_of(reg):
+        lrn = GradientDescentLearner(reg, loss="absolute", eta=0.6)
+        return RunTrace(data, [lrn.round(x, y) for x, y in zip(X, ys)], lrn)
+
+    for reg in (SqrtScheduled(PNorm(d, 1.5)), LinearScheduled(FixedQuadratic(d)),
+                MaxScaled(FixedQuadratic(d))):
+        trace = trace_of(reg)
+        assert engine_audit(trace, U)["terms"]["min_slack"] >= -1e-9, type(reg).__name__
+        for sched in ("sqrt", "linear", "general"):
+            with pytest.raises(ValueError, match="CompositeQuadL1"):
+                composite_bound(trace, U, sched)
+    trace = trace_of(CompositeQuadL1(d, 0.6))
     for sched in ("sqrt", "general"):
-        rep = composite_bound(trace, U, sched)
-        assert rep["terms"]["min_slack"] >= -1e-9, sched
+        assert composite_bound(trace, U, sched)["terms"]["min_slack"] >= -1e-9, sched
 
 
 def test_vaw_and_af_property_random_runs():

@@ -1016,6 +1016,15 @@ def test_cli_comparator_of_another_dim_fails_before_any_round(monkeypatch, tmp_p
         "comparator 'vec:1,2': needs 10 finite entries")
 
 
+def test_cli_grid_comparator_on_dim_0_data_fails_before_any_round(monkeypatch, tmp_path):
+    svm = tmp_path / "d0.svm"
+    svm.write_text("1\n-1\n1\n")
+    _refused_before_any_round(
+        monkeypatch, tmp_path, ["--learner", "pa", "--data", str(svm),
+                                "--comparator", "grid:R=1,n=3"],
+        "comparator 'grid:R=1,n=3': needs dim >= 1 (the data has dim 0)")
+
+
 def test_cli_star_comparator_on_a_file_fails_before_parsing(monkeypatch, tmp_path):
     svm, _ = _data_files(tmp_path)
     _refusing(monkeypatch, "parse_svmlight")

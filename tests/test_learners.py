@@ -165,27 +165,14 @@ def test_second_order_margin_sign_agreement():
 
 def test_vaw_examples():
     lrn = VAWRegressor(1, a=1.0)
-    pred = lrn.observe([1.0])
-    assert pred == 0.0
-    lrn.label(1.0)
+    assert lrn.round([1.0], 1.0).prediction == 0.0
     assert lrn.theta.tolist() == [1.0]
     # second round: A = 3, prediction 1/3
-    pred = lrn.observe([1.0])
-    assert pred == pytest.approx(1.0 / 3.0)
-    lrn.label(1.0)
+    assert lrn.round([1.0], 1.0).prediction == pytest.approx(1.0 / 3.0)
     # x = 0 contributes nothing: prediction 0, theta unchanged
     rec = lrn.round([0.0], 5.0)
     assert rec.prediction == 0.0
     assert lrn.theta.tolist() == [2.0]
-
-
-def test_vaw_two_phase_protocol_enforced():
-    lrn = VAWRegressor(2)
-    with pytest.raises(RuntimeError):
-        lrn.label(1.0)
-    lrn.observe([1.0, 0.0])
-    with pytest.raises(RuntimeError):
-        lrn.observe([0.0, 1.0])
 
 
 def test_vaw_zero_labels_never_move():
@@ -195,6 +182,34 @@ def test_vaw_zero_labels_never_move():
         rec = lrn.round(rng.normal(size=3), 0.0)
         assert rec.prediction == 0.0
     assert not lrn.theta.any()
+
+
+_VAW_GENERATORS = {
+    "noisy_linear": noisy_linear,
+    "sparse_target": lambda seed, d, T: sparse_target(seed, k=min(3, d), d=d, T=T),
+    "heavy_tail": heavy_tail,
+    "separable": separable,
+}
+
+
+@pytest.mark.parametrize("gen", sorted(_VAW_GENERATORS))
+@pytest.mark.parametrize("d", [1, 5, 60])
+def test_vaw_predicts_with_x_t_already_in_a_t(gen, d):
+    # the ridge oracle: w_t.x_t = theta_{t-1}.solve(aI + sum_{s<=t} x_s x_s^T, x_t), and
+    # theta is sum_t y_t x_t, summed in round order
+    assert 5 <= RankOneInverse.DENSE_DIM < 60  # both the dense and the blocked inverse
+    for seed in range(3):
+        for a in (0.5, 1.0, 3.0):
+            trace, _, _ = run("vaw", {"a": a}, _VAW_GENERATORS[gen](seed, d=d, T=80),
+                              audit=False)
+            A, theta = a * np.eye(d), np.zeros(d)
+            for (x, y), rec in zip(trace.dataset, trace.records, strict=True):
+                A += np.outer(x, x)
+                pred = float(theta @ np.linalg.solve(A, x))
+                tol = 1e-12 * np.abs(theta).sum() * np.abs(x).sum() / a
+                assert abs(rec.prediction - pred) <= tol, (seed, a, rec.t)
+                theta = theta + y * x
+            assert trace.learner.theta.tobytes() == theta.tobytes(), (seed, a)
 
 
 def test_adaptive_filter_example():
@@ -310,10 +325,7 @@ def test_a_row_of_the_wrong_length_is_rejected_where_it_enters(name):
     factory, defaults = LEARNERS[name]
     row = np.ones(2)
     lrn = factory(3, defaults)
-    entries = [lambda: lrn.round(row, 1.0), lambda: lrn.apply_update(row)]
-    if isinstance(lrn, VAWRegressor):
-        entries.append(lambda: lrn.observe(row))
-    for enter in entries:
+    for enter in (lambda: lrn.round(row, 1.0), lambda: lrn.apply_update(row)):
         with pytest.raises(ValueError, match="dimension mismatch"):
             enter()
 

@@ -53,3 +53,6 @@ def test_traced_vaw_run_spans_one_update_and_one_snapshot_per_round(tmp_path):
     names = tracer.arrays()["name"]
     for span in ("regularizers.update", "regularizers.snapshot"):
         assert int((names == tracer.codes[span]).sum()) == T, span
+    # the round span rests on `round` alone, VAW's one entry
+    assert tracer.counts["learners.round.calls"] == T
+    assert 0 < tracer.counts["learners.updates"] <= T
