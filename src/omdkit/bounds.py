@@ -298,7 +298,7 @@ def first_order_mistake_bound(trace, u):
         if r.margin_error and r.eta > 0.0:
             eta_u += r.eta
             D += r.eta * (
-                (r.eta * r.extras["x_dual_sq"] + 2.0 * beta * r.extras["ymargin"])
+                (r.eta * r.extras["x_dual_sq"] + 2.0 * beta * (r.label * r.prediction))
                 / (r.extras["x_max"] ** 2)
                 - 2.0
             )
@@ -330,10 +330,10 @@ def first_order_mistake_bound(trace, u):
 def _update_rounds(trace, X):
     """(upd, U_used, X[upd], column sums of X[upd]**2) over the update rounds upd.
 
-    U_used counts the update rounds whose margin was positive.
+    U_used counts the update rounds (eta > 0) whose margin_w was positive.
     """
     recs = trace.records
-    upd = [i for i, rec in enumerate(recs) if rec.extras.get("updated")]
+    upd = [i for i, rec in enumerate(recs) if rec.eta > 0.0]
     u_used = sum(1 for i in upd if recs[i].extras["margin_w"] * recs[i].label > 0.0)
     Xu = X[upd]
     csum = (Xu ** 2).sum(axis=0) if upd else np.zeros(trace.dim)
@@ -372,7 +372,7 @@ def second_order_bound(trace, u):
         mistake_chain_ok = True
         for i in upd:
             rec = recs[i]
-            m, chi = rec.extras["m"], rec.extras["chi"]
+            m, chi = rec.prediction, rec.extras["chi"]
             contrib = m * (2.0 * r * rec.label - m) / (r * (r + chi))
             s_term += contrib
             if rec.mistake and m * (2.0 * r * rec.label - m) > 1e-12:

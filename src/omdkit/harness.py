@@ -4,7 +4,8 @@ Traces are JSON-lines files: a header record {version, fingerprint,
 config} followed by one record per round. Numbers are serialized with 17
 significant digits so a stored trace round-trips bit-faithfully; a replay
 of the same config therefore reproduces the file byte for byte (wall time
-lives only in the summary and is excluded from determinism claims).
+lives only in the summary and is excluded from determinism claims). A
+record's extras repeat none of its other fields.
 """
 
 import dataclasses
@@ -14,6 +15,7 @@ import itertools
 import json
 import math
 import operator
+import os
 import sys
 import time
 
@@ -38,8 +40,8 @@ from .regularizers import (
     ScaleInvPNorm,
 )
 
-# 2: the lgrad_norm and b_hash extras are gone
-TRACE_VERSION = 2
+# 3: no extra copies another record field
+TRACE_VERSION = 3
 
 # slack below -tolerance fails a strict audit; the scale-invariant displays cancel harder
 DEFAULT_TOL = 1e-9
@@ -223,6 +225,17 @@ def _replay(config):
     return RunTrace(dataset, records, learner), U, wall
 
 
+def _norm(v):
+    """||v||_2 as np.linalg.norm gives it, max-scaled where that overflows or underflows a
+    finite, nonzero v."""
+    with np.errstate(over="ignore"):
+        n = float(np.linalg.norm(v))
+    if (n == 0.0 or n == math.inf) and v.any() and np.isfinite(v).all():
+        s = float(np.abs(v).max())
+        n = s * float(np.linalg.norm(v / s))
+    return n
+
+
 def run_experiment(config, audit=True):
     """Check and run config; returns (trace, summary). The bound reports only when audit is on."""
     check_config(config)
@@ -233,7 +246,7 @@ def run_experiment(config, audit=True):
         "cumulative_loss": float(sum(r.loss for r in records)),
         "mistakes": int(sum(1 for r in records if r.mistake)),
         "margin_errors": int(sum(1 for r in records if r.margin_error)),
-        "theta_norm": float(np.linalg.norm(trace.learner.theta)),
+        "theta_norm": _norm(trace.learner.theta),
         "wall_time_s": wall,
         "reports": audit_reports(trace, U, config) if audit else [],
     }
@@ -538,7 +551,14 @@ def audit_stored(path, config_override=None):
                              f"{stored_fp}, supplied config is {supplied}")
     if config_fingerprint(config) != stored_fp:
         raise ValueError("trace header fingerprint does not match its own config")
-    trace, U, _ = _replay(config)
+    try:
+        trace, U, _ = _replay(config)
+    except FileNotFoundError as e:
+        data = config["data"]
+        if data["kind"] == "generator" or e.filename != data["path"]:
+            raise
+        raise ValueError(f"{path}: data file {data['path']!r} named in its header not found "
+                         f"(resolved against {os.getcwd()})") from None
     records = trace.records
     if len(stored) < len(records):
         raise ValueError(f"{path}: trace truncated at record {len(stored)} "

@@ -231,8 +231,7 @@ class FirstOrderClassifier(OnlineLearner):
         return self._emit(
             z, prediction=margin, label=y, loss=ev.value, eta=eta, mistake=mistake,
             margin_error=margin_error, dual_norm_sq=(eta * x_dual) ** 2 if ev.active else 0.0,
-            extras={"x_dual_sq": x_dual * x_dual, "x_max": self.x_max,
-                    "ymargin": y * margin},
+            extras={"x_dual_sq": x_dual * x_dual, "x_max": self.x_max},
         )
 
 
@@ -249,6 +248,7 @@ class SecondOrderClassifier(OnlineLearner):
 
     The matrix advances only on update rounds; the emitted prediction is
     the pre-update margin m_t, whose sign agrees with the post-update one.
+    An update round has eta 1 and records the post-update margin margin_w.
     """
 
     binary_labels = True
@@ -289,10 +289,10 @@ class SecondOrderClassifier(OnlineLearner):
         else:
             update = y * m <= 0.0
         mistake = y * m <= 0.0
-        extras = {"m": m, "chi": chi, "updated": update}
+        extras = {"chi": chi}
         if not update:
             ev = losses.hinge(y * m)
-            extras.update({"margin_w": m, "logdet": tracker.logdet})
+            extras["logdet"] = tracker.logdet
             return StepRecord(
                 t=self.t, prediction=m, label=y, loss=ev.value, eta=0.0,
                 z=np.zeros(self.dim), mistake=mistake,
@@ -305,8 +305,7 @@ class SecondOrderClassifier(OnlineLearner):
             post_quad = tracker.last_quad_form()
         else:
             post_quad = tracker.quad_form(xd)
-        extras.update({"margin_w": margin_w, "post_quad": post_quad,
-                       "logdet": tracker.logdet})
+        extras.update({"margin_w": margin_w, "logdet": tracker.logdet})
         return self._emit(
             y * xd, prediction=m, label=y, loss=ev.value, eta=1.0, mistake=mistake,
             margin_error=ev.active and not mistake, dual_norm_sq=post_quad,

@@ -46,8 +46,8 @@ two sums of w that both of its values need once.
 For a gradient learner, `lipschitz` is the largest Lipschitz constant of
 a loss the family takes (L in the scale-invariant families, else inf), and
 `round_extras(w_t)` the family's fields of the round's record: `penalty_w`
-in CompositeQuadL1, `m_t` (and `p_t`) in the scale-invariant families,
-whose `kind` names their regret display, and none in the others.
+in CompositeQuadL1, `m_t` and `p_t` in ScaleInvPNorm, and none in the
+others; the scale-invariant families' `kind` names their regret display.
 
 `value` and `norm` accept batched inputs of shape (N, d) for the grid
 comparators; `conjugate` and `mirror_map` convert one vector, and every
@@ -804,9 +804,6 @@ class ScaleInvDiag(Regularizer):
 
     def gradient(self, w):
         return self.weights * w
-
-    def round_extras(self, w):
-        return {"m_t": None}
 
     def strong_convexity(self):
         return 1.0

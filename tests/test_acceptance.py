@@ -215,7 +215,7 @@ def test_criterion_5_second_order_bounds():
                           spec, audit=False)
         star = generate(spec).meta["u_star"]
         X = trace.dataset.X
-        upd = [i for i, rec in enumerate(trace.records) if rec.extras.get("updated")]
+        upd = [i for i, rec in enumerate(trace.records) if rec.eta > 0.0]
         csum = (X[upd] ** 2).sum(axis=0) if upd else np.zeros(12)
         s_min = float(np.sum(star ** 2 * csum) / float(star @ star))
         rep, hyp = diag_rare_feature_refinement(trace, star, s=s_min * 1.05 + 1e-9)

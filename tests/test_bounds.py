@@ -360,7 +360,7 @@ def test_diag_rare_feature_refinement_on_heavy_tail():
                       spec, audit=False)
     star = _star(spec)
     X = trace.dataset.X
-    upd = [i for i, rec in enumerate(trace.records) if rec.extras.get("updated")]
+    upd = [i for i, rec in enumerate(trace.records) if rec.eta > 0.0]
     csum = (X[upd] ** 2).sum(axis=0)
     s_min = float(np.sum(star ** 2 * csum) / float(star @ star))
     rep, ok = diag_rare_feature_refinement(trace, star, s=s_min * 1.05 + 1e-9)

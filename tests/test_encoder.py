@@ -61,11 +61,32 @@ def test_encoder_matches_canonical_json_on_other_value_types():
     _same(_record(extras={"info": 1.5, "nanos": math.inf}))
 
 
+# trace format 3: each learner's extras keys, sorted, by whether the round updated (eta > 0);
+# no extra copies another field of its record
+EXTRAS_KEYS = {
+    ("ogd", True): (),
+    ("composite", True): ("penalty_w",),
+    ("pnorm_perceptron", False): ("x_dual_sq", "x_max"),
+    ("pnorm_perceptron", True): ("x_dual_sq", "x_max"),
+    ("pa", False): ("x_dual_sq", "x_max"),
+    ("pa", True): ("x_dual_sq", "x_max"),
+    ("fixed_margin", False): ("x_dual_sq", "x_max"),
+    ("fixed_margin", True): ("x_dual_sq", "x_max"),
+    ("second_order", False): ("chi", "logdet"),
+    ("second_order", True): ("chi", "logdet", "margin_w"),
+    ("vaw", True): ("post_quad",),
+    ("adaptive_filter", True): (),
+    ("scaleinv_pnorm", True): ("m_t", "p_t"),
+    ("scaleinv_diag", True): (),
+}
+
+
 def test_encoder_matches_canonical_json_on_every_learner_run():
     suite = [("ogd", {"eta": 0.5}, separable(2, d=4, T=40)),
              ("composite", {"eta": 0.7, "lam": 0.1}, noisy_linear(2, d=4, T=40)),
              ("pnorm_perceptron", {"p": 1.5}, separable(2, d=4, T=40)),
-             # the diagonal variant adds post_quad on update rounds only
+             ("pa", {}, separable(2, d=4, T=40)),
+             ("fixed_margin", {}, separable(2, d=4, T=40)),
              ("second_order", {"variant": "diagonal"}, separable(2, d=4, T=40)),
              ("second_order", {"variant": "full"}, separable(2, d=4, T=40)),
              ("vaw", {}, noisy_linear(2, d=4, T=40)),
@@ -76,18 +97,17 @@ def test_encoder_matches_canonical_json_on_every_learner_run():
              ("vaw", {}, noisy_linear(3, sigma=1e200, d=2, T=20)),
              ("adaptive_filter", {}, noisy_linear(3, sigma=1e200, d=2, T=20)),
              ("composite", {"eta": 0.7}, noisy_linear(3, sigma=1e200, d=2, T=20))]
-    shapes = set()
+    shapes = {}
     nonfinite = 0
     for name, params, spec in suite:
         with np.errstate(all="ignore"):
             trace, _ = run_experiment(gen_config(name, params, spec), audit=False)
         for rec in trace.records:
             _same(rec)
-            shapes.add((name, tuple(rec.extras)))
+            shapes.setdefault((name, rec.eta > 0.0), set()).add(tuple(sorted(rec.extras)))
             nonfinite += not all(math.isfinite(v) for v in vars(rec).values()
                                  if isinstance(v, float))
-    assert ("second_order", ("m", "chi", "updated", "margin_w", "post_quad", "logdet")) in shapes
-    assert ("second_order", ("m", "chi", "updated", "margin_w", "logdet")) in shapes
+    assert shapes == {key: {keys} for key, keys in EXTRAS_KEYS.items()}
     assert nonfinite > 0
 
 

@@ -14,7 +14,7 @@ import json
 import pytest
 
 from omdkit import cli
-from omdkit.harness import canonical_json
+from omdkit.harness import TRACE_VERSION, canonical_json
 
 SEPARABLE = "separable_margin:gamma=0.3,d=5,T=60"
 LINEAR = "noisy_linear:sigma=0.2,d=5,T=60"
@@ -66,32 +66,38 @@ EXTRA_CONFIGS = {
 }
 
 # sha256 of (trace bytes, summary without wall_time_s, audit payload), first 16 hex digits;
-# the trace digests are those of TRACE_VERSION 2 (no lgrad_norm or b_hash extras)
+# the trace digests are those of TRACE_VERSION 3 (no extra copies another record field)
 GOLDEN = {
-    "adaptive_filter": ("1d27656d2632a916", "c4cf74433b16375e", "a04dfd8decfc83e3"),
-    "composite": ("d273308810a68243", "b9c03da2377a9fbc", "b3d478462f924da9"),
-    "fixed_margin": ("1339d0d6e1abf613", "763e025990699dbd", "8a3e5ee08d7a4009"),
-    "ogd": ("9cff4108638dad51", "ae8a4221e880d3ba", "a6aadc5326f22282"),
-    "pa": ("b2125c091290fce1", "b694fcea6e4e4ff7", "6eabb7c1b8a34fb2"),
-    "pnorm_perceptron": ("04cae69dcf53695e", "39967ac99cab6485", "86fcd66ef85f1634"),
-    "scaleinv_diag": ("49c3647a4eb3ac2e", "dd2445957d32509f", "48f95867a410523d"),
-    "scaleinv_pnorm": ("8a4d310dfd999d4e", "aa6103786ac90aa2", "b20f39dfecdd825a"),
-    "second_order_diagonal": ("98a2982b4731510e", "ba25bc28f399fd5e", "0f05a4d5e2cbe048"),
-    "second_order_full": ("2f6d5d8d6e5a69ac", "bb303afe0dfa92e0", "bc8b3a61a487d040"),
-    "vaw": ("6b347749c568f8eb", "7193a5f214e54acd", "aeefbcefa17a46ee"),
+    "adaptive_filter": ("031f88f567a2f1c7", "c4cf74433b16375e", "a04dfd8decfc83e3"),
+    "composite": ("de5381178215f167", "b9c03da2377a9fbc", "b3d478462f924da9"),
+    "fixed_margin": ("b7652471eb2012fd", "763e025990699dbd", "8a3e5ee08d7a4009"),
+    "ogd": ("c9bffc3975707c82", "ae8a4221e880d3ba", "a6aadc5326f22282"),
+    "pa": ("b637836d3e6ceb5b", "b694fcea6e4e4ff7", "6eabb7c1b8a34fb2"),
+    "pnorm_perceptron": ("941512fdf7205e4f", "39967ac99cab6485", "86fcd66ef85f1634"),
+    "scaleinv_diag": ("b3a03696518613e3", "dd2445957d32509f", "48f95867a410523d"),
+    "scaleinv_pnorm": ("70cb3c2951903d7a", "aa6103786ac90aa2", "b20f39dfecdd825a"),
+    "second_order_diagonal": ("aa0653cb12b4b78f", "ba25bc28f399fd5e", "0f05a4d5e2cbe048"),
+    "second_order_full": ("4e173f0663cb376e", "bb303afe0dfa92e0", "bc8b3a61a487d040"),
+    "vaw": ("f1b44920a0c9d4e7", "7193a5f214e54acd", "aeefbcefa17a46ee"),
 }
 
 # same digests as GOLDEN, for the configs that read the loss, the target and rare_s off the run
 EXTRA_GOLDEN = {
-    "composite_batch": ("ce45e7472ecb5ee1", "205a260e8e27f01c", "911f18e3b830009c"),
-    "ogd_square_batch": ("f42a3ab135a32a46", "5e24b0f4ef141159", "d1b0869e9b7a29a7"),
-    "pa_batch": ("4fe404a48dda3d61", "b853eb39b4172898", "1f04b61f63a3ddb8"),
-    "second_order_diagonal_mistake_rare_s": ("f29259ac44abf8cd", "dc7ca9aaa4016fdd",
+    "composite_batch": ("02f48a9da804897b", "205a260e8e27f01c", "911f18e3b830009c"),
+    "ogd_square_batch": ("c00fe37ed85c12d7", "5e24b0f4ef141159", "d1b0869e9b7a29a7"),
+    "pa_batch": ("1a5a8ce9ebb3e919", "b853eb39b4172898", "1f04b61f63a3ddb8"),
+    "second_order_diagonal_mistake_rare_s": ("cbb81e982d470be2", "dc7ca9aaa4016fdd",
                                              "fd723a154c3d6c94"),
-    "second_order_diagonal_rare_s": ("a7c78bf7847157ef", "46916e1893302266",
+    "second_order_diagonal_rare_s": ("ef997e09309a4a1d", "46916e1893302266",
                                      "bc83c5850a8e566a"),
-    "vaw_batch": ("7e0da944a28a332c", "3f7b02a4fdf99975", "04a9542eddf9bada"),
+    "vaw_batch": ("0409d3d095202a83", "3f7b02a4fdf99975", "04a9542eddf9bada"),
 }
+
+
+def test_trace_digests_pin_the_current_trace_version():
+    # every trace header stores the version, so a trace digest moves with it; a re-pin of the
+    # trace digests without a version bump fails here
+    assert TRACE_VERSION == 3
 
 
 def _sha(data):
@@ -181,16 +187,16 @@ EDGE_CONFIGS = {
 }
 
 EDGE_GOLDEN = {
-    "T0_pa": ("aaae7be825859ae7", "aadbb20bb6cbc471", "5ec7afa20f9745ce"),
-    "T0_vaw": ("08832cb9fea7e00b", "3650bee2b0760a90", "be0bfe52ceb27660"),
-    "d100_pa": ("500d3767ce6c685f", "03b4433420f0b781", "3305c2c4d5d52a39"),
-    "d100_second_order_diagonal": ("987839f54927f1dd", "c728ec328a129d9d", "e3cf6f13bc1762b5"),
+    "T0_pa": ("a481d798595c3373", "aadbb20bb6cbc471", "5ec7afa20f9745ce"),
+    "T0_vaw": ("ac581c85e18ac3cc", "3650bee2b0760a90", "be0bfe52ceb27660"),
+    "d100_pa": ("eaa5e78db12b6d23", "03b4433420f0b781", "3305c2c4d5d52a39"),
+    "d100_second_order_diagonal": ("eb6d170a2e6773c8", "c728ec328a129d9d", "e3cf6f13bc1762b5"),
     # at d=1 the engine report reads sum_t z_t as theta, summed in round order; the parent
     # summed the stacked z_t with np.sum, which runs pairwise over a (T, 1) stack, so the
     # engine's measured value moved by 2 ulps (summary 809496973d69fa60 and 854415c4f2fa0d36,
     # audit 6bb038380a1cb305 and e8457a6248820e52 before); the traces are unchanged
-    "d1_pa": ("f27833bdb452956f", "0f26cd4eaaa0fd55", "7d68fe997c712b2f"),
-    "d1_scaleinv_diag": ("f58a5bd5ca398fb0", "052e84e8070d53d1", "760149bd59bd1bf4"),
+    "d1_pa": ("6c9409bbaeddbd7f", "0f26cd4eaaa0fd55", "7d68fe997c712b2f"),
+    "d1_scaleinv_diag": ("3b189042b6180e07", "052e84e8070d53d1", "760149bd59bd1bf4"),
 }
 
 # `omdkit compare` output under a rescaling with a negative factor
@@ -246,11 +252,11 @@ FILE_CONFIGS = {
 }
 
 FILE_GOLDEN = {
-    "csv_remap01_dim": ("860fae815ddba3a1", "31e8697bbd258a06", "63baf20b99916dbe"),
-    "file_pa": ("14599f6703a59f71", "b853eb39b4172898", "1f04b61f63a3ddb8"),
-    "file_second_order_full": ("bae3d834a9462611", "bb303afe0dfa92e0", "bc8b3a61a487d040"),
-    "file_vaw": ("613d96fc39bfd198", "0711aa8369c8a269", "a4def30d57e11750"),
-    "sparse_svmlight_dim": ("28751058fc4a3155", "0d397cede8a1aa40", "7dad23b83c0ab8f7"),
+    "csv_remap01_dim": ("3e1f9b26f6ef7ddd", "31e8697bbd258a06", "63baf20b99916dbe"),
+    "file_pa": ("36b54754559f89ed", "b853eb39b4172898", "1f04b61f63a3ddb8"),
+    "file_second_order_full": ("938d57f77036e090", "bb303afe0dfa92e0", "bc8b3a61a487d040"),
+    "file_vaw": ("c7002812050170cb", "0711aa8369c8a269", "a4def30d57e11750"),
+    "sparse_svmlight_dim": ("940f1a27231be3d8", "0d397cede8a1aa40", "7dad23b83c0ab8f7"),
 }
 
 

@@ -17,9 +17,11 @@ from omdkit.data import (
     generate,
     parse_csv,
     parse_svmlight,
+    rescaled,
     write_svmlight,
 )
 from omdkit.harness import (
+    TRACE_VERSION,
     audit_stored,
     canonical_json,
     check_config,
@@ -243,6 +245,35 @@ def test_compare_rescaling_invariance():
     assert res["max_relative_deviation"] <= 1e-6
 
 
+@pytest.mark.parametrize("factors", [[1e200, 1.0, 1.0], [1e-200, 1e-200, 1e-200]])
+def test_theta_norm_of_a_rescaled_run_neither_overflows_nor_underflows(factors):
+    # theta is finite and nonzero, but the sum of its squares over- or underflows; under the
+    # error filter a numpy overflow warning fails the test
+    cfg = gen_config("scaleinv_pnorm", {}, rescaled(noisy_linear(1, d=3, T=20), factors))
+    trace, summary = run_experiment(cfg)
+    theta = trace.learner.theta
+    assert np.isfinite(theta).all() and theta.any()
+    assert summary["theta_norm"] == pytest.approx(math.hypot(*theta), rel=1e-15, abs=0.0)
+    assert run_compare(gen_config("scaleinv_pnorm", {}, noisy_linear(1, d=3, T=20)),
+                       factors)["max_relative_deviation"] <= 1e-6
+
+
+def test_cli_audit_names_the_data_file_it_cannot_find(tmp_path, monkeypatch):
+    # the header stores the path as given, and audit resolves it against its working directory
+    monkeypatch.chdir(tmp_path)
+    code, err = _main_code(["gen", "--gen", "separable_margin:gamma=0.3,d=3,T=20",
+                            "--seed", "1", "--out", "d.svm"])
+    assert code == 0, err
+    code, err = _main_code(["run", "--learner", "pa", "--data", "d.svm", "--trace", "t.jsonl"])
+    assert code == 0, err
+    (tmp_path / "sub").mkdir()
+    monkeypatch.chdir(tmp_path / "sub")
+    code, err = _main_code(["audit", "--trace", "../t.jsonl"])
+    assert code == 2
+    assert err == (f"error: ../t.jsonl: data file 'd.svm' named in its header not found "
+                   f"(resolved against {os.getcwd()})\n")
+
+
 def test_cli_gen_run_audit_cycle(tmp_path):
     data = tmp_path / "d.svm"
     out = run_cli("gen", "--gen", "separable_margin:gamma=0.4,d=4,T=50",
@@ -358,6 +389,8 @@ def test_cli_audit_names_the_field_of_a_malformed_header(tmp_path):
     cases = {
         "[1]": "bad header record: not a JSON object",
         "1": "bad header record: not a JSON object",
+        # format 2 stored extras that copied other record fields; refused before any record
+        canonical_json({**good, "version": 2}): "unsupported trace version 2",
         canonical_json({"version": good["version"]}): "'fingerprint' must be a string",
         canonical_json({**good, "fingerprint": 5}): "'fingerprint' must be a string",
         canonical_json({**good, "config": 5}): "'config' must be an object",
@@ -583,7 +616,7 @@ def test_audit_rejects_stored_eta_mode_param(tmp_path):
     write_trace(tp, cfg, run_experiment(cfg)[0])
     header, *records = tp.read_text().splitlines()
     config = {**json.loads(header)["config"], "params": {"eta_mode": "fixed"}}
-    stored = {"version": 2, "config": config, "fingerprint": fingerprint(
+    stored = {"version": TRACE_VERSION, "config": config, "fingerprint": fingerprint(
         {k: config[k] for k in ("learner", "params", "data")})}
     tp.write_text("\n".join([canonical_json(stored), *records]) + "\n")
     with pytest.raises(ValueError, match="header config field 'params.eta_mode'"):
@@ -900,7 +933,7 @@ def _walked_first_nonfinite(payload, records):
 def test_first_nonfinite_reports_nothing_where_finite_values_overflow_their_sum():
     big = sys.float_info.max
     records = [_record(t, prediction=big, loss=big, zw=-big, residue=-big,
-                       extras={"x_max": big, "m_t": None, "updated": True, "n": 3})
+                       extras={"x_max": big, "none": None, "flag": True, "n": 3})
                for t in (1, 2, 3)]
     assert math.isinf(sum(vars(records[0])[k] for k in ("prediction", "loss")))
     assert with_first_nonfinite({"T": 3}, records) == {"T": 3}
@@ -909,7 +942,7 @@ def test_first_nonfinite_reports_nothing_where_finite_values_overflow_their_sum(
 def test_first_nonfinite_names_the_lowest_round_then_field_order_then_extras_order():
     big = sys.float_info.max
     records = [_record(1), _record(2, prediction=big, loss=big),
-               _record(3, extras={"x_max": 1.0, "residual": math.nan, "m_t": None}),
+               _record(3, extras={"x_max": 1.0, "residual": math.nan, "none": None}),
                _record(4, loss=math.inf)]
     assert with_first_nonfinite({}, records) == {
         "first_nonfinite": {"t": 3, "field": "extras.residual"}}
@@ -933,7 +966,7 @@ def test_first_nonfinite_matches_the_field_walk_on_random_records():
             fields = {name: float(rng.choice(specials)) for name in names
                       if rng.random() < 0.15}
             extras = {key: float(rng.choice(specials)) if rng.random() < 0.2 else val
-                      for key, val in (("x_max", 1.5), ("m_t", None), ("updated", True),
+                      for key, val in (("x_max", 1.5), ("none", None), ("flag", True),
                                        ("n", 4))}
             records.append(_record(t, extras=extras, **fields))
         assert with_first_nonfinite({}, records) == _walked_first_nonfinite({}, records)

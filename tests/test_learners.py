@@ -86,10 +86,10 @@ def test_first_order_rejects_bad_labels():
 def test_second_order_first_steps():
     lrn = SecondOrderClassifier(2, r=1.0, variant="full", trigger="omd")
     rec = lrn.round([1.0, 0.0], 1.0)
-    assert rec.mistake and rec.extras["m"] == 0.0 and rec.extras["chi"] == 1.0
+    assert rec.mistake and rec.prediction == 0.0 and rec.extras["chi"] == 1.0
     # A_1 = diag(2,1); repeat x: m = 0.5, chi = 0.5, post margin = 1/3
     rec2 = lrn.round([1.0, 0.0], 1.0)
-    assert rec2.extras["m"] == pytest.approx(0.5)
+    assert rec2.prediction == pytest.approx(0.5)
     assert rec2.extras["chi"] == pytest.approx(0.5)
     assert rec2.extras["margin_w"] == pytest.approx(1.0 / 3.0)
 
@@ -117,8 +117,8 @@ def test_second_order_update_round_reuses_its_applied_inverse(monkeypatch, dim):
     for _ in range(30):
         applies.clear()
         rec = lrn.round(rng.normal(size=dim), 1.0)
-        assert len(applies) == (2 if rec.extras["updated"] else 1)
-        updates += rec.extras["updated"]
+        assert len(applies) == (2 if rec.eta > 0.0 else 1)
+        updates += rec.eta > 0.0
     assert updates
     monkeypatch.undo()
     # the bits are those of an update that applies the inverse itself
@@ -158,7 +158,7 @@ def test_second_order_margin_sign_agreement():
             x = rng.normal(size=4)
             y = 1.0 if rng.random() < 0.5 else -1.0
             rec = lrn.round(x, y)
-            m = rec.extras["m"]
+            m = rec.prediction
             omd_margin = m * 0.8 / (0.8 + rec.extras["chi"])
             assert np.sign(m) == np.sign(omd_margin)
 
@@ -442,7 +442,7 @@ def _drop_errors(learner, dataset):
     for x, y in dataset:
         theta = learner.theta
         rec = learner.round(x, y)
-        if not rec.extras.get("updated", True):
+        if rec.eta <= 0.0:
             continue
         w = learner.reg.mirror_map(theta)
         v = sum(Fraction(a) * Fraction(b) for a, b in zip(x.tolist(), w.tolist()))
@@ -506,7 +506,7 @@ def test_growing_quadratic_residue_matches_the_exact_residue(d, T):
         for x, y in dataset:
             prev, theta = copy.deepcopy(learner.reg).tracker, learner.theta
             rec = learner.round(x, y)
-            if not rec.extras.get("updated", True):
+            if rec.eta <= 0.0:
                 continue
             now = learner.reg.tracker
             fold = now.base.tobytes() != prev.base.tobytes()
