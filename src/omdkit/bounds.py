@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .regularizers import CompositeQuadL1
+from .regularizers import CompositeQuadL1, MaxScaled
 
 
 _E = math.e
@@ -162,7 +162,8 @@ def composite_bound(trace, u, schedule):
     linear   max_t ||l'_t||_*^2 (1 + ln T) / (2 beta), requires eta == 1
 
     The regret counts the penalty F in each round's loss, so only the family
-    with the split f_t = s(t) g + eta t F is taken; other runs raise ValueError.
+    with the split f_t = s(t) g + eta t F is taken, and only with the eta of
+    the steps z_t = -eta l'_t; other runs raise ValueError.
     """
     if schedule not in ("general", "sqrt", "linear"):
         raise ValueError("schedule must be general, sqrt, or linear")
@@ -170,9 +171,12 @@ def composite_bound(trace, u, schedule):
     if not isinstance(reg, CompositeQuadL1):
         raise ValueError("composite displays need a CompositeQuadL1 run, "
                          f"not {type(reg).__name__}")
+    eta = trace.learner.eta
+    if reg.eta != eta:
+        raise ValueError(f"composite displays need the family's eta {reg.eta} "
+                         f"to be the step eta {eta}")
     if schedule != "general" and reg.schedule != schedule:
         raise ValueError(f"schedule mismatch: run used {reg.schedule!r}")
-    eta = trace.learner.eta
     recs = trace.records
     T = len(recs)
     X, y = trace.dataset.X, trace.dataset.y
@@ -223,14 +227,28 @@ def vaw_bound(trace, u):
 
 
 def adaptive_filter_bound(trace, u):
-    """Filtering regret sum (w_t.x_t - u.x_t)^2 against 2 X_T^2 f(u) + sum (y_t - u.x_t)^2."""
+    """Filtering regret sum (w_t.x_t - u.x_t)^2 against 2 X_T^2 f(u) + sum (y_t - u.x_t)^2.
+
+    The display follows from the engine bound through an identity that holds
+    for the square loss alone, and a cancellation that needs eta = 1 <= beta
+    of the base; other runs raise ValueError.
+    """
+    learner, reg = trace.learner, trace.learner.reg
+    if not isinstance(reg, MaxScaled):
+        raise ValueError("the adaptive filter display needs a MaxScaled run, "
+                         f"not {type(reg).__name__}")
+    beta = reg.base.strong_convexity()
+    if learner.loss_name != "square" or learner.eta != 1.0 or not beta >= 1.0:
+        raise ValueError("the adaptive filter display needs the square loss, eta 1 and a base "
+                         f"with beta >= 1, not loss {learner.loss_name!r}, eta {learner.eta} "
+                         f"and beta {beta}")
     X, y = trace.dataset.X, trace.dataset.y
     U = _as_batch(u, trace.dim)
     preds = np.array([r.prediction for r in trace.records])
     P = U @ X.T
     measured = ((preds[None, :] - P) ** 2).sum(axis=1)
-    x_max = float(trace.learner.reg.x_max)
-    f_u = trace.learner.reg.base.value(U)
+    x_max = float(reg.x_max)
+    f_u = reg.base.value(U)
     noise = ((y[None, :] - P) ** 2).sum(axis=1)
     bound = 2.0 * x_max * x_max * f_u + noise
     return _finish("adaptive_filter", measured, bound, {"x_max": x_max}, U)

@@ -202,7 +202,7 @@ def build_learner(config, dim):
 
 
 def _validate_labels(learner, dataset):
-    bad = np.flatnonzero(np.abs(dataset.y) != 1.0) if learner.binary_labels else ()
+    bad = np.flatnonzero(np.abs(dataset.y) != 1.0) if learner.loss_name == "hinge" else ()
     if len(bad):
         raise ValueError(f"classification learner needs labels in {{-1,+1}}; "
                          f"example {bad[0]} has y={float(dataset.y[bad[0]])}")
@@ -289,10 +289,7 @@ def comparator_matrix(specs, dataset, learner):
         elif spec == "star":
             rows.append(np.asarray(dataset.meta["u_star"], float)[None, :])
         elif spec == "batch":
-            kind = getattr(learner, "loss_name", None)
-            if kind not in ("hinge", "square", "absolute"):
-                kind = "hinge" if learner.binary_labels else "square"
-            rows.append(batch_comparator(dataset.X, dataset.y, kind=kind)[None, :])
+            rows.append(batch_comparator(dataset.X, dataset.y, kind=learner.loss_name)[None, :])
         elif spec.startswith("grid:"):
             radius, points = _grid_spec(spec, dim)
             rows.append(grid_comparators(dim, radius=radius, points=points))
@@ -360,8 +357,8 @@ _NAMES = sorted(_RECORD_FIELDS)
 _HEAD = _NAMES[:_NAMES.index("extras")]
 _TAIL = _NAMES[_NAMES.index("extras") + 1:]
 _HEAD_VALUES, _TAIL_VALUES = operator.attrgetter(*_HEAD), operator.attrgetter(*_TAIL)
-# %.17g formats a float as format(x, ".17g") does; None is a literal null, not an argument
-_SLOTS = {float: "%.17g", int: "%d", bool: "%s", type(None): "null"}
+# %.17g formats a float as format(x, ".17g") does
+_SLOTS = {float: "%.17g", int: "%d", bool: "%s"}
 _JSON_BOOL = {False: "false", True: "true"}
 
 
@@ -387,7 +384,7 @@ def _record_encoder(keys, types):
     text = "{%s,\"extras\":{%s},%s}" % (fields(_HEAD), fields(extras), fields(_TAIL))
     if "inf" in text or "nan" in text:
         return None
-    args = [name for name in (*_HEAD, *extras, *_TAIL) if kind[name] is not type(None)]
+    args = [*_HEAD, *extras, *_TAIL]
     bools = [i for i, name in enumerate(args) if kind[name] is bool]
     return text, operator.itemgetter(*(position[name] for name in args)), bools
 
@@ -397,7 +394,7 @@ def encode_record(rec):
 
     A non-finite float formats as inf or nan, which no template's own text
     contains; such a record, and one with a value of any other type than
-    float, int, bool or None, goes through canonical_json.
+    float, int or bool, goes through canonical_json.
     """
     extras = rec.extras
     vals = (*_HEAD_VALUES(rec), *extras.values(), *_TAIL_VALUES(rec))

@@ -69,8 +69,6 @@ def _check_binary(y):
 class OnlineLearner:
     """Dual-averaging state: theta accumulates updates, w rides the mirror map."""
 
-    binary_labels = False  # whether the harness must see labels in {-1, +1}
-
     def __init__(self, reg):
         self.reg = reg
         self.dim = reg.dim
@@ -157,7 +155,6 @@ class GradientDescentLearner(OnlineLearner):
         self.eta = float(eta)
         self.loss_name = loss
         self.loss_fn = losses.by_name(loss)
-        self.binary_labels = loss == "hinge"
         if math.isfinite(reg.lipschitz):
             loss_l = losses.LIPSCHITZ[loss]
             if loss_l is None:
@@ -192,7 +189,7 @@ class FirstOrderClassifier(OnlineLearner):
     be time-invariant and satisfy f(c*u) <= c^2 f(u).
     """
 
-    binary_labels = True
+    loss_name = "hinge"
     ETA_MODES = ("conservative", "pa_optimal", "fixed")
 
     def __init__(self, reg, eta_mode="conservative", fixed_eta=1.0):
@@ -251,7 +248,7 @@ class SecondOrderClassifier(OnlineLearner):
     An update round has eta 1 and records the post-update margin margin_w.
     """
 
-    binary_labels = True
+    loss_name = "hinge"
     TRIGGERS = ("omd", "arow", "mistake")
     VARIANTS = ("full", "diagonal")
 
@@ -320,6 +317,8 @@ class VAWRegressor(OnlineLearner):
     <w_t, x_t> already sees x_t, then applies z_t = y_t * x_t. z_t is a
     proxy, not the negative gradient of the square loss.
     """
+
+    loss_name = "square"
 
     def __init__(self, dim, a=1.0):
         if a <= 0:

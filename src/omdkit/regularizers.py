@@ -11,8 +11,12 @@ checked numerically by the oracle test suite:
 
   * mirror_map(theta) == argmax_v (<v,theta> - f(v))
   * f(mirror_map(u)) + f*(u) == <mirror_map(u), u>
-  * f(v) >= f(u) + <grad f(u), v-u> + (beta/2) ||u-v||^2
+  * f(v) >= f(w) + <theta, v-w> + (beta/2) ||v-w||^2 at w = mirror_map(theta)
   * dual_norm(z) == sup {<u,z> : norm(u) <= 1}
+
+theta is a subgradient of f at mirror_map(theta), so the third line is
+strong convexity at the points the engine visits, the inequality the
+regret analysis applies, and a family needs no primal gradient.
 
 The engine moves a family through two hooks, one per protocol position.
 observe_input(x) runs before the round's prediction and takes f_{t-1} to
@@ -94,9 +98,6 @@ class Regularizer:
         if grad is None:
             raise ValueError("dual point has mass on a coordinate never observed")
         return grad
-
-    def gradient(self, w):
-        raise NotImplementedError
 
     def value_drop(self, prev, w):
         """f_prev(w) - f(w), where prev is an earlier state of this regularizer."""
@@ -201,9 +202,6 @@ class FixedQuadratic(Regularizer):
     def dual(self, theta):
         return float(theta @ theta) / (2.0 * self.scale), theta / self.scale
 
-    def gradient(self, w):
-        return self.scale * w
-
     def strong_convexity(self):
         return self.scale
 
@@ -236,13 +234,6 @@ class PNorm(Regularizer):
             return conj, np.zeros(self.dim)
         nq = total ** (1.0 / self.q)
         return conj, np.sign(theta) * (a / nq) ** (self.q - 1.0) * nq
-
-    def gradient(self, w):
-        a = np.abs(w)
-        if not a.any():
-            return np.zeros(self.dim)
-        npv = np.add.reduce(a ** self.p) ** (1.0 / self.p)
-        return np.sign(w) * (a / npv) ** (self.p - 1.0) * npv
 
     def strong_convexity(self):
         return self.p - 1.0
@@ -294,19 +285,6 @@ class WeightedQNorm(Regularizer):
             * a ** (self.p - 1.0)
             * self._ad
             / (self.p - 1.0)
-        )
-
-    def gradient(self, w):
-        a = np.abs(w)
-        if not a.any():
-            return np.zeros(self.dim)
-        inner = np.add.reduce(a ** self.q * self.a)
-        return (
-            np.sign(w)
-            * inner ** (2.0 / self.q - 1.0)
-            * a ** (self.q - 1.0)
-            * self.a
-            / (self.q - 1.0)
         )
 
     def strong_convexity(self):
@@ -430,14 +408,6 @@ class GrowingQuadratic(Regularizer):
         v = self.tracker.apply(theta)
         return 0.5 * float(theta @ v), v
 
-    def gradient(self, w):
-        if self.diagonal:
-            return self.tracker.diag * w
-        g = self.scale * w
-        for x in self._rows():
-            g = g + (x @ w / self.r) * x
-        return g
-
     def strong_convexity(self):
         return 1.0
 
@@ -519,9 +489,6 @@ class CompositeQuadL1(Regularizer):
         """f*(theta) - f*_prev(theta), f*_prev without the gradient that `dual` builds."""
         return conj - prev._conjugate(theta)[0]
 
-    def gradient(self, w):
-        return self.curvature * w + self.threshold * np.sign(w)
-
     def strong_convexity(self):
         return self.curvature
 
@@ -576,9 +543,6 @@ class _Scheduled(Regularizer):
             return (math.inf if theta.any() else 0.0), np.zeros(self.dim)
         conj, grad = self.base.dual(theta / self.factor)
         return self.factor * conj, grad
-
-    def gradient(self, w):
-        return self.factor * self.base.gradient(w)
 
     def strong_convexity(self):
         return self.factor * self.base.strong_convexity()
@@ -726,15 +690,6 @@ class ScaleInvPNorm(Regularizer):
         s = prev._dual_core(theta)
         return conj - s * s / (2.0 * prev.beta)
 
-    def gradient(self, w):
-        q, beta = self.q, self.beta
-        v = np.abs(w) * self.b
-        top = v.max(initial=0.0)
-        if top == 0.0:
-            return np.zeros(self.dim)
-        core = np.add.reduce((v / top) ** q)
-        return np.sign(w) * beta * top * core ** ((2.0 - q) / q) * (v / top) ** (q - 1.0) * self.b
-
     def norm(self, v):
         v = _batch(v)
         inner = np.add.reduce((np.abs(v) * self.b) ** self.q, -1)
@@ -801,9 +756,6 @@ class ScaleInvDiag(Regularizer):
             return math.inf, None
         conj = 0.5 * float(np.add.reduce(th ** 2 / self.weights_live))
         return conj, _scatter(self, th / self.weights_live)
-
-    def gradient(self, w):
-        return self.weights * w
 
     def strong_convexity(self):
         return 1.0

@@ -140,6 +140,23 @@ def regularizer_families(dim=2):
     return fams
 
 
+def strong_convexity_gap(reg, p, q):
+    """The smaller of the two strong-convexity gaps of reg at (p, q) and at (q, p).
+
+    The gap at (a, b) is f(b) - f(w) - <a, b - w> - beta/2 ||b - w||^2 at
+    w = mirror_map(a), with beta = reg.strong_convexity(); a gap below 0
+    refutes beta.
+    """
+    beta = reg.strong_convexity()
+    gaps = []
+    for a, b in ((p, q), (q, p)):
+        # a is a subgradient of f at mirror_map(a): this is the inequality the regret proof applies
+        w = reg.mirror_map(a)
+        gaps.append(float(np.asarray(reg.value(b))) - float(np.asarray(reg.value(w)))
+                    - float(a @ (b - w)) - 0.5 * beta * float(np.asarray(reg.norm(b - w))) ** 2)
+    return min(gaps)
+
+
 # the nine audited learner configurations, keyed by display name
 def audited_learner_suite(d, T, seed):
     sep = separable(seed, d=d, T=T)

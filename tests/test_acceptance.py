@@ -21,6 +21,7 @@ from helpers import (
     run,
     separable,
     sparse_target,
+    strong_convexity_gap,
 )
 from omdkit.bounds import (
     RunTrace,
@@ -279,13 +280,8 @@ def test_criterion_7_convex_analysis_oracles():
             fy = float(np.asarray(reg.value(mm))) + reg.conjugate(theta) - float(mm @ theta)
             if abs(fy) > 1e-9:
                 fails.append((name, "fenchel_young", abs(fy)))
-        beta = reg.strong_convexity()
         for _ in range(100):
-            a = rng.normal(size=2)
-            b = rng.normal(size=2)
-            gap = float(np.asarray(reg.value(b))) - float(np.asarray(reg.value(a))) \
-                - float(reg.gradient(a) @ (b - a)) \
-                - 0.5 * beta * float(np.asarray(reg.norm(a - b))) ** 2
+            gap = strong_convexity_gap(reg, rng.normal(size=2), rng.normal(size=2))
             if gap < -1e-9:
                 fails.append((name, "strong_convexity", gap))
                 break

@@ -318,6 +318,50 @@ def test_composite_displays_audit_only_a_composite_run():
         assert composite_bound(trace, U, sched)["terms"]["min_slack"] >= -1e-9, sched
 
 
+def _gradient_trace(reg, loss, eta, spec):
+    from omdkit.data import generate
+    from omdkit.learners import GradientDescentLearner
+
+    data = generate(spec)
+    lrn = GradientDescentLearner(reg, loss, eta)
+    return RunTrace(data, [lrn.round(x, y) for x, y in data], lrn)
+
+
+@pytest.mark.parametrize("schedule,ridge", [("sqrt", 0.0), ("linear", 1.0)])
+def test_composite_displays_refuse_a_family_eta_other_than_the_step_eta(schedule, ridge):
+    # the displays take f_t = s(t) g + eta t F with the eta of z_t = -eta l'_t; the run
+    # below steps with eta 1 over a family built with 0.1, and its engine audit holds
+    from omdkit.bounds import composite_bound
+    from omdkit.regularizers import CompositeQuadL1
+
+    reg = CompositeQuadL1(5, 0.1, lam=0.3, ridge=ridge, schedule=schedule)
+    trace = _gradient_trace(reg, "absolute", 1.0, noisy_linear(0, d=5, T=200))
+    U = np.vstack([np.zeros(5), trace.dataset.meta["u_star"]])
+    assert engine_audit(trace, U)["terms"]["min_slack"] >= -1e-9
+    for sched in (schedule, "general"):
+        with pytest.raises(ValueError, match=r"family's eta 0\.1 to be the step eta 1\.0"):
+            composite_bound(trace, U, sched)
+
+
+@pytest.mark.parametrize("scaled,base,loss,eta,named", [
+    (True, 1.0, "absolute", 1.0, "loss 'absolute'"),
+    (True, 1.0, "square", 3.0, "eta 3.0"),
+    (True, 0.5, "square", 1.0, "beta 0.5"),
+    (False, 1.0, "square", 1.0, "FixedQuadratic"),
+])
+def test_adaptive_filter_display_refuses_a_run_it_does_not_cover(scaled, base, loss, eta, named):
+    # the display reads X_T off MaxScaled, and needs the square loss's identity and
+    # eta = 1 <= beta of the base
+    from omdkit.bounds import adaptive_filter_bound
+    from omdkit.regularizers import MaxScaled
+
+    reg = FixedQuadratic(5, scale=base)
+    trace = _gradient_trace(MaxScaled(reg) if scaled else reg, loss, eta,
+                            noisy_linear(0, d=5, T=200))
+    with pytest.raises(ValueError, match=f"not .*{named}"):
+        adaptive_filter_bound(trace, np.zeros((1, 5)))
+
+
 def test_vaw_and_af_property_random_runs():
     for seed in range(15):
         spec = noisy_linear(seed, sigma=0.4, d=3, T=100)
