@@ -12,14 +12,11 @@ from .bounds import (
     batch_comparator,
     composite_bound,
     diag_log_bound,
-    diag_quad_sum,
     diag_rare_feature_refinement,
     first_order_mistake_bound,
     grid_comparators,
-    implicit_log_solve,
     engine_audit,
     second_order_bound,
-    sqrt_sum_inequality_check,
     scale_invariant_bound,
     vaw_bound,
 )
@@ -33,7 +30,7 @@ from .learners import (
     VAWRegressor,
 )
 from .linalg import DiagInverse, RankOneInverse
-from .losses import LossEval, absolute, hinge, hinge_condition_check, square
+from .losses import LossEval, absolute, hinge, square
 from .prng import Xorshift64Star
 from .regularizers import (
     CompositeQuadL1,

@@ -1,4 +1,4 @@
-"""Bound evaluators over finished run traces, plus closed-form implicit-inequality solvers.
+"""Bound evaluators over finished run traces, plus the two appendix-lemma terms they evaluate.
 
 Evaluators consume immutable RunTrace objects, read the run's parameters
 off its final learner and never change learner state. Each accepts a
@@ -412,7 +412,7 @@ def second_order_bound(trace, u):
     else:
         diag_T = 1.0 + csum / r
         S1 = (U * U) @ diag_T
-        S2 = r * float(np.log(csum / r + 1.0).sum()) + 2.0 * u_used
+        S2 = diag_log_bound(Xu ** 2, r) + 2.0 * u_used
         bound = L_u + np.sqrt(S1 * S2)
         terms.update({"log_sum": S2, "col_sq_total": float(csum.sum())})
     return _finish(f"second_order_{variant}", measured, bound, terms, U)
@@ -445,7 +445,7 @@ def diag_rare_feature_refinement(trace, u, s):
     if hypothesis_ok and x_T != 0.0 and unorm2 != 0.0:
         a = unorm2 * (r + s) * d
         b = x_T ** 2 / (d * r)
-        bound = implicit_log_solve("sqrt_log", {"a": a, "b": b, "c": 0.0, "d": L_u})
+        bound = sqrt_log_solve(a, b, 0.0, L_u)
         terms.update({"a": a, "b": b})
     report = {"name": "diag_refinement", "measured": M, "bound": bound, "slack": bound - M,
               "terms": terms}
@@ -462,58 +462,17 @@ def diag_log_bound(x_squares, r):
     return float(r * np.log(xs.sum(axis=0) / r + 1.0).sum())
 
 
-def diag_quad_sum(x_squares, r):
-    """LHS of the diagonal log bound, computed through the D_t recurrence."""
-    xs = np.asarray(x_squares, dtype=np.float64)
-    diag = np.ones(xs.shape[1])
-    total = 0.0
-    for row in xs:
-        diag = diag + row / r
-        total += float((row / diag).sum())
-    return total
+def sqrt_log_solve(a, b, c, d):
+    """Explicit upper bound on x for the implicit inequality x <= sqrt(a ln(b x + 1) + c) + d:
 
+        sqrt(a ln(sqrt(8) a b^2 / e + 2 b sqrt(c) + 2 d b + 2) + c) + d
 
-def implicit_log_solve(form, coeffs, n=2.0):
-    """Explicit upper bounds for the implicit logarithmic inequalities.
-
-    pure_log  x <= a ln x             ->  (n/(n-1)) a ln(n a / e)
-    affine_log    x <= a ln(b x + c) + d  ->  (n/(n-1)) (a ln(n a b / e) + d) + c/(b (n-1))
-    sqrt_log    x <= sqrt(a ln(b x + 1) + c) + d
-                ->  sqrt(a ln(sqrt(8) a b^2 / e + 2 b sqrt(c) + 2 d b + 2) + c) + d
-
-    sqrt_log is stated for n = 2 only. Coefficients a, b must be positive;
-    c, d nonnegative (the c = 0 limit is used by the rare-feature
-    refinement).
+    Coefficients a, b must be positive; c, d nonnegative (the rare-feature
+    refinement uses the c = 0 limit).
     """
-    if form not in ("pure_log", "affine_log", "sqrt_log"):
-        raise ValueError(f"unknown form {form!r}")
-    if n <= 1.0:
-        raise ValueError("n must exceed 1")
-    a = float(coeffs["a"])
     if a <= 0:
         raise ValueError("coefficient a must be positive")
-    if form == "pure_log":
-        return (n / (n - 1.0)) * a * math.log(n * a / _E)
-    b = float(coeffs["b"])
-    c = float(coeffs.get("c", 0.0))
-    d = float(coeffs.get("d", 0.0))
     if b <= 0 or c < 0 or d < 0:
         raise ValueError("need b > 0 and c, d >= 0")
-    if form == "affine_log":
-        return (n / (n - 1.0)) * (a * math.log(n * a * b / _E) + d) + c / (b * (n - 1.0))
-    if abs(n - 2.0) > 1e-12:
-        raise ValueError("sqrt_log is proved for n = 2")
     inner = math.sqrt(8.0) * a * b * b / _E + 2.0 * b * math.sqrt(c) + 2.0 * d * b + 2.0
     return math.sqrt(a * math.log(inner) + c) + d
-
-
-def sqrt_sum_inequality_check(a, tol=1e-12):
-    """Whether sum_t a_t / sqrt(sum_{s<=t} a_s) <= 2 sqrt(sum_t a_t); 0/0 terms are 0."""
-    a = np.asarray(a, dtype=np.float64)
-    if (a < 0).any():
-        raise ValueError("entries must be nonnegative")
-    if a.size == 0:
-        return True
-    prefix = np.cumsum(a)
-    terms = np.divide(a, np.sqrt(prefix), out=np.zeros_like(a), where=prefix > 0)
-    return float(terms.sum()) <= 2.0 * math.sqrt(float(prefix[-1])) + tol

@@ -211,8 +211,6 @@ def _gen_separable(rng, gamma, d, T):
 
     meta carries u_star = u/gamma, the comparator with zero hinge loss.
     """
-    if not 0.0 < gamma <= 1.0:
-        raise ValueError(f"infeasible margin gamma={gamma}; need 0 < gamma <= 1")
     u = _unit_vector(rng, d)
     # per row: a sign, a margin, a radius, and (d + 1) // 2 polar pairs accepted w.p. pi/4
     states = T * (3 + 2 * ((d + 1) // 2) * 4 // 3) + 64
@@ -248,8 +246,6 @@ def _gen_separable(rng, gamma, d, T):
 
 
 def _gen_noisy_linear(rng, sigma, d, T):
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
     u = _unit_vector(rng, d)
     # row t: d uniforms in [-1, 1), then one normal for the noise
     cur = StateCursor(rng, T * (d + 2))
@@ -264,8 +260,6 @@ def _gen_noisy_linear(rng, sigma, d, T):
 
 
 def _gen_sparse_target(rng, k, d, T):
-    if not 0 < k <= d:
-        raise ValueError("need 0 < k <= d")
     support = rng.permutation(d)[:k]
     u = np.zeros(d)
     for i in support:
@@ -275,8 +269,6 @@ def _gen_sparse_target(rng, k, d, T):
 
 
 def _gen_heavy_tail(rng, zipf, d, T):
-    if zipf <= 0:
-        raise ValueError("zipf exponent must be positive")
     probs = np.array([(i + 1.0) ** (-zipf) for i in range(d)])
     k = max(d // 4, 1)
     rare = list(range(d - k, d))
@@ -293,9 +285,13 @@ def _gen_heavy_tail(rng, zipf, d, T):
 def rescale_dataset(dataset, factors):
     factors = np.asarray(factors, dtype=np.float64)
     if factors.shape[0] != dataset.dim:
-        raise ValueError("factor length must equal dataset dim")
-    if np.any(factors == 0.0) or not np.isfinite(factors).all():
-        raise ValueError("rescaling factors must be finite and nonzero")
+        raise ValueError(f"factor length must equal dataset dim: "
+                         f"{factors.shape[0]} factors for dim {dataset.dim}")
+    bad = np.flatnonzero((factors == 0.0) | ~np.isfinite(factors))
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(f"rescaling factors must be finite and nonzero: "
+                         f"factor {float(factors[i])!r} at coordinate {i}")
     meta = dict(dataset.meta)
     if "u_star" in meta:
         u = np.asarray(meta["u_star"], float)
@@ -324,8 +320,9 @@ _KINDS = {
 def check_spec(spec, path="spec"):
     """ValueError naming the first field, under path, that generate could not read.
 
-    A spec is {kind, seed=0, params={}}, each param a finite int or float,
-    or {kind: "rescaled", base, factors}: a base spec and a list of numbers.
+    A spec is {kind, seed=0, params={}}, each param a finite int or float in
+    its kind's range, or {kind: "rescaled", base, factors}: a base spec and a
+    list of numbers.
     """
     if not isinstance(spec, dict):
         raise ValueError(f"field {path!r} must be an object")
@@ -361,6 +358,19 @@ def check_spec(spec, path="spec"):
     if params["d"] < 1 or params["T"] < 0:
         raise ValueError(f"generator {kind!r} needs d >= 1 and T >= 0 "
                          f"(got d={int(params['d'])}, T={int(params['T'])})")
+    key = names[0]  # each kind's own parameter, the one with a range
+    val = params[key]
+    if kind == "separable_margin":
+        ok, need = 0.0 < val <= 1.0, "0 < gamma <= 1 (an infeasible margin otherwise)"
+    elif kind == "noisy_linear":
+        ok, need = val >= 0, "sigma >= 0"
+    elif kind == "sparse_target":
+        val = int(val)
+        ok, need = 0 < val <= params["d"], f"0 < k <= d (d={int(params['d'])})"
+    else:
+        ok, need = val > 0, "zipf > 0"
+    if not ok:
+        raise ValueError(f"generator {kind!r}: parameter {key}={val} needs {need}")
 
 
 def rescaled(base, factors):

@@ -125,11 +125,6 @@ class RankOneInverse:
         self.chi = 0.0
         self.logdet = self.dim * math.log(scale)
 
-    @property
-    def inv(self):
-        """A^{-1} as one dense matrix, the pending rows folded in."""
-        return self.base - (self.V.T * self.c) @ self.V
-
     def apply(self, v):
         """A^{-1} v, as base @ v - ((V @ v) * c) @ V on its own temporaries."""
         out = self.base @ v

@@ -3,8 +3,6 @@
 import math
 from dataclasses import dataclass
 
-CONDITION_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class LossEval:
@@ -41,13 +39,6 @@ def hinge_on_prediction(prediction, y):
     ev = hinge(y * float(prediction))
     # d/dpred [1 - y*pred]_+ = -y while active
     return LossEval(ev.value, -y if ev.active else 0.0, ev.active)
-
-
-def hinge_condition_check(loss_at_w, loss_at_u, inner_u_subgrad):
-    """Whether l(u) >= 1 + <u, l'(w)> whenever l(w) > 0 (vacuously true otherwise)."""
-    if loss_at_w <= 0.0:
-        return True
-    return loss_at_u >= 1.0 + inner_u_subgrad - CONDITION_TOL
 
 
 _BY_NAME = {

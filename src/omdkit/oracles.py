@@ -1,4 +1,4 @@
-"""Brute-force numeric oracles: conjugates, argmax points, gradients, dual norms, scans.
+"""Brute-force numeric oracles: conjugates, argmax points and dual norms.
 
 Deliberately plain (grids plus local pattern search plus random search) so
 they cannot share bugs with the analytic formulas they check. Functions
@@ -113,21 +113,6 @@ def numeric_biconjugate(f, w, grid, refine_iters=25):
     return numeric_conjugate(conj, np.asarray(w, dtype=np.float64), grid, refine_iters)
 
 
-def fd_gradient(f, v, h=1e-5):
-    """Central finite differences per coordinate."""
-    v = np.asarray(v, dtype=np.float64)
-    dim = v.shape[0]
-    plus = np.tile(v, (dim, 1))
-    minus = plus.copy()
-    plus[np.arange(dim), np.arange(dim)] += h
-    minus[np.arange(dim), np.arange(dim)] -= h
-    fp = np.asarray(f(plus), dtype=np.float64)
-    fm = np.asarray(f(minus), dtype=np.float64)
-    if not (np.isfinite(fp).all() and np.isfinite(fm).all()):
-        raise ValueError("function not finite near v")
-    return (fp - fm) / (2.0 * h)
-
-
 def numeric_dual_norm(primal_norm, z, samples=100_000, seed=7, refine_rounds=40):
     """sup {<u,z> : primal_norm(u) <= 1} by random search over unit-norm directions.
 
@@ -169,22 +154,3 @@ def numeric_dual_norm(primal_norm, z, samples=100_000, seed=7, refine_rounds=40)
             best_u, best_val = u, val
         sigma *= 0.8
     return best_val
-
-
-def implicit_scan(predicate, hi, step):
-    """Largest x in (0, hi] with predicate(x) true, scanned at the given resolution.
-
-    Raises if the predicate still holds at hi (the range is too small to
-    bracket the solution set). Returns 0.0 when no scanned point holds.
-    """
-    if hi <= 0 or step <= 0:
-        raise ValueError("hi and step must be positive")
-    if predicate(hi):
-        raise ValueError("predicate true at hi; enlarge the scan range")
-    best = 0.0
-    x = step
-    while x <= hi:
-        if predicate(x):
-            best = x
-        x += step
-    return best

@@ -23,17 +23,23 @@ from helpers import (
     sparse_target,
     strong_convexity_gap,
 )
+from lemmas import (
+    affine_log_solve,
+    dense_inverse,
+    diag_quad_sum,
+    implicit_scan,
+    pure_log_solve,
+    sqrt_sum_inequality_check,
+)
 from omdkit.bounds import (
     RunTrace,
     first_order_mistake_bound,
     diag_log_bound,
-    diag_quad_sum,
     diag_rare_feature_refinement,
     grid_comparators,
-    implicit_log_solve,
     engine_audit,
     second_order_bound,
-    sqrt_sum_inequality_check,
+    sqrt_log_solve,
 )
 from omdkit.data import Dataset, generate
 from omdkit.harness import (
@@ -47,7 +53,6 @@ from omdkit.learners import FirstOrderClassifier
 from omdkit.linalg import RankOneInverse
 from omdkit.oracles import (
     GridSpec,
-    implicit_scan,
     numeric_argmax,
     numeric_biconjugate,
     numeric_dual_norm,
@@ -247,7 +252,7 @@ def test_criterion_6_incremental_linear_algebra():
         inc.update(x)
         A += np.outer(x, x) / r
         ident_worst = max(ident_worst, abs(inc.quad_form(x) - chi * r / (r + chi)))
-    inv_err = float(np.max(np.abs(inc.inv - np.linalg.inv(A))))
+    inv_err = float(np.max(np.abs(dense_inverse(inc) - np.linalg.inv(A))))
     sign, ld = np.linalg.slogdet(A)
     ld_err = abs(inc.logdet - ld)
     ok = inv_err < LINALG_TOL and ld_err < LINALG_TOL and ident_worst < EXACT_TOL
@@ -319,7 +324,7 @@ def test_criterion_8_log_inequality_solvers():
     for _ in range(100):
         a = math.e + 5.0 * rng.uniform()
         n = 1.5 + rng.uniform()
-        val = implicit_log_solve("pure_log", {"a": a}, n=n)
+        val = pure_log_solve(a, n=n)
         hi = 10.0 * a * math.log(max(a, 2.0)) + 10.0
         scan = implicit_scan(lambda x: x <= a * math.log(x) + 1e-9, hi=hi, step=hi / 20000)
         if scan > val + EXACT_TOL:
@@ -329,7 +334,7 @@ def test_criterion_8_log_inequality_solvers():
         b = 0.5 + 2.0 * rng.uniform()
         c = 1.0 + 2.0 * rng.uniform()
         dd = 2.0 * rng.uniform()
-        val = implicit_log_solve("affine_log", {"a": a, "b": b, "c": c, "d": dd}, n=2.0)
+        val = affine_log_solve(a, b, c, dd, n=2.0)
         hi = 10.0 * (a * 10.0 + c / b + dd) + 20.0
         scan = implicit_scan(lambda x: x <= a * math.log(b * x + c) + dd + 1e-9,
                              hi=hi, step=hi / 20000)
@@ -340,7 +345,7 @@ def test_criterion_8_log_inequality_solvers():
         b = 0.2 + 2.0 * rng.uniform()
         c = 2.0 * rng.uniform()
         dd = 2.0 * rng.uniform()
-        val = implicit_log_solve("sqrt_log", {"a": a, "b": b, "c": c, "d": dd})
+        val = sqrt_log_solve(a, b, c, dd)
         hi = 10.0 * (math.sqrt(a * 10.0 + c) + dd) + 20.0
         scan = implicit_scan(
             lambda x: x <= math.sqrt(a * math.log(b * x + 1.0) + c) + dd + 1e-9,

@@ -11,6 +11,13 @@ from helpers import (
     separable,
     sparse_target,
 )
+from lemmas import (
+    affine_log_solve,
+    diag_quad_sum,
+    implicit_scan,
+    pure_log_solve,
+    sqrt_sum_inequality_check,
+)
 from omdkit.bounds import (
     BATCH_RADIUS,
     BATCH_STEPS,
@@ -18,17 +25,14 @@ from omdkit.bounds import (
     batch_comparator,
     first_order_mistake_bound,
     diag_log_bound,
-    diag_quad_sum,
     diag_rare_feature_refinement,
-    implicit_log_solve,
     engine_audit,
     second_order_bound,
-    sqrt_sum_inequality_check,
+    sqrt_log_solve,
     vaw_bound,
 )
 from omdkit.data import Dataset
 from omdkit.learners import FirstOrderClassifier, StepRecord, VAWRegressor
-from omdkit.oracles import implicit_scan
 from omdkit.regularizers import FixedQuadratic
 
 
@@ -246,12 +250,12 @@ def test_diag_log_bound_random():
 
 
 def test_implicit_log_solvers_examples():
-    val = implicit_log_solve("pure_log", {"a": math.e}, n=2.0)
+    val = pure_log_solve(math.e, n=2.0)
     assert val == pytest.approx(2.0 * math.e * math.log(2.0), abs=1e-12)
     assert val >= math.e
-    val1 = implicit_log_solve("affine_log", {"a": 1.0, "b": 1.0, "c": 1.0, "d": 0.0}, n=2.0)
+    val1 = affine_log_solve(1.0, 1.0, 1.0, 0.0, n=2.0)
     assert val1 == pytest.approx(2.0 * math.log(2.0 / math.e) + 1.0, abs=1e-12)
-    val2 = implicit_log_solve("sqrt_log", {"a": 1.0, "b": 1.0, "c": 1.0, "d": 1.0})
+    val2 = sqrt_log_solve(1.0, 1.0, 1.0, 1.0)
     scan = implicit_scan(
         lambda x: x <= math.sqrt(math.log(x + 1.0) + 1.0) + 1.0 + 1e-9,
         hi=50.0, step=1e-4)
@@ -260,13 +264,11 @@ def test_implicit_log_solvers_examples():
 
 def test_implicit_log_solver_validation():
     with pytest.raises(ValueError):
-        implicit_log_solve("pure_log", {"a": -1.0})
+        pure_log_solve(-1.0)
     with pytest.raises(ValueError):
-        implicit_log_solve("affine_log", {"a": 1.0, "b": 0.0, "c": 1.0, "d": 1.0})
+        affine_log_solve(1.0, 0.0, 1.0, 1.0)
     with pytest.raises(ValueError):
-        implicit_log_solve("sqrt_log", {"a": 1.0, "b": 1.0, "c": 1.0, "d": 1.0}, n=3.0)
-    with pytest.raises(ValueError):
-        implicit_log_solve("nope", {"a": 1.0})
+        sqrt_log_solve(1, 0, 1, 1)
 
 
 def test_sqrt_sum_inequality():

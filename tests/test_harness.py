@@ -14,6 +14,7 @@ import pytest
 from helpers import READS, gen_config, noisy_linear, run_cli, separable
 from omdkit import cli
 from omdkit.data import (
+    check_spec,
     generate,
     parse_csv,
     parse_svmlight,
@@ -133,6 +134,33 @@ def test_generator_spec_validation():
     with pytest.raises(ValueError, match="finite and nonzero"):
         generate({"kind": "rescaled", "seed": 0, "base": base, "factors": [1.0, float("inf")]})
     assert len(generate(spec("noisy_linear", sigma=0.1, d=2, T=0))) == 0
+
+
+# each used to pass check_spec and fail in generate with a message naming neither
+# the generator nor the value
+OUT_OF_RANGE_SPECS = [
+    ("sparse_target", {"k": 5, "d": 3, "T": 5}, "parameter k=5 needs 0 < k <= d (d=3)"),
+    ("sparse_target", {"k": 0, "d": 3, "T": 5}, "parameter k=0 needs 0 < k <= d (d=3)"),
+    ("noisy_linear", {"sigma": -1.0, "d": 3, "T": 5}, "parameter sigma=-1.0 needs sigma >= 0"),
+    ("heavy_tail_features", {"zipf": 0, "d": 4, "T": 5}, "parameter zipf=0 needs zipf > 0"),
+    ("separable_margin", {"gamma": 0, "d": 3, "T": 5}, "parameter gamma=0 needs 0 < gamma <= 1"),
+    ("separable_margin", {"gamma": 1.5, "d": 3, "T": 5},
+     "parameter gamma=1.5 needs 0 < gamma <= 1"),
+]
+
+
+@pytest.mark.parametrize("kind, params, message", OUT_OF_RANGE_SPECS,
+                         ids=["k5", "k0", "sigma-1", "zipf0", "gamma0", "gamma1.5"])
+def test_check_spec_refuses_a_parameter_out_of_its_range(kind, params, message):
+    spec = {"kind": kind, "seed": 0, "params": params}
+    with pytest.raises(ValueError) as exc:
+        check_spec(spec)
+    assert str(exc.value).startswith(f"generator {kind!r}: {message}"), exc.value
+    # a stored config, or an audit's --gen override, carries its spec through check_config
+    config = {"learner": "pa", "params": {}, "comparators": ["zero"],
+              "data": {"kind": "generator", "spec": spec}}
+    with pytest.raises(ValueError, match=f"generator {kind!r}: parameter"):
+        check_config(config)
 
 
 def test_rescaled_generator_exact_factors():
@@ -867,6 +895,23 @@ def test_cli_rescale_takes_finite_factors_on_every_command(tmp_path):
             assert code == 2, (command, value)
             assert message in err, err
         assert _main_code([*argv, "--rescale=2,-0.5"])[0] == 0, command
+
+
+def test_cli_rescale_errors_name_the_count_or_the_bad_coordinate(tmp_path):
+    gen = ["--gen", "separable_margin:gamma=0.3,d=3,T=20"]
+    commands = {
+        "gen": ["gen", *gen, "--out", str(tmp_path / "g.svm")],
+        "run": ["run", "--learner", "pa", *gen],
+        "compare": ["compare", "--learner", "scaleinv_diag", *gen],
+    }
+    for command, argv in commands.items():
+        for value, message in (
+                ("1,2", "factor length must equal dataset dim: 2 factors for dim 3"),
+                ("1,0,1", "rescaling factors must be finite and nonzero: "
+                          "factor 0.0 at coordinate 1")):
+            code, err = _main_code([*argv, f"--rescale={value}"])
+            assert code == 2, (command, value)
+            assert message in err, err
 
 
 def test_cli_rejects_csv_flags_without_csv_format(tmp_path):

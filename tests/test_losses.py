@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from lemmas import hinge_condition_check
 from omdkit import losses
 
 
@@ -26,9 +27,9 @@ def test_absolute():
 
 
 def test_hinge_condition_trivial_cases():
-    assert losses.hinge_condition_check(0.0, 5.0, -10.0)
+    assert hinge_condition_check(0.0, 5.0, -10.0)
     # u = 0: l(u) = 1, <u, l'> = 0
-    assert losses.hinge_condition_check(0.7, 1.0, 0.0)
+    assert hinge_condition_check(0.7, 1.0, 0.0)
 
 
 def test_hinge_condition_random_draws():
@@ -43,7 +44,7 @@ def test_hinge_condition_random_draws():
         lu = losses.hinge(y * float(u @ x))
         # l'(w) = subgrad * y * x
         inner = lw.subgrad_scalar * y * float(u @ x)
-        assert losses.hinge_condition_check(lw.value, lu.value, inner)
+        assert hinge_condition_check(lw.value, lu.value, inner)
 
 
 def test_hinge_subgradient_validity():

@@ -3,12 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from lemmas import fd_gradient, implicit_scan
 from omdkit.oracles import (
     _OFFSETS,
     GridSpec,
     _refine_max_batch,
-    fd_gradient,
-    implicit_scan,
     numeric_argmax,
     numeric_biconjugate,
     numeric_conjugate,

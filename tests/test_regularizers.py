@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from helpers import regularizer_families, strong_convexity_gap
-from omdkit.oracles import GridSpec, fd_gradient, numeric_argmax
+from lemmas import fd_gradient
+from omdkit.oracles import GridSpec, numeric_argmax
 from omdkit.regularizers import (
     CompositeQuadL1,
     FixedQuadratic,
