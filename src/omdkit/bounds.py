@@ -418,13 +418,15 @@ def second_order_bound(trace, u):
     return _finish(f"second_order_{variant}", measured, bound, terms, U)
 
 
-def diag_rare_feature_refinement(trace, u, s):
-    """Conditional refinement of the diagonal bound under the rare-feature hypothesis.
+def diag_rare_feature_refinement(trace, u):
+    """Refinement of the diagonal bound under the rare-feature hypothesis, at its sharpest s.
 
-    Checks sum_i u_i^2 sum_t x_{t,i}^2 <= s ||u||^2 over the update rounds
-    for the single comparator u; if it holds (and the run was conservative,
-    U_used == 0) the closed-form solver turns the implicit inequality in M
-    into the explicit bound below, else the bound is +inf. Returns (report, hypothesis_ok).
+    The hypothesis sum_i u_i^2 sum_t x_{t,i}^2 <= s ||u||^2 over the update
+    rounds holds for every s >= s_min, the ratio of the two sums, and the
+    bound grows with s, so the report takes s = s_min for the single
+    comparator u. On a conservative run (U_used == 0) the closed-form solver
+    turns the implicit inequality in M into the explicit bound below; on any
+    other run the bound is +inf.
     """
     u = np.asarray(u, dtype=np.float64)
     if u.ndim != 1:
@@ -432,24 +434,25 @@ def diag_rare_feature_refinement(trace, u, s):
     r = trace.learner.r
     X, y = trace.dataset.X, trace.dataset.y
     upd, u_used, _, csum = _update_rounds(trace, X)
-    lhs = float((u * u * csum).sum())
-    unorm2 = float(u @ u)
-    hypothesis_ok = lhs <= s * unorm2 + 1e-12 and u_used == 0
+    # past the float range s and the bound are not finite; u = 0 meets the hypothesis at s = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        unorm2 = float(u @ u)
+        s = float((u * u * csum).sum()) / unorm2 if unorm2 != 0.0 else 0.0
     M = float(len(upd))
-    x_T = float(np.max(np.linalg.norm(X, axis=1))) if len(X) else 0.0
-    L_u = float(_cumulative_losses(u[None, :], X, y, "hinge")[0])
-    d = trace.dim
-    terms = {"s": s, "hypothesis_lhs": lhs, "u_norm_sq": unorm2, "U_used": u_used,
-             "X_T": x_T, "L_u": L_u}
+    terms = {"s": s, "u_norm_sq": unorm2, "U_used": u_used}
     bound = math.inf
-    if hypothesis_ok and x_T != 0.0 and unorm2 != 0.0:
-        a = unorm2 * (r + s) * d
-        b = x_T ** 2 / (d * r)
-        bound = sqrt_log_solve(a, b, 0.0, L_u)
-        terms.update({"a": a, "b": b})
-    report = {"name": "diag_refinement", "measured": M, "bound": bound, "slack": bound - M,
-              "terms": terms}
-    return report, hypothesis_ok
+    if u_used == 0:
+        x_T = float(np.max(np.linalg.norm(X, axis=1))) if len(X) else 0.0
+        L_u = float(_cumulative_losses(u[None, :], X, y, "hinge")[0])
+        terms.update({"X_T": x_T, "L_u": L_u})
+        if x_T != 0.0 and unorm2 != 0.0:
+            d = trace.dim
+            a = unorm2 * (r + s) * d
+            b = x_T ** 2 / (d * r)
+            bound = sqrt_log_solve(a, b, 0.0, L_u)
+            terms.update({"a": a, "b": b})
+    return {"name": "diag_refinement", "measured": M, "bound": bound, "slack": bound - M,
+            "terms": terms}
 
 
 def diag_log_bound(x_squares, r):

@@ -123,13 +123,6 @@ def _check_flags(parser, args):
     unread = [k for k in given if k in _LEARNER_FLAGS and k not in LEARNERS[args.learner][1]]
     if unread:
         parser.error(f"learner {args.learner} does not read {_flags(unread)}")
-    # the refinement needs the generator's u_star, and compare audits nothing
-    if args.rare_s is not None and (args.command == "compare" or args.variant != "diagonal"
-                                    or args.gen is None):
-        parser.error("--rare-s is read only by run and audit with --variant diagonal and --gen")
-    # a negative s makes the refinement's hypothesis unsatisfiable, and its bound vacuous
-    if args.rare_s is not None and args.rare_s < 0:
-        parser.error(f"argument --rare-s: {args.rare_s!r} is negative; need s >= 0")
     if args.command == "compare" and args.gen is None:
         parser.error("compare needs --gen; it does not read --data")
     if args.command == "compare" and args.rescale is None:

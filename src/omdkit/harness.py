@@ -113,9 +113,8 @@ LEARNERS = {
     "pa": (lambda d, p: FirstOrderClassifier(FixedQuadratic(d), "pa_optimal"), {}),
     "fixed_margin": (lambda d, p: FirstOrderClassifier(FixedQuadratic(d), "fixed",
                                                        p["fixed_eta"]), {"fixed_eta": 0.5}),
-    # rare_s feeds the diagonal variant's rare-feature refinement against the generator's u_star
     "second_order": (lambda d, p: SecondOrderClassifier(d, p["r"], p["variant"], p["trigger"]),
-                     {"r": 1.0, "variant": "full", "trigger": "omd", "rare_s": None}),
+                     {"r": 1.0, "variant": "full", "trigger": "omd"}),
     "vaw": (lambda d, p: VAWRegressor(d, p["a"]), {"a": 1.0}),
     "adaptive_filter": (lambda d, p: GradientDescentLearner(
         MaxScaled(FixedQuadratic(d)), "square", 1.0), {}),
@@ -126,7 +125,7 @@ LEARNERS = {
 }
 
 
-# the string params' choices; the others take a finite number, or None where that is the default
+# the string params' choices; the others take a finite number
 CHOICES = {"variant": SecondOrderClassifier.VARIANTS, "trigger": SecondOrderClassifier.TRIGGERS,
            "schedule": CompositeQuadL1.SCHEDULES, "loss": ("hinge", "square", "absolute")}
 
@@ -155,16 +154,13 @@ def check_config(config):
         if key in CHOICES:
             if val not in CHOICES[key]:
                 raise ValueError(f"{name} must be one of {list(CHOICES[key])}")
-        elif not ((type(val) in (int, float) and abs(val) <= sys.float_info.max)
-                  or (val is None and defaults[key] is None)):
-            allowed = " or null" if defaults[key] is None else ""
-            raise ValueError(f"{name} must be a finite number{allowed}")
+        elif not (type(val) in (int, float) and abs(val) <= sys.float_info.max):
+            raise ValueError(f"{name} must be a finite number")
+    try:  # each constructor owns its parameters' ranges
+        build_learner(config, 1)
+    except (ValueError, ArithmeticError) as e:
+        raise ValueError(f"config field 'params': {e}") from None
     kind = data.get("kind")
-    rare_s = params.get("rare_s")
-    if rare_s is not None and not (rare_s >= 0 and kind == "generator"
-                                   and {**defaults, **params}["variant"] == "diagonal"):
-        raise ValueError("config field 'params.rare_s' needs s >= 0, the diagonal variant "
-                         "and a generator data source")
     if not config["comparators"]:
         raise ValueError("config field 'comparators' must not be empty")
     for spec in config["comparators"]:
@@ -248,7 +244,7 @@ def run_experiment(config, audit=True):
         "margin_errors": int(sum(1 for r in records if r.margin_error)),
         "theta_norm": _norm(trace.learner.theta),
         "wall_time_s": wall,
-        "reports": audit_reports(trace, U, config) if audit else [],
+        "reports": audit_reports(trace, U) if audit else [],
     }
     return trace, with_first_nonfinite(summary, records)
 
@@ -301,18 +297,23 @@ def comparator_matrix(specs, dataset, learner):
     return np.vstack(rows)
 
 
-def audit_reports(trace, U, config):
-    """The report dicts of every bound evaluator applicable to the trace's learner, against U."""
+def audit_reports(trace, U):
+    """The report dicts of every bound evaluator applicable to the trace's learner, against U.
+
+    A diagonal second-order run on generator data adds the rare-feature refinement at
+    the generator's u_star wherever its bound is finite, that is on a conservative run.
+    """
     learner = trace.learner
     reports = [bounds_mod.engine_audit(trace, U)]
     if isinstance(learner, FirstOrderClassifier):
         reports.append(bounds_mod.first_order_mistake_bound(trace, U))
     elif isinstance(learner, SecondOrderClassifier):
         reports.append(bounds_mod.second_order_bound(trace, U))
-        s = config["params"].get("rare_s")
-        if s is not None:  # check_config admits s only on the diagonal variant over a generator
-            reports.append(bounds_mod.diag_rare_feature_refinement(
-                trace, trace.dataset.meta["u_star"], s)[0])
+        u_star = trace.dataset.meta.get("u_star")
+        if learner.variant == "diagonal" and u_star is not None:
+            refinement = bounds_mod.diag_rare_feature_refinement(trace, u_star)
+            if math.isfinite(refinement["bound"]):
+                reports.append(refinement)
     elif isinstance(learner, VAWRegressor):
         reports.append(bounds_mod.vaw_bound(trace, U))
     elif isinstance(learner.reg, MaxScaled):
@@ -566,7 +567,7 @@ def audit_stored(path, config_override=None):
         if stored[i] != encode_record(rec):
             raise ValueError(f"{path}: record {i + 1} does not match the replayed run: "
                              f"{_record_mismatch(stored[i], _record_payload(rec))}")
-    return trace, with_first_nonfinite({"reports": audit_reports(trace, U, config)}, records)
+    return trace, with_first_nonfinite({"reports": audit_reports(trace, U)}, records)
 
 
 def prediction_deviation(trace_a, trace_b):

@@ -22,7 +22,7 @@ READS = {
     "pnorm_perceptron": {"p"},
     "pa": set(),
     "fixed_margin": {"fixed_eta"},
-    "second_order": {"r", "variant", "trigger", "rare_s"},
+    "second_order": {"r", "variant", "trigger"},
     "vaw": {"a"},
     "adaptive_filter": set(),
     "scaleinv_pnorm": {"lipschitz", "eta", "loss"},

@@ -220,12 +220,8 @@ def test_criterion_5_second_order_bounds():
                           {"r": 1.0, "variant": "diagonal", "trigger": "mistake"},
                           spec, audit=False)
         star = generate(spec).meta["u_star"]
-        X = trace.dataset.X
-        upd = [i for i, rec in enumerate(trace.records) if rec.eta > 0.0]
-        csum = (X[upd] ** 2).sum(axis=0) if upd else np.zeros(12)
-        s_min = float(np.sum(star ** 2 * csum) / float(star @ star))
-        rep, hyp = diag_rare_feature_refinement(trace, star, s=s_min * 1.05 + 1e-9)
-        if not hyp:
+        rep = diag_rare_feature_refinement(trace, star)
+        if rep["terms"]["U_used"] != 0:
             refinement_ok = False
             continue
         a, b, L_u = rep["terms"]["a"], rep["terms"]["b"], rep["terms"]["L_u"]

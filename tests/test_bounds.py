@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -31,7 +32,8 @@ from omdkit.bounds import (
     sqrt_log_solve,
     vaw_bound,
 )
-from omdkit.data import Dataset
+from omdkit.data import Dataset, rescaled
+from omdkit.harness import report_violations
 from omdkit.learners import FirstOrderClassifier, StepRecord, VAWRegressor
 from omdkit.regularizers import FixedQuadratic
 
@@ -409,8 +411,8 @@ def test_diag_rare_feature_refinement_on_heavy_tail():
     upd = [i for i, rec in enumerate(trace.records) if rec.eta > 0.0]
     csum = (X[upd] ** 2).sum(axis=0)
     s_min = float(np.sum(star ** 2 * csum) / float(star @ star))
-    rep, ok = diag_rare_feature_refinement(trace, star, s=s_min * 1.05 + 1e-9)
-    assert ok
+    rep = diag_rare_feature_refinement(trace, star)
+    assert rep["terms"]["s"] == pytest.approx(s_min, rel=1e-12)
     assert rep["measured"] <= rep["bound"] + 1e-9
     # scan oracle for the implicit inequality must be dominated
     a, b = rep["terms"]["a"], rep["terms"]["b"]
@@ -419,9 +421,35 @@ def test_diag_rare_feature_refinement_on_heavy_tail():
         lambda x: x <= math.sqrt(a * math.log(b * x + 1.0)) + L_u + 1e-9,
         hi=max(10.0 * rep["bound"], 50.0), step=rep["bound"] / 2000.0)
     assert scan <= rep["bound"] + 1e-9
-    # hypothesis failure path
-    rep2, ok2 = diag_rare_feature_refinement(trace, star, s=s_min * 0.5)
-    assert not ok2 and rep2["bound"] == math.inf
+    # a run that is not conservative (an update round with a positive margin) gets +inf
+    trace, _, _ = run("second_order", {"r": 1.0, "variant": "diagonal", "trigger": "omd"},
+                      spec, audit=False)
+    rep2 = diag_rare_feature_refinement(trace, star)
+    assert rep2["terms"]["U_used"] > 0 and rep2["bound"] == math.inf
+
+
+def test_the_audit_checks_each_conservative_diagonal_run_at_s_min():
+    # every diagonal second-order run on generator data is audited for the refinement;
+    # only the conservative ones list it, and no report carries an infinite bound
+    listed = 0
+    for d, T, seed, gen, trigger in itertools.product(
+            (2, 10), (10, 200), range(5), (separable, heavy_tail), ("omd", "arow", "mistake")):
+        spec = gen(seed, d=d, T=T)
+        params = {"variant": "diagonal", "trigger": trigger}
+        trace, _, reports = run("second_order", params, spec, ("zero", "star"))
+        assert not report_violations(reports), (spec, trigger)
+        assert all(math.isfinite(r["bound"]) for r in reports), (spec, trigger)
+        conservative = not any(rec.eta > 0.0 and rec.extras["margin_w"] * rec.label > 0.0
+                               for rec in trace.records)
+        names = [r["name"] for r in reports]
+        assert ("diag_refinement" in names) == conservative, (spec, trigger)
+        listed += conservative
+    assert listed > 0
+    # a conservative run whose u_star squares past the float range: the refinement's bound is
+    # not finite, so the audit leaves it out, and raises no overflow warning on the way
+    spec = rescaled(separable(1, d=2, T=20), [1e-200, 1e-200])
+    _, _, reports = run("second_order", {"variant": "diagonal", "trigger": "mistake"}, spec)
+    assert [r["name"] for r in reports] == ["engine", "second_order_diagonal"]
 
 
 def test_batch_comparator_deterministic():

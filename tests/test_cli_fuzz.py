@@ -32,7 +32,7 @@ FUZZ = settings(derandomize=True, max_examples=EXAMPLES, deadline=None, database
 GOOD = {
     "eta": ["0.5", "1"], "r": ["0.5", "1"], "a": ["0.5", "1"], "p": ["1.5", "2"],
     "lam": ["0", "0.1"], "ridge": ["0", "0.5"], "quad": ["0.5", "1"], "lipschitz": ["1", "2"],
-    "fixed_eta": ["0.5", "1"], "rare_s": ["1", "3"], "variant": ["full", "diagonal"],
+    "fixed_eta": ["0.5", "1"], "variant": ["full", "diagonal"],
     "trigger": ["omd", "arow", "mistake"], "schedule": ["constant", "sqrt", "linear"],
     "loss": ["hinge", "square", "absolute"],
 }

@@ -1,8 +1,8 @@
 """Golden digests: traces, summaries and audit payloads pinned byte for byte.
 
 One run per CLI learner config at d=5, T=60 with comparators zero and
-star, plus the batch comparator for four learners and two diagonal
-second-order runs with the rare-feature refinement. A refactor of the
+star, plus the batch comparator for four learners and a conservative
+diagonal second-order run, which the rare-feature refinement audits. A refactor of the
 engine, harness or CLI must keep every digest; changing one on purpose
 means a TRACE_VERSION bump or a documented behaviour change, and new
 digests here.
@@ -11,9 +11,11 @@ digests here.
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from omdkit import cli
+from omdkit.data import generate
 from omdkit.harness import TRACE_VERSION, canonical_json
 
 SEPARABLE = "separable_margin:gamma=0.3,d=5,T=60"
@@ -57,12 +59,9 @@ EXTRA_CONFIGS = {
     "composite_batch": (CONFIGS["composite"][0], LINEAR, ["batch"]),
     "pa_batch": (["--learner", "pa"], SEPARABLE, ["zero", "batch"]),
     "vaw_batch": (["--learner", "vaw", "--a", "1"], LINEAR, ["batch"]),
-    "second_order_diagonal_rare_s": (["--learner", "second_order", "--variant", "diagonal",
-                                      "--rare-s", "3"], SEPARABLE, ["zero", "star"]),
-    # the conservative trigger meets the rare-feature hypothesis, so the bound is finite
-    "second_order_diagonal_mistake_rare_s": (["--learner", "second_order", "--variant",
-                                              "diagonal", "--trigger", "mistake", "--rare-s",
-                                              "3"], SEPARABLE, ["zero"]),
+    # the conservative trigger makes the rare-feature refinement's bound finite
+    "second_order_diagonal_mistake": (["--learner", "second_order", "--variant", "diagonal",
+                                       "--trigger", "mistake"], SEPARABLE, ["zero"]),
 }
 
 # sha256 of (trace bytes, summary without wall_time_s, audit payload), first 16 hex digits;
@@ -81,15 +80,13 @@ GOLDEN = {
     "vaw": ("f1b44920a0c9d4e7", "7193a5f214e54acd", "aeefbcefa17a46ee"),
 }
 
-# same digests as GOLDEN, for the configs that read the loss, the target and rare_s off the run
+# same digests as GOLDEN, for the configs that read the loss or the target off the run
 EXTRA_GOLDEN = {
     "composite_batch": ("02f48a9da804897b", "205a260e8e27f01c", "911f18e3b830009c"),
     "ogd_square_batch": ("c00fe37ed85c12d7", "5e24b0f4ef141159", "d1b0869e9b7a29a7"),
     "pa_batch": ("1a5a8ce9ebb3e919", "b853eb39b4172898", "1f04b61f63a3ddb8"),
-    "second_order_diagonal_mistake_rare_s": ("cbb81e982d470be2", "dc7ca9aaa4016fdd",
-                                             "fd723a154c3d6c94"),
-    "second_order_diagonal_rare_s": ("ef997e09309a4a1d", "46916e1893302266",
-                                     "bc83c5850a8e566a"),
+    "second_order_diagonal_mistake": ("24a26db28aa116a6", "20a61d54723f2c44",
+                                      "1058819d0059ad40"),
     "vaw_batch": ("0409d3d095202a83", "3f7b02a4fdf99975", "04a9542eddf9bada"),
 }
 
@@ -141,12 +138,25 @@ def test_golden_digests_batch_and_rare_s(tmp_path, key):
 
 
 def test_rare_s_golden_run_reports_the_refinement(tmp_path):
-    summ = tmp_path / "s.json"
-    flags, gen, comparators = EXTRA_CONFIGS["second_order_diagonal_rare_s"]
+    # a conservative run gets the refinement at the smallest s its hypothesis allows,
+    # sum_i u_i^2 sum_t x_{t,i}^2 / ||u||^2 over the update rounds; the omd run is not
+    # conservative, and its +inf refinement is left out
+    flags, gen, _ = EXTRA_CONFIGS["second_order_diagonal_mistake"]
+    trace, summ = tmp_path / "t.jsonl", tmp_path / "s.json"
     assert cli.main(["run", *flags, "--gen", gen, "--seed", "1",
-                     "--summary", str(summ)]) == 0
+                     "--trace", str(trace), "--summary", str(summ)]) == 0
+    reports = {r["name"]: r for r in json.loads(summ.read_text())["reports"]}
+    assert list(reports) == ["engine", "second_order_diagonal", "diag_refinement"]
+    header, *lines = trace.read_text().splitlines()
+    upd = [json.loads(line)["eta"] > 0.0 for line in lines]
+    ds = generate(json.loads(header)["config"]["data"]["spec"])
+    u = ds.meta["u_star"]
+    s_min = float(np.sum(u * u * (ds.X[upd] ** 2).sum(axis=0)) / (u @ u))
+    assert reports["diag_refinement"]["terms"]["s"] == pytest.approx(s_min, rel=1e-12)
+    omd = [*flags[:-1], "omd"]
+    assert cli.main(["run", *omd, "--gen", gen, "--seed", "1", "--summary", str(summ)]) == 0
     names = [r["name"] for r in json.loads(summ.read_text())["reports"]]
-    assert names == ["engine", "second_order_diagonal", "diag_refinement"]
+    assert names == ["engine", "second_order_diagonal"]
 
 
 # `omdkit gen` output files: (generator spec, --rescale value or None) -> sha256 prefix.

@@ -302,6 +302,26 @@ def test_cli_audit_names_the_data_file_it_cannot_find(tmp_path, monkeypatch):
                    f"(resolved against {os.getcwd()})\n")
 
 
+def test_cli_audit_refuses_an_out_of_range_param_before_reading_the_data(tmp_path):
+    # a constructor's range check used to run only once the data was read, so a missing
+    # file hid it; check_config now builds the learner, and names the trace and the field
+    svm = tmp_path / "d.svm"
+    svm.write_text("1 1:0.5\n-1 2:1\n")
+    trace = tmp_path / "t.jsonl"
+    code, err = _main_code(["run", "--learner", "ogd", "--data", str(svm), "--trace", str(trace)])
+    assert code == 0, err
+    header, *records = trace.read_text().splitlines()
+    config = json.loads(header)["config"]
+    config["params"] = {"eta": -1}
+    stored = {"version": TRACE_VERSION, "config": config, "fingerprint": fingerprint(
+        {k: config[k] for k in ("learner", "params", "data")})}
+    trace.write_text("\n".join([canonical_json(stored), *records]) + "\n")
+    svm.unlink()
+    code, err = _main_code(["audit", "--trace", str(trace)])
+    assert code == 2
+    assert err == f"error: {trace}: header config field 'params': eta must be positive\n"
+
+
 def test_cli_gen_run_audit_cycle(tmp_path):
     data = tmp_path / "d.svm"
     out = run_cli("gen", "--gen", "separable_margin:gamma=0.4,d=4,T=50",
@@ -375,9 +395,6 @@ def test_cli_out_of_memory_is_a_data_error_with_a_message():
     assert err.startswith("error: out of memory: ") and "Traceback" not in err, err
 
 
-RARE_S = "'params.rare_s' needs s >= 0, the diagonal variant and a generator data source"
-
-
 def test_cli_audit_names_the_field_of_a_malformed_header(tmp_path):
     cfg = gen_config("pa", {}, separable(2, d=3, T=5))
     trace = tmp_path / "t.jsonl"
@@ -443,14 +460,9 @@ def test_cli_audit_names_the_field_of_a_malformed_header(tmp_path):
             "'params.loss' must be one of ['hinge', 'square', 'absolute']",
         fingerprinted(learner="second_order", params={"variant": 5}):
             "'params.variant' must be one of ['full', 'diagonal']",
-        fingerprinted(learner="second_order", params={"rare_s": "3"}):
-            "'params.rare_s' must be a finite number or null",
-        # each of these was accepted, and its rare_s ignored or its refinement vacuous
-        fingerprinted(learner="second_order", params={"rare_s": 3}): RARE_S,
-        fingerprinted(learner="second_order", params={"rare_s": 3, "variant": "diagonal"},
-                      data={"kind": "file", "path": str(svm)}): RARE_S,
-        fingerprinted(learner="second_order", params={"rare_s": -1, "variant": "diagonal"}):
-            RARE_S,
+        # the refinement takes its s from the run, and no learner reads a stored s
+        fingerprinted(learner="second_order", params={"rare_s": 3, "variant": "diagonal"}):
+            "'params.rare_s' is not a parameter of learner 'second_order'",
         fingerprinted(data={"kind": "generator", "spec": 5}): "'data.spec' must be an object",
         fingerprinted(data={"kind": "file", "path": fd}): "'data.path' must be a string",
         # each of these raised out of cli.main, or was read as another value
@@ -485,8 +497,7 @@ def test_cli_audit_names_the_field_of_a_malformed_header(tmp_path):
     # the path that names a descriptor was never opened, so the descriptor is still open
     assert os.read(fd, 1) == b"{"
     os.close(fd)
-    for params in ({"rare_s": None}, {"rare_s": 3, "variant": "diagonal"}, {"r": 2},
-                   {"variant": "diagonal"}):
+    for params in ({"r": 2}, {"variant": "diagonal"}):
         text = fingerprinted(learner="second_order", params=params)
         bad.write_text("\n".join([text, *records]) + "\n")
         code, err = _main_code(["audit", "--trace", str(bad)])
@@ -666,7 +677,7 @@ def test_cli_perceptron_margin_bound(tmp_path):
 
 FLAG_VALUES = {"eta": "0.5", "r": "0.5", "a": "0.5", "p": "1.8", "lam": "0.1",
                "ridge": "0.5", "quad": "0.5", "lipschitz": "1", "fixed_eta": "0.5",
-               "rare_s": "2", "variant": "diagonal", "trigger": "arow",
+               "variant": "diagonal", "trigger": "arow",
                "schedule": "constant", "loss": "absolute"}
 TINY = {"separable": "separable_margin:gamma=0.3,d=2,T=5",
         "linear": "noisy_linear:sigma=0.2,d=2,T=5"}
@@ -685,18 +696,16 @@ def _main_code(argv):
 def _learner_argv(learner, key):
     gen = TINY["separable" if learner in ("ogd", "pnorm_perceptron", "pa", "fixed_margin",
                                           "second_order") else "linear"]
-    flag = "--" + key.replace("_", "-")
-    # --rare-s is read only with --variant diagonal
-    variant = ["--variant", "diagonal"] if (learner, key) == ("second_order", "rare_s") else []
-    return ["run", "--learner", learner, flag, FLAG_VALUES[key], *variant, "--gen", gen]
+    return ["run", "--learner", learner, "--" + key.replace("_", "-"), FLAG_VALUES[key],
+            "--gen", gen]
 
 
 def test_learner_table_matches_reads():
     from omdkit.harness import LEARNERS
 
     assert {name: set(defaults) for name, (_f, defaults) in LEARNERS.items()} == READS
-    # 10 learners x 14 learner flags, of which 21 pairs are read
-    assert sum(len(FLAG_VALUES) - len(r) for r in READS.values()) == 119
+    # 10 learners x 13 learner flags, of which 20 pairs are read
+    assert sum(len(FLAG_VALUES) - len(r) for r in READS.values()) == 110
 
 
 @pytest.mark.parametrize("learner", sorted(READS))
@@ -726,6 +735,9 @@ def test_cli_removed_and_unpaired_options_are_usage_errors(tmp_path):
         ["audit", "--trace", str(trace), "--eta", "5", "--r", "7"],
         ["audit", "--trace", str(trace), "--seed", "3"],
         ["audit", "--trace", str(trace), "--gen", gen],
+        # the rare-feature refinement takes its s from the run
+        ["run", "--learner", "second_order", "--variant", "diagonal", "--rare-s", "3",
+         "--gen", gen],
     ]
     for argv in bad:
         assert _main_code(argv)[0] == 1, argv
@@ -820,37 +832,6 @@ def test_cli_non_finite_tol_is_a_usage_error():
         assert code == 1, value
         assert f"argument --tol: '{value}' is not a finite number" in err, err
     assert _main_code([*argv, "--tol=1e-6"])[0] == 3
-
-
-def test_cli_rare_s_needs_diagonal_variant_and_generator(tmp_path):
-    svm, _ = _data_files(tmp_path)
-    base = ["--learner", "second_order", "--rare-s", "3"]
-    gen = ["--gen", TINY["separable"]]
-    for argv in (["run", *base, *gen], ["run", *base, "--variant", "full", *gen],
-                 ["run", *base, "--variant", "diagonal", "--data", svm],
-                 ["compare", *base, "--variant", "diagonal", *gen, "--rescale", "2,1"]):
-        code, err = _main_code(argv)
-        assert code == 1, argv
-        assert "--rare-s is read only by run and audit with --variant diagonal and --gen" in err
-    trace = tmp_path / "t.jsonl"
-    good = [*base, "--variant", "diagonal", *gen]
-    assert _main_code(["run", *good, "--trace", str(trace)])[0] == 0
-    assert _main_code(["audit", "--trace", str(trace), *good])[0] == 0
-
-
-def test_cli_negative_rare_s_is_a_usage_error(tmp_path):
-    # s < 0 made the refinement vacuous (bound inf) and the run exit 0
-    base = ["--learner", "second_order", "--variant", "diagonal", "--trigger", "mistake",
-            "--gen", "separable_margin:gamma=0.3,d=5,T=60", "--seed", "1", "--strict-audit"]
-    for value in ("-3", "-1e-9"):
-        code, err = _main_code(["run", *base, f"--rare-s={value}"])
-        assert code == 1, value
-        assert f"argument --rare-s: {float(value)!r} is negative; need s >= 0" in err, err
-    assert _main_code(["run", *base, "--rare-s=0"])[0] == 0
-    summary = tmp_path / "s.json"
-    assert _main_code(["run", *base, "--rare-s=3", "--summary", str(summary)])[0] == 0
-    reports = {r["name"]: r for r in json.loads(summary.read_text())["reports"]}
-    assert math.isfinite(reports["diag_refinement"]["bound"])
 
 
 def test_cli_compare_without_rescale_is_a_usage_error():
@@ -1140,14 +1121,19 @@ def test_audit_names_the_differing_field(tmp_path):
 
 
 def test_cli_float_overflow_is_data_error():
-    for argv in (["--learner", "second_order", "--r", "1e-300",
-                  "--gen", "separable_margin:gamma=0.2,d=1,T=2"],
-                 ["--learner", "scaleinv_diag", "--lipschitz", "1e300",
-                  "--gen", "noisy_linear:sigma=0.2,d=1,T=2"]):
+    # an overflow in a round is a numeric failure; one in a constructor is found by
+    # check_config, which names the params
+    in_params = "error: config field 'params': (34, 'Numerical result out of range')"
+    for argv, msg in ((["--learner", "second_order", "--r", "1e-300",
+                        "--gen", "separable_margin:gamma=0.2,d=1,T=2"], "error: numeric failure:"),
+                      (["--learner", "scaleinv_diag", "--lipschitz", "1e300",
+                        "--gen", "noisy_linear:sigma=0.2,d=1,T=2"], in_params),
+                      (["--learner", "scaleinv_pnorm", "--lipschitz", "1e300",
+                        "--gen", "noisy_linear:sigma=0.2,d=3,T=5"], in_params)):
         with np.errstate(all="ignore"):
             code, err = _main_code(["run", *argv])
         assert code == 2, argv
-        assert "error: numeric failure:" in err
+        assert msg in err, err
 
 
 def test_composite_empty_run_audits_cleanly():
@@ -1203,8 +1189,8 @@ def test_a_lipschitz_constant_below_the_losses_is_rejected_before_round_one(lear
     code, err = _main_code(["run", "--learner", learner, "--lipschitz", "1e-200",
                             "--gen", "noisy_linear:sigma=0.2,d=3,T=20"])
     assert code == 2
-    assert err == ("error: loss 'absolute' is 1.0-Lipschitz in the prediction, above the "
-                   "regularizer's Lipschitz constant 1e-200\n")
+    assert err == ("error: config field 'params': loss 'absolute' is 1.0-Lipschitz in the "
+                   "prediction, above the regularizer's Lipschitz constant 1e-200\n")
 
 
 def _readme_cli_lines():

@@ -367,7 +367,7 @@ def test_gradient_descent_over_a_scale_invariant_family_is_the_cli_regressor(fam
     for mine, theirs in zip(records, cli_trace.records):
         assert canonical_json(vars(mine)) == canonical_json(vars(theirs)), mine.t
     U = comparator_matrix(config["comparators"], dataset, lrn)
-    reports = audit_reports(RunTrace(dataset, records, lrn), U, config)
+    reports = audit_reports(RunTrace(dataset, records, lrn), U)
     assert [rep["name"] for rep in reports] == ["engine", f"scale_invariant_{family.kind}"]
     assert canonical_json(reports) == canonical_json(summary["reports"])
 

@@ -5,15 +5,19 @@ generator spec. Every family is symmetric under a sign flip of a coordinate
 and every mirror map is odd, so flipping feature columns flips the signs of
 w_t and theta_t and of nothing a record holds. The scale-invariant families
 see only the ratios |z_i| / b_i and |w_i| b_i, which a power-of-two factor
-per feature scales exactly on both sides.
+per feature scales exactly on both sides. Every regression loss is even
+in prediction - label, so negating every label negates w_t, theta_t and
+each prediction, and leaves every other record value as it was.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 
 from helpers import gen_config, heavy_tail, noisy_linear, separable, sparse_target
-from omdkit.data import rescaled
-from omdkit.harness import encode_record, run_experiment
+from omdkit.data import Dataset, generate, rescaled
+from omdkit.harness import build_learner, drive, encode_record, run_experiment
 
 T = 200
 DIMS = (1, 2, 10)
@@ -73,3 +77,26 @@ def test_power_of_two_feature_scales_keep_every_scale_invariant_record(name):
         d = spec["params"]["d"]
         factors = np.ldexp(1.0, rng.integers(-10, 11, size=d))
         _check_twin(name, {}, spec, factors)
+
+
+def _negated(rec):
+    """A record of the label-negated twin as its parent's reads: label and prediction change
+    sign, except round 1's prediction, <w_1, x_1> with w_1 = 0 in both runs."""
+    prediction = rec.prediction if rec.t == 1 else -rec.prediction
+    return dataclasses.replace(rec, prediction=prediction, label=-rec.label)
+
+
+@pytest.mark.parametrize("name", sorted(REGRESSORS))
+def test_negating_the_labels_negates_every_prediction_and_theta(name):
+    for d in DIMS:
+        for seed in SEEDS:
+            for spec in (noisy_linear(seed, d=d, T=T), sparse_target(seed, k=1, d=d, T=T)):
+                ds = generate(spec)
+                twin = Dataset.from_matrix(ds.X, -ds.y, ds.meta)
+                config = gen_config(name, {}, spec)
+                learner, twin_learner = build_learner(config, d), build_learner(config, d)
+                lines = [encode_record(r) for r in drive(learner, ds)]
+                twin_lines = [encode_record(_negated(r)) for r in drive(twin_learner, twin)]
+                assert twin_lines == lines, (name, spec)
+                # + 0.0: a coordinate that never updated holds +0.0 in both runs
+                assert (-twin_learner.theta + 0.0).tobytes() == (learner.theta + 0.0).tobytes()

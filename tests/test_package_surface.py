@@ -1,4 +1,4 @@
-"""Tripwire for test-only code in the package.
+"""Tripwires for test-only code in the package, and for parameters no learner reads.
 
 Every top-level function and class of src/omdkit must be named somewhere
 else in the package or in the bench scripts. A name that only tests use
@@ -7,8 +7,11 @@ that left the package). __init__.py is no caller: it re-exports names.
 """
 
 import ast
+import pickle
 import re
 from pathlib import Path
+
+from omdkit.harness import CHOICES, LEARNERS
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "omdkit"
@@ -34,3 +37,25 @@ def test_every_top_level_name_of_the_package_has_a_caller_outside_the_tests():
             if not any(word.search(t) for t in others):
                 unused.append(f"{path.name}:{node.lineno} {node.name}")
     assert not unused, f"defined in the package but named only by tests: {unused}"
+
+
+def _other_value(key, default):
+    """Another valid value of a learner parameter."""
+    if key in CHOICES:
+        return next(c for c in CHOICES[key] if c != default)
+    if key == "fixed_eta":  # it must stay in [0, 1]
+        return default / 2
+    if key == "p":  # it must stay in (1, 2]
+        return 1.75
+    return 2 * default if default else 0.5
+
+
+def test_every_learner_parameter_changes_the_learner_it_builds():
+    unread = []
+    for name, (factory, defaults) in LEARNERS.items():
+        base = pickle.dumps(factory(4, defaults))
+        for key, default in defaults.items():
+            other = factory(4, {**defaults, key: _other_value(key, default)})
+            if pickle.dumps(other) == base:
+                unread.append(f"{name}.{key}")
+    assert not unread, f"parameters that do not change the learner: {unread}"
