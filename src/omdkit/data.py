@@ -5,6 +5,7 @@ config and a trace header hold; check_spec checks it and generate materializes i
 import csv as _csv
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -93,17 +94,92 @@ def _bad_token(tokens):
     raise AssertionError(f"no bad token in {tokens!r}")
 
 
-def parse_svmlight(path, dim=None):
-    """Parse 'label idx:val ...' lines with 1-based strictly increasing indices.
+# the bytes of the numbers in a plainly written svmlight file
+_NUMBER_BYTES = b"0123456789.eE+-"
+_BLOCK_BYTES = 1 << 18
 
-    Lines starting with '#' are comments. Raises ValueError naming the
-    offending line on malformed input; an empty file is an error. The file
-    is read one line at a time, each row is held as two arrays, and the
-    rows are scattered into X once the dimension is known.
+
+def _svmlight_blocks(path):
+    """Labels, rows and largest 0-based index of a plainly written file; None for any other.
+
+    Plain: every line is a comment ('#' first, ASCII, no '\r') or 'label idx:val ...',
+    each field non-empty and made of _NUMBER_BYTES, single-space separated; all lines end
+    in '\n' but the last. The file is read in blocks of whole lines of about _BLOCK_BYTES
+    bytes, and only one block's tokens are held at a time. A block is checked with bytes
+    methods, then its labels and values go through float() and any index row other than
+    1..k through int(), so the bits are the line parser's. A file that fails any check
+    here is the line parser's to accept or name the fault of.
     """
+    labels, rows, max_index = [], [], -1
+    ones, count = [], np.arange(1, 1)  # [b"1", ..., b"k"] and 1..k for the widest row yet
+    with open(path, "rb") as fh:
+        while lines := fh.readlines(_BLOCK_BYTES):
+            kept = []
+            for line in lines:
+                if not line.startswith(b"#"):
+                    kept.append(line)
+                elif not line.isascii() or b"\r" in line:
+                    return None  # the line parser decodes UTF-8 and also ends lines at '\r'
+            block = b"".join(kept)
+            if not block:
+                continue
+            if not block.endswith(b"\n"):
+                block += b"\n"
+            # what is left of a line once its number bytes go must be ' :' * k, which also
+            # refuses every byte but those, ' ', ':' and '\n'
+            shape = block.translate(None, _NUMBER_BYTES)
+            shapes = shape.split(b"\n")
+            del shapes[-1]
+            if any(s != b" :" * (len(s) >> 1) for s in set(shapes)):
+                return None
+            # a line ' :' * k has 1 + 2k fields, one per byte of its shape and its '\n', so
+            # the count falls short exactly when a field is empty or a line is blank
+            toks = block.replace(b":", b" ").split()
+            if len(toks) != len(shape):
+                return None
+            label_toks, value_toks, indices = [], [], []
+            at = 0
+            for n in map(len, shapes):
+                k = n >> 1
+                label_toks.append(toks[at])
+                index_toks = toks[at + 1:at + n + 1:2]
+                value_toks += toks[at + 2:at + n + 1:2]
+                at += n + 1
+                if len(ones) < k:
+                    ones, count = [b"%d" % i for i in range(1, k + 1)], np.arange(1, k + 1)
+                if index_toks == ones[:k]:
+                    indices.append(count[:k])
+                    continue
+                try:
+                    idx = np.array(list(map(int, index_toks)), dtype=np.int64)
+                except (ValueError, OverflowError):  # OverflowError: an index beyond int64
+                    return None
+                if idx[0] < 1 or not (idx[1:] > idx[:-1]).all():
+                    return None
+                indices.append(idx)
+            try:
+                ys = list(map(float, label_toks))
+                vals = np.array(list(map(float, value_toks)), dtype=np.float64)
+            except ValueError:
+                return None
+            if not (all(map(math.isfinite, ys)) and np.isfinite(vals).all()):
+                return None
+            at = 0
+            for idx in indices:
+                rows.append((idx, vals[at:at + idx.size]))
+                at += idx.size
+                if idx.size:
+                    max_index = max(max_index, int(idx[-1]) - 1)
+            labels += ys
+    return labels, rows, max_index
+
+
+def _svmlight_lines(path):
+    """Labels, rows and largest 0-based index, one line at a time; ValueError naming the
+    first malformed line."""
     labels, rows = [], []
     max_index = -1
-    with open(path, "r", encoding="utf-8") as fh:
+    with _utf8_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -124,6 +200,46 @@ def parse_svmlight(path, dim=None):
                 max_index = max(max_index, int(idx[-1]) - 1)
             labels.append(y)
             rows.append(row)
+    return labels, rows, max_index
+
+
+@contextmanager
+def _utf8_text(path, newline=None):
+    """path opened as UTF-8 text; a byte that is not UTF-8 raises ValueError naming its line."""
+    try:
+        with open(path, "r", encoding="utf-8", newline=newline) as fh:
+            yield fh
+    except UnicodeDecodeError:
+        # the decoder's offset is into its buffer, so the whole file is decoded again
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            head = raw[:exc.start]
+            # universal newlines: '\n', '\r\n' and a lone '\r' each end a line
+            lineno = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+            raise ValueError(f"{path}: line {lineno}: not UTF-8 text "
+                             f"(byte 0x{raw[exc.start]:02x})") from None
+        raise
+
+
+def parse_svmlight(path, dim=None):
+    """Parse 'label idx:val ...' lines with 1-based strictly increasing indices.
+
+    Lines starting with '#' are comments. Raises ValueError naming the
+    offending line on malformed input; an empty file is an error. A plainly
+    written file, as write_svmlight writes one (see _svmlight_blocks), is read
+    in blocks of about 256 KB, checked with bytes methods, and converted with
+    one block's tokens held at a time; every other file, and a plain one with
+    any fault, goes to the line parser unchanged, which accepts it or names
+    its fault. Either way each row is held as two arrays, and the rows are
+    scattered into X once the dimension is known.
+    """
+    parsed = _svmlight_blocks(path)
+    if parsed is None:
+        parsed = _svmlight_lines(path)
+    labels, rows, max_index = parsed
     if not rows:
         raise ValueError(f"{path}: empty dataset")
     if dim is None:
@@ -138,7 +254,7 @@ def parse_svmlight(path, dim=None):
 
 def parse_csv(path, label_column="label", remap01=False, dim=None):
     """CSV with a header; every non-label column is a feature, in column order."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with _utf8_text(path, newline="") as fh:
         reader = _csv.reader(fh)
         try:
             header = next(reader)

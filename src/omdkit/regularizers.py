@@ -159,6 +159,17 @@ def _moments(w):
     return np.add.reduce(w * w, -1), np.add.reduce(np.abs(w), -1)
 
 
+def _lipschitz(value):
+    """A scale-invariant family's Lipschitz constant as a float: positive, with a finite
+    square, which beta and the diagonal weights are built from."""
+    if value <= 0:
+        raise ValueError("lipschitz must be positive")
+    value = float(value)
+    if not math.isfinite(value * value):
+        raise ValueError(f"lipschitz={value!r} is too large: its square is not finite")
+    return value
+
+
 def _gather(reg, z):
     """z on a scale-invariant family's live coordinates, or None where z has mass on another.
 
@@ -604,10 +615,8 @@ class ScaleInvPNorm(Regularizer):
     kind = "pnorm"  # the scale-invariant regret display that audits it
 
     def __init__(self, dim, lipschitz):
-        if lipschitz <= 0:
-            raise ValueError("lipschitz must be positive")
         self.dim = int(dim)
-        self.lipschitz = float(lipschitz)
+        self.lipschitz = _lipschitz(lipschitz)
         self.b = np.zeros(self.dim)
         self.m = 0
         self.grad_stats = 0.0
@@ -712,10 +721,8 @@ class ScaleInvDiag(Regularizer):
     kind = "diag"
 
     def __init__(self, dim, lipschitz):
-        if lipschitz <= 0:
-            raise ValueError("lipschitz must be positive")
         self.dim = int(dim)
-        self.lipschitz = float(lipschitz)
+        self.lipschitz = _lipschitz(lipschitz)
         self.b = np.zeros(self.dim)
         self.gs = np.zeros(self.dim)
         self._derive()

@@ -302,6 +302,19 @@ def test_cli_audit_names_the_data_file_it_cannot_find(tmp_path, monkeypatch):
                    f"(resolved against {os.getcwd()})\n")
 
 
+def test_cli_run_and_audit_name_the_line_of_a_byte_that_is_not_utf8(tmp_path):
+    svm = tmp_path / "d.svm"
+    svm.write_bytes(b"1 1:2\n-1 1:3\n")
+    trace = tmp_path / "t.jsonl"
+    code, err = _main_code(["run", "--learner", "pa", "--data", str(svm), "--trace", str(trace)])
+    assert code == 0, err
+    svm.write_bytes(b"1 1:2\n-1 1:\xff\n")
+    for argv in (["run", "--learner", "pa", "--data", str(svm)], ["audit", "--trace", str(trace)]):
+        code, err = _main_code(argv)
+        assert code == 2
+        assert err == f"error: {svm}: line 2: not UTF-8 text (byte 0xff)\n", argv
+
+
 def test_cli_audit_refuses_an_out_of_range_param_before_reading_the_data(tmp_path):
     # a constructor's range check used to run only once the data was read, so a missing
     # file hid it; check_config now builds the learner, and names the trace and the field
@@ -1121,9 +1134,10 @@ def test_audit_names_the_differing_field(tmp_path):
 
 
 def test_cli_float_overflow_is_data_error():
-    # an overflow in a round is a numeric failure; one in a constructor is found by
-    # check_config, which names the params
-    in_params = "error: config field 'params': (34, 'Numerical result out of range')"
+    # an overflow in a round is a numeric failure; a constructor refuses a lipschitz whose
+    # square overflows, by name, and check_config names the params
+    in_params = ("error: config field 'params': lipschitz=1e+300 is too large: "
+                 "its square is not finite\n")
     for argv, msg in ((["--learner", "second_order", "--r", "1e-300",
                         "--gen", "separable_margin:gamma=0.2,d=1,T=2"], "error: numeric failure:"),
                       (["--learner", "scaleinv_diag", "--lipschitz", "1e300",

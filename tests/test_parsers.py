@@ -7,13 +7,16 @@ SparseVec.to_dense), or raise the same message.
 """
 
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from omdkit.data import parse_csv, parse_svmlight
+from omdkit import data
+from omdkit.data import generate, parse_csv, parse_svmlight, rescaled, write_svmlight
 from omdkit.linalg import SparseVec
 
 
@@ -242,3 +245,123 @@ def test_parse_csv_rows_match_sparsevec_entries(tmp_path):
         ref = [SparseVec(entries, ds.dim).to_dense()
                for entries in ([(0, 0.5)], [(1, 2.5), (2, 1e-3)], [])]
         assert ds.X.dtype == np.float64 and ds.X.tobytes() == np.array(ref).tobytes()
+
+
+def _line_parse_svmlight(path, dim=None):
+    """parse_svmlight with its block parser declining every file: the line parser alone."""
+    with mock.patch.object(data, "_svmlight_blocks", return_value=None):
+        return parse_svmlight(path, dim=dim)
+
+
+# near-faults for a plainly written file, one kind per text, each a case the line parser
+# must keep deciding: some it accepts, most it names
+_SPLICES = ["+1:", "01:", "1:2:3", " :5", ":", "1e", "1-2", "1e999", "\r\n", "\r", "\t",
+            "\n\n", "\n# mid-file comment\n", "0x10", "nan", "  ", " ", "\n-1\n", "\x1c", "é"]
+_ODD_FIELDS = ["", "1e999", "-1e999", "1e-999", "+1", "01", ".5", "5.", "1E5", "1e", "-",
+               "1-2", "1.0", "0", "-1", "99999999999999999999"]
+_HEADERS = ["# u_star 0.5 -0.25\n", "# u_star 0.5\r-1 2:0.5\n", "# u_star é\n", "#\n#\n"]
+
+
+@st.composite
+def _plain_svm_text(draw):
+    """A text as write_svmlight writes one, or one with a single near-fault: an odd field,
+    a row out of order, an odd comment or a splice from _SPLICES."""
+    mode = draw(st.sampled_from(["plain", "odd field", "out of order", "comment", "splice"]))
+    value = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+    rows = []  # per line: the label, then index and value in turn
+    for _ in range(draw(st.integers(1, 6))):
+        if draw(st.booleans()):
+            idx = range(1, draw(st.integers(0, 8)) + 1)
+        else:
+            idx = sorted(draw(st.sets(st.integers(1, 12), max_size=8)))
+        row = [draw(st.one_of(st.sampled_from(["1.0", "-1.0", "-0.0"]), _FINITE))]
+        for i in idx:
+            row += [str(i), draw(value)]
+        rows.append(row)
+    at = draw(st.integers(0, len(rows) - 1))
+    if mode == "odd field":
+        rows[at][draw(st.integers(0, len(rows[at]) - 1))] = draw(st.sampled_from(_ODD_FIELDS))
+    elif mode == "out of order":
+        idx = draw(st.lists(st.integers(1, 12), min_size=2, max_size=8))
+        rows[at] = rows[at][:1] + [tok for i in idx for tok in (str(i), draw(value))]
+    lines = [" ".join([row[0], *map(":".join, zip(row[1::2], row[2::2]))]) for row in rows]
+    head = draw(st.sampled_from(_HEADERS if mode == "comment" else ["", _HEADERS[0]]))
+    text = head + "\n".join(lines) + draw(st.sampled_from(["\n", "\n", ""]))
+    if mode == "splice":
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(_SPLICES)) + text[at:]
+    return text
+
+
+def test_the_block_parser_returns_the_line_parsers_result_or_declines(tmp_path_factory):
+    # the block parser is only a faster route to the line parser's datasets: on every text
+    # it takes, X and y match bit for bit, and it takes a fair share of them
+    taken = []
+
+    @settings(derandomize=True, max_examples=400, deadline=None, database=None)
+    @given(text=_plain_svm_text(), dim=st.one_of(st.none(), st.integers(1, 13)))
+    def check(text, dim):
+        path = tmp_path_factory.mktemp("plain") / "p.svm"
+        path.write_bytes(text.encode("utf-8"))
+        taken.append(data._svmlight_blocks(path) is not None)
+        if taken[-1]:
+            assert _outcome(parse_svmlight, path, dim) == _outcome(_line_parse_svmlight, path, dim)
+
+    check()
+    assert sum(taken) >= len(taken) // 4, (sum(taken), len(taken))
+
+
+GEN_SPECS = [("separable_margin", {"gamma": 0.3}), ("noisy_linear", {"sigma": 0.2}),
+             ("sparse_target", {"k": 1}), ("heavy_tail_features", {"zipf": 1.5})]
+
+
+@pytest.mark.parametrize("d", [1, 10, 300])
+@pytest.mark.parametrize("kind,params", GEN_SPECS, ids=[kind for kind, _ in GEN_SPECS])
+def test_gen_output_takes_the_block_parser(tmp_path, kind, params, d):
+    # a gain that silently fell back to the line parser would show here
+    spec = {"kind": kind, "seed": 3, "params": {**params, "d": d, "T": 25}}
+    specs = [spec]
+    if kind == "noisy_linear":
+        specs.append(rescaled(spec, [2.0 ** (i % 7 - 3) * (-1) ** i for i in range(d)]))
+    for i, spec in enumerate(specs):
+        path = tmp_path / f"g{i}.svm"
+        write_svmlight(generate(spec), path)
+        expect = _line_parse_svmlight(path)
+        with mock.patch.object(data, "_svmlight_lines", side_effect=AssertionError("fell back")):
+            ds = parse_svmlight(path)
+        assert ds.X.tobytes() == expect.X.tobytes() and ds.y.tobytes() == expect.y.tobytes()
+        assert ds.X.shape == expect.X.shape
+
+
+def test_the_block_parser_holds_one_blocks_tokens(tmp_path):
+    # one token list for the whole d=300, T=600 file peaked at 7.3x its size; one 256 KB
+    # block's tokens at a time, about 1x, as the line parser's 1.3x
+    path = tmp_path / "big.svm"
+    write_svmlight(generate({"kind": "noisy_linear", "seed": 1,
+                             "params": {"sigma": 0.2, "d": 300, "T": 600}}), path)
+    with mock.patch.object(data, "_svmlight_lines", side_effect=AssertionError("fell back")):
+        tracemalloc.start()
+        try:
+            parse_svmlight(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 3 * path.stat().st_size, (peak, path.stat().st_size)
+
+
+@pytest.mark.parametrize("text,line,byte", [("1 1:2\n-1 1:\xff\n", 2, "0xff"),
+                                            ("1 1:2\r-1 1:3\r\n# caf\xe9\n", 3, "0xe9"),
+                                            ("# \xfe\n1 1:2\n", 1, "0xfe")])
+def test_a_file_that_is_not_utf8_names_the_line_of_its_first_bad_byte(tmp_path, text, line,
+                                                                       byte):
+    path = tmp_path / "b.svm"
+    path.write_bytes(text.encode("latin-1"))
+    for parse in (parse_svmlight, _line_parse_svmlight):
+        with pytest.raises(ValueError) as exc:
+            parse(path)
+        assert str(exc.value) == f"{path}: line {line}: not UTF-8 text (byte {byte})"
+    csv = tmp_path / "b.csv"
+    csv.write_bytes(b"a,label\r\n0.5,1\r\n" + text.replace(" ", ",").encode("latin-1"))
+    with pytest.raises(ValueError) as exc:
+        parse_csv(csv)
+    assert str(exc.value) == f"{csv}: line {line + 2}: not UTF-8 text (byte {byte})"

@@ -56,3 +56,24 @@ def test_traced_vaw_run_spans_one_update_and_one_snapshot_per_round(tmp_path):
     # the round span rests on `round` alone, VAW's one entry
     assert tracer.counts["learners.round.calls"] == T
     assert 0 < tracer.counts["learners.updates"] <= T
+
+
+def test_traced_run_and_audit_of_a_file_span_two_parses_of_its_bytes(tmp_path):
+    # the block parser runs inside parse_svmlight, the function the bench's data.parse span
+    # wraps; a parse that bypassed it would leave data.parse.busy_s at 0
+    data, trace = tmp_path / "d.svm", tmp_path / "t.jsonl"
+    assert cli.main(["gen", "--gen", f"noisy_linear:sigma=0.2,d=5,T={T}", "--seed", "1",
+                     "--out", str(data)]) == 0
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer)
+        for job, argv in enumerate((["run", "--learner", "vaw", "--data", str(data),
+                                     "--trace", str(trace), "--strict-audit"],
+                                    ["audit", "--trace", str(trace), "--strict-audit"])):
+            code, _wall = tracer.run_job(job, "cli", lambda: cli.main(argv))
+            assert code == 0, argv
+    finally:
+        tracer.uninstall()
+    names = tracer.arrays()["name"]
+    assert int((names == tracer.codes["data.parse"]).sum()) == 2
+    assert tracer.counts["data.parse.bytes"] == 2 * data.stat().st_size
