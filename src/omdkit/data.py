@@ -47,162 +47,6 @@ class Dataset:
         return self.X.shape[0]
 
 
-def _features(rest):
-    """1-based indices and values of a line's feature list; None if any token is bad.
-
-    The fields go through int() and float(), so the accepted syntax and the
-    value bits are theirs. A line that fails here is rescanned by
-    _bad_token for its message.
-    """
-    fields = rest.replace(":", " ").split()
-    n = len(fields) // 2
-    if 2 * n != len(fields):
-        return None
-    # rebuilt as 'i:v i:v ...', the fields give back the line's tokens exactly
-    # when every token is idx:val with both sides non-empty
-    rebuilt = " ".join(["%s:%s"] * n) % tuple(fields)
-    if rebuilt != rest and rebuilt != " ".join(rest.split()):
-        return None
-    try:
-        idx = np.array(list(map(int, fields[0::2])), dtype=np.int64)
-        vals = np.array(list(map(float, fields[1::2])), dtype=np.float64)
-    except (ValueError, OverflowError):  # OverflowError: an index beyond int64
-        return None
-    if n and (idx[0] < 1 or not (np.isfinite(vals).all() and (idx[1:] > idx[:-1]).all())):
-        return None
-    return idx, vals
-
-
-def _bad_token(tokens):
-    """What is wrong with the first bad token of a feature list, in line order."""
-    last = 0
-    for tok in tokens:
-        bits = tok.split(":")
-        try:
-            if len(bits) != 2:
-                raise ValueError(tok)
-            idx, val = int(bits[0]), float(bits[1])
-        except ValueError:
-            return f"bad feature token {tok!r}"
-        if not math.isfinite(val):
-            return f"non-finite feature token {tok!r}"
-        if idx <= last:
-            return "indices must be strictly increasing and 1-based"
-        if idx > np.iinfo(np.int64).max:
-            return f"feature index too large in token {tok!r}"
-        last = idx
-    raise AssertionError(f"no bad token in {tokens!r}")
-
-
-# the bytes of the numbers in a plainly written svmlight file
-_NUMBER_BYTES = b"0123456789.eE+-"
-_BLOCK_BYTES = 1 << 18
-
-
-def _svmlight_blocks(path):
-    """Labels, rows and largest 0-based index of a plainly written file; None for any other.
-
-    Plain: every line is a comment ('#' first, ASCII, no '\r') or 'label idx:val ...',
-    each field non-empty and made of _NUMBER_BYTES, single-space separated; all lines end
-    in '\n' but the last. The file is read in blocks of whole lines of about _BLOCK_BYTES
-    bytes, and only one block's tokens are held at a time. A block is checked with bytes
-    methods, then its labels and values go through float() and any index row other than
-    1..k through int(), so the bits are the line parser's. A file that fails any check
-    here is the line parser's to accept or name the fault of.
-    """
-    labels, rows, max_index = [], [], -1
-    ones, count = [], np.arange(1, 1)  # [b"1", ..., b"k"] and 1..k for the widest row yet
-    with open(path, "rb") as fh:
-        while lines := fh.readlines(_BLOCK_BYTES):
-            kept = []
-            for line in lines:
-                if not line.startswith(b"#"):
-                    kept.append(line)
-                elif not line.isascii() or b"\r" in line:
-                    return None  # the line parser decodes UTF-8 and also ends lines at '\r'
-            block = b"".join(kept)
-            if not block:
-                continue
-            if not block.endswith(b"\n"):
-                block += b"\n"
-            # what is left of a line once its number bytes go must be ' :' * k, which also
-            # refuses every byte but those, ' ', ':' and '\n'
-            shape = block.translate(None, _NUMBER_BYTES)
-            shapes = shape.split(b"\n")
-            del shapes[-1]
-            if any(s != b" :" * (len(s) >> 1) for s in set(shapes)):
-                return None
-            # a line ' :' * k has 1 + 2k fields, one per byte of its shape and its '\n', so
-            # the count falls short exactly when a field is empty or a line is blank
-            toks = block.replace(b":", b" ").split()
-            if len(toks) != len(shape):
-                return None
-            label_toks, value_toks, indices = [], [], []
-            at = 0
-            for n in map(len, shapes):
-                k = n >> 1
-                label_toks.append(toks[at])
-                index_toks = toks[at + 1:at + n + 1:2]
-                value_toks += toks[at + 2:at + n + 1:2]
-                at += n + 1
-                if len(ones) < k:
-                    ones, count = [b"%d" % i for i in range(1, k + 1)], np.arange(1, k + 1)
-                if index_toks == ones[:k]:
-                    indices.append(count[:k])
-                    continue
-                try:
-                    idx = np.array(list(map(int, index_toks)), dtype=np.int64)
-                except (ValueError, OverflowError):  # OverflowError: an index beyond int64
-                    return None
-                if idx[0] < 1 or not (idx[1:] > idx[:-1]).all():
-                    return None
-                indices.append(idx)
-            try:
-                ys = list(map(float, label_toks))
-                vals = np.array(list(map(float, value_toks)), dtype=np.float64)
-            except ValueError:
-                return None
-            if not (all(map(math.isfinite, ys)) and np.isfinite(vals).all()):
-                return None
-            at = 0
-            for idx in indices:
-                rows.append((idx, vals[at:at + idx.size]))
-                at += idx.size
-                if idx.size:
-                    max_index = max(max_index, int(idx[-1]) - 1)
-            labels += ys
-    return labels, rows, max_index
-
-
-def _svmlight_lines(path):
-    """Labels, rows and largest 0-based index, one line at a time; ValueError naming the
-    first malformed line."""
-    labels, rows = [], []
-    max_index = -1
-    with _utf8_text(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            label, *rest = line.split(None, 1)
-            try:
-                y = float(label)
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno}: bad label {label!r}") from None
-            if not math.isfinite(y):
-                raise ValueError(f"{path}: line {lineno}: non-finite label {label!r}")
-            rest = rest[0] if rest else ""
-            row = _features(rest)
-            if row is None:
-                raise ValueError(f"{path}: line {lineno}: {_bad_token(rest.split())}")
-            idx, vals = row
-            if idx.size:
-                max_index = max(max_index, int(idx[-1]) - 1)
-            labels.append(y)
-            rows.append(row)
-    return labels, rows, max_index
-
-
 @contextmanager
 def _utf8_text(path, newline=None):
     """path opened as UTF-8 text; a byte that is not UTF-8 raises ValueError naming its line."""
@@ -224,32 +68,171 @@ def _utf8_text(path, newline=None):
         raise
 
 
+def _zeros(path, T, dim, source):
+    """A zero (T, dim) matrix; a ValueError naming the source of dim if it cannot be had."""
+    try:
+        return np.zeros((T, dim))
+    except (MemoryError, ValueError):  # ValueError: more bytes than numpy can address
+        raise ValueError(f"{path}: {source}: a {T} x {dim} float64 matrix does not fit "
+                         "in memory") from None
+
+
+def _bad_token(tokens):
+    """What is wrong with a data line's fields, its label then each token in line order; None
+    if nothing is."""
+    try:
+        y = float(tokens[0])
+    except ValueError:
+        return f"bad label {tokens[0]!r}"
+    if not math.isfinite(y):
+        return f"non-finite label {tokens[0]!r}"
+    last = 0
+    for tok in tokens[1:]:
+        bits = tok.split(":")
+        try:
+            if len(bits) != 2:
+                raise ValueError(tok)
+            idx, val = int(bits[0]), float(bits[1])
+        except ValueError:
+            return f"bad feature token {tok!r}"
+        if not math.isfinite(val):
+            return f"non-finite feature token {tok!r}"
+        if idx <= last:
+            return "indices must be strictly increasing and 1-based"
+        if idx > np.iinfo(np.int64).max:
+            return f"feature index too large in token {tok!r}"
+        last = idx
+    return None
+
+
+_BLOCK_CHARS = 1 << 18  # whole lines of about 256 KB per block
+# a line's shape is its ' ' and ':' bytes, with any other ASCII whitespace read as '\t':
+# str.split() splits at all of it, bytes.split() not at '\x1c'-'\x1f'
+_SHAPE = bytes.maketrans(b"\v\f\x1c\x1d\x1e\x1f", b"\t" * 6)
+_NOT_SHAPE = bytes(sorted(set(range(256)) - set(b" :\n\t\v\f\x1c\x1d\x1e\x1f")))
+
+
+def _data_blocks(path):
+    """path's data lines, stripped, in blocks of about _BLOCK_CHARS, with their line numbers."""
+    lineno = 0
+    with _utf8_text(path) as fh:
+        while block := fh.readlines(_BLOCK_CHARS):
+            lines, linenos = [], []
+            for lineno, line in enumerate(block, lineno + 1):
+                line = line.strip()
+                if line and not line.startswith("#"):
+                    lines.append(line)
+                    linenos.append(lineno)
+            if lines:
+                yield lines, linenos
+
+
+def _structure(lines):
+    """A block's lines as '\n'-joined bytes, and each line's shape.
+
+    A non-ASCII space becomes ' ' and a non-ASCII decimal digit its ASCII digit, as int()
+    and float() read a str; every other non-ASCII character stays, and fails them. Where a
+    shape holds other whitespace or two spaces in a row, every line is re-joined from its
+    str.split() fields with single spaces.
+    """
+    body = "\n".join(lines)
+    if not body.isascii():
+        body = body.translate({ord(c): " " if c.isspace() else str(int(c)) for c in set(body)
+                               if not c.isascii() and (c.isspace() or c.isdecimal())})
+    data = body.encode()
+    shape = data.translate(_SHAPE, _NOT_SHAPE)
+    if b"\t" in shape or b"  " in shape:
+        data = "\n".join(" ".join(line.split()) for line in body.split("\n")).encode()
+        shape = data.translate(_SHAPE, _NOT_SHAPE)
+    return data, shape.split(b"\n")
+
+
+def _block_rows(data, shapes):
+    """Labels, index arrays and values of a block from _structure; None if a line is faulty.
+
+    Each line's shape must be ' :' * k and no field empty. Labels and values go through
+    float() and any index row other than 1..k through int(), so the bits are theirs.
+    """
+    toks = data.replace(b":", b" ").split()
+    # a line ' :' * k has 1 + 2k fields, so the count falls short exactly when one is empty
+    if len(toks) != len(shapes) + sum(map(len, shapes)) or any(
+            s != b" :" * (len(s) >> 1) for s in set(shapes)):
+        return None
+    width = max(map(len, shapes)) >> 1
+    ones, count = [b"%d" % i for i in range(1, width + 1)], np.arange(1, width + 1)
+    label_toks, value_toks, indices = [], [], []
+    at = 0
+    for n in map(len, shapes):
+        k = n >> 1
+        label_toks.append(toks[at])
+        index_toks = toks[at + 1:at + n + 1:2]
+        value_toks += toks[at + 2:at + n + 1:2]
+        at += n + 1
+        if index_toks == ones[:k]:
+            indices.append(count[:k])
+            continue
+        try:
+            idx = np.array(list(map(int, index_toks)), dtype=np.int64)
+        except (ValueError, OverflowError):  # OverflowError: an index beyond int64
+            return None
+        if idx[0] < 1 or not (idx[1:] > idx[:-1]).all():
+            return None
+        indices.append(idx)
+    try:
+        labels = list(map(float, label_toks))
+        vals = np.array(list(map(float, value_toks)), dtype=np.float64)
+    except ValueError:
+        return None
+    if not (all(map(math.isfinite, labels)) and np.isfinite(vals).all()):
+        return None
+    return labels, indices, vals + 0.0  # -0.0 reads as +0.0, as a zero a file leaves out
+
+
 def parse_svmlight(path, dim=None):
     """Parse 'label idx:val ...' lines with 1-based strictly increasing indices.
 
     Lines starting with '#' are comments. Raises ValueError naming the
-    offending line on malformed input; an empty file is an error. A plainly
-    written file, as write_svmlight writes one (see _svmlight_blocks), is read
-    in blocks of about 256 KB, checked with bytes methods, and converted with
-    one block's tokens held at a time; every other file, and a plain one with
-    any fault, goes to the line parser unchanged, which accepts it or names
-    its fault. Either way each row is held as two arrays, and the rows are
-    scattered into X once the dimension is known.
+    offending line on malformed input; an empty file is an error. The file
+    is read as UTF-8 text in blocks of about 256 KB of whole lines. Each
+    block is normalised (non-ASCII spaces and digits to ASCII, as int() and
+    float() read them; fields re-joined with single spaces where the block
+    has other whitespace), checked with bytes methods and converted in bulk,
+    with one block's tokens held at a time. A block with a fault is walked
+    line by line, only to name its first faulty line and token. Each row is
+    held as two arrays, and the rows are scattered into X once the
+    dimension is known.
     """
-    parsed = _svmlight_blocks(path)
-    if parsed is None:
-        parsed = _svmlight_lines(path)
-    labels, rows, max_index = parsed
+    labels, rows = [], []
+    top, source = 0, None  # the largest index, and the line and token it is first seen in
+    for lines, linenos in _data_blocks(path):
+        block = _block_rows(*_structure(lines))
+        if block is None:
+            for line, lineno in zip(lines, linenos):
+                if fault := _bad_token(line.split()):
+                    raise ValueError(f"{path}: line {lineno}: {fault}")
+            raise AssertionError(f"{path}: lines {linenos[0]}-{linenos[-1]} were refused, "
+                                 "but none has a fault")
+        ys, indices, vals = block
+        at = 0
+        for i, idx in enumerate(indices):
+            rows.append((idx, vals[at:at + idx.size]))
+            at += idx.size
+            if idx.size and idx[-1] > top:
+                top, tok = int(idx[-1]), lines[i].rsplit(None, 1)[-1]
+                source = f"line {linenos[i]}: token {tok!r} sets dim {top}"
+        labels += ys
     if not rows:
         raise ValueError(f"{path}: empty dataset")
     if dim is None:
-        dim = max_index + 1
-    elif max_index >= dim:
-        raise ValueError(f"{path}: feature index {max_index + 1} exceeds declared dim {dim}")
-    X = np.zeros((len(rows), dim))
+        dim = top
+    elif top > dim:
+        raise ValueError(f"{path}: feature index {top} exceeds declared dim {dim}")
+    else:
+        source = f"declared dim {dim}"
+    X = _zeros(path, len(rows), dim, source)
     for x, (idx, vals) in zip(X, rows):
         x[idx - 1] = vals
-    return Dataset.from_matrix(X, labels)
+    return Dataset(X, np.array(labels, dtype=np.float64), {})
 
 
 def parse_csv(path, label_column="label", remap01=False, dim=None):
@@ -264,9 +247,7 @@ def parse_csv(path, label_column="label", remap01=False, dim=None):
             raise ValueError(f"{path}: no column named {label_column!r} in header")
         ycol = header.index(label_column)
         feat_cols = [i for i in range(len(header)) if i != ycol]
-        if dim is None:
-            dim = len(feat_cols)
-        elif dim < len(feat_cols):
+        if dim is not None and dim < len(feat_cols):
             raise ValueError(f"{path}: declared dim {dim} below feature count {len(feat_cols)}")
         labels, rows = [], []
         for lineno, row in enumerate(reader, start=2):
@@ -290,9 +271,11 @@ def parse_csv(path, label_column="label", remap01=False, dim=None):
             rows.append(vals)
     if not rows:
         raise ValueError(f"{path}: empty dataset")
-    X = np.zeros((len(rows), dim))
-    X[:, :len(feat_cols)] = rows
-    return Dataset.from_matrix(X, labels)
+    k = len(feat_cols)
+    source = f"{k} feature columns" if dim is None else f"declared dim {dim}"
+    X = _zeros(path, len(rows), k if dim is None else dim, source)
+    np.add(rows, 0.0, out=X[:, :k])  # -0.0 reads as +0.0, as a zero a file leaves out
+    return Dataset(X, np.array(labels, dtype=np.float64), {})
 
 
 def write_svmlight(dataset, path):

@@ -408,6 +408,27 @@ def test_cli_out_of_memory_is_a_data_error_with_a_message():
     assert err.startswith("error: out of memory: ") and "Traceback" not in err, err
 
 
+# a 2 x 1e16 matrix is beyond any x86-64 address space, so numpy refuses it at once; a
+# 2 x 2^62 one is beyond what numpy can count in bytes, and it refuses that too
+@pytest.mark.parametrize("index", [10**16, 2**62])
+def test_cli_a_dim_too_large_for_memory_names_its_token_or_the_declared_dim(tmp_path, index):
+    svm = tmp_path / "d.svm"
+    svm.write_text(f"1 1:1\n-1 {index}:1\n")
+    code, err = _main_code(["run", "--learner", "pa", "--data", str(svm)])
+    assert code == 2
+    assert err == (f"error: {svm}: line 2: token '{index}:1' sets dim {index}: "
+                   f"a 2 x {index} float64 matrix does not fit in memory\n")
+    svm.write_text("1 1:1\n-1 2:1\n")
+    csv = tmp_path / "d.csv"
+    csv.write_text("a,label\n1,1\n2,-1\n")
+    for path, fmt in ((svm, []), (csv, ["--format", "csv"])):
+        code, err = _main_code(["run", "--learner", "pa", "--data", str(path), *fmt,
+                                "--dim", str(index)])
+        assert code == 2
+        assert err == (f"error: {path}: declared dim {index}: "
+                       f"a 2 x {index} float64 matrix does not fit in memory\n")
+
+
 def test_cli_audit_names_the_field_of_a_malformed_header(tmp_path):
     cfg = gen_config("pa", {}, separable(2, d=3, T=5))
     trace = tmp_path / "t.jsonl"

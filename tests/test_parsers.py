@@ -1,6 +1,6 @@
-"""The array-based svmlight and CSV parsers against token-loop references.
+"""The block svmlight parser and the CSV parser against token-loop references.
 
-`reference_parse_svmlight` is the per-token parser the array parser
+`reference_parse_svmlight` is the per-token parser the block parser
 replaced, kept here as the oracle: on every file both must return the
 same labels, dim and matrix bits (the reference's rows read through
 SparseVec.to_dense), or raise the same message.
@@ -8,11 +8,10 @@ SparseVec.to_dense), or raise the same message.
 
 import math
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from omdkit import data
@@ -247,14 +246,8 @@ def test_parse_csv_rows_match_sparsevec_entries(tmp_path):
         assert ds.X.dtype == np.float64 and ds.X.tobytes() == np.array(ref).tobytes()
 
 
-def _line_parse_svmlight(path, dim=None):
-    """parse_svmlight with its block parser declining every file: the line parser alone."""
-    with mock.patch.object(data, "_svmlight_blocks", return_value=None):
-        return parse_svmlight(path, dim=dim)
-
-
-# near-faults for a plainly written file, one kind per text, each a case the line parser
-# must keep deciding: some it accepts, most it names
+# near-faults for a plainly written file, one kind per text, each a case the parser must
+# decide as the reference does: some it accepts, most it names
 _SPLICES = ["+1:", "01:", "1:2:3", " :5", ":", "1e", "1-2", "1e999", "\r\n", "\r", "\t",
             "\n\n", "\n# mid-file comment\n", "0x10", "nan", "  ", " ", "\n-1\n", "\x1c", "é"]
 _ODD_FIELDS = ["", "1e999", "-1e999", "1e-999", "+1", "01", ".5", "5.", "1E5", "1e", "-",
@@ -293,22 +286,30 @@ def _plain_svm_text(draw):
     return text
 
 
-def test_the_block_parser_returns_the_line_parsers_result_or_declines(tmp_path_factory):
-    # the block parser is only a faster route to the line parser's datasets: on every text
-    # it takes, X and y match bit for bit, and it takes a fair share of them
-    taken = []
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(text=_plain_svm_text(), dim=st.one_of(st.none(), st.integers(1, 13)))
+def test_plain_texts_and_their_near_faults_match_the_reference(tmp_path_factory, text, dim):
+    path = tmp_path_factory.mktemp("plain") / "p.svm"
+    path.write_bytes(text.encode("utf-8"))
+    _assert_same(path, dim)
 
-    @settings(derandomize=True, max_examples=400, deadline=None, database=None)
-    @given(text=_plain_svm_text(), dim=st.one_of(st.none(), st.integers(1, 13)))
-    def check(text, dim):
-        path = tmp_path_factory.mktemp("plain") / "p.svm"
-        path.write_bytes(text.encode("utf-8"))
-        taken.append(data._svmlight_blocks(path) is not None)
-        if taken[-1]:
-            assert _outcome(parse_svmlight, path, dim) == _outcome(_line_parse_svmlight, path, dim)
 
-    check()
-    assert sum(taken) >= len(taken) // 4, (sum(taken), len(taken))
+# characters whose reading int(), float(), str.split() and universal newlines each decide:
+# Unicode and ASCII whitespace bytes.split() does not split at, line ends, a non-ASCII
+# digit, other non-ASCII letters, and the bytes of fields, comments and numbers
+_ALPHABET = ["\u2028", "\x85", "\xa0", "\u3000", "\x1c", "\x1f", "\v", "\f", "\t", "\r", "\n",
+             "\r\n", " ", "٣", "Å", "é", ":", "#", "1", "2", "x", "_", "-", "+", "e", "."]
+
+
+@settings(derandomize=True, max_examples=600, deadline=None, database=None)
+@given(text=st.lists(st.sampled_from(_ALPHABET), max_size=40).map("".join))
+# a lone token with no colon on one line and an empty index on the next have the token
+# count of two good lines: only each line's shape, label included, tells them apart
+@example(text="1 1:1\n1 ٣\n٣ :1")
+def test_texts_over_a_small_alphabet_match_the_reference(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("alpha") / "a.svm"
+    path.write_bytes(text.encode("utf-8"))
+    _assert_same(path)
 
 
 GEN_SPECS = [("separable_margin", {"gamma": 0.3}), ("noisy_linear", {"sigma": 0.2}),
@@ -318,7 +319,6 @@ GEN_SPECS = [("separable_margin", {"gamma": 0.3}), ("noisy_linear", {"sigma": 0.
 @pytest.mark.parametrize("d", [1, 10, 300])
 @pytest.mark.parametrize("kind,params", GEN_SPECS, ids=[kind for kind, _ in GEN_SPECS])
 def test_gen_output_takes_the_block_parser(tmp_path, kind, params, d):
-    # a gain that silently fell back to the line parser would show here
     spec = {"kind": kind, "seed": 3, "params": {**params, "d": d, "T": 25}}
     specs = [spec]
     if kind == "noisy_linear":
@@ -326,27 +326,59 @@ def test_gen_output_takes_the_block_parser(tmp_path, kind, params, d):
     for i, spec in enumerate(specs):
         path = tmp_path / f"g{i}.svm"
         write_svmlight(generate(spec), path)
-        expect = _line_parse_svmlight(path)
-        with mock.patch.object(data, "_svmlight_lines", side_effect=AssertionError("fell back")):
-            ds = parse_svmlight(path)
-        assert ds.X.tobytes() == expect.X.tobytes() and ds.y.tobytes() == expect.y.tobytes()
-        assert ds.X.shape == expect.X.shape
+        assert _assert_same(path)[0] == "ok"
 
 
 def test_the_block_parser_holds_one_blocks_tokens(tmp_path):
     # one token list for the whole d=300, T=600 file peaked at 7.3x its size; one 256 KB
-    # block's tokens at a time, about 1x, as the line parser's 1.3x
-    path = tmp_path / "big.svm"
+    # block's tokens at a time, about 1x, as a line-at-a-time parser's 1.3x; a file with
+    # tabs and CRLF line ends is re-joined a block at a time
+    plain = tmp_path / "plain.svm"
     write_svmlight(generate({"kind": "noisy_linear", "seed": 1,
-                             "params": {"sigma": 0.2, "d": 300, "T": 600}}), path)
-    with mock.patch.object(data, "_svmlight_lines", side_effect=AssertionError("fell back")):
+                             "params": {"sigma": 0.2, "d": 300, "T": 600}}), plain)
+    tabs = tmp_path / "tabs.svm"
+    tabs.write_bytes(plain.read_bytes().replace(b" ", b"\t").replace(b"\n", b"\r\n"))
+    for path in (plain, tabs):
         tracemalloc.start()
         try:
             parse_svmlight(path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert peak < 3 * path.stat().st_size, (peak, path.stat().st_size)
+        assert peak < 3 * path.stat().st_size, (path.name, peak, path.stat().st_size)
+
+
+def _long_lines(n):
+    """n data lines of about 100 bytes, with comment and blank lines among them."""
+    lines = []
+    for i in range(n):
+        lines.append(f"{(-1) ** i} 1:{i / 7!r} 3:{i / 3!r} 9:{-i / 11!r} 10:{i * 1e-5!r} 12:1")
+        if i % 97 == 0:
+            lines.append("# a comment 1:x")
+        if i % 89 == 0:
+            lines.append("   ")
+    return lines
+
+
+def test_a_fault_in_a_later_block_names_its_line(tmp_path):
+    lines = _long_lines(2 * data._BLOCK_CHARS // 60)
+    at = len(lines) - 2
+    lines[at] = lines[at].replace(" 9:", " 2:")
+    path = tmp_path / "late.svm"
+    path.write_bytes("\r\n".join(lines).encode() + b"\r\n")
+    assert path.stat().st_size > 2 * data._BLOCK_CHARS
+    assert _assert_same(path) == (
+        "error", f"{path}: line {at + 1}: indices must be strictly increasing and 1-based")
+
+
+def test_a_later_block_alone_with_tabs_matches_the_reference(tmp_path):
+    lines = _long_lines(2 * data._BLOCK_CHARS // 60)
+    start = 3 * len(lines) // 4
+    lines[start:] = [line.replace(" ", "\t", 2).replace(" ", " \x1c") for line in lines[start:]]
+    path = tmp_path / "tabs.svm"
+    path.write_bytes("\n".join(lines).encode())
+    assert "\t" not in path.read_text()[:data._BLOCK_CHARS + 200]
+    assert _assert_same(path)[0] == "ok"
 
 
 @pytest.mark.parametrize("text,line,byte", [("1 1:2\n-1 1:\xff\n", 2, "0xff"),
@@ -356,10 +388,9 @@ def test_a_file_that_is_not_utf8_names_the_line_of_its_first_bad_byte(tmp_path, 
                                                                        byte):
     path = tmp_path / "b.svm"
     path.write_bytes(text.encode("latin-1"))
-    for parse in (parse_svmlight, _line_parse_svmlight):
-        with pytest.raises(ValueError) as exc:
-            parse(path)
-        assert str(exc.value) == f"{path}: line {line}: not UTF-8 text (byte {byte})"
+    with pytest.raises(ValueError) as exc:
+        parse_svmlight(path)
+    assert str(exc.value) == f"{path}: line {line}: not UTF-8 text (byte {byte})"
     csv = tmp_path / "b.csv"
     csv.write_bytes(b"a,label\r\n0.5,1\r\n" + text.replace(" ", ",").encode("latin-1"))
     with pytest.raises(ValueError) as exc:
