@@ -5,7 +5,8 @@ star, plus the batch comparator for four learners and a conservative
 diagonal second-order run, which the rare-feature refinement audits. A refactor of the
 engine, harness or CLI must keep every digest; changing one on purpose
 means a TRACE_VERSION bump or a documented behaviour change, and new
-digests here.
+digests here. The numeric oracles' results have one digest of their own,
+which a change to the oracles must keep.
 """
 
 import hashlib
@@ -13,10 +14,12 @@ import json
 
 import numpy as np
 import pytest
+from helpers import regularizer_families
 
 from omdkit import cli
 from omdkit.data import generate
 from omdkit.harness import TRACE_VERSION, canonical_json
+from omdkit.oracles import GridSpec, numeric_argmax, numeric_biconjugate, numeric_dual_norm
 
 SEPARABLE = "separable_margin:gamma=0.3,d=5,T=60"
 LINEAR = "noisy_linear:sigma=0.2,d=5,T=60"
@@ -297,3 +300,26 @@ def test_golden_digests_parsed_files(tmp_path, monkeypatch, key):
     _write_data_files()
     flags, source, comparators = FILE_CONFIGS[key]
     assert _digests(tmp_path, flags, source, comparators) == FILE_GOLDEN[key]
+
+
+# sha256 of the oracles' results, one repr per line: numeric_argmax (point and value) and
+# numeric_dual_norm for each family of regularizer_families(2), then one numeric_biconjugate.
+# The grid seeds score with BLAS `@`, so this pin is among those that move under other CPU
+# kernels (ROADMAP item 2).
+ORACLES_GOLDEN = "5feeba14fb463587abd9e8494dce9109bd906aeb6c1cb1421f02dc9abf2e01bd"
+
+
+def test_golden_oracle_results():
+    grid = GridSpec(-3.0, 3.0, 41, 2)
+    theta, z = np.array([0.7, -0.4]), np.array([0.9, -0.5])
+    families = regularizer_families(2)
+    lines = []
+    for reg in families.values():
+        pt, val = numeric_argmax(lambda V: np.asarray(reg.value(V)), theta, grid, refine_iters=70)
+        lines.append(repr(([float(v) for v in pt], val)))
+        lines.append(repr(numeric_dual_norm(lambda V: np.asarray(reg.norm(V)), z,
+                                            samples=20_000, refine_rounds=35)))
+    reg = families["growing_quadratic"]
+    lines.append(repr(numeric_biconjugate(lambda V: np.asarray(reg.value(V)),
+                                          np.array([0.4, -0.3]), grid, refine_iters=22)))
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == ORACLES_GOLDEN

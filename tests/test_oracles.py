@@ -3,16 +3,21 @@ import math
 import numpy as np
 import pytest
 
+from helpers import regularizer_families
 from lemmas import fd_gradient, implicit_scan
+from omdkit import oracles
 from omdkit.oracles import (
     _OFFSETS,
     GridSpec,
     _refine_max_batch,
+    _search_draws,
     numeric_argmax,
+    numeric_argmax_batch,
     numeric_biconjugate,
     numeric_conjugate,
     numeric_dual_norm,
 )
+from omdkit.prng import Xorshift64Star
 
 GRID2 = GridSpec(-3.0, 3.0, 41, 2)
 
@@ -51,6 +56,27 @@ def test_grid_spec_validation():
         GridSpec(-1.0, 1.0, 5, 2)
     with pytest.raises(ValueError):
         GridSpec(-1.0, 1.0, 41, 4)
+
+
+@pytest.mark.parametrize("lo, hi, name", [(-math.inf, 3.0, "lo"), (-3.0, math.inf, "hi"),
+                                          (math.nan, 3.0, "lo")])
+def test_grid_spec_refuses_a_non_finite_bound(lo, hi, name):
+    # an infinite bound passed lo < hi and gave a NaN axis with an infinite spacing
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        GridSpec(lo, hi, 41, 2)
+
+
+def test_numeric_argmax_refuses_a_non_finite_theta():
+    # a NaN theta scored every grid point NaN and returned the corner (-3, -3) with value nan
+    with pytest.raises(ValueError, match="^theta must be finite"):
+        numeric_argmax(_half_sq, np.array([math.nan, 1.0]), GRID2)
+    with pytest.raises(ValueError, match="^theta must be finite"):
+        numeric_argmax_batch(_half_sq, np.array([[0.1, 0.2], [0.1, math.inf]]), GRID2)
+
+
+def test_numeric_biconjugate_refuses_a_non_finite_w():
+    with pytest.raises(ValueError, match="^w must be finite"):
+        numeric_biconjugate(_half_sq, np.array([math.nan, 0.0]), GRID2, refine_iters=5)
 
 
 def test_fd_gradient_quadratic():
@@ -94,6 +120,75 @@ def test_numeric_dual_norm_rejects_inhomogeneous():
                           np.array([1.0, 0.0]), samples=100)
 
 
+def test_numeric_dual_norm_refuses_a_norm_that_reads_inf():
+    # the homogeneity probe read inf - inf = nan, which no comparison with a tolerance fails,
+    # and the search then returned 0.0
+    with pytest.raises(ValueError, match="not positively homogeneous"):
+        numeric_dual_norm(lambda V: np.full(len(V), np.inf), np.array([1.0, 2.0]), samples=100)
+
+
+def test_numeric_dual_norm_refuses_a_non_finite_z():
+    # a NaN z returned nan
+    with pytest.raises(ValueError, match="^z must be finite"):
+        numeric_dual_norm(lambda V: np.linalg.norm(V, axis=1), np.array([math.nan, 4.0]),
+                          samples=100)
+
+
+def _uncached_draws(seed, dim, count):
+    """The dual-norm search's draws as the search drew them on every call, without a cache."""
+    rng = Xorshift64Star(seed)
+    probes = []
+    for _ in range(10):
+        v = rng.normals(dim)
+        probes.append((v, 0.5 + 2.0 * rng.uniform()))
+    return tuple(probes), rng.normals(count * dim).reshape(count, dim)
+
+
+@pytest.mark.parametrize("seed, dim, count", [(7, 2, 27_000), (7, 3, 1_200), (11, 1, 40)])
+def test_dual_norm_draws_follow_the_uncached_stream(seed, dim, count):
+    probes, draws = _search_draws(seed, dim, count)
+    ref_probes, ref_draws = _uncached_draws(seed, dim, count)
+    for (v, c), (ref_v, ref_c) in zip(probes, ref_probes, strict=True):
+        np.testing.assert_array_equal(v, ref_v)
+        assert c == ref_c
+    np.testing.assert_array_equal(draws, ref_draws)
+
+
+def test_dual_norm_draws_are_read_only():
+    probes, draws = _search_draws(7, 2, 1_000)
+    with pytest.raises(ValueError):
+        draws[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        probes[0][0][0] = 1.0
+
+
+def test_numeric_dual_norm_gives_the_uncached_bits_cold_and_warm(monkeypatch):
+    probes = [(reg, z) for reg in regularizer_families(2).values()
+              for z in (np.array([0.9, -0.5]), np.array([-0.2, 1.3]))]
+
+    def run():
+        return [numeric_dual_norm(lambda V: np.asarray(reg.norm(V)), z, samples=20_000,
+                                  refine_rounds=35) for reg, z in probes]
+
+    _search_draws.cache_clear()
+    cold = run()
+    warm = run()
+    assert _search_draws.cache_info().misses == 1
+    monkeypatch.setattr(oracles, "_search_draws", _uncached_draws)
+    uncached = run()
+    assert [repr(v) for v in cold] == [repr(v) for v in warm] == [repr(v) for v in uncached]
+
+
+def test_numeric_dual_norm_checks_homogeneity_on_a_warm_cache():
+    def euclid(V):
+        return np.linalg.norm(np.atleast_2d(V), axis=1)
+
+    z = np.array([1.0, 0.0])
+    numeric_dual_norm(euclid, z, samples=100)
+    with pytest.raises(ValueError, match="not positively homogeneous"):
+        numeric_dual_norm(lambda V: euclid(V) + 1.0, z, samples=100)
+
+
 def test_implicit_scan_fixed_point():
     # x <= e ln x holds only at x = e exactly (tangency); give the predicate
     # slack on the scale of the scan resolution so the grid can see it
@@ -113,6 +208,33 @@ def test_biconjugation_recovers_convex_function():
         assert val == pytest.approx(float(_half_sq(np.array(w))[0]), abs=1e-3)
 
 
+def test_numeric_biconjugate_evaluates_f_on_the_grid_once():
+    pts = GRID2.points()
+    grid_calls = []
+
+    def f(V):  # not 0.5 |v|^2, whose inner search would start on the grid points themselves
+        grid_calls.append(V.shape == pts.shape and np.array_equal(V, pts))
+        return 1.5 * _half_sq(V)
+
+    numeric_biconjugate(f, np.array([0.4, -0.3]), GRID2, refine_iters=22)
+    assert sum(grid_calls) == 1
+
+
+@pytest.mark.parametrize("name, w", [("pnorm", (0.4, -0.3)), ("composite_sqrt", (0.6, 0.2)),
+                                     ("scaleinv_diag", (-0.5, 0.35))])
+def test_numeric_biconjugate_matches_the_public_composition(name, w):
+    # the nested conjugate built from the public oracles, each inner call evaluating f on
+    # the grid again
+    reg = regularizer_families(2)[name]
+    w, it = np.array(w), 12
+
+    def f(V):
+        return np.asarray(reg.value(V))
+
+    composed = numeric_conjugate(lambda T: numeric_argmax_batch(f, T, GRID2, it)[1], w, GRID2, it)
+    assert repr(numeric_biconjugate(f, w, GRID2, refine_iters=it)) == repr(composed)
+
+
 def test_fd_gradient_of_conjugate_matches_mirror_map():
     # grad f* == argmax identity, probed through the numeric conjugate
     from omdkit.regularizers import PNorm
@@ -121,11 +243,8 @@ def test_fd_gradient_of_conjugate_matches_mirror_map():
     theta = np.array([0.8, -0.6])
 
     def conj(Thetas):
-        Thetas = np.atleast_2d(Thetas)
-        from omdkit.oracles import numeric_conjugate_batch
-
-        return numeric_conjugate_batch(lambda V: np.asarray(reg.value(V)), Thetas,
-                                       GRID2, refine_iters=30)
+        return numeric_argmax_batch(lambda V: np.asarray(reg.value(V)), Thetas,
+                                    GRID2, refine_iters=30)[1]
 
     g = fd_gradient(conj, theta, h=1e-4)
     assert np.max(np.abs(g - reg.mirror_map(theta))) < 1e-5
