@@ -1,4 +1,4 @@
-"""Bound evaluators over finished run traces, plus the two appendix-lemma terms they evaluate.
+"""Bound evaluators over finished run traces, the audit that picks them, and two lemma terms.
 
 Evaluators consume immutable RunTrace objects, read the run's parameters
 off its final learner and never change learner state. Each accepts a
@@ -6,20 +6,28 @@ single comparator (d,) or a batch (N, d) and returns a report dict
 {name, measured, bound, slack, terms}, the shape a run summary stores,
 with slack = bound - measured. It carries the numbers at the comparator
 with the smallest slack, so "slack >= -tol" on the report certifies the
-bound for every comparator supplied.
+bound for every comparator supplied. audit_reports reads off the run
+which displays audit it, and report_violations holds each to its tolerance.
 """
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .regularizers import CompositeQuadL1, MaxScaled
+from .learners import FirstOrderClassifier, SecondOrderClassifier, VAWRegressor
+from .regularizers import CompositeQuadL1, MaxScaled, ScaleInvDiag, ScaleInvPNorm
 
 
 _E = math.e
 BATCH_STEPS = 400  # batch_comparator's steps and the radius of its ball
 BATCH_RADIUS = 4.0
+
+# slack below -tolerance fails a strict audit; the scale-invariant displays cancel harder
+DEFAULT_TOL = 1e-9
+REPORT_TOL = {"scale_invariant_pnorm": 1e-6, "scale_invariant_diag": 1e-6}
 
 
 @dataclass
@@ -38,6 +46,11 @@ class RunTrace:
     @property
     def dim(self):
         return self.learner.dim
+
+
+def ordered_sum(values):
+    """Left-to-right sum from 0: the bits of CPython 3.11's sum, which 3.12 compensates."""
+    return functools.reduce(operator.add, values, 0)
 
 
 def _as_batch(u, dim):
@@ -144,29 +157,28 @@ def engine_audit(trace, u):
     recs = trace.records
     U = _as_batch(u, trace.dim)
     Z = trace.learner.theta  # sum_t z_t, accumulated in round order
-    zw_sum = float(sum(r.zw for r in recs))
+    zw_sum = float(ordered_sum(r.zw for r in recs))
     # a zero dual norm may come with beta = 0; != keeps a NaN one in the sum, > would drop it
-    quad_sum = float(sum(r.dual_norm_sq / (2.0 * r.beta) for r in recs if r.dual_norm_sq != 0))
-    residue_sum = float(sum(r.residue for r in recs))
+    quad_sum = float(ordered_sum(r.dual_norm_sq / (2.0 * r.beta) for r in recs
+                                 if r.dual_norm_sq != 0))
+    residue_sum = float(ordered_sum(r.residue for r in recs))
     residue_gap = _max([r.residue - r.reg_drop for r in recs])
     f_T = trace.learner.reg.value(U)
     terms = {"quad_sum": quad_sum, "residue_sum": residue_sum, "max_residue_gap": residue_gap}
     return _finish("engine", U @ Z - zw_sum, f_T + quad_sum + residue_sum, terms, U)
 
 
-def composite_bound(trace, u, schedule):
-    """Composite regret of a CompositeQuadL1 run against the schedule-matched display.
+def composite_bound(trace, u):
+    """A CompositeQuadL1 run's composite regret reports: its schedule's display, then the general.
 
-    general  g_T(u)/eta + sum_t ||l'_t||_{*,t}^2 / (2 eta beta_t)
     sqrt     sqrt(T) * (g(u)/eta + (eta/beta) max_t ||l'_t||_*^2)
-    linear   max_t ||l'_t||_*^2 (1 + ln T) / (2 beta), requires eta == 1
+    linear   max_t ||l'_t||_*^2 (1 + ln T) / (2 beta), only on a run with eta == 1
+    general  g_T(u)/eta + sum_t ||l'_t||_{*,t}^2 / (2 eta beta_t)
 
     The regret counts the penalty F in each round's loss, so only the family
     with the split f_t = s(t) g + eta t F is taken, and only with the eta of
     the steps z_t = -eta l'_t; other runs raise ValueError.
     """
-    if schedule not in ("general", "sqrt", "linear"):
-        raise ValueError("schedule must be general, sqrt, or linear")
     reg = trace.learner.reg
     if not isinstance(reg, CompositeQuadL1):
         raise ValueError("composite displays need a CompositeQuadL1 run, "
@@ -175,8 +187,6 @@ def composite_bound(trace, u, schedule):
     if reg.eta != eta:
         raise ValueError(f"composite displays need the family's eta {reg.eta} "
                          f"to be the step eta {eta}")
-    if schedule != "general" and reg.schedule != schedule:
-        raise ValueError(f"schedule mismatch: run used {reg.schedule!r}")
     recs = trace.records
     T = len(recs)
     X, y = trace.dataset.X, trace.dataset.y
@@ -184,32 +194,29 @@ def composite_bound(trace, u, schedule):
     loss_kind = trace.learner.loss_name
     penalty_u = reg.penalty_value(U)
     loss_u = _cumulative_losses(U, X, y, loss_kind)
-    measured_run = float(sum(r.loss + r.extras["penalty_w"] for r in recs))
+    measured_run = float(ordered_sum(r.loss + r.extras["penalty_w"] for r in recs))
     measured = measured_run - (loss_u + T * penalty_u)
     terms = {"eta": eta, "T": T, "run_loss_plus_penalty": measured_run}
-    if schedule == "general":
-        g_T = reg.scheduled_quad_value(U)
-        quad = float(sum(r.dual_norm_sq / (2.0 * eta * r.beta) for r in recs
-                         if r.dual_norm_sq != 0))
-        bound = g_T / eta + quad
-        terms["quad_sum"] = quad
-    elif schedule == "sqrt":
-        beta = reg.quad
-        g_u = reg.base_quad_value(U)
+    g_u = reg.base_quad_value(U)
+    reports = []
+    if reg.schedule == "sqrt" or (reg.schedule == "linear" and eta == 1.0):
         # ||l'_t||_* in the schedule's own (time-invariant) dual norm,
         # recovered from ||z_t||_*^2 = eta^2 ||l'_t||_*^2
         max_g2 = _max([r.dual_norm_sq for r in recs]) / (eta * eta)
-        bound = math.sqrt(T) * (g_u / eta + (eta / beta) * max_g2) if T else g_u * 0.0
-        terms.update({"beta": beta, "max_lgrad_dual_sq": max_g2})
-    else:
-        if abs(eta - 1.0) > 1e-12:
-            raise ValueError("schedule mismatch: the linear-schedule display requires eta == 1")
-        beta = reg.ridge
-        max_g2 = _max([r.dual_norm_sq for r in recs]) / (eta * eta)
-        val = max_g2 * (1.0 + math.log(T)) / (2.0 * beta) if T else 0.0
-        bound = np.full(U.shape[0], val)
-        terms.update({"beta": beta, "max_lgrad_dual_sq": max_g2})
-    return _finish(f"composite_{schedule}", measured, bound, terms, U)
+        if reg.schedule == "sqrt":
+            beta = reg.quad
+            bound = math.sqrt(T) * (g_u / eta + (eta / beta) * max_g2) if T else g_u * 0.0
+        else:
+            beta = reg.ridge
+            val = max_g2 * (1.0 + math.log(T)) / (2.0 * beta) if T else 0.0
+            bound = np.full(U.shape[0], val)
+        reports.append(_finish(f"composite_{reg.schedule}", measured, bound,
+                               {**terms, "beta": beta, "max_lgrad_dual_sq": max_g2}, U))
+    quad = float(ordered_sum(r.dual_norm_sq / (2.0 * eta * r.beta) for r in recs
+                             if r.dual_norm_sq != 0))
+    reports.append(_finish("composite_general", measured, reg.factor * g_u / eta + quad,
+                           {**terms, "quad_sum": quad}, U))
+    return reports
 
 
 def vaw_bound(trace, u):
@@ -218,9 +225,9 @@ def vaw_bound(trace, u):
     U = _as_batch(u, trace.dim)
     a = trace.learner.a
     Y = float(np.abs(y).max()) if y.size else 0.0
-    run_loss = float(sum(r.loss for r in trace.records))
+    run_loss = float(ordered_sum(r.loss for r in trace.records))
     measured = run_loss - _cumulative_losses(U, X, y, "square")
-    quad_sum = float(sum(r.extras["post_quad"] for r in trace.records))
+    quad_sum = float(ordered_sum(r.extras["post_quad"] for r in trace.records))
     bound = 0.5 * a * (U * U).sum(axis=1) + 0.5 * Y * Y * quad_sum
     return _finish("vaw", measured, bound,
                    {"a": a, "y_max": Y, "quad_sum": quad_sum, "run_loss": run_loss}, U)
@@ -271,7 +278,7 @@ def scale_invariant_bound(trace, u):
     L = reg.lipschitz
     T = len(trace.records)
     loss_kind = trace.learner.loss_name
-    run_loss = float(sum(r.loss for r in trace.records))
+    run_loss = float(ordered_sum(r.loss for r in trace.records))
     measured = run_loss - _cumulative_losses(U, X, y, loss_kind)
     b = reg.b
     if kind == "pnorm":
@@ -418,19 +425,21 @@ def second_order_bound(trace, u):
     return _finish(f"second_order_{variant}", measured, bound, terms, U)
 
 
-def diag_rare_feature_refinement(trace, u):
+def diag_rare_feature_refinement(trace):
     """Refinement of the diagonal bound under the rare-feature hypothesis, at its sharpest s.
 
     The hypothesis sum_i u_i^2 sum_t x_{t,i}^2 <= s ||u||^2 over the update
     rounds holds for every s >= s_min, the ratio of the two sums, and the
-    bound grows with s, so the report takes s = s_min for the single
-    comparator u. On a conservative run (U_used == 0) the closed-form solver
+    bound grows with s, so the report takes s = s_min for the run's target
+    u = u_star, which the data's generator embeds; a run without one raises
+    ValueError. On a conservative run (U_used == 0) the closed-form solver
     turns the implicit inequality in M into the explicit bound below; on any
     other run the bound is +inf.
     """
-    u = np.asarray(u, dtype=np.float64)
-    if u.ndim != 1:
-        raise ValueError("refinement takes a single comparator")
+    u = trace.dataset.meta.get("u_star")
+    if u is None:
+        raise ValueError("the rare-feature refinement needs the run's target u_star, "
+                         "which only generator data embeds")
     r = trace.learner.r
     X, y = trace.dataset.X, trace.dataset.y
     upd, u_used, _, csum = _update_rounds(trace, X)
@@ -453,6 +462,49 @@ def diag_rare_feature_refinement(trace, u):
             terms.update({"a": a, "b": b})
     return {"name": "diag_refinement", "measured": M, "bound": bound, "slack": bound - M,
             "terms": terms}
+
+
+def audit_reports(trace, U):
+    """The report dicts of every display that audits the trace's run, against U.
+
+    A diagonal second-order run on generator data adds the rare-feature
+    refinement wherever its bound is finite, that is on a conservative run.
+    """
+    # the evaluators are looked up per call, so the bench tracer's patches take effect
+    learner = trace.learner
+    reports = [engine_audit(trace, U)]
+    if isinstance(learner, FirstOrderClassifier):
+        reports.append(first_order_mistake_bound(trace, U))
+    elif isinstance(learner, SecondOrderClassifier):
+        reports.append(second_order_bound(trace, U))
+        if learner.variant == "diagonal" and "u_star" in trace.dataset.meta:
+            refinement = diag_rare_feature_refinement(trace)
+            if math.isfinite(refinement["bound"]):
+                reports.append(refinement)
+    elif isinstance(learner, VAWRegressor):
+        reports.append(vaw_bound(trace, U))
+    elif isinstance(learner.reg, MaxScaled):
+        reports.append(adaptive_filter_bound(trace, U))
+    elif isinstance(learner.reg, (ScaleInvPNorm, ScaleInvDiag)):
+        reports.append(scale_invariant_bound(trace, U))
+    elif isinstance(learner.reg, CompositeQuadL1):
+        reports.extend(composite_bound(trace, U))
+    return reports
+
+
+def report_violations(reports):
+    """(name, slack, tolerance) of each report whose slack, or residue gap, fails its tolerance."""
+    out = []
+    for rep in reports:
+        name, slack = rep["name"], rep["slack"]
+        tol = REPORT_TOL.get(name, DEFAULT_TOL)
+        # written so that a NaN slack or gap fails; +inf slack (a vacuous bound) passes
+        if not slack >= -tol:
+            out.append((name, slack, tol))
+        gap = rep["terms"].get("max_residue_gap")
+        if gap is not None and not gap <= DEFAULT_TOL:
+            out.append((name + ":residue", -gap, DEFAULT_TOL))
+    return out
 
 
 def diag_log_bound(x_squares, r):

@@ -9,12 +9,12 @@ import functools
 import math
 import sys
 
+from .bounds import report_violations
 from .data import generate, rescaled, write_svmlight
 from .harness import (
     CHOICES,
     LEARNERS,
     audit_stored,
-    report_violations,
     run_compare,
     run_experiment,
     write_summary,

@@ -1,5 +1,7 @@
 """Experiment harness: configs, run/audit drivers, trace and summary serialization.
 
+The drivers replay a config into a RunTrace, which bounds.audit_reports audits.
+
 Traces are JSON-lines files: a header record {version, fingerprint,
 config} followed by one record per round. Numbers are serialized with 17
 significant digits so a stored trace round-trips bit-faithfully; a replay
@@ -21,8 +23,7 @@ import time
 
 import numpy as np
 
-from . import bounds as bounds_mod
-from .bounds import RunTrace, batch_comparator, grid_comparators
+from .bounds import RunTrace, audit_reports, batch_comparator, grid_comparators, ordered_sum
 from .data import check_spec, generate, parse_csv, parse_svmlight, rescaled
 from .learners import (
     FirstOrderClassifier,
@@ -42,10 +43,6 @@ from .regularizers import (
 
 # 3: no extra copies another record field
 TRACE_VERSION = 3
-
-# slack below -tolerance fails a strict audit; the scale-invariant displays cancel harder
-DEFAULT_TOL = 1e-9
-REPORT_TOL = {"scale_invariant_pnorm": 1e-6, "scale_invariant_diag": 1e-6}
 
 
 def _fmt(x):
@@ -239,7 +236,7 @@ def run_experiment(config, audit=True):
     records = trace.records
     summary = {
         "T": len(records),
-        "cumulative_loss": float(sum(r.loss for r in records)),
+        "cumulative_loss": float(ordered_sum(r.loss for r in records)),
         "mistakes": int(sum(1 for r in records if r.mistake)),
         "margin_errors": int(sum(1 for r in records if r.margin_error)),
         "theta_norm": _norm(trace.learner.theta),
@@ -295,53 +292,6 @@ def comparator_matrix(specs, dataset, learner):
                 raise ValueError(f"comparator {spec!r}: needs {dim} finite entries")
             rows.append(vals[None, :])
     return np.vstack(rows)
-
-
-def audit_reports(trace, U):
-    """The report dicts of every bound evaluator applicable to the trace's learner, against U.
-
-    A diagonal second-order run on generator data adds the rare-feature refinement at
-    the generator's u_star wherever its bound is finite, that is on a conservative run.
-    """
-    learner = trace.learner
-    reports = [bounds_mod.engine_audit(trace, U)]
-    if isinstance(learner, FirstOrderClassifier):
-        reports.append(bounds_mod.first_order_mistake_bound(trace, U))
-    elif isinstance(learner, SecondOrderClassifier):
-        reports.append(bounds_mod.second_order_bound(trace, U))
-        u_star = trace.dataset.meta.get("u_star")
-        if learner.variant == "diagonal" and u_star is not None:
-            refinement = bounds_mod.diag_rare_feature_refinement(trace, u_star)
-            if math.isfinite(refinement["bound"]):
-                reports.append(refinement)
-    elif isinstance(learner, VAWRegressor):
-        reports.append(bounds_mod.vaw_bound(trace, U))
-    elif isinstance(learner.reg, MaxScaled):
-        reports.append(bounds_mod.adaptive_filter_bound(trace, U))
-    elif isinstance(learner.reg, (ScaleInvPNorm, ScaleInvDiag)):
-        reports.append(bounds_mod.scale_invariant_bound(trace, U))
-    elif isinstance(learner.reg, CompositeQuadL1):
-        # the constant schedule has no display of its own, and the linear one
-        # holds only for eta == 1; the general display covers every run
-        sched = learner.reg.schedule
-        if sched == "sqrt" or (sched == "linear" and learner.eta == 1.0):
-            reports.append(bounds_mod.composite_bound(trace, U, sched))
-        reports.append(bounds_mod.composite_bound(trace, U, "general"))
-    return reports
-
-
-def report_violations(reports):
-    out = []
-    for rep in reports:
-        name, slack = rep["name"], rep["slack"]
-        tol = REPORT_TOL.get(name, DEFAULT_TOL)
-        # written so that a NaN slack or gap fails; +inf slack (a vacuous bound) passes
-        if not slack >= -tol:
-            out.append((name, slack, tol))
-        gap = rep["terms"].get("max_residue_gap")
-        if gap is not None and not gap <= DEFAULT_TOL:
-            out.append((name + ":residue", -gap, DEFAULT_TOL))
-    return out
 
 
 _RECORD_FIELDS = [f.name for f in dataclasses.fields(StepRecord) if f.name != "z"]

@@ -523,10 +523,6 @@ class CompositeQuadL1(Regularizer):
         w = _batch(w)
         return 0.5 * self.quad * np.add.reduce(w * w, -1)
 
-    def scheduled_quad_value(self, w):
-        """g_t(w) at the current step; g_0 = 0 under the sqrt schedule."""
-        return self.factor * self.base_quad_value(w)
-
 
 class _Scheduled(Regularizer):
     """f_t = factor * base for a time-invariant base regularizer; f_0 has factor 0.

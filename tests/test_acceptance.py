@@ -219,8 +219,7 @@ def test_criterion_5_second_order_bounds():
         trace, _, _ = run("second_order",
                           {"r": 1.0, "variant": "diagonal", "trigger": "mistake"},
                           spec, audit=False)
-        star = generate(spec).meta["u_star"]
-        rep = diag_rare_feature_refinement(trace, star)
+        rep = diag_rare_feature_refinement(trace)
         if rep["terms"]["U_used"] != 0:
             refinement_ok = False
             continue

@@ -13,7 +13,8 @@ and then strict xfail makes each one fail until its marker goes.
 import pytest
 
 from helpers import audited_learner_suite, gen_config
-from omdkit.harness import report_violations, run_experiment
+from omdkit.bounds import report_violations
+from omdkit.harness import run_experiment
 from omdkit.regularizers import GrowingQuadratic, Regularizer, ScaleInvPNorm
 
 RUNS = 54

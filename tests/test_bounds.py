@@ -1,5 +1,7 @@
+import functools
 import itertools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -28,12 +30,13 @@ from omdkit.bounds import (
     diag_log_bound,
     diag_rare_feature_refinement,
     engine_audit,
+    ordered_sum,
+    report_violations,
     second_order_bound,
     sqrt_log_solve,
     vaw_bound,
 )
 from omdkit.data import Dataset, rescaled
-from omdkit.harness import report_violations
 from omdkit.learners import FirstOrderClassifier, StepRecord, VAWRegressor
 from omdkit.regularizers import FixedQuadratic
 
@@ -63,8 +66,6 @@ def test_engine_audit_empty_trace():
 
 def test_engine_audit_nan_residue_gap_is_reported():
     # Python's max keeps its first item when a later one is NaN; the gap must stay NaN
-    from omdkit.harness import report_violations
-
     lrn = FirstOrderClassifier(FixedQuadratic(2))
     recs = [StepRecord(t=t, prediction=0.0, label=1.0, loss=1.0, eta=1.0,
                        z=np.zeros(2), reg_drop=drop) for t, drop in ((1, 0.0), (2, math.nan))]
@@ -90,7 +91,8 @@ def test_first_order_and_composite_maxima_keep_nan():
     recs = [lrn.round(x, 1.0) for _ in range(2)]
     recs[1].dual_norm_sq = math.nan
     trace = RunTrace(data, recs, lrn)
-    rep = composite_bound(trace, np.zeros(2), "sqrt")
+    rep = composite_bound(trace, np.zeros(2))[0]
+    assert rep["name"] == "composite_sqrt"
     assert math.isnan(rep["terms"]["max_lgrad_dual_sq"])
 
 
@@ -314,12 +316,35 @@ def test_composite_displays_audit_only_a_composite_run():
                 MaxScaled(FixedQuadratic(d))):
         trace = trace_of(reg)
         assert engine_audit(trace, U)["terms"]["min_slack"] >= -1e-9, type(reg).__name__
-        for sched in ("sqrt", "linear", "general"):
-            with pytest.raises(ValueError, match="CompositeQuadL1"):
-                composite_bound(trace, U, sched)
-    trace = trace_of(CompositeQuadL1(d, 0.6))
-    for sched in ("sqrt", "general"):
-        assert composite_bound(trace, U, sched)["terms"]["min_slack"] >= -1e-9, sched
+        with pytest.raises(ValueError, match="CompositeQuadL1"):
+            composite_bound(trace, U)
+    reports = composite_bound(trace_of(CompositeQuadL1(d, 0.6)), U)
+    assert [rep["name"] for rep in reports] == ["composite_sqrt", "composite_general"]
+    for rep in reports:
+        assert rep["terms"]["min_slack"] >= -1e-9, rep["name"]
+
+
+@pytest.mark.parametrize("schedule,eta,names", [
+    ("sqrt", 1.0, ["composite_sqrt", "composite_general"]),
+    ("linear", 1.0, ["composite_linear", "composite_general"]),
+    ("linear", 0.5, ["composite_general"]),
+    ("constant", 1.0, ["composite_general"]),
+])
+def test_composite_bound_reads_its_displays_off_the_run(schedule, eta, names):
+    # the schedule's own display, where it has one, then the general display; the linear
+    # display holds only at eta == 1
+    from omdkit.bounds import composite_bound
+    from omdkit.harness import canonical_json
+
+    params = {"eta": eta, "lam": 0.1, "ridge": 1.0 if schedule == "linear" else 0.0,
+              "schedule": schedule}
+    spec = noisy_linear(3, d=3, T=80)
+    trace, _, reports = run("composite", params, spec, ("zero", "star"))
+    U = np.vstack([np.zeros(3), _star(spec)])
+    direct = composite_bound(trace, U)
+    assert [rep["name"] for rep in direct] == names
+    assert [rep["name"] for rep in reports] == ["engine", *names]
+    assert canonical_json(direct) == canonical_json(reports[1:])
 
 
 def _gradient_trace(reg, loss, eta, spec):
@@ -342,9 +367,8 @@ def test_composite_displays_refuse_a_family_eta_other_than_the_step_eta(schedule
     trace = _gradient_trace(reg, "absolute", 1.0, noisy_linear(0, d=5, T=200))
     U = np.vstack([np.zeros(5), trace.dataset.meta["u_star"]])
     assert engine_audit(trace, U)["terms"]["min_slack"] >= -1e-9
-    for sched in (schedule, "general"):
-        with pytest.raises(ValueError, match=r"family's eta 0\.1 to be the step eta 1\.0"):
-            composite_bound(trace, U, sched)
+    with pytest.raises(ValueError, match=r"family's eta 0\.1 to be the step eta 1\.0"):
+        composite_bound(trace, U)
 
 
 @pytest.mark.parametrize("scaled,base,loss,eta,named", [
@@ -411,7 +435,7 @@ def test_diag_rare_feature_refinement_on_heavy_tail():
     upd = [i for i, rec in enumerate(trace.records) if rec.eta > 0.0]
     csum = (X[upd] ** 2).sum(axis=0)
     s_min = float(np.sum(star ** 2 * csum) / float(star @ star))
-    rep = diag_rare_feature_refinement(trace, star)
+    rep = diag_rare_feature_refinement(trace)
     assert rep["terms"]["s"] == pytest.approx(s_min, rel=1e-12)
     assert rep["measured"] <= rep["bound"] + 1e-9
     # scan oracle for the implicit inequality must be dominated
@@ -424,8 +448,31 @@ def test_diag_rare_feature_refinement_on_heavy_tail():
     # a run that is not conservative (an update round with a positive margin) gets +inf
     trace, _, _ = run("second_order", {"r": 1.0, "variant": "diagonal", "trigger": "omd"},
                       spec, audit=False)
-    rep2 = diag_rare_feature_refinement(trace, star)
+    rep2 = diag_rare_feature_refinement(trace)
     assert rep2["terms"]["U_used"] > 0 and rep2["bound"] == math.inf
+
+
+def test_diag_rare_feature_refinement_needs_the_run_target(tmp_path):
+    # a parsed file embeds no u_star: the audit leaves the refinement out, which refuses the run
+    from omdkit.data import generate, write_svmlight
+    from omdkit.harness import run_experiment
+
+    path = tmp_path / "d.svm"
+    write_svmlight(generate(separable(1, d=3, T=40)), path)
+    config = {"learner": "second_order", "params": {"variant": "diagonal", "trigger": "mistake"},
+              "data": {"kind": "file", "path": str(path)}, "comparators": ["zero"]}
+    trace, summary = run_experiment(config)
+    assert [r["name"] for r in summary["reports"]] == ["engine", "second_order_diagonal"]
+    with pytest.raises(ValueError, match="needs the run's target u_star"):
+        diag_rare_feature_refinement(trace)
+
+
+def test_run_totals_add_left_to_right():
+    # compensated summation (the builtin sum from CPython 3.12) would give 1.0 here
+    assert ordered_sum([1e16, 1.0, -1e16]) == 0.0
+    trace, summary, _ = run("vaw", {"a": 1.0}, noisy_linear(1, sigma=0.2, d=10, T=200))
+    losses = [r.loss for r in trace.records]
+    assert summary["cumulative_loss"] == functools.reduce(operator.add, losses, 0)
 
 
 def test_the_audit_checks_each_conservative_diagonal_run_at_s_min():

@@ -466,6 +466,7 @@ def test_cli_audit_names_the_field_of_a_malformed_header(tmp_path):
 
     fd = os.open(trace, os.O_RDONLY)
     cases = {
+        "{nope": "bad header record: Expecting property name",
         "[1]": "bad header record: not a JSON object",
         "1": "bad header record: not a JSON object",
         # format 2 stored extras that copied other record fields; refused before any record
@@ -568,6 +569,15 @@ def test_cli_exit_codes(tmp_path):
     out = run_cli("run", "--learner", "pa", "--data", str(good), "--dim", "-3")
     assert out.returncode == 1
     assert "argument --dim: -3 is negative; need --dim >= 0" in out.stderr
+    # data errors: a generator spec without its parameters, a declared dim below the columns
+    out = run_cli("run", "--learner", "pa", "--gen", "separable_margin")
+    assert out.returncode == 2
+    assert "generator 'separable_margin' missing parameters ['gamma', 'd', 'T']" in out.stderr
+    wide = tmp_path / "wide.csv"
+    wide.write_text("label,a,b,c\n1,0.5,0.2,0.1\n-1,0.1,0.3,0.2\n")
+    out = run_cli("run", "--learner", "pa", "--data", str(wide), "--format", "csv", "--dim", "1")
+    assert out.returncode == 2
+    assert f"{wide}: declared dim 1 below feature count 3" in out.stderr
 
 
 def test_cli_overflowing_rescaled_target_is_data_error(tmp_path, capsys):
@@ -621,7 +631,7 @@ def test_cli_non_finite_svmlight_is_data_error(tmp_path):
 
 
 def test_report_violations_flags_bad_slack():
-    from omdkit.harness import report_violations
+    from omdkit.bounds import report_violations
 
     def report(name, measured, bound, terms=None):
         return {"name": name, "measured": measured, "bound": bound, "slack": bound - measured,
@@ -1124,6 +1134,28 @@ def test_cli_star_comparator_on_a_file_fails_before_parsing(monkeypatch, tmp_pat
     code, err = _main_code(["run", "--learner", "pa", "--data", svm, "--comparator", "star"])
     assert code == 2
     assert "comparator 'star' needs a generator with an embedded target" in err
+
+
+def test_cli_audit_refuses_a_trace_whose_lines_the_replay_does_not_make(tmp_path):
+    cfg = gen_config("pa", {}, separable(2, d=3, T=5))
+    trace = tmp_path / "t.jsonl"
+    write_trace(trace, cfg, run_experiment(cfg)[0])
+    header, *records = trace.read_text().splitlines()
+    assert '"label":1,' in records[2]
+    bad = tmp_path / "bad.jsonl"
+    for lines, msg in (
+            ([], "empty trace file"),
+            ([header, *records[:2], "{not json", *records[3:]],
+             "record 3 does not match the replayed run: not valid JSON"),
+            # 1.0 reads back as the float 1.0 the record holds, which canonical JSON writes 1
+            ([header, *records[:2], records[2].replace('"label":1,', '"label":1.0,'),
+              *records[3:]],
+             "record 3 does not match the replayed run: same values, different encoding"),
+            ([header, *records, records[-1]], "trace has 6 records, expected 5")):
+        bad.write_text("".join(line + "\n" for line in lines))
+        code, err = _main_code(["audit", "--trace", str(bad)])
+        assert code == 2, (msg, err)
+        assert err == f"error: {bad}: {msg}\n"
 
 
 def test_audit_names_the_differing_field(tmp_path):

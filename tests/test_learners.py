@@ -353,9 +353,9 @@ def test_a_scale_invariant_family_takes_losses_up_to_its_lipschitz_constant(fami
 @pytest.mark.parametrize("family", [ScaleInvPNorm, ScaleInvDiag])
 def test_gradient_descent_over_a_scale_invariant_family_is_the_cli_regressor(family):
     # the golden scaleinv_* run driven by hand: the same records bit for bit, the same audit
-    from omdkit.bounds import RunTrace
+    from omdkit.bounds import RunTrace, audit_reports
     from omdkit.data import generate
-    from omdkit.harness import audit_reports, canonical_json, comparator_matrix, run_experiment
+    from omdkit.harness import canonical_json, comparator_matrix, run_experiment
 
     name = {ScaleInvPNorm: "scaleinv_pnorm", ScaleInvDiag: "scaleinv_diag"}[family]
     config = gen_config(name, {}, noisy_linear(1, d=5, T=60), ("zero", "star"))
