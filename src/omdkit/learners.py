@@ -6,10 +6,10 @@ z_t is added to theta by apply_update. w is a read-only property, derived
 on its first read after theta or f moved, so no mirror map is spent on a
 w that nothing reads. Three OnlineLearner helpers hold that skeleton:
 
-  _advance  snapshots f_{t-1}, runs the regularizer's observe_input(x_t),
-            takes f*_t(theta) and w_t from one `dual` call on f_t and
-            returns the conjugate residue and the value drop at w_t from
-            the regularizer's residue and value_drop hooks;
+  _advance  runs the regularizer's observe_input(x_t), takes f*_t(theta)
+            and w_t from one `dual` call on f_t and returns the conjugate
+            residue and the value drop at w_t, from the regularizer's
+            residue and round_terms hooks where f moved;
   _observe  counts the round, takes x_t dense, advances, predicts <w_t, x_t>;
   _emit     records <z_t, w_t> and f_t's beta, folds an optional loss
             subgradient into f, applies theta += z_t and returns the
@@ -92,32 +92,33 @@ class OnlineLearner:
         """Move f_{t-1} to f_t through the regularizer's observe_input(x).
 
         Returns (residue, reg_drop): f*_t(theta) - f*_{t-1}(theta) and
-        f_{t-1}(w_t) - f_t(w_t); both are zero for a fixed regularizer,
-        which has no state to advance, so f, and with it w, stays as it
-        was. In round 1 f_{t-1} is f_0, which every time-varying family
-        defines. One `dual` call on f_t gives f*_t(theta) and w_t; where it
-        gives no gradient, the read of w raises through mirror_map. The
-        family's residue and value_drop hooks give the two differences; by
-        default they evaluate f_{t-1}, a growing quadratic has closed forms.
-        The second-order classifier has A_{t-1}^{-1} x_t already and passes it
-        as u, which its growing quadratic takes as observe_input(x, u).
+        f_{t-1}(w_t) - f_t(w_t), zero for a fixed regularizer, which has no
+        state to advance. In round 1 f_{t-1} is f_0, which every time-varying
+        family defines. One `dual` call on f_t gives f*_t(theta) and w_t; where
+        it gives no gradient, the read of w raises through mirror_map. Where
+        observe_input returns f_{t-1}, the residue and round_terms hooks give
+        both differences, and _extras; where it returns None, f did not move,
+        and both are x - x at f*_t(theta) and f_t(w_t): +0.0 where x is finite,
+        else NaN. The second-order classifier has A_{t-1}^{-1} x_t already and
+        passes it as u, which its growing quadratic takes as observe_input(x, u).
         """
         if not self.reg.time_varying:
             return 0.0, 0.0
-        prev = self.reg.snapshot()
-        if u is None:
-            self.reg.observe_input(x)
-        else:
-            self.reg.observe_input(x, u)
+        prev = self.reg.observe_input(x) if u is None else self.reg.observe_input(x, u)
         conj, self._w = self.reg.dual(self.theta)
         w = self.w
+        if prev is None:
+            v = self.reg.value(w)
+            return float(conj - conj), float(v - v)
         residue = self.reg.residue(prev, self.theta, conj)
-        return float(residue), float(self.reg.value_drop(prev, w))
+        drop, self._extras = self.reg.round_terms(prev, w)
+        return float(residue), float(drop)
 
     def _observe(self, x):
         """Start round t; returns (x_t dense, <w_t, x_t>, residue, reg_drop)."""
         self.t += 1
         xd = as_dense(x, self.dim)
+        self._extras = None  # the round's record fields, where _advance reads them
         residue, drop = self._advance(xd)
         return xd, float(self.w @ xd), residue, drop
 
@@ -176,7 +177,7 @@ class GradientDescentLearner(OnlineLearner):
         return self._emit(
             z, grad=grad, prediction=pred, label=float(y), loss=ev.value, eta=self.eta,
             dual_norm_sq=dual_norm * dual_norm, residue=residue, reg_drop=drop,
-            extras=self.reg.round_extras(self.w),
+            extras=self.reg.round_extras(self.w) if self._extras is None else self._extras,
         )
 
 

@@ -22,19 +22,19 @@ The engine moves a family through two hooks, one per protocol position.
 observe_input(x) runs before the round's prediction and takes f_{t-1} to
 f_t: by default it is the schedule tick advance_step, the feature-driven
 families override it (feature maxima and support sizes, MaxScaled's input
-norm), and the growing quadratic runs its rank-one update(x).
-observe_gradient(g) runs after the prediction, so f_t only ever depends
-on subgradients from earlier rounds. Every hook binds new state arrays
-and never writes into the old ones, so `snapshot` is a shallow copy that
-keeps f_t while the hooks move the regularizer on to f_{t+1}. The hooks also
-re-derive f_t's constants into plain attributes that the methods only read.
-The scale-invariant families derive their observed coordinates this way:
-`live`, the mask of coordinates with a positive scale (b_i, or the weight
-in ScaleInvDiag), and `all_live`, whether that is every coordinate. While
-some coordinate is unseen, their methods gather a vector's live part and
-scatter results back; once all are live, which on dense rows is every
-round after the first, they read whole vectors with no mask, with the
-same bits.
+norm), and the growing quadratic runs its rank-one update(x). It returns
+f_{t-1}'s snapshot, or None where no maximum moved, so f_t = f_{t-1}.
+observe_gradient(g) runs after the prediction, so f_t only ever depends on
+subgradients from earlier rounds. Every hook binds new state arrays, never
+writing into the old ones, so `snapshot` is a shallow copy that keeps f_t
+while the hooks move on to f_{t+1}. The hooks also re-derive f_t's
+constants, which the methods only read. The scale-invariant families derive
+their observed coordinates this way: `live`, the mask of coordinates with a
+positive scale (b_i, or the weight in ScaleInvDiag), and `all_live`, whether
+that is every coordinate. While some coordinate is unseen, their methods
+gather a vector's live part and scatter results back; once all are live,
+which on dense rows is every round after the first, they read whole vectors
+with no mask, with the same bits.
 f_0, the state before any hook, is defined: where a schedule factor or
 curvature is 0, f_t is the zero function, with conjugate the indicator of
 {0} and mirror map 0.
@@ -43,9 +43,9 @@ Given a snapshot prev of an earlier state, f_t reports the engine's two
 differences: value_drop(prev, w) = f_prev(w) - f_t(w) and
 residue(prev, theta, conj) = f*_t(theta) - f*_prev(theta), where conj is
 f*_t(theta). By default they evaluate prev; the full growing quadratic
-has both in closed form, ScaleInvPNorm and CompositeQuadL1 take f*_prev
-without the gradient that `dual` builds, and CompositeQuadL1 reads the
-two sums of w that both of its values need once.
+has both in closed form, the scale-invariant families and CompositeQuadL1
+take f*_prev without the gradient that `dual` builds, and CompositeQuadL1
+reads w's two sums once for round_terms, the drop with round_extras.
 
 For a gradient learner, `lipschitz` is the largest Lipschitz constant of
 a loss the family takes (L in the scale-invariant families, else inf), and
@@ -120,8 +120,10 @@ class Regularizer:
         pass
 
     def observe_input(self, x):
-        """Move f_{t-1} to f_t before the round's prediction; by default a schedule tick."""
+        """Move f_{t-1} to f_t, by default a schedule tick; returns f_{t-1}, or None if unmoved."""
+        prev = self.snapshot()
         self.advance_step()
+        return prev
 
     def observe_gradient(self, g):
         pass
@@ -133,6 +135,10 @@ class Regularizer:
     def round_extras(self, w):
         """The family's own fields of a gradient learner's round record, at w_t."""
         return {}
+
+    def round_terms(self, prev, w):
+        """(value_drop(prev, w), round_extras(w)), the engine's reads of w_t where f moved."""
+        return self.value_drop(prev, w), self.round_extras(w)
 
 
 def _shallow(obj):
@@ -349,7 +355,9 @@ class GrowingQuadratic(Regularizer):
             self.rows = (_count(self.rows) + 1, x, self.rows)
 
     def observe_input(self, x, u=None):
+        prev = self.snapshot()
         self.update(x, u)
+        return prev
 
     def snapshot(self):
         snap = _shallow(self)
@@ -478,10 +486,11 @@ class CompositeQuadL1(Regularizer):
         """f(w) from the sums sq = ||w||^2 and l1 = ||w||_1."""
         return 0.5 * self.curvature * sq + self.threshold * l1
 
-    def value_drop(self, prev, w):
-        """f_prev(w) - f(w), the two values from one reading of w's two sums."""
-        moments = _moments(w)
-        return prev._value(*moments) - self._value(*moments)
+    def round_terms(self, prev, w):
+        """The value drop and penalty_w from one reading of w's two sums."""
+        sq, l1 = _moments(w)
+        drop = prev._value(sq, l1) - self._value(sq, l1)
+        return drop, {"penalty_w": float(self._penalty(sq, l1))}
 
     def dual(self, theta):
         conj, shr = self._conjugate(theta)
@@ -515,7 +524,9 @@ class CompositeQuadL1(Regularizer):
     # composite-objective pieces used by the bound evaluators
     def penalty_value(self, w):
         """F(w) = lam ||w||_1 + ridge/2 ||w||^2."""
-        sq, l1 = _moments(w)
+        return self._penalty(*_moments(w))
+
+    def _penalty(self, sq, l1):
         return self.lam * l1 + 0.5 * self.ridge * sq
 
     def base_quad_value(self, w):
@@ -586,8 +597,11 @@ class MaxScaled(_Scheduled):
         self.x_max = 0.0
 
     def observe_input(self, x):
-        self.x_max = max(self.x_max, float(self.base.dual_norm(x)))
-        self.factor = self.x_max * self.x_max
+        norm = float(self.base.dual_norm(x))
+        if not norm > self.x_max:  # max(x_max, norm) keeps x_max, for a NaN norm too
+            return None
+        prev, self.x_max, self.factor = self.snapshot(), norm, norm * norm
+        return prev
 
 
 class ScaleInvPNorm(Regularizer):
@@ -619,9 +633,12 @@ class ScaleInvPNorm(Regularizer):
         self._derive()
 
     def observe_input(self, x):
-        self.b = np.maximum(self.b, np.abs(x))
-        self.m = max(self.m, int(np.count_nonzero(x)))
+        a, m = np.abs(x), int(np.count_nonzero(x))
+        if m <= self.m and (a <= self.b).all():  # NaN-safe: a NaN moves b
+            return None
+        prev, self.b, self.m = self.snapshot(), np.maximum(self.b, a), max(self.m, m)
         self._derive()
+        return prev
 
     def observe_gradient(self, g):
         s = self._dual_core(g)
@@ -724,8 +741,12 @@ class ScaleInvDiag(Regularizer):
         self._derive()
 
     def observe_input(self, x):
-        self.b = np.maximum(self.b, np.abs(x))
+        a = np.abs(x)
+        if (a <= self.b).all():  # NaN-safe: a NaN moves b
+            return None
+        prev, self.b = self.snapshot(), np.maximum(self.b, a)
         self._derive()
+        return prev
 
     def observe_gradient(self, g):
         if self.all_live:  # every weight is positive, so every b_i is
@@ -760,6 +781,17 @@ class ScaleInvDiag(Regularizer):
         conj = 0.5 * float(np.add.reduce(th ** 2 / self.weights_live))
         return conj, _scatter(self, th / self.weights_live)
 
+    def residue(self, prev, theta, conj):
+        """f*(theta) - f*_prev(theta), f*_prev without the gradient that `dual` builds."""
+        return conj - 0.5 * prev._quad(theta)
+
+    def _quad(self, z):
+        """sum_i z_i^2 / weight_i over the live coordinates; inf if z lives on another."""
+        z = _gather(self, z)
+        if z is None:
+            return math.inf
+        return float(np.add.reduce(z ** 2 / self.weights_live))
+
     def strong_convexity(self):
         return 1.0
 
@@ -768,7 +800,4 @@ class ScaleInvDiag(Regularizer):
         return np.sqrt(np.add.reduce(v * v * self.weights, -1))
 
     def dual_norm(self, z):
-        z = _gather(self, z)
-        if z is None:
-            return math.inf
-        return math.sqrt(float(np.add.reduce(z ** 2 / self.weights_live)))
+        return math.sqrt(self._quad(z))

@@ -15,7 +15,13 @@ import pytest
 from helpers import audited_learner_suite, gen_config
 from omdkit.bounds import report_violations
 from omdkit.harness import run_experiment
-from omdkit.regularizers import GrowingQuadratic, Regularizer, ScaleInvPNorm
+from omdkit.regularizers import (
+    GrowingQuadratic,
+    MaxScaled,
+    Regularizer,
+    ScaleInvDiag,
+    ScaleInvPNorm,
+)
 
 RUNS = 54
 UNSEEN = pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the audit checks only "
@@ -49,6 +55,17 @@ def stale_snapshot(monkeypatch):
     # snapshot() hands back f_t itself, so f_{t-1} is read after it has moved to f_t
     for cls in (Regularizer, GrowingQuadratic):
         monkeypatch.setattr(cls, "snapshot", lambda self: self)
+
+
+@pytest.fixture
+def unreported_move(monkeypatch):
+    # observe_input moves f but returns None, so the engine records x - x for both differences
+    # on a round where f moved; the deepcopy reference test and the golden digests catch it
+    for cls in (MaxScaled, ScaleInvDiag):
+        def hook(self, x, _observe=cls.observe_input):
+            _observe(self, x)
+
+        monkeypatch.setattr(cls, "observe_input", hook)
 
 
 @pytest.fixture
@@ -97,4 +114,9 @@ def test_a_halved_growing_quadratic_drop_is_flagged(halved_drop):
 
 @UNSEEN
 def test_a_zero_growing_quadratic_drop_is_flagged(zero_drop):
+    assert _flagged() > 0
+
+
+@UNSEEN
+def test_an_unreported_move_is_flagged(unreported_move):
     assert _flagged() > 0

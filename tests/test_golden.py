@@ -11,10 +11,11 @@ which a change to the oracles must keep.
 
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
-from helpers import regularizer_families
+from helpers import regularizer_families, run_cli
 
 from omdkit import cli
 from omdkit.data import generate
@@ -323,3 +324,40 @@ def test_golden_oracle_results():
     lines.append(repr(numeric_biconjugate(lambda V: np.asarray(reg.value(V)),
                                           np.array([0.4, -0.3]), grid, refine_iters=22)))
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == ORACLES_GOLDEN
+
+
+OVERFLOW = "noisy_linear:sigma=1e200,d=3,T=40"
+
+# runs that go non-finite, on rounds where f moved and on rounds where it did not (where
+# both differences are x - x, NaN at an infinite x): (flags, first_nonfinite, sha256 of
+# the trace, sha256 of the summary line without wall_time_s)
+NONFINITE_GOLDEN = {
+    "adaptive_filter": (
+        ["--learner", "adaptive_filter"], {"field": "loss", "t": 1},
+        "ed3b22c94b3bd113e2e8a8d40633e9a3f662c2aa0faf600f41f14290ebbd4487",
+        "6e9f8d45c783d53ed1e7e9267e69f60f17edf79b13a83254f94aa96408d052b4"),
+    "scaleinv_pnorm": (
+        ["--learner", "scaleinv_pnorm", "--rescale=1e308,1e308,1"],
+        {"field": "prediction", "t": 6},
+        "2bc409f04aba7a4e7442358c3cc4a8253d96b145d32cbd3312a504937c4651c9",
+        "27021240908557984f167633d1c1434ecdb8e0a3dbcfd9ec75d9329a490682f7"),
+    "scaleinv_diag": (
+        ["--learner", "scaleinv_diag", "--rescale=1e308,1,1e308"],
+        {"field": "dual_norm_sq", "t": 1},
+        "017cc31328ffc1fda9b2ad51e9d24693c8fd01945f38f0680b414df0f38cc9ef",
+        "be80fe56196e9d2ff9cc14e5da4eed59db163f94118a95cf51d979342425cec8"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(NONFINITE_GOLDEN))
+def test_non_finite_runs_keep_their_verdict(tmp_path, key):
+    flags, first, trace_digest, summary_digest = NONFINITE_GOLDEN[key]
+    trace = tmp_path / "t.jsonl"
+    out = run_cli("run", *flags, "--gen", OVERFLOW, "--seed", "2", "--trace", str(trace),
+                  "--strict-audit", timeout=120)
+    assert out.returncode == 3, out.stderr
+    line = out.stdout.splitlines()[0]
+    assert json.loads(line)["first_nonfinite"] == first
+    assert hashlib.sha256(trace.read_bytes()).hexdigest() == trace_digest
+    summary = re.sub(r',"wall_time_s":[^,}]*', "", line)
+    assert hashlib.sha256(summary.encode()).hexdigest() == summary_digest

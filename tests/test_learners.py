@@ -546,3 +546,42 @@ def test_gradient_descent_advances_every_input_driven_family(family):
     U = np.vstack([np.zeros(d), dataset.meta["u_star"]])
     rep = engine_audit(RunTrace(dataset, records, lrn), U)
     assert rep["slack"] >= -1e-9 and rep["terms"]["max_residue_gap"] <= 1e-9, rep
+
+
+def _new_maxima(X, family):
+    """The rounds whose row sets a new running maximum of what f reads off x_t: the
+    Euclidean norm for MaxScaled, else some |x_ti|, or the support size for ScaleInvPNorm."""
+    if family is MaxScaled:
+        norms = np.linalg.norm(X, axis=1)
+        return int((norms > np.maximum.accumulate(np.concatenate([[0.0], norms[:-1]]))).sum())
+    A = np.abs(X)
+    b = np.maximum.accumulate(np.vstack([np.zeros(X.shape[1]), A[:-1]]), axis=0)
+    moved = (A > b).any(axis=1)
+    if family is ScaleInvPNorm:
+        nnz = np.count_nonzero(X, axis=1)
+        moved |= nnz > np.maximum.accumulate(np.concatenate([[0], nnz[:-1]]))
+    return int(moved.sum())
+
+
+@pytest.mark.parametrize("learner,family", [("adaptive_filter", MaxScaled),
+                                            ("scaleinv_pnorm", ScaleInvPNorm),
+                                            ("scaleinv_diag", ScaleInvDiag)])
+def test_the_engine_evaluates_f_prev_only_where_the_input_moved_f(monkeypatch, learner, family):
+    # both differences are x - x on every other round, with no hook run
+    from collections import Counter
+
+    from omdkit.data import generate
+
+    calls = Counter()
+    for hook in ("residue", "value_drop"):
+        def counted(self, *args, _hook=getattr(family, hook), _name=hook):
+            calls[_name] += 1
+            return _hook(self, *args)
+        monkeypatch.setattr(family, hook, counted)
+    expect = 0
+    for seed in range(5):
+        spec = noisy_linear(seed, d=10, T=200)
+        run(learner, {}, spec, audit=False)
+        expect += _new_maxima(generate(spec).X, family)
+    assert 0 < expect < 5 * 200
+    assert calls == {"residue": expect, "value_drop": expect}

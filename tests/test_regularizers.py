@@ -406,6 +406,56 @@ def test_snapshot_keeps_the_previous_state_bit_for_bit():
                 assert repr(float(snap.value(w))) == repr(float(ref.value(w))), name
 
 
+def _observed(reg, x):
+    """observe_input(x) on reg: whether it returned a snapshot, and whether reg's state moved.
+
+    None must leave every bit of the state as it was, and a snapshot must hold the state
+    from before the hook.
+    """
+    before = _state(reg)
+    prev = reg.observe_input(x)
+    moved = _state(reg) != before
+    assert prev is not None or not moved
+    if prev is not None:
+        assert _state(prev) == before
+    return prev is not None, moved
+
+
+def test_observe_input_returns_f_prev_exactly_where_it_moves_f():
+    import copy
+
+    dim = 4
+    rng = np.random.default_rng(41)
+    fams = {name: reg for name, reg in regularizer_families(dim).items() if reg.time_varying}
+    assert len(fams) == 9
+    # rows of mixed scale and support, some below every running maximum, then an all-zero
+    # and an all-inf row, each twice; a NaN row and an inf row go to a copy at every step
+    rows = [2.0 ** rng.integers(-3, 3) * rng.normal(size=dim) * (rng.random(dim) < 0.7)
+            for _ in range(16)]
+    rows += [np.zeros(dim)] * 2 + [np.full(dim, math.inf)] * 2
+    nan_row, inf_row = np.array([math.nan, 0.0, 1.0, 0.0]), np.array([0.0, math.inf, 0.0, 0.0])
+    always = (GrowingQuadratic, CompositeQuadL1, SqrtScheduled, LinearScheduled)
+    with np.errstate(all="ignore"):
+        for name, reg in fams.items():
+            returned = []
+            for x in rows:
+                for odd in (nan_row, inf_row):
+                    got, moved = _observed(copy.deepcopy(reg), odd)
+                    assert got == moved or isinstance(reg, GrowingQuadratic), name
+                    if odd is nan_row:  # a NaN norm keeps x_max, as max() does; b takes a NaN
+                        assert got != isinstance(reg, MaxScaled), name
+                got, moved = _observed(reg, x)
+                # an update always moves f, though a zero row, or inf on an inf diagonal,
+                # leaves a diagonal growing quadratic's state as it was
+                assert got == moved or isinstance(reg, GrowingQuadratic), name
+                returned.append(got)
+            if isinstance(reg, always):
+                assert all(returned), name
+            else:
+                assert any(returned[:16]) and not all(returned[:16]), name
+                assert returned[16:] == [False, False, True, False], name
+
+
 def _fresh_time_varying(dim):
     """Each time-varying family right after construction, where it stands at f_0."""
     return {
